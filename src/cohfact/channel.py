@@ -78,6 +78,8 @@ def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChan
     for e in ops:
         if e.shape != (d, d):
             raise InvalidChannelError(f"Kraus operators must all be {d}x{d}")
+        if not np.all(np.isfinite(e)):
+            raise InvalidChannelError("Kraus operators have non-finite entries")
     s = sum(e.conj().T @ e for e in ops)
     err = np.max(np.abs(s - np.eye(d)))
     if err > tol:
@@ -292,6 +294,7 @@ def amplitude_damping(gamma) -> KrausChannel:
 def gell_mann_G(d, q, q0) -> KrausChannel:
     """Generator-mixing channel whose dual multiplies every off-diagonal
     generator by q and every diagonal one by q0."""
+    _require(d >= 2, f"gell_mann_G requires d >= 2, got d={d}")
     c1 = 1.0 - q0
     c2 = 1.0 - d * q + (d - 1) * q0
     c3 = 1.0 + (d * d - d) * q + (d - 1) * q0
@@ -311,6 +314,7 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
 
 def depolarizing(d, p) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, realized as gell_mann_G(d, 1-p, 1-p)."""
+    _require(d >= 2, f"depolarizing requires d >= 2, got d={d}")
     _require(0.0 <= p <= 1.0 + 1.0 / (d * d - 1), f"depolarizing requires p in range, got {p}")
     ch = gell_mann_G(d, 1.0 - p, 1.0 - p)
     return KrausChannel(d=d, kraus=ch.kraus, label="depolarizing", params={"p": p})

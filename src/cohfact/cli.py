@@ -137,7 +137,7 @@ def cmd_verify(args):
                 "probe_physical": rep.probe_physical,
                 "condition_held": rep.condition_held,
             }))
-            if rep.abs_err > args.tol:
+            if not rep.within(args.tol):  # a NaN error is a failure
                 failures += 1
     finally:
         if fh is not sys.stdout:
@@ -191,20 +191,13 @@ def cmd_sweep(args):
     fh = _open_out(args.out)
     try:
         _writeln(fh, "param,c_l1,purity")
-        for q, c in zip(traj.params, traj.values):
-            pur = purity_measure(_apply_cached(factory, q, rho))
+        for q, c, pur in zip(traj.params, traj.values, traj.purities):
             _writeln(fh, f"{io.fmt12(q):.12g},{io.fmt12(c):.12g},{io.fmt12(pur):.12g}")
         _writeln(fh, f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}")
     finally:
         if fh is not sys.stdout:
             fh.close()
     return 0
-
-
-def _apply_cached(factory, q, rho):
-    from .channel import apply
-
-    return apply(factory(q), rho)
 
 
 def cmd_construct_aux(args):

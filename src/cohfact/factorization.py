@@ -54,18 +54,6 @@ def decompose_family(fam: StateFamily) -> FamilyDecomposition:
     return FamilyDecomposition(f_chi=fam.chi, g_n=coherence_weight(fam.n, fam.d))
 
 
-_probe_cache = {}
-
-
-def _cached_probe(n, basis):
-    key = (basis.d, tuple(np.round(np.asarray(n, dtype=float), 12)))
-    probe = _probe_cache.get(key)
-    if probe is None:
-        probe = probe_state(n, basis)
-        _probe_cache[key] = probe
-    return probe
-
-
 def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
     """Both sides of C[E(rho)] = C(rho) C[E(rho_p)] for one family.
 
@@ -73,7 +61,7 @@ def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
     ``condition_held=False`` is a counterexample probe."""
     basis = gellmann_basis(fam.d)
     member = family_member(fam, basis)
-    probe = _cached_probe(fam.n, basis)
+    probe = probe_state(fam.n, basis)
     lhs = l1_from_density(apply(ch, member))
     rhs = l1_from_density(member) * l1_from_density(apply(ch, probe.state))
     return FactorizationReport(
@@ -163,18 +151,24 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi) -> Factorizat
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coherence along a channel-parameter sweep."""
+    """Coherence and purity along a channel-parameter sweep."""
 
     params: np.ndarray
     values: np.ndarray
+    purities: np.ndarray
     frozen: bool
     spread: float
 
 
-def freeze_trajectory(channel_fn, grid, rho: DensityMatrix, tol=1e-9) -> Trajectory:
-    """Sweep C_l1(E_q(rho)) over the parameter grid; frozen iff
-    max - min <= tol."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([l1_from_density(apply(channel_fn(q), rho)) for q in grid])
+def freeze_trajectory(channel_fn, params, rho: DensityMatrix, tol=1e-9) -> Trajectory:
+    """Sweep C_l1(E_q(rho)) and P(E_q(rho)) over the parameter values q;
+    frozen iff the coherence's max - min <= tol."""
+    params = np.asarray(params, dtype=float)
+    values, purities = np.empty(len(params)), np.empty(len(params))
+    for i, q in enumerate(params):
+        out = apply(channel_fn(q), rho)
+        values[i] = l1_from_density(out)
+        purities[i] = purity_measure(out)
     spread = float(values.max() - values.min()) if len(values) else 0.0
-    return Trajectory(params=grid, values=values, frozen=bool(spread <= tol), spread=spread)
+    return Trajectory(params=params, values=values, purities=purities,
+                      frozen=bool(spread <= tol), spread=spread)

@@ -4,18 +4,10 @@ purity monotone, and the two-qubit correlation/discord family."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .basis import GeneratorBasis
+from .basis import _SIGMA
 from .errors import DimensionMismatchError, UnphysicalStateError
-from .state import BlochVector, DensityMatrix
-
-_SIG = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+from .state import BlochVector, DensityMatrix, coherence_weight
 
 
 def _mat(rho):
@@ -38,7 +30,7 @@ class MeasurementDirection:
     a: np.ndarray
 
     def projectors(self):
-        av = sum(self.a[i] * _SIG[i + 1] for i in range(3))
+        av = sum(self.a[i] * _SIGMA[i + 1] for i in range(3))
         return (np.eye(2, dtype=complex) + av) / 2, (np.eye(2, dtype=complex) - av) / 2
 
 
@@ -51,10 +43,7 @@ def l1_from_density(rho) -> float:
 def l1_from_bloch(x: BlochVector) -> float:
     """C_l1 in Bloch form: sum_r sqrt(x_{2r-1}^2 + x_{2r}^2); the diagonal
     (w_l) coordinates do not contribute."""
-    d = x.d
-    d0 = (d * d - d) // 2
-    xv = np.asarray(x.x, dtype=float)
-    return float(np.sum(np.hypot(xv[0 : 2 * d0 : 2], xv[1 : 2 * d0 : 2])))
+    return coherence_weight(x.x, x.d)
 
 
 def purity_measure(rho) -> float:
@@ -64,15 +53,20 @@ def purity_measure(rho) -> float:
     return float(np.trace(m @ m).real - 1.0 / d)
 
 
-def correlation_matrix(rho) -> CorrelationMatrix:
-    """Correlation matrix of a two-qubit state (tensor ordering A x B)."""
-    m = _mat(rho)
+def _bloch_coordinates(m):
+    """Local Bloch vector x_i = Tr(m s_i x I) and correlation matrix
+    T_ij = Tr(m s_i x s_j) of a Hermitian 4x4 operator m."""
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    t3 = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t3[i, j] = np.trace(m @ np.kron(_SIG[i + 1], _SIG[j + 1])).real
+    s = np.stack(_SIGMA)
+    # r[i, j] = Tr(m s_i x s_j) with s_0 = I; the reshape indexes m[2a+b, 2c+d] as [a, b, c, d]
+    r = np.einsum("abcd,ica,jdb->ij", m.reshape(2, 2, 2, 2), s, s).real
+    return r[1:, 0], r[1:, 1:]
+
+
+def correlation_matrix(rho) -> CorrelationMatrix:
+    """Correlation matrix of a two-qubit state (tensor ordering A x B)."""
+    _, t3 = _bloch_coordinates(_mat(rho))
     eigs = np.linalg.eigvalsh(t3.T @ t3)[::-1]
     return CorrelationMatrix(t3=t3, eigs=np.clip(eigs, 0.0, None))
 
@@ -104,83 +98,32 @@ def projective_collapse(rho, direction) -> DensityMatrix:
     return DensityMatrix(d=4, m=out)
 
 
-def _collapse_residual_sq(m, units):
-    """||m - Pi^A(m)||_2^2 for a batch of measurement directions.
+def _collapse_extreme(m, largest=False):
+    """Extreme of ||m - Pi_a(m)||_2^2 over unit directions a, as (value, a).
 
-    ``units`` is (n, 3); evaluated from the definition by sandwiching with
-    the stacked projectors, vectorized over the batch.
+    With x and T the local Bloch vector and correlation matrix of m, the
+    residual is (|x|^2 + ||T||^2 - a^T K a)/4 with K = x x^T + T T^T, so the
+    minimum sits at K's top eigenvector and the maximum at its bottom one.
     """
-    units = np.atleast_2d(units)
-    n = units.shape[0]
-    sig = np.stack([_SIG[1], _SIG[2], _SIG[3]])
-    av = np.einsum("ni,ijk->njk", units, sig)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
-    plus = (eye + av) / 2
-    minus = (eye - av) / 2
-    mm = m.reshape(2, 2, 2, 2)  # (a, b; a', b') indices of A x B
-    out = np.empty(n)
-    for proj in (plus, minus):
-        # (P x I) m (P x I) summed into the residual below
-        left = np.einsum("nxa,abcd->nxbcd", proj, mm)
-        sand = np.einsum("nxbcd,ncy->nxbyd", left, proj)
-        if proj is plus:
-            acc = sand
-        else:
-            acc += sand
-    resid = mm[None, ...] - acc
-    out = np.einsum("nabcd,nabcd->n", resid, resid.conj()).real
-    return out
+    x, t = _bloch_coordinates(m)
+    lam, vec = np.linalg.eigh(np.outer(x, x) + t @ t.T)
+    k = 0 if largest else -1
+    return (x @ x + np.sum(t * t) - lam[k]) / 4.0, vec[:, k]
 
 
-def _optimize_direction(m, mode, grid=(32, 64), refine_tol=1e-10):
-    """Grid search over the hemisphere plus local refinement.
-
-    Returns (optimal value, direction). ``mode`` is 'min' or 'max'. The
-    objective is antipodally symmetric, so theta runs over [0, pi/2].
-    """
-    n_theta, n_phi = grid
-    theta = np.linspace(0.0, np.pi / 2, n_theta)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    units = np.column_stack(
-        [
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-            np.cos(tt).ravel(),
-        ]
-    )
-    vals = _collapse_residual_sq(m, units)
-    sign = 1.0 if mode == "min" else -1.0
-    best = int(np.argmin(sign * vals))
-    x0 = np.array([tt.ravel()[best], pp.ravel()[best]])
-
-    def objective(angles):
-        t, p = angles
-        u = np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-        return sign * _collapse_residual_sq(m, u[None, :])[0]
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": refine_tol, "maxiter": 500})
-    t, p = res.x
-    u = np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-    return sign * res.fun, u
-
-
-def geometric_discord2(rho, grid=(32, 64)) -> float:
+def geometric_discord2(rho) -> float:
     """Schatten-2 geometric discord D2 = 2 min ||rho - Pi^A(rho)||_2^2."""
-    m = _mat(rho)
-    val, _ = _optimize_direction(m, "min", grid=grid)
+    val, _ = _collapse_extreme(_mat(rho))
     return float(2.0 * val)
 
 
-def min2(rho, grid=(32, 64)) -> float:
+def min2(rho) -> float:
     """Schatten-2 measurement-induced nonlocality N2 = 2 max ||rho - Pi^A(rho)||_2^2."""
-    m = _mat(rho)
-    val, _ = _optimize_direction(m, "max", grid=grid)
+    val, _ = _collapse_extreme(_mat(rho), largest=True)
     return float(2.0 * val)
 
 
-def hellinger_discord(rho, grid=(32, 64)) -> float:
+def hellinger_discord(rho) -> float:
     """Hellinger discord D_H = min ||sqrt(rho) - Pi^A(sqrt(rho))||_2^2."""
     m = _mat(rho)
     w, v = np.linalg.eigh(m)
@@ -189,5 +132,5 @@ def hellinger_discord(rho, grid=(32, 64)) -> float:
             f"square root undefined: min eigenvalue {w[0]:.3e}", min_eigenvalue=float(w[0])
         )
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    val, _ = _optimize_direction(root, "min", grid=grid)
+    val, _ = _collapse_extreme(root)
     return float(val)

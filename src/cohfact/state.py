@@ -72,8 +72,10 @@ def density_matrix(m, validate=True):
 
 
 def validate_density(rho, psd_tol=PSD_TOL):
-    """Raise UnphysicalStateError unless rho is Hermitian, unit trace, PSD."""
+    """Raise UnphysicalStateError unless rho is finite, Hermitian, unit trace, PSD."""
     m = rho.m
+    if not np.all(np.isfinite(m)):
+        raise UnphysicalStateError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
         raise UnphysicalStateError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

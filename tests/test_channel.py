@@ -216,6 +216,14 @@ def test_gell_mann_G_parameter_validation():
         gell_mann_G(3, 0.2, 1.5)
 
 
+@pytest.mark.parametrize("name, params", [("depolarizing", {"p": 0.1}),
+                                          ("gell_mann_G", {"q": 0.5, "q0": 0.5})])
+@pytest.mark.parametrize("d", [1, 0])
+def test_d_parameterized_channels_reject_small_d(name, params, d):
+    with pytest.raises(InvalidChannelError, match="d >= 2"):
+        make_named(name, d=d, params=params)
+
+
 def test_bit_flip_transfer():
     q = 0.6
     t = transfer_matrix(make_named("bit_flip", params={"q": q}))
@@ -368,3 +376,11 @@ def test_random_unital_channel_is_unital():
 def test_kraus_channel_rejects_incomplete_set():
     with pytest.raises(InvalidChannelError, match="completeness"):
         kraus_channel([0.5 * np.eye(2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kraus_channel_rejects_non_finite(bad):
+    e = np.eye(2, dtype=complex)
+    e[0, 1] = bad
+    with pytest.raises(InvalidChannelError, match="non-finite"):
+        kraus_channel([e])

@@ -200,3 +200,32 @@ def test_freeze_check_with_family(tmp_path, capsys):
     fam.write_text(json.dumps({"d": 2, "n": [0.6, 0.0, 0.8], "chi": 0.5}))
     assert main(["freeze-check", "--channel", bf, "--family", str(fam)]) == 0
     assert capsys.readouterr().out.strip() == "frozen = true"
+
+
+def test_verify_nan_kraus_exits_2(tmp_path, capsys):
+    nan = float("nan")
+    spec = {"kraus": [[[[1.0, 0.0], [nan, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+    ch = write_channel(tmp_path, "nan.json", spec)
+    assert main(["--trials", "3", "verify", "theorem1", "--channel", ch]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
+    from cohfact import cli
+    from cohfact.factorization import FactorizationReport
+
+    nan = float("nan")
+    report = FactorizationReport(lhs=nan, rhs=0.0, abs_err=nan,
+                                 probe_physical=True, condition_held=True)
+    monkeypatch.setattr(cli, "verify_theorem1", lambda ch, fam: report)
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
+    out = tmp_path / "r.jsonl"
+    assert main(["--trials", "2", "--out", str(out), "verify", "theorem1", "--channel", ch]) == 1
+    assert main(["--trials", "2", "--out", str(out), "verify", "theorem1", "--channel", ch,
+                 "--expect-violation"]) == 0
+
+
+def test_depolarizing_d1_exits_2(tmp_path, capsys):
+    ch = write_channel(tmp_path, "dep1.json", {"name": "depolarizing", "d": 1, "params": {"p": 0.1}})
+    assert main(["verify", "theorem1", "--channel", ch]) == 2
+    assert "d >= 2" in capsys.readouterr().err

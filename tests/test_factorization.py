@@ -241,6 +241,8 @@ def test_freeze_trajectory_phase_damping_decay():
     traj = freeze_trajectory(lambda q: make_named("phase_damping", params={"q": q}), grid, rho)
     assert not traj.frozen
     np.testing.assert_allclose(traj.values, grid, atol=1e-12)
+    # |+><+| keeps its populations, so P = Tr(rho^2) - 1/2 = q^2 / 2
+    np.testing.assert_allclose(traj.purities, grid**2 / 2, atol=1e-12)
 
 
 def test_probe_caching_consistency():

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cohfact
 from cohfact.basis import gellmann_basis
 from cohfact.channel import apply, make_named
+from cohfact.errors import DimensionMismatchError
 from cohfact.measures import (
     MeasurementDirection,
+    _collapse_extreme,
     correlation_matrix,
     correlation_measures,
     geometric_discord2,
@@ -192,6 +199,53 @@ def test_hellinger_discord():
     plus = np.full((2, 2), 0.5, dtype=complex)
     assert hellinger_discord(density_matrix(np.kron(plus, np.eye(2) / 2))) < 1e-10
     assert hellinger_discord(random_state(4, 1)) >= 0.0
+
+
+def _sqrtm(rho):
+    w, v = np.linalg.eigh(rho.m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _residual_sq(m, a):
+    """||m - Pi_a(m)||_2^2 from the definition of the local measurement map."""
+    diff = m - projective_collapse(m, a).m
+    return float(np.sum(np.abs(diff) ** 2))
+
+
+@pytest.mark.parametrize("measure, operator, scale, largest", [
+    (geometric_discord2, lambda rho: rho.m, 2.0, False),
+    (min2, lambda rho: rho.m, 2.0, True),
+    (hellinger_discord, _sqrtm, 1.0, False),
+])
+def test_discord_definition_at_returned_direction(measure, operator, scale, largest):
+    """The value is the residual at the returned direction, and no sampled
+    direction beats it."""
+    rng = np.random.default_rng(37)
+    for rho in [bell_state()] + [random_state(4, rng) for _ in range(10)]:
+        m = operator(rho)
+        _, a = _collapse_extreme(m, largest=largest)
+        best = _residual_sq(m, a)
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+        assert abs(measure(rho) - scale * best) < 1e-8
+        v = rng.standard_normal((100, 3))
+        for u in v / np.linalg.norm(v, axis=1, keepdims=True):
+            r = _residual_sq(m, u)
+            assert (r <= best + 1e-12) if largest else (r >= best - 1e-12)
+
+
+@pytest.mark.parametrize("measure", [geometric_discord2, min2, hellinger_discord])
+def test_discord_rejects_non_two_qubit_input(measure):
+    with pytest.raises(DimensionMismatchError):
+        measure(np.eye(3) / 3)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cohfact.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, cohfact; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert proc.returncode == 0
 
 
 def test_measurement_direction_projectors():

@@ -71,6 +71,14 @@ def test_compose_rejects_unphysical():
     assert exc.value.min_eigenvalue < 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    with pytest.raises(UnphysicalStateError, match="non-finite"):
+        density_matrix(np.diag([bad, bad]))
+    with pytest.raises(UnphysicalStateError, match="non-finite"), np.errstate(invalid="ignore"):
+        bloch_compose(np.array([0.0, bad, 0.0]), gellmann_basis(2), validate=True)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         bloch_decompose(plus_state(), gellmann_basis(3))
