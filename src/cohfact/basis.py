@@ -9,31 +9,39 @@ so the first d^2-d coordinates of a Bloch vector are the coherence part.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidDimensionError
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+
+def _read_only(a):
+    """Mark an array shared through a cache as immutable and return it."""
+    a.flags.writeable = False
+    return a
+
+
+_SIGMA = _read_only(np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex))
 
 
 @dataclass(frozen=True)
 class GeneratorBasis:
     """Ordered generalized Gell-Mann basis for a d-dimensional system.
 
-    ``elements[i]`` is X_{i+1} in the 1-based ordering above;
-    ``identity_element`` is X_0 = sqrt(2/d) I.
+    ``elements`` is a read-only (d^2-1, d, d) array whose ``elements[i]``
+    is X_{i+1} in the 1-based ordering above; ``identity_element`` is
+    X_0 = sqrt(2/d) I.
     """
 
     d: int
-    elements: tuple
+    elements: np.ndarray
     identity_element: np.ndarray
 
     @property
@@ -51,14 +59,20 @@ class GeneratorBasis:
 class PauliTensorBasis:
     """Ordered N-qubit Pauli tensor basis Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}.
 
-    ``index_digits[j]`` is the base-4 digit string of Y_{j+1}; elements run
-    in numeric order (00..1), (00..2), ..., (33..3).
+    ``elements`` is a read-only (4^N-1, 2^N, 2^N) array; ``index_digits[j]``
+    is the base-4 digit string of Y_{j+1}; elements run in numeric order
+    (00..1), (00..2), ..., (33..3).
     """
 
     N: int
-    elements: tuple
+    elements: np.ndarray
     index_digits: tuple
     identity_element: np.ndarray
+
+    @property
+    def d(self):
+        """Hilbert-space dimension 2^N."""
+        return 2**self.N
 
 
 @dataclass(frozen=True)
@@ -89,20 +103,6 @@ def pair_for_position(d, pos):
     return r, jk, "u" if pos % 2 == 1 else "v"
 
 
-def _u_matrix(d, j, k):
-    m = np.zeros((d, d), dtype=complex)
-    m[j - 1, k - 1] = 1
-    m[k - 1, j - 1] = 1
-    return m
-
-
-def _v_matrix(d, j, k):
-    m = np.zeros((d, d), dtype=complex)
-    m[j - 1, k - 1] = -1j
-    m[k - 1, j - 1] = 1j
-    return m
-
-
 def _w_matrix(d, l):
     # Standard diagonal generator, normalized so Tr(w_l^2) = 2.
     diag = np.zeros(d)
@@ -119,14 +119,15 @@ def gellmann_basis(d):
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
-    elements = []
-    for j, k in pair_indices(d):
-        elements.append(_u_matrix(d, j, k))
-        elements.append(_v_matrix(d, j, k))
-    for l in range(1, d):
-        elements.append(_w_matrix(d, l))
+    elements = np.zeros((d * d - 1, d, d), dtype=complex)
+    j, k = (np.array(pair_indices(d)) - 1).T
+    u, v = np.arange(0, d * d - d, 2), np.arange(1, d * d - d, 2)
+    elements[u, j, k] = elements[u, k, j] = 1
+    elements[v, j, k], elements[v, k, j] = -1j, 1j
+    elements[d * d - d:] = [_w_matrix(d, l) for l in range(1, d)]
     identity = np.sqrt(2.0 / d) * np.eye(d, dtype=complex)
-    return GeneratorBasis(d=int(d), elements=tuple(elements), identity_element=identity)
+    return GeneratorBasis(d=int(d), elements=_read_only(elements),
+                          identity_element=_read_only(identity))
 
 
 @lru_cache(maxsize=None)
@@ -136,19 +137,11 @@ def pauli_tensor_basis(N):
         raise InvalidDimensionError(f"qubit count must be in 1..6, got {N}")
     dim = 2**N
     scale = 2.0 ** ((1 - N) / 2)
-    elements = []
-    digits = []
-    for j in range(1, 4**N):
-        ds = np.base_repr(j, base=4).zfill(N)
-        m = np.array([[scale]], dtype=complex)
-        for c in ds:
-            m = np.kron(m, _SIGMA[int(c)])
-        elements.append(m)
-        digits.append(ds)
+    digits = tuple(np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
+    elements = [reduce(np.kron, _SIGMA[[int(c) for c in ds]], scale) for ds in digits]
     identity = np.sqrt(2.0 ** (1 - N)) * np.eye(dim, dtype=complex)
-    return PauliTensorBasis(
-        N=int(N), elements=tuple(elements), index_digits=tuple(digits), identity_element=identity
-    )
+    return PauliTensorBasis(N=int(N), elements=_read_only(np.array(elements)),
+                            index_digits=digits, identity_element=_read_only(identity))
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +149,5 @@ def y_to_x_transform(N):
     """Transform a with X_i = sum_j a_ij Y_j, a_ij = Tr(X_i Y_j)/2, N <= 3."""
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 3:
         raise InvalidDimensionError(f"qubit count must be in 1..3, got {N}")
-    xb = gellmann_basis(2**N)
-    yb = pauli_tensor_basis(N)
-    n = 4**N - 1
-    a = np.empty((n, n))
-    for i, xi in enumerate(xb.elements):
-        for j, yj in enumerate(yb.elements):
-            val = np.trace(xi @ yj) / 2.0
-            a[i, j] = val.real
-    return BasisTransform(N=int(N), a=a)
+    a = np.einsum("iab,jba->ij", gellmann_basis(2**N).elements, pauli_tensor_basis(N).elements)
+    return BasisTransform(N=int(N), a=_read_only(a.real / 2.0))

@@ -109,18 +109,22 @@ def a_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferMatrix:
-    """Transfer matrix T_ij = Tr[E^dag(X_i) X_j]/2 in the given basis."""
+    """Transfer matrix T_ij = Tr[E^dag(X_i) X_j]/2 in the given basis.
+
+    With G the rows vec(X_i) (X_0 first) and the superoperator
+    S[(b,c),(a,d)] = sum_mu conj(E_mu[b,a]) E_mu[c,d], T = G S G^dag / 2
+    (the X_j are Hermitian, so X_j[d,a] = conj(G[j,(a,d)])).
+    """
     if basis is None:
         basis = gellmann_basis(ch.d)
-    if basis.d != ch.d:
-        raise DimensionMismatchError(f"basis d={basis.d} vs channel d={ch.d}")
-    gens = (basis.identity_element,) + basis.elements
-    duals = [dual_apply(ch, g) for g in gens]
-    n = ch.d * ch.d
-    t = np.empty((n, n), dtype=complex)
-    for i, di in enumerate(duals):
-        for j, gj in enumerate(gens):
-            t[i, j] = np.trace(di @ gj) / 2.0
+    d = ch.d
+    if basis.d != d:
+        raise DimensionMismatchError(f"basis d={basis.d} vs channel d={d}")
+    n = d * d
+    g = np.concatenate(([basis.identity_element], basis.elements)).reshape(n, n)
+    e = np.asarray(ch.kraus).reshape(-1, n)  # row mu is vec(E_mu)
+    s = (e.conj().T @ e).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    t = g @ s @ g.conj().T / 2.0
     if np.max(np.abs(t.imag)) > REAL_TOL:
         raise InvalidChannelError(
             f"transfer matrix has imaginary residue {np.max(np.abs(t.imag)):.3e}"
@@ -265,7 +269,7 @@ def pauli(p0, p1, p2, p3) -> KrausChannel:
     """Pauli channel E(rho) = sum_i p_i sigma_i rho sigma_i."""
     p = np.array([p0, p1, p2, p3], dtype=float)
     _require(np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12, "pauli probabilities must be a distribution")
-    ops = [np.sqrt(pi) * _SIGMA[i] for i, pi in enumerate(p) if pi > 0]
+    ops = (np.sqrt(p)[:, None, None] * _SIGMA)[p > 0]
     return kraus_channel(ops, label="pauli", params={"p0": p0, "p1": p1, "p2": p2, "p3": p3})
 
 
@@ -303,11 +307,9 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
     _require(c3 >= -1e-12, f"gell_mann_G requires 1 + (d^2-d) q + (d-1) q0 >= 0 (got {c3:.3e})")
     basis = gellmann_basis(d)
     n_off = basis.num_offdiag
-    ops = [np.sqrt(max(c3, 0.0)) / d * np.eye(d, dtype=complex)]
-    for k in range(n_off):
-        ops.append(np.sqrt(max(c1, 0.0) / (2 * d)) * basis.elements[k])
-    for l in range(n_off, d * d - 1):
-        ops.append(np.sqrt(max(c2, 0.0) / (2 * d)) * basis.elements[l])
+    ops = [np.sqrt(max(c3, 0.0)) / d * np.eye(d, dtype=complex),
+           *np.sqrt(max(c1, 0.0) / (2 * d)) * basis.elements[:n_off],
+           *np.sqrt(max(c2, 0.0) / (2 * d)) * basis.elements[n_off:]]
     ops = [e for e in ops if np.max(np.abs(e)) > 0]
     return kraus_channel(ops, label="gell_mann_G", params={"q": q, "q0": q0}, tol=1e-12)
 
@@ -384,8 +386,7 @@ def validate_frozen_coefficients(eps, tol=CONDITION_TOL) -> bool:
     eps = np.asarray(eps, dtype=complex)
     if eps.shape != (4, 4):
         raise InvalidChannelError(f"expected a 4x4 coefficient table, got {eps.shape}")
-    ops = [sum(eps[i, j] * _SIGMA[j] for j in range(4)) for i in range(4)]
-    kraus_channel(ops)  # raises InvalidChannelError on completeness failure
+    kraus_channel(np.tensordot(eps, _SIGMA, 1))  # raises InvalidChannelError on completeness failure
 
     def _xy_form(e):
         if np.max(np.abs(e[:, [0, 3]])) > tol:
@@ -421,10 +422,9 @@ def validate_frozen_coefficients(eps, tol=CONDITION_TOL) -> bool:
 def pauli_coefficients(ops) -> np.ndarray:
     """Expand up to four qubit Kraus operators as eps[i, j] with
     E_i = sum_j eps[i, j] sigma_j."""
+    ops = np.asarray(ops, dtype=complex)
     eps = np.zeros((4, 4), dtype=complex)
-    for i, e in enumerate(ops):
-        for j in range(4):
-            eps[i, j] = np.trace(np.asarray(e) @ _SIGMA[j]) / 2.0
+    eps[: len(ops)] = np.einsum("iab,jba->ij", ops, _SIGMA) / 2.0
     return eps
 
 
@@ -455,7 +455,7 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
     m = np.asarray(m, dtype=float)
     if m.shape != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
-    y = np.array([np.trace(rho.m @ yv).real for yv in basis.elements])
+    y = np.einsum("ab,iba->i", rho.m, basis.elements).real
     q = np.zeros(4**N)
     q[0] = 1.0
     for nu in range(1, 4**N):
@@ -483,11 +483,9 @@ def aux_channel(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> KrausCha
             eps=eps,
         )
     eps = np.clip(eps, 0.0, None)
-    gens = (basis.identity_element,) + basis.elements
-    ops = [np.sqrt(e) * g for e, g in zip(eps, gens) if e > 0]
-    return kraus_channel(
-        ops, label="aux", params={"chi": float(chi), "N": basis.N}
-    )
+    gens = np.concatenate(([basis.identity_element], basis.elements))
+    ops = np.sqrt(eps)[:, None, None] * gens
+    return kraus_channel(ops[eps > 0], label="aux", params={"chi": float(chi), "N": basis.N})
 
 
 # ---------------------------------------------------------------------------

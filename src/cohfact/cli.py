@@ -44,7 +44,6 @@ def _parser():
     p.add_argument("--trials", type=int, default=100, help="trial count (default 100)")
     p.add_argument("--tol", type=float, default=1e-9, help="pass tolerance (default 1e-9)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="jsonl")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("coherence", help="print measures of a state file")
@@ -78,6 +77,22 @@ def _parser():
     return p
 
 
+def _direction(values, length, what):
+    """Parse a user-given direction of ``length`` components and normalise it."""
+    try:
+        n = np.array([float(v) for v in values])
+    except (TypeError, ValueError) as exc:
+        raise CohfactError(f"{what} must be a list of numbers: {exc}") from exc
+    if n.shape != (length,):
+        raise CohfactError(f"{what} needs {length} components, got {n.size}")
+    if not np.all(np.isfinite(n)):
+        raise CohfactError(f"{what} has non-finite components")
+    norm = np.linalg.norm(n)
+    if norm == 0.0:
+        raise CohfactError(f"{what} is zero")
+    return n / norm
+
+
 def _open_out(path):
     return open(path, "w") if path else sys.stdout
 
@@ -109,6 +124,8 @@ _SWEEP_DEFAULT_PARAM = {
 
 
 def cmd_verify(args):
+    if args.trials < 1:
+        raise CohfactError(f"--trials must be at least 1, got {args.trials}")
     ch = io.load_channel(args.channel)
     fh = _open_out(args.out)
     failures = 0
@@ -172,7 +189,7 @@ def cmd_sweep(args):
         a, b, step = (float(v) for v in args.range.split(":"))
     except ValueError as exc:
         raise CohfactError(f"invalid range {args.range!r}, expected a:b:step") from exc
-    if step <= 0 or b < a:
+    if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
         raise CohfactError(f"invalid range {args.range!r}")
     grid = np.arange(a, b + step / 2, step)
     name = args.channel_name
@@ -205,8 +222,7 @@ def cmd_construct_aux(args):
     N = int(np.log2(rho.d))
     if 2**N != rho.d:
         raise CohfactError(f"auxiliary channel needs a 2^N-dimensional state, got d={rho.d}")
-    m = np.array([float(v) for v in args.target.split(",")])
-    m = m / np.linalg.norm(m)
+    m = _direction(args.target.split(","), 4**N - 1, "--target")
     ybasis = pauli_tensor_basis(N)
     try:
         sol = aux_solve(rho, m, args.chi, ybasis)
@@ -245,8 +261,9 @@ def cmd_freeze_check(args):
     if args.family:
         with open(args.family) as fh:
             spec = json.load(fh)
-        n = np.asarray(spec["n"], dtype=float)
-        fam = StateFamily(d=int(spec["d"]), n=n / np.linalg.norm(n),
+        if spec["d"] != ch.d:
+            raise CohfactError(f"family d={spec['d']} vs channel d={ch.d}")
+        fam = StateFamily(d=ch.d, n=_direction(spec["n"], ch.d * ch.d - 1, "family direction n"),
                           chi=float(spec.get("chi", 1.0)))
     try:
         frozen = frozen_condition_check(t, fam)

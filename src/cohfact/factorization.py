@@ -124,7 +124,6 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi) -> Factorizat
     if 2**N != rho.d:
         raise NotApplicableError(f"cascade requires a 2^N-dimensional state, got d={rho.d}")
     ybasis = pauli_tensor_basis(N)
-    xbasis = gellmann_basis(2**N)
     m = np.asarray(m, dtype=float)
     aux = aux_channel(rho, m, chi, ybasis)
     sigma = apply(aux, rho)
@@ -135,17 +134,14 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi) -> Factorizat
     if g <= 1e-12:
         raise NotApplicableError("target direction has no coherent part")
     chi_p = 1.0 / g
-    probe_m = np.eye(2**N, dtype=complex) / 2**N
-    for mv, yv in zip(m, ybasis.elements):
-        probe_m += 0.5 * chi_p * mv * yv
-    probe = DensityMatrix(d=2**N, m=probe_m)
+    probe = bloch_compose(chi_p * m, ybasis)
     rhs = l1_from_density(sigma) * l1_from_density(apply(ch_f, probe))
     return FactorizationReport(
         lhs=lhs,
         rhs=rhs,
         abs_err=abs(lhs - rhs),
-        probe_physical=is_psd(probe_m),
-        condition_held=theorem1_condition(transfer_matrix(ch_f, xbasis)),
+        probe_physical=is_psd(probe.m),
+        condition_held=theorem1_condition(transfer_matrix(ch_f)),
     )
 
 

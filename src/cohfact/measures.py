@@ -30,7 +30,7 @@ class MeasurementDirection:
     a: np.ndarray
 
     def projectors(self):
-        av = sum(self.a[i] * _SIGMA[i + 1] for i in range(3))
+        av = np.tensordot(self.a, _SIGMA[1:], 1)
         return (np.eye(2, dtype=complex) + av) / 2, (np.eye(2, dtype=complex) - av) / 2
 
 
@@ -58,9 +58,8 @@ def _bloch_coordinates(m):
     T_ij = Tr(m s_i x s_j) of a Hermitian 4x4 operator m."""
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    s = np.stack(_SIGMA)
     # r[i, j] = Tr(m s_i x s_j) with s_0 = I; the reshape indexes m[2a+b, 2c+d] as [a, b, c, d]
-    r = np.einsum("abcd,ica,jdb->ij", m.reshape(2, 2, 2, 2), s, s).real
+    r = np.einsum("abcd,ica,jdb->ij", m.reshape(2, 2, 2, 2), _SIGMA, _SIGMA).real
     return r[1:, 0], r[1:, 1:]
 
 

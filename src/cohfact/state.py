@@ -7,6 +7,7 @@ import numpy as np
 
 from .basis import GeneratorBasis, gellmann_basis
 from .errors import (
+    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     InvalidDimensionError,
@@ -17,6 +18,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9  # accumulated round-off in G G^dag / Tr compositions
 REAL_TOL = 1e-12
+MAX_CHI_DRAWS = 1000  # random_family's PSD resampling bound
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,10 @@ def is_psd(m, psd_tol=PSD_TOL):
 
 
 def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
-    """Bloch coordinates x_i = Tr(rho X_i)."""
+    """Bloch coordinates x_i = Tr(rho X_i) in a Gell-Mann or Pauli tensor basis."""
     if rho.d != basis.d:
         raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.d}")
-    x = np.array([np.trace(rho.m @ xi) for xi in basis.elements])
+    x = np.einsum("ab,iba->i", rho.m, basis.elements)
     if np.max(np.abs(x.imag)) > REAL_TOL:
         raise UnphysicalStateError(
             f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "
@@ -108,15 +110,13 @@ def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
 
 
 def bloch_compose(x, basis: GeneratorBasis, validate=False) -> DensityMatrix:
-    """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates."""
+    """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates in a
+    Gell-Mann or Pauli tensor basis."""
     xv = x.x if isinstance(x, BlochVector) else np.asarray(x, dtype=float)
     d = basis.d
     if xv.shape != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {xv.shape}")
-    m = np.eye(d, dtype=complex) / d
-    for xi, gen in zip(xv, basis.elements):
-        m += 0.5 * xi * gen
-    rho = DensityMatrix(d=d, m=m)
+    rho = DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(xv, basis.elements, 1))
     if validate:
         validate_density(rho)
     return rho
@@ -171,7 +171,8 @@ def random_state(d, seed=None) -> DensityMatrix:
 
 
 def random_family(d, seed=None) -> StateFamily:
-    """Random unit direction with chi drawn uniformly, resampled until PSD."""
+    """Random unit direction with chi drawn uniformly, resampled until PSD
+    (at most MAX_CHI_DRAWS draws)."""
     if d < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
     rng = _rng(seed)
@@ -179,7 +180,8 @@ def random_family(d, seed=None) -> StateFamily:
     v = rng.standard_normal(d * d - 1)
     n = v / np.linalg.norm(v)
     bound = purity_radius(d)
-    while True:
+    for _ in range(MAX_CHI_DRAWS):
         chi = rng.uniform(-bound, bound)
         if is_psd(bloch_compose(chi * n, basis).m):
             return StateFamily(d=d, n=n, chi=float(chi))
+    raise CohfactError(f"no PSD family member in {MAX_CHI_DRAWS} draws of chi (d={d})")

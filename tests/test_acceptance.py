@@ -58,7 +58,7 @@ def test_criterion_1_factorization_law():
         rng = np.random.default_rng(1000 + d)
         for _ in range(500):
             rep = verify_theorem1(random_unital_channel(d, k=d, seed=rng), random_family(d, rng))
-            worst = max(worst, rep.abs_err)
+            worst = np.maximum(worst, rep.abs_err)
     _report("1 factorization-law", worst <= 1e-9, f"max |lhs-rhs| = {worst:.3e}")
 
 
@@ -95,10 +95,10 @@ def test_criterion_3_gell_mann_G_scalar_law():
         for q, q0 in grid:
             ch = gell_mann_G(d, q, q0)
             s = sum(e.conj().T @ e for e in ch.kraus)
-            comp_worst = max(comp_worst, float(np.max(np.abs(s - np.eye(d)))))
+            comp_worst = np.maximum(comp_worst, float(np.max(np.abs(s - np.eye(d)))))
             rho = random_state(d, rng)
             err = abs(l1_from_density(apply(ch, rho)) - q * l1_from_density(rho))
-            worst = max(worst, err)
+            worst = np.maximum(worst, err)
     ok = worst <= 1e-10 and comp_worst <= 1e-12
     _report("3 scalar-law-E_G", ok, f"max err = {worst:.3e}, completeness = {comp_worst:.3e}")
 
@@ -116,7 +116,7 @@ def test_criterion_4_frozen_coherence():
                 traj = freeze_trajectory(
                     lambda q: make_frozen_qubit(variant, q, sign=sign), grid, rho
                 )
-                worst = max(worst, traj.spread)
+                worst = np.maximum(worst, traj.spread)
     b = gellmann_basis(2)
     for name, zero_idx in (("bit_flip", 1), ("bit_phase_flip", 0)):
         for _ in range(20):
@@ -128,7 +128,7 @@ def test_criterion_4_frozen_coherence():
                 chi *= 0.5
             rho = family_member(StateFamily(d=2, n=n, chi=chi), b)
             traj = freeze_trajectory(lambda q: make_named(name, params={"q": q}), grid, rho)
-            worst = max(worst, traj.spread)
+            worst = np.maximum(worst, traj.spread)
     _report("4 frozen-coherence", worst <= 1e-9, f"max spread = {worst:.3e}")
 
 
@@ -165,11 +165,11 @@ def test_criterion_5_auxiliary_channel_and_cascade():
             target = np.eye(2**N, dtype=complex) / 2**N
             for mv, yv in zip(m, yb.elements):
                 target += 0.5 * chi * mv * yv
-            worst_target = max(worst_target, float(np.linalg.norm(out - target)))
+            worst_target = np.maximum(worst_target, float(np.linalg.norm(out - target)))
             if i < 50:
                 for ch_f in (dep, uni):
                     rep = verify_cascade(ch_f, rho, m, chi)
-                    worst_cascade = max(worst_cascade, rep.abs_err)
+                    worst_cascade = np.maximum(worst_cascade, rep.abs_err)
     ok = worst_target <= 1e-10 and worst_cascade <= 1e-9
     _report(
         "5 auxiliary-channel",
@@ -187,7 +187,7 @@ def test_criterion_6_dual_picture_and_transfer():
         for _ in range(500):
             rho = random_state(d, rng)
             err = abs(l1_from_density(rho) - l1_from_bloch(bloch_decompose(rho, b)))
-            worst_l1 = max(worst_l1, err)
+            worst_l1 = np.maximum(worst_l1, err)
     worst_t = 0.0
     for d in (2, 3, 4):
         b = gellmann_basis(d)
@@ -198,7 +198,7 @@ def test_criterion_6_dual_picture_and_transfer():
             t = transfer_matrix(ch, b)
             xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b).x])
             got = bloch_decompose(apply(ch, rho), b).x
-            worst_t = max(worst_t, float(np.max(np.abs((t.t @ xa)[1:] - got))))
+            worst_t = np.maximum(worst_t, float(np.max(np.abs((t.t @ xa)[1:] - got))))
     ok = worst_l1 <= 1e-12 and worst_t <= 1e-11
     _report("6 dual-picture", ok, f"l1 err = {worst_l1:.3e}, transfer err = {worst_t:.3e}")
 
@@ -210,11 +210,11 @@ def test_criterion_7_purity_factorization():
         rng = np.random.default_rng(7000 + d)
         for _ in range(100):
             rep = verify_lemma1("purity", random_unital_channel(d, seed=rng), random_family(d, rng))
-            worst = max(worst, rep.abs_err)
+            worst = np.maximum(worst, rep.abs_err)
     ad = make_named("amplitude_damping", params={"gamma": 0.5})
     rng = np.random.default_rng(7100)
-    violation = max(
-        verify_lemma1("purity", ad, random_family(2, rng)).abs_err for _ in range(50)
+    violation = np.max(
+        [verify_lemma1("purity", ad, random_family(2, rng)).abs_err for _ in range(50)]
     )
     ok = worst <= 1e-9 and violation > 1e-6
     _report("7 purity-factorization", ok, f"unital err = {worst:.3e}, AD violation = {violation:.3e}")
@@ -253,8 +253,8 @@ def test_criterion_8_two_qubit_measures():
         d2 = geometric_discord2(rho)
         _, a = _collapse_extreme(rho.m)
         at_a = 2.0 * np.sum(np.abs(rho.m - projective_collapse(rho, a).m) ** 2)
-        def_err = max(def_err, abs(d2 - at_a))
-        beaten_by = max(beaten_by, d2 / 2.0 - np.min(_collapse_residuals(rho.m, units)))
+        def_err = np.maximum(def_err, abs(d2 - at_a))
+        beaten_by = np.maximum(beaten_by, d2 / 2.0 - np.min(_collapse_residuals(rho.m, units)))
         dominance = dominance and (min2(rho) >= d2 - 1e-10)
     ok = (err_bell <= 1e-10 and err_tf <= 1e-10 and def_err <= 1e-8
           and beaten_by <= 1e-12 and dominance)
@@ -277,7 +277,7 @@ def test_criterion_9_probe_contract():
         for _ in range(500):
             v = rng.standard_normal(d * d - 1)
             p = probe_state(v / np.linalg.norm(v), b)
-            worst = max(worst, abs(l1_from_density(p.state) - 1.0))
+            worst = np.maximum(worst, abs(l1_from_density(p.state) - 1.0))
             w_min = float(np.linalg.eigvalsh(p.state.m)[0])
             flags_consistent = flags_consistent and (p.physical == (w_min >= -1e-9))
             both_seen.add(p.physical)

@@ -26,7 +26,7 @@ def test_d2_is_pauli_set():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_orthonormality(d):
     b = gellmann_basis(d)
-    gens = (b.identity_element,) + b.elements
+    gens = (b.identity_element, *b.elements)
     for i, x in enumerate(gens):
         assert np.max(np.abs(x - x.conj().T)) < 1e-14
         if i > 0:
@@ -34,6 +34,16 @@ def test_orthonormality(d):
         for j, y in enumerate(gens):
             want = 2.0 if i == j else 0.0
             assert abs(np.trace(x @ y) - want) < 1e-12
+
+
+@pytest.mark.parametrize("basis, d", [(gellmann_basis(3), 3), (pauli_tensor_basis(2), 4)])
+def test_cached_basis_is_a_read_only_stack(basis, d):
+    assert isinstance(basis.elements, np.ndarray)
+    assert basis.elements.shape == (d * d - 1, d, d)
+    with pytest.raises(ValueError):
+        basis.elements[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        basis.identity_element[0, 0] = 5.0
 
 
 def test_d3_diagonal_generator_textbook_formula():

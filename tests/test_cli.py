@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohfact import io
+from cohfact import cli, io
 from cohfact.cli import main
 from cohfact.state import density_matrix
 
@@ -151,7 +154,15 @@ def test_sweep_depolarizing_on_mixed_is_zero(tmp_path):
 
 
 def test_sweep_bad_range(tmp_path, plus_file):
-    assert main(["sweep", "phase_damping", "nonsense", "--state", plus_file]) == 2
+    for bad in ("nonsense", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
+        assert main(["sweep", "phase_damping", bad, "--state", plus_file]) == 2, bad
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_needs_a_trial(tmp_path, capsys, trials):
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
+    assert main(["--trials", trials, "verify", "theorem1", "--channel", ch]) == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_construct_aux_identity_target(tmp_path, capsys):
@@ -176,6 +187,46 @@ def test_construct_aux_unreachable(tmp_path, capsys):
     code = main(["construct-aux", "--state", path, "--target", "1,0,0", "--chi", "0.1"])
     assert code == 1
     assert "unreachable coordinate 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["a,b,c", "0,0,0", "nan,1,0", "1,inf,0"])
+def test_construct_aux_bad_target_exits_2(tmp_path, capsys, target):
+    path = write_state(tmp_path, "rho.json", np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+    assert main(["construct-aux", "--state", path, "--target", target, "--chi", "0.1"]) == 2
+    assert "--target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [
+    {"d": 2, "n": [0.6, 0.8]},  # wrong length
+    {"d": 3, "n": [1, 0, 0, 0, 0, 0, 0, 0]},  # d differs from the channel's
+    {"d": 2, "n": [0, 0, 0]},
+    {"d": 2, "n": [float("nan"), 1, 0]},
+])
+def test_freeze_check_bad_family_exits_2(tmp_path, capsys, family):
+    pd = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(family))
+    assert main(["freeze-check", "--channel", pd, "--family", str(fam)]) == 2
+    assert "frozen" not in capsys.readouterr().out
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    """Every `cohfact ...` line of the README's CLI block parses and, run on
+    the input files the README describes, exits 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cohfact ")]
+    assert len(lines) == 7
+    inputs = re.findall(r"`(\w+\.json)` holds [^`]*`(\{[^`]*\})`", section)
+    assert len(inputs) == 4
+    for name, doc in inputs:
+        (tmp_path / name).write_text(doc)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        cli._parser().parse_args(argv)  # argparse exits on a usage error
+        assert main(argv) == 0, (line, capsys.readouterr().err)
 
 
 def test_transfer_dump(tmp_path, capsys):

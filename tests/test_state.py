@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from cohfact import state
 from cohfact.basis import gellmann_basis
 from cohfact.errors import (
+    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     UnphysicalStateError,
@@ -172,3 +176,16 @@ def test_random_family_members_physical():
         validate_density(family_member(fam, gellmann_basis(3)))
         assert abs(np.linalg.norm(fam.n) - 1.0) < 1e-12
         assert abs(fam.chi) <= purity_radius(3)
+
+
+def test_random_family_draws_are_bounded(monkeypatch):
+    calls = itertools.count(1)
+
+    def never_psd(m, psd_tol=state.PSD_TOL):
+        if next(calls) > 10 * state.MAX_CHI_DRAWS:
+            raise RuntimeError("random_family kept drawing")
+        return False
+
+    monkeypatch.setattr(state, "is_psd", never_psd)
+    with pytest.raises(CohfactError, match="draws"):
+        random_family(3, 0)
