@@ -17,6 +17,11 @@ import numpy as np
 from .errors import InvalidDimensionError
 
 
+# Entries kept per basis cache; enough for every d and N of a typical run
+# (d <= 16, N <= 3) while bounding the memory a long process can hold.
+CACHE_SIZE = 16
+
+
 def _read_only(a):
     """Mark an array shared through a cache as immutable and return it."""
     a.flags.writeable = False
@@ -111,7 +116,7 @@ def _w_matrix(d, l):
     return np.diag(diag).astype(complex) * np.sqrt(2.0 / (l * (l + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gellmann_basis(d):
     """Build the generalized Gell-Mann basis for dimension d >= 2.
 
@@ -130,7 +135,7 @@ def gellmann_basis(d):
                           identity_element=_read_only(identity))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
     """Build the N-qubit Pauli tensor basis, 1 <= N <= 6."""
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 6:
@@ -144,7 +149,7 @@ def pauli_tensor_basis(N):
                             index_digits=digits, identity_element=_read_only(identity))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def y_to_x_transform(N):
     """Transform a with X_i = sum_j a_ij Y_j, a_ij = Tr(X_i Y_j)/2, N <= 3."""
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 3:

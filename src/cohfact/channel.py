@@ -3,6 +3,8 @@ channel families, the frozen-coherence qubit constructions, and the
 N-qubit auxiliary channel."""
 
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -10,6 +12,7 @@ from .basis import (
     GeneratorBasis,
     PauliTensorBasis,
     _SIGMA,
+    _read_only,
     gellmann_basis,
     pauli_tensor_basis,
 )
@@ -229,7 +232,8 @@ def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None, tol=CONDI
 
 
 # ---------------------------------------------------------------------------
-# named channels
+# named channels: the factories build unlabelled Kraus channels, and
+# make_named attaches the name and the full parameter map.
 
 
 def _require(cond, msg):
@@ -237,40 +241,29 @@ def _require(cond, msg):
         raise InvalidChannelError(msg)
 
 
-def bit_flip(q) -> KrausChannel:
-    """Qubit channel preserving sigma_x and shrinking sigma_y, sigma_z by q."""
-    _require(0.0 <= q <= 1.0, f"bit_flip requires 0 <= q <= 1, got q={q}")
-    ops = [np.sqrt((1 + q) / 2) * _SIGMA[0], np.sqrt((1 - q) / 2) * _SIGMA[1]]
-    return kraus_channel(ops, label="bit_flip", params={"q": q})
+def _pauli_flip(name, k):
+    """Factory of the qubit channel that preserves sigma_k and shrinks the
+    other two Paulis by q."""
 
+    def flip(q):
+        _require(0.0 <= q <= 1.0, f"{name} requires 0 <= q <= 1, got q={q}")
+        return kraus_channel([np.sqrt((1 + q) / 2) * _SIGMA[0], np.sqrt((1 - q) / 2) * _SIGMA[k]])
 
-def bit_phase_flip(q) -> KrausChannel:
-    """Qubit channel preserving sigma_y and shrinking sigma_x, sigma_z by q."""
-    _require(0.0 <= q <= 1.0, f"bit_phase_flip requires 0 <= q <= 1, got q={q}")
-    ops = [np.sqrt((1 + q) / 2) * _SIGMA[0], np.sqrt((1 - q) / 2) * _SIGMA[2]]
-    return kraus_channel(ops, label="bit_phase_flip", params={"q": q})
-
-
-def phase_flip(q) -> KrausChannel:
-    """Qubit channel preserving sigma_z and shrinking sigma_x, sigma_y by q."""
-    _require(0.0 <= q <= 1.0, f"phase_flip requires 0 <= q <= 1, got q={q}")
-    ops = [np.sqrt((1 + q) / 2) * _SIGMA[0], np.sqrt((1 - q) / 2) * _SIGMA[3]]
-    return kraus_channel(ops, label="phase_flip", params={"q": q})
+    return flip
 
 
 def phase_damping(q) -> KrausChannel:
     """Qubit phase damping scaling the off-diagonal elements by q."""
     _require(0.0 <= q <= 1.0, f"phase_damping requires 0 <= q <= 1, got q={q}")
     ops = [np.diag([1.0, q]).astype(complex), np.diag([0.0, np.sqrt(1 - q * q)]).astype(complex)]
-    return kraus_channel(ops, label="phase_damping", params={"q": q})
+    return kraus_channel(ops)
 
 
 def pauli(p0, p1, p2, p3) -> KrausChannel:
     """Pauli channel E(rho) = sum_i p_i sigma_i rho sigma_i."""
     p = np.array([p0, p1, p2, p3], dtype=float)
     _require(np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12, "pauli probabilities must be a distribution")
-    ops = (np.sqrt(p)[:, None, None] * _SIGMA)[p > 0]
-    return kraus_channel(ops, label="pauli", params={"p0": p0, "p1": p1, "p2": p2, "p3": p3})
+    return kraus_channel((np.sqrt(p)[:, None, None] * _SIGMA)[p > 0])
 
 
 def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
@@ -285,14 +278,7 @@ def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
         np.sqrt(1 - pbar) * np.array([[gq, 0], [0, 1]], dtype=complex),
         np.sqrt(1 - pbar) * np.array([[0, 0], [g, 0]], dtype=complex),
     ]
-    ops = [e for e in ops if np.max(np.abs(e)) > 0]
-    return kraus_channel(ops, label="generalized_amplitude_damping", params={"gamma": gamma, "pbar": pbar})
-
-
-def amplitude_damping(gamma) -> KrausChannel:
-    """Full damping toward |0>: GAD with pbar = 1."""
-    ch = generalized_amplitude_damping(gamma, 1.0)
-    return KrausChannel(d=2, kraus=ch.kraus, label="amplitude_damping", params={"gamma": gamma})
+    return kraus_channel([e for e in ops if np.max(np.abs(e)) > 0])
 
 
 def gell_mann_G(d, q, q0) -> KrausChannel:
@@ -311,49 +297,14 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
            *np.sqrt(max(c1, 0.0) / (2 * d)) * basis.elements[:n_off],
            *np.sqrt(max(c2, 0.0) / (2 * d)) * basis.elements[n_off:]]
     ops = [e for e in ops if np.max(np.abs(e)) > 0]
-    return kraus_channel(ops, label="gell_mann_G", params={"q": q, "q0": q0}, tol=1e-12)
+    return kraus_channel(ops, tol=1e-12)
 
 
 def depolarizing(d, p) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, realized as gell_mann_G(d, 1-p, 1-p)."""
     _require(d >= 2, f"depolarizing requires d >= 2, got d={d}")
     _require(0.0 <= p <= 1.0 + 1.0 / (d * d - 1), f"depolarizing requires p in range, got {p}")
-    ch = gell_mann_G(d, 1.0 - p, 1.0 - p)
-    return KrausChannel(d=d, kraus=ch.kraus, label="depolarizing", params={"p": p})
-
-
-_NAMED = {
-    "bit_flip": (bit_flip, ("q",), False),
-    "phase_flip": (phase_flip, ("q",), False),
-    "bit_phase_flip": (bit_phase_flip, ("q",), False),
-    "phase_damping": (phase_damping, ("q",), False),
-    "pauli": (pauli, ("p0", "p1", "p2", "p3"), False),
-    "generalized_amplitude_damping": (generalized_amplitude_damping, ("gamma", "pbar"), False),
-    "amplitude_damping": (amplitude_damping, ("gamma",), False),
-    "depolarizing": (depolarizing, ("p",), True),
-    "gell_mann_G": (gell_mann_G, ("q", "q0"), True),
-}
-
-
-def named_channels():
-    """Names accepted by make_named."""
-    return sorted(_NAMED)
-
-
-def make_named(name, d=2, params=None) -> KrausChannel:
-    """Construct a named channel from its parameter map."""
-    if name in ("frozen_xy", "frozen_z"):
-        p = dict(params or {})
-        return make_frozen_qubit(name.split("_")[1], p["q"], sign=p.get("sign", +1))
-    if name not in _NAMED:
-        raise InvalidChannelError(f"unknown channel name {name!r}; known: {named_channels()}")
-    fn, keys, takes_d = _NAMED[name]
-    p = dict(params or {})
-    missing = [k for k in keys if k not in p]
-    if missing:
-        raise InvalidChannelError(f"channel {name!r} missing parameters {missing}")
-    args = [p[k] for k in keys]
-    return fn(d, *args) if takes_d else fn(*args)
+    return gell_mann_G(d, 1.0 - p, 1.0 - p)
 
 
 def make_frozen_qubit(variant, q, sign=+1) -> KrausChannel:
@@ -372,51 +323,87 @@ def make_frozen_qubit(variant, q, sign=+1) -> KrausChannel:
         e0 = q * _SIGMA[0] + sign * 1j * qp * _SIGMA[3]
     else:
         raise InvalidChannelError(f"variant must be 'xy' or 'z', got {variant!r}")
-    return kraus_channel([e0], label=f"frozen_{variant}", params={"q": q, "sign": sign})
+    return kraus_channel([e0])
+
+
+class ChannelEntry(NamedTuple):
+    """One row of the named-channel table.
+
+    ``factory`` takes ``d`` when ``takes_d``, then the values of the
+    required ``keys`` and of the optional ``defaults`` (key, default value)
+    pairs, in that order, and returns an unlabelled channel.
+    """
+
+    factory: Callable
+    keys: tuple
+    takes_d: bool = False
+    defaults: tuple = ()
+
+
+# The lambdas look their factory up by name at call time, so rebinding that
+# module name (as a profiler's wrapper does) also reaches calls made here.
+_NAMED = {
+    "bit_flip": ChannelEntry(_pauli_flip("bit_flip", 1), ("q",)),
+    "bit_phase_flip": ChannelEntry(_pauli_flip("bit_phase_flip", 2), ("q",)),
+    "phase_flip": ChannelEntry(_pauli_flip("phase_flip", 3), ("q",)),
+    "phase_damping": ChannelEntry(phase_damping, ("q",)),
+    "pauli": ChannelEntry(pauli, ("p0", "p1", "p2", "p3")),
+    "generalized_amplitude_damping": ChannelEntry(generalized_amplitude_damping, ("gamma", "pbar")),
+    "amplitude_damping": ChannelEntry(lambda gamma: generalized_amplitude_damping(gamma, 1.0),
+                                      ("gamma",)),
+    "depolarizing": ChannelEntry(depolarizing, ("p",), takes_d=True),
+    "gell_mann_G": ChannelEntry(gell_mann_G, ("q", "q0"), takes_d=True),
+    "frozen_xy": ChannelEntry(lambda q, sign: make_frozen_qubit("xy", q, sign), ("q",),
+                              defaults=(("sign", +1),)),
+    "frozen_z": ChannelEntry(lambda q, sign: make_frozen_qubit("z", q, sign), ("q",),
+                             defaults=(("sign", +1),)),
+}
+
+
+def named_channels():
+    """Names accepted by make_named."""
+    return sorted(_NAMED)
+
+
+def channel_entry(name) -> ChannelEntry:
+    """Table row of a named channel."""
+    if name not in _NAMED:
+        raise InvalidChannelError(f"unknown channel name {name!r}; known: {named_channels()}")
+    return _NAMED[name]
+
+
+def make_named(name, d=2, params=None) -> KrausChannel:
+    """Construct a named channel from its parameter map. The channel is
+    labelled ``name`` and carries every parameter, defaults included; a
+    channel that does not take ``d`` is a qubit channel and needs d = 2."""
+    entry = channel_entry(name)
+    p = dict(params or {})
+    missing = [k for k in entry.keys if k not in p]
+    if missing:
+        raise InvalidChannelError(f"channel {name!r} missing parameters {missing}")
+    if not entry.takes_d and d != 2:
+        raise InvalidChannelError(f"channel {name!r} is a qubit channel, got d={d}")
+    args = {k: p[k] for k in entry.keys} | {k: p.get(k, v) for k, v in entry.defaults}
+    ch = entry.factory(d, *args.values()) if entry.takes_d else entry.factory(*args.values())
+    return KrausChannel(d=ch.d, kraus=ch.kraus, label=name, params=args)
 
 
 def validate_frozen_coefficients(eps, tol=CONDITION_TOL) -> bool:
-    """Check the frozen-coherence coefficient conditions for a qubit Kraus
-    set E_i = sum_j eps[i, j] sigma_j.
+    """Frozen-coherence decision for a qubit Kraus set
+    E_i = sum_j eps[i, j] sigma_j.
 
-    The set must be a valid channel; returns True iff one of the two
-    freezing condition families (columns 0,3 zero or columns 1,2 zero,
-    plus the corresponding norm constraints) holds.
+    The set must be a valid channel; returns True iff its transfer matrix
+    meets the frozen-coherence condition (frozen_condition_check), and False
+    when the factorization precondition fails.
     """
     eps = np.asarray(eps, dtype=complex)
     if eps.shape != (4, 4):
         raise InvalidChannelError(f"expected a 4x4 coefficient table, got {eps.shape}")
-    kraus_channel(np.tensordot(eps, _SIGMA, 1))  # raises InvalidChannelError on completeness failure
-
-    def _xy_form(e):
-        if np.max(np.abs(e[:, [0, 3]])) > tol:
-            return False
-        s_plus = np.sum(np.abs(e[:, 1] + 1j * e[:, 2]) ** 2)
-        s_minus = np.sum(np.abs(e[:, 1] - 1j * e[:, 2]) ** 2)
-        if abs(s_plus - 1.0) > tol or abs(s_minus - 1.0) > tol:
-            return False
-        # cross terms that must vanish for block diagonality (implied by the
-        # zero columns, re-checked for safety)
-        c1 = np.sum((e[:, 0] + e[:, 3]) * (e[:, 1].conj() - 1j * e[:, 2].conj()))
-        c2 = np.sum((e[:, 0].conj() - e[:, 3].conj()) * (e[:, 1] - 1j * e[:, 2]))
-        if abs(c1) > tol or abs(c2) > tol:
-            return False
-        t_diag = np.sum(np.abs(e[:, 1]) ** 2 - np.abs(e[:, 2]) ** 2).real
-        t_off = np.sum((e[:, 1].conj() * e[:, 2]).real)
-        return abs(t_diag**2 + 4 * t_off**2 - 1.0) <= tol
-
-    def _z_form(e):
-        if np.max(np.abs(e[:, [1, 2]])) > tol:
-            return False
-        s_plus = np.sum(np.abs(e[:, 0] + e[:, 3]) ** 2)
-        s_minus = np.sum(np.abs(e[:, 0] - e[:, 3]) ** 2)
-        if abs(s_plus - 1.0) > tol or abs(s_minus - 1.0) > tol:
-            return False
-        t_diag = np.sum(np.abs(e[:, 0]) ** 2 - np.abs(e[:, 3]) ** 2).real
-        t_off = np.sum((e[:, 3].conj() * e[:, 0]).imag)
-        return abs(t_diag**2 + 4 * t_off**2 - 1.0) <= tol
-
-    return bool(_xy_form(eps) or _z_form(eps))
+    ch = kraus_channel(np.tensordot(eps, _SIGMA, 1))  # raises InvalidChannelError on completeness failure
+    try:
+        return frozen_condition_check(transfer_matrix(ch), tol=tol)
+    except NotApplicableError:
+        return False
 
 
 def pauli_coefficients(ops) -> np.ndarray:
@@ -431,19 +418,16 @@ def pauli_coefficients(ops) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # auxiliary channel (N-qubit family generator)
 
-EPS_TOL = -1e-10  # linear-solve round-off on the Kraus weights
+EPS_TOL = -1e-10  # round-off on the solved Kraus weights
+_AUX_SIGNS = _read_only(np.array(
+    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float))
 
 
 def aux_coefficient_matrix(N) -> np.ndarray:
-    """c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 0 iff
-    nu_k mu_k (nu_k - mu_k) = 0 in the base-4 digit expansion."""
-    size = 4**N
-    digits = np.array([[(idx // 4**k) % 4 for k in range(N)] for idx in range(size)])
-    c = np.empty((size, size))
-    for nu in range(size):
-        anti = (digits[nu] != 0) & (digits != 0) & (digits != digits[nu])
-        c[nu] = 2.0 ** (1 - N) * (-1.0) ** anti.sum(axis=1)
-    return c
+    """c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits
+    nu_k, mu_k are nonzero and differ: the N-fold Kronecker power of the
+    one-qubit sign table, scaled by 2^(1-N). Since c c = 4 I, c^-1 = c / 4."""
+    return reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N))
 
 
 def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
@@ -468,8 +452,7 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
             q[nu] = chi * m[nu - 1] / y[nu - 1]
         # m_nu = 0: annihilate the coordinate (q_nu = 0)
     c = aux_coefficient_matrix(N)
-    eps = np.linalg.solve(c, q)
-    return AuxSolve(N=N, c=c, q_vec=q, eps=eps)
+    return AuxSolve(N=N, c=c, q_vec=q, eps=c @ q / 4.0)
 
 
 def aux_channel(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> KrausChannel:

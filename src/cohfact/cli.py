@@ -15,8 +15,8 @@ from .basis import gellmann_basis, pauli_tensor_basis
 from .channel import (
     aux_channel,
     aux_solve,
+    channel_entry,
     frozen_condition_check,
-    make_frozen_qubit,
     make_named,
     transfer_matrix,
 )
@@ -56,11 +56,10 @@ def _parser():
     v.add_argument("--expect-violation", action="store_true",
                    help="succeed iff at least one trial exceeds the tolerance")
 
-    s = sub.add_parser("sweep", help="sweep a channel parameter over a state")
+    s = sub.add_parser("sweep", help="sweep a one-parameter named channel over a state")
     s.add_argument("channel_name")
     s.add_argument("range", help="a:b:step")
     s.add_argument("--state", required=True)
-    s.add_argument("--param", default=None, help="swept parameter name")
     s.add_argument("--d", type=int, default=None, help="dimension for d-parameterized channels")
 
     a = sub.add_parser("construct-aux", help="build the auxiliary channel for a target family")
@@ -114,13 +113,6 @@ def cmd_coherence(args):
         if fh is not sys.stdout:
             fh.close()
     return 0
-
-
-_SWEEP_DEFAULT_PARAM = {
-    "bit_flip": "q", "phase_flip": "q", "bit_phase_flip": "q", "phase_damping": "q",
-    "depolarizing": "p", "gell_mann_G": "q", "amplitude_damping": "gamma",
-    "generalized_amplitude_damping": "gamma", "frozen_xy": "q", "frozen_z": "q",
-}
 
 
 def cmd_verify(args):
@@ -193,18 +185,11 @@ def cmd_sweep(args):
         raise CohfactError(f"invalid range {args.range!r}")
     grid = np.arange(a, b + step / 2, step)
     name = args.channel_name
-    param = args.param or _SWEEP_DEFAULT_PARAM.get(name)
-    if param is None:
-        raise CohfactError(f"cannot infer swept parameter for {name!r}; pass --param")
+    keys = channel_entry(name).keys
+    if len(keys) != 1:
+        raise CohfactError(f"sweep needs a one-parameter channel; {name!r} takes {list(keys)}")
     d = args.d or rho.d
-
-    if name in ("frozen_xy", "frozen_z"):
-        variant = name.split("_")[1]
-        factory = lambda q: make_frozen_qubit(variant, q)
-    else:
-        factory = lambda q: make_named(name, d=d, params={param: q})
-
-    traj = freeze_trajectory(factory, grid, rho)
+    traj = freeze_trajectory(lambda q: make_named(name, d=d, params={keys[0]: q}), grid, rho)
     fh = _open_out(args.out)
     try:
         _writeln(fh, "param,c_l1,purity")
@@ -254,17 +239,28 @@ def cmd_transfer(args):
     return 0
 
 
+def _load_family(path, d):
+    """Read a family file {"d", "n", "chi" (default 1)} for a d-dimensional channel."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise CohfactError("family file must hold a JSON object {d, n, chi}")
+    for key in ("d", "n"):
+        if key not in spec:
+            raise CohfactError(f"family file has no {key!r} entry")
+    if spec["d"] != d:
+        raise CohfactError(f"family d={spec['d']} vs channel d={d}")
+    try:
+        chi = float(spec.get("chi", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise CohfactError(f"family chi must be a number: {exc}") from exc
+    return StateFamily(d=d, n=_direction(spec["n"], d * d - 1, "family direction n"), chi=chi)
+
+
 def cmd_freeze_check(args):
     ch = io.load_channel(args.channel)
     t = transfer_matrix(ch, gellmann_basis(ch.d))
-    fam = None
-    if args.family:
-        with open(args.family) as fh:
-            spec = json.load(fh)
-        if spec["d"] != ch.d:
-            raise CohfactError(f"family d={spec['d']} vs channel d={ch.d}")
-        fam = StateFamily(d=ch.d, n=_direction(spec["n"], ch.d * ch.d - 1, "family direction n"),
-                          chi=float(spec.get("chi", 1.0)))
+    fam = _load_family(args.family, ch.d) if args.family else None
     try:
         frozen = frozen_condition_check(t, fam)
     except NotApplicableError as exc:

@@ -46,6 +46,11 @@ def test_cached_basis_is_a_read_only_stack(basis, d):
         basis.identity_element[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("cached", [gellmann_basis, pauli_tensor_basis, y_to_x_transform])
+def test_basis_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None
+
+
 def test_d3_diagonal_generator_textbook_formula():
     # independent oracle: w_l = sqrt(2/(l(l+1))) (sum_{j<=l} |j><j| - l |l+1><l+1|)
     b = gellmann_basis(3)

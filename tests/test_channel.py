@@ -16,6 +16,7 @@ from cohfact.channel import (
     kraus_channel,
     make_frozen_qubit,
     make_named,
+    named_channels,
     pauli_coefficients,
     random_channel,
     random_unital_channel,
@@ -239,6 +240,25 @@ def test_make_named_errors():
         make_named("bit_flip", params={"q": 1.5})
 
 
+@pytest.mark.parametrize("name", ["phase_damping", "amplitude_damping", "frozen_z", "pauli"])
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_qubit_channel_rejects_other_d(name, d):
+    params = {"q": 0.5, "gamma": 0.5, "p0": 1.0, "p1": 0.0, "p2": 0.0, "p3": 0.0}
+    with pytest.raises(InvalidChannelError, match="qubit channel"):
+        make_named(name, d=d, params=params)
+
+
+def test_make_named_label_and_params():
+    assert {"frozen_xy", "frozen_z"} <= set(named_channels())
+    ch = make_named("frozen_z", params={"q": 0.3})
+    assert (ch.label, ch.params) == ("frozen_z", {"q": 0.3, "sign": 1})
+    np.testing.assert_array_equal(ch.kraus[0], make_frozen_qubit("z", 0.3).kraus[0])
+    ch = make_named("amplitude_damping", params={"gamma": 0.2, "pbar": 0.5})
+    assert (ch.label, ch.params) == ("amplitude_damping", {"gamma": 0.2})
+    ch = make_named("depolarizing", d=3, params={"p": 0.4})
+    assert (ch.label, ch.params, ch.d) == ("depolarizing", {"p": 0.4}, 3)
+
+
 def test_pauli_channel():
     ch = make_named("pauli", params={"p0": 0.4, "p1": 0.3, "p2": 0.2, "p3": 0.1})
     assert is_unital(ch)
@@ -277,6 +297,8 @@ def test_validate_frozen_coefficients_phase_damping_false():
     q = 0.5
     ch = make_named("phase_damping", params={"q": q})
     assert not validate_frozen_coefficients(pauli_coefficients(ch.kraus))
+    # A = sum E E^dag is not diagonal, so the factorization precondition fails
+    assert not validate_frozen_coefficients(pauli_coefficients(nondiagonal_a_channel().kraus))
 
 
 def test_validate_frozen_coefficients_diagonal_unitary():
@@ -298,6 +320,21 @@ def test_aux_coefficient_matrix_n1():
         [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
     )
     np.testing.assert_array_equal(aux_coefficient_matrix(1), want)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_aux_coefficient_matrix_digit_rule(N):
+    # definition: c_{nu mu} = 2^(1-N) (-1)^(number of base-4 digit positions k
+    # with nu_k, mu_k both nonzero and different)
+    size = 4**N
+    digits = np.array([[(idx // 4**k) % 4 for k in range(N)] for idx in range(size)])
+    want = np.empty((size, size))
+    for nu in range(size):
+        anti = (digits[nu] != 0) & (digits != 0) & (digits != digits[nu])
+        want[nu] = 2.0 ** (1 - N) * (-1.0) ** anti.sum(axis=1)
+    c = aux_coefficient_matrix(N)
+    np.testing.assert_array_equal(c, want)
+    np.testing.assert_array_equal(c @ c, 4.0 * np.eye(size))
 
 
 def test_aux_identity_target():

@@ -158,6 +158,20 @@ def test_sweep_bad_range(tmp_path, plus_file):
         assert main(["sweep", "phase_damping", bad, "--state", plus_file]) == 2, bad
 
 
+@pytest.mark.parametrize("name", ["gell_mann_G", "generalized_amplitude_damping", "pauli"])
+def test_sweep_needs_a_one_parameter_channel(plus_file, capsys, name):
+    assert main(["sweep", name, "0:1:0.5", "--state", plus_file]) == 2
+    assert "one-parameter" in capsys.readouterr().err
+
+
+def test_sweep_unknown_channel_or_param_flag(plus_file, capsys):
+    assert main(["sweep", "nonsense", "0:1:0.5", "--state", plus_file]) == 2
+    assert "unknown channel name" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # --param is no longer an option
+        main(["sweep", "frozen_xy", "0:1:0.5", "--state", plus_file, "--param", "sign"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_needs_a_trial(tmp_path, capsys, trials):
     ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
@@ -201,13 +215,18 @@ def test_construct_aux_bad_target_exits_2(tmp_path, capsys, target):
     {"d": 3, "n": [1, 0, 0, 0, 0, 0, 0, 0]},  # d differs from the channel's
     {"d": 2, "n": [0, 0, 0]},
     {"d": 2, "n": [float("nan"), 1, 0]},
+    {"d": 2, "n": [1, 0, 0], "chi": "x"},
+    [0.6, 0.0, 0.8],  # not an object
+    {"n": [1, 0, 0]},
 ])
 def test_freeze_check_bad_family_exits_2(tmp_path, capsys, family):
     pd = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(family))
     assert main(["freeze-check", "--channel", pd, "--family", str(fam)]) == 2
-    assert "frozen" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "frozen" not in out
+    assert err.startswith("error: family")
 
 
 def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
@@ -227,6 +246,15 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
         argv = shlex.split(line)[1:]
         cli._parser().parse_args(argv)  # argparse exits on a usage error
         assert main(argv) == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_lists_every_named_channel():
+    from cohfact.channel import named_channels
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = text.split("\nNamed channels,", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`(\w+)`\s+\(", para)
+    assert listed == named_channels()
 
 
 def test_transfer_dump(tmp_path, capsys):
@@ -274,6 +302,12 @@ def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
     assert main(["--trials", "2", "--out", str(out), "verify", "theorem1", "--channel", ch]) == 1
     assert main(["--trials", "2", "--out", str(out), "verify", "theorem1", "--channel", ch,
                  "--expect-violation"]) == 0
+
+
+def test_qubit_channel_with_other_d_exits_2(tmp_path, capsys):
+    ch = write_channel(tmp_path, "pd3.json", {"name": "phase_damping", "d": 3, "params": {"q": 0.4}})
+    assert main(["verify", "theorem1", "--channel", ch]) == 2
+    assert "qubit channel" in capsys.readouterr().err
 
 
 def test_depolarizing_d1_exits_2(tmp_path, capsys):

@@ -1,14 +1,25 @@
-"""Property tests of the channel algebra on random channels: the transfer
-matrix against its dual-map definition, composition, trace preservation,
-and the Bloch round trip in both basis types."""
+"""Property tests of the channel algebra on random and named channels: the
+transfer matrix against its dual-map definition and against apply,
+composition, trace preservation, complete positivity of every named
+channel, and the Bloch and JSON round trips."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohfact import io
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
-from cohfact.channel import dual_apply, kraus_channel, random_channel, transfer_matrix
-from cohfact.state import bloch_compose, bloch_decompose
+from cohfact.channel import (
+    apply,
+    dual_apply,
+    kraus_channel,
+    make_named,
+    named_channels,
+    random_channel,
+    transfer_matrix,
+)
+from cohfact.state import bloch_compose, bloch_decompose, random_state
 
 dims = st.integers(2, 5)
 seeds = st.integers(0, 2**32 - 1)
@@ -65,3 +76,97 @@ def test_bloch_round_trip_pauli_tensor(N, seed):
     x = np.random.default_rng(seed).standard_normal(4**N - 1)
     b = pauli_tensor_basis(N)
     np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b).x, x, rtol=0, atol=1e-12)
+
+
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_transfer_matrix_action(d, k, seed):
+    # x'_i = sum_j T_ij x_j with the fixed coordinate x_0 = sqrt(2/d)
+    rng = np.random.default_rng(seed)
+    ch = random_channel(d, k=k, seed=rng)
+    rho = random_state(d, rng)
+    b = gellmann_basis(d)
+    x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho, b).x))
+    got = bloch_decompose(apply(ch, rho), b).x
+    np.testing.assert_allclose(got, (transfer_matrix(ch).t @ x)[1:], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# named channels over their parameter domains
+
+unit = st.floats(0.0, 1.0)
+
+
+def _qubit(**keys):
+    return st.fixed_dictionaries(keys).map(lambda p: (2, p))
+
+
+def _gell_mann_G(d, q0, t):
+    # channel iff q0 <= 1 and -(1 + (d-1) q0)/(d^2-d) <= q <= (1 + (d-1) q0)/d
+    lo, hi = -(1 + (d - 1) * q0) / (d * d - d), (1 + (d - 1) * q0) / d
+    return d, {"q": lo + t * (hi - lo), "q0": q0}
+
+
+_NAMED_PARAMS = {
+    "bit_flip": _qubit(q=unit),
+    "bit_phase_flip": _qubit(q=unit),
+    "phase_flip": _qubit(q=unit),
+    "phase_damping": _qubit(q=unit),
+    "amplitude_damping": _qubit(gamma=unit),
+    "generalized_amplitude_damping": _qubit(gamma=unit, pbar=unit),
+    "frozen_xy": _qubit(q=unit, sign=st.sampled_from([+1, -1])),
+    "frozen_z": _qubit(q=unit, sign=st.sampled_from([+1, -1])),
+    "pauli": st.lists(unit, min_size=4, max_size=4).filter(lambda p: sum(p) > 0.1).map(
+        lambda p: (2, {f"p{i}": v / sum(p) for i, v in enumerate(p)})),
+    "depolarizing": dims.flatmap(
+        lambda d: st.floats(0.0, 1.0 + 1.0 / (d * d - 1)).map(lambda p: (d, {"p": p}))),
+    "gell_mann_G": dims.flatmap(
+        lambda d: st.tuples(st.floats(-1.0 / (d - 1), 1.0), unit).map(lambda a: _gell_mann_G(d, *a))),
+}
+
+
+def _choi_from_transfer(t, basis):
+    """J = sum_ab |a><b| (x) E(|a><b|) = sum_ij T_ij X_j^T (x) X_i / 2, since
+    E(X_j) = sum_i T_ij X_i and |a><b| = sum_j X_j[b, a] X_j / 2."""
+    d = basis.d
+    g = np.concatenate(([basis.identity_element], basis.elements))
+    return 0.5 * np.einsum("ij,jba,ice->acbe", t, g, g).reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("name", named_channels())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_named_channel_choi_matrix_is_psd(name, data):
+    d, params = data.draw(_NAMED_PARAMS[name])
+    ch = make_named(name, d=d, params=params)
+    choi = _choi_from_transfer(transfer_matrix(ch).t, gellmann_basis(d))
+    np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-10
+    assert abs(np.trace(choi).real - d) <= 1e-10
+
+
+def _assert_json_round_trip(ch):
+    back = io.channel_from_dict(io.channel_to_dict(ch))
+    assert back.label == ch.label
+    assert back.params.keys() == ch.params.keys()
+    np.testing.assert_allclose(list(back.params.values()), list(ch.params.values()),
+                               rtol=1e-11, atol=0)
+    np.testing.assert_allclose(np.array(back.kraus), np.array(ch.kraus), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", named_channels())
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_named_channel_json_round_trip(name, data):
+    d, params = data.draw(_NAMED_PARAMS[name])
+    _assert_json_round_trip(make_named(name, d=d, params=params))
+
+
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_channel_and_state_json_round_trip(d, k, seed):
+    rng = np.random.default_rng(seed)
+    _assert_json_round_trip(random_channel(d, k=k, seed=rng))
+    rho = random_state(d, rng)
+    back = io.state_from_dict(io.state_to_dict(rho))
+    np.testing.assert_allclose(back.m, rho.m, rtol=0, atol=1e-12)
