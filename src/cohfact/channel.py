@@ -32,10 +32,13 @@ REAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators E_mu with sum E^dag E = I."""
+    """CPTP map given by Kraus operators E_mu with sum E^dag E = I.
+
+    ``kraus`` is a read-only (k, d, d) complex array; ``kraus[mu]`` is E_mu.
+    """
 
     d: int
-    kraus: tuple
+    kraus: np.ndarray
     label: str = ""
     params: dict = field(default_factory=dict)
 
@@ -73,42 +76,58 @@ class AuxSolve:
 
 
 def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChannel:
-    """Build a KrausChannel, enforcing the completeness condition."""
-    ops = tuple(np.asarray(e, dtype=complex) for e in ops)
-    if not ops:
+    """Build a KrausChannel from a (k, d, d) stack or a sequence of d x d
+    operators, enforcing the completeness condition. The operators are
+    copied once, so the caller's array stays writable."""
+    try:
+        kraus = np.array(ops, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidChannelError(f"Kraus operators must be d x d numeric matrices of one size: {exc}") from exc
+    if kraus.size == 0:
         raise InvalidChannelError("empty Kraus set")
-    d = ops[0].shape[0]
-    for e in ops:
-        if e.shape != (d, d):
-            raise InvalidChannelError(f"Kraus operators must all be {d}x{d}")
-        if not np.all(np.isfinite(e)):
-            raise InvalidChannelError("Kraus operators have non-finite entries")
-    s = sum(e.conj().T @ e for e in ops)
-    err = np.max(np.abs(s - np.eye(d)))
+    if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
+        raise InvalidChannelError(f"Kraus operators must be square d x d matrices, got shape {kraus.shape}")
+    if not np.all(np.isfinite(kraus)):
+        raise InvalidChannelError("Kraus operators have non-finite entries")
+    d = kraus.shape[1]
+    v = kraus.reshape(-1, d)  # [E_0; E_1; ...], so V^dag V = sum E^dag E
+    err = np.max(np.abs(v.conj().T @ v - np.eye(d)))
     if err > tol:
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")
-    return KrausChannel(d=d, kraus=ops, label=label, params=dict(params or {}))
+    return KrausChannel(d=d, kraus=_read_only(kraus), label=label, params=dict(params or {}))
+
+
+def _side_by_side(stack):
+    """(k, d, d) stack of B_mu as the d x (k d) matrix [B_0 B_1 ... B_{k-1}]."""
+    k, d, _ = stack.shape
+    return stack.transpose(1, 0, 2).reshape(d, k * d)
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Schroedinger-picture action sum_mu E_mu rho E_mu^dag."""
+    """Schroedinger-picture action sum_mu E_mu rho E_mu^dag, computed as
+    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]."""
     if rho.d != ch.d:
         raise DimensionMismatchError(f"state d={rho.d} vs channel d={ch.d}")
-    out = sum(e @ rho.m @ e.conj().T for e in ch.kraus)
-    return DensityMatrix(d=ch.d, m=out)
+    k, d = len(ch.kraus), ch.d
+    e_rho = (ch.kraus.reshape(-1, d) @ rho.m).reshape(k, d, d)
+    return DensityMatrix(d=d, m=_side_by_side(e_rho) @ _side_by_side(ch.kraus).conj().T)
 
 
 def dual_apply(ch: KrausChannel, obs) -> np.ndarray:
-    """Heisenberg-picture action E^dag(O) = sum_mu E_mu^dag O E_mu."""
+    """Heisenberg-picture action E^dag(O) = sum_mu E_mu^dag O E_mu, computed
+    as [E_0^dag ... E_{k-1}^dag] [O E_0; ...; O E_{k-1}]."""
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != (ch.d, ch.d):
         raise DimensionMismatchError(f"observable shape {obs.shape} vs channel d={ch.d}")
-    return sum(e.conj().T @ obs @ e for e in ch.kraus)
+    k, d = len(ch.kraus), ch.d
+    o_e = (obs @ _side_by_side(ch.kraus)).reshape(d, k, d).transpose(1, 0, 2)
+    return ch.kraus.reshape(-1, d).conj().T @ o_e.reshape(-1, d)
 
 
 def a_matrix(ch: KrausChannel) -> np.ndarray:
     """A = sum_mu E_mu E_mu^dag (diagonal iff Corollary-1 condition holds)."""
-    return sum(e @ e.conj().T for e in ch.kraus)
+    e = _side_by_side(ch.kraus)
+    return e @ e.conj().T
 
 
 def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferMatrix:
@@ -125,7 +144,7 @@ def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferM
         raise DimensionMismatchError(f"basis d={basis.d} vs channel d={d}")
     n = d * d
     g = np.concatenate(([basis.identity_element], basis.elements)).reshape(n, n)
-    e = np.asarray(ch.kraus).reshape(-1, n)  # row mu is vec(E_mu)
+    e = ch.kraus.reshape(-1, n)  # row mu is vec(E_mu)
     s = (e.conj().T @ e).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
     t = g @ s @ g.conj().T / 2.0
     if np.max(np.abs(t.imag)) > REAL_TOL:
@@ -247,7 +266,8 @@ def _pauli_flip(name, k):
 
     def flip(q):
         _require(0.0 <= q <= 1.0, f"{name} requires 0 <= q <= 1, got q={q}")
-        return kraus_channel([np.sqrt((1 + q) / 2) * _SIGMA[0], np.sqrt((1 - q) / 2) * _SIGMA[k]])
+        w = np.sqrt([(1 + q) / 2, (1 - q) / 2])
+        return kraus_channel(w[:, None, None] * _SIGMA[[0, k]])
 
     return flip
 
@@ -255,8 +275,7 @@ def _pauli_flip(name, k):
 def phase_damping(q) -> KrausChannel:
     """Qubit phase damping scaling the off-diagonal elements by q."""
     _require(0.0 <= q <= 1.0, f"phase_damping requires 0 <= q <= 1, got q={q}")
-    ops = [np.diag([1.0, q]).astype(complex), np.diag([0.0, np.sqrt(1 - q * q)]).astype(complex)]
-    return kraus_channel(ops)
+    return kraus_channel([[[1.0, 0.0], [0.0, q]], [[0.0, 0.0], [0.0, np.sqrt(1 - q * q)]]])
 
 
 def pauli(p0, p1, p2, p3) -> KrausChannel:
@@ -272,13 +291,11 @@ def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
     _require(0.0 <= pbar <= 1.0, f"pbar must be in [0,1], got {pbar}")
     g = np.sqrt(gamma)
     gq = np.sqrt(1 - gamma)
-    ops = [
-        np.sqrt(pbar) * np.array([[1, 0], [0, gq]], dtype=complex),
-        np.sqrt(pbar) * np.array([[0, g], [0, 0]], dtype=complex),
-        np.sqrt(1 - pbar) * np.array([[gq, 0], [0, 1]], dtype=complex),
-        np.sqrt(1 - pbar) * np.array([[0, 0], [g, 0]], dtype=complex),
-    ]
-    return kraus_channel([e for e in ops if np.max(np.abs(e)) > 0])
+    w = np.sqrt([pbar, pbar, 1 - pbar, 1 - pbar])
+    ops = w[:, None, None] * np.array([
+        [[1, 0], [0, gq]], [[0, g], [0, 0]], [[gq, 0], [0, 1]], [[0, 0], [g, 0]],
+    ], dtype=complex)
+    return kraus_channel(ops[np.abs(ops).max(axis=(1, 2)) > 0])
 
 
 def gell_mann_G(d, q, q0) -> KrausChannel:
@@ -293,11 +310,11 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
     _require(c3 >= -1e-12, f"gell_mann_G requires 1 + (d^2-d) q + (d-1) q0 >= 0 (got {c3:.3e})")
     basis = gellmann_basis(d)
     n_off = basis.num_offdiag
-    ops = [np.sqrt(max(c3, 0.0)) / d * np.eye(d, dtype=complex),
-           *np.sqrt(max(c1, 0.0) / (2 * d)) * basis.elements[:n_off],
-           *np.sqrt(max(c2, 0.0) / (2 * d)) * basis.elements[n_off:]]
-    ops = [e for e in ops if np.max(np.abs(e)) > 0]
-    return kraus_channel(ops, tol=1e-12)
+    w = np.concatenate(([np.sqrt(max(c3, 0.0)) / d],
+                        np.full(n_off, np.sqrt(max(c1, 0.0) / (2 * d))),
+                        np.full(d - 1, np.sqrt(max(c2, 0.0) / (2 * d)))))
+    gens = np.concatenate((np.eye(d, dtype=complex)[None], basis.elements))
+    return kraus_channel((w[:, None, None] * gens)[w > 0], tol=1e-12)
 
 
 def depolarizing(d, p) -> KrausChannel:
@@ -323,7 +340,7 @@ def make_frozen_qubit(variant, q, sign=+1) -> KrausChannel:
         e0 = q * _SIGMA[0] + sign * 1j * qp * _SIGMA[3]
     else:
         raise InvalidChannelError(f"variant must be 'xy' or 'z', got {variant!r}")
-    return kraus_channel([e0])
+    return kraus_channel(e0[None])
 
 
 class ChannelEntry(NamedTuple):
@@ -440,17 +457,17 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
     if m.shape != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
     y = np.einsum("ab,iba->i", rho.m, basis.elements).real
+    live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
+    dead = live & (np.abs(y) <= 1e-10)
+    if dead.any():
+        nu = int(np.argmax(dead)) + 1
+        raise UnreachableTargetError(
+            f"target coordinate {nu} is nonzero but the source coordinate vanishes",
+            index=nu,
+        )
     q = np.zeros(4**N)
     q[0] = 1.0
-    for nu in range(1, 4**N):
-        if abs(m[nu - 1]) > 0:
-            if abs(y[nu - 1]) <= 1e-10:
-                raise UnreachableTargetError(
-                    f"target coordinate {nu} is nonzero but the source coordinate vanishes",
-                    index=nu,
-                )
-            q[nu] = chi * m[nu - 1] / y[nu - 1]
-        # m_nu = 0: annihilate the coordinate (q_nu = 0)
+    q[1:][live] = chi * m[live] / y[live]
     c = aux_coefficient_matrix(N)
     return AuxSolve(N=N, c=c, q_vec=q, eps=c @ q / 4.0)
 
@@ -475,10 +492,13 @@ def aux_channel(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> KrausCha
 # random channels
 
 
-def _haar_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _haar_unitaries(count, n, rng):
+    """(count, n, n) stack of Haar unitaries; each draws its real, then its
+    imaginary n x n Gaussian block."""
+    z = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
 
 
 def random_channel(d, k=None, seed=None) -> KrausChannel:
@@ -486,10 +506,8 @@ def random_channel(d, k=None, seed=None) -> KrausChannel:
     operators via the stacked-block construction); default k = d^2."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = d * d if k is None else int(k)
-    u = _haar_unitary(d * k, rng)
-    v = u[:, :d]
-    ops = [v[mu * d : (mu + 1) * d, :] for mu in range(k)]
-    return kraus_channel(ops, label="random", params={"k": k})
+    v = _haar_unitaries(1, d * k, rng)[0, :, :d]  # isometry; row block mu is E_mu
+    return kraus_channel(v.reshape(k, d, d), label="random", params={"k": k})
 
 
 def random_unital_channel(d, k=None, seed=None) -> KrausChannel:
@@ -498,5 +516,5 @@ def random_unital_channel(d, k=None, seed=None) -> KrausChannel:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = d * d if k is None else int(k)
     p = rng.dirichlet(np.ones(k))
-    ops = [np.sqrt(p[mu]) * _haar_unitary(d, rng) for mu in range(k)]
+    ops = np.sqrt(p)[:, None, None] * _haar_unitaries(k, d, rng)
     return kraus_channel(ops, label="random_unital", params={"k": k})

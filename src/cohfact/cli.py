@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 tolerance/feasibility failure, 2 usage or parse error.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,10 @@ from .measures import correlation_measures, l1_from_density, purity_measure
 from .state import StateFamily, random_family, random_state
 
 
+@lru_cache(maxsize=1)
 def _parser():
+    """The argument parser, built on first use and then reused: each
+    parse_args call starts from a fresh namespace, so nothing carries over."""
     p = argparse.ArgumentParser(prog="cohfact",
                                 description="Coherence evolution toolkit (Bloch picture)")
     p.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")

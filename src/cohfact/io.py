@@ -28,8 +28,33 @@ def _matrix_to_json(m):
     return [[_complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _complex_from_json(entries, what):
+    """Complex array from nested [re, im] pairs, parsed in one pass. The
+    complex view of the (..., 2) float array is exactly complex(re, im)."""
+    try:
+        pairs = np.ascontiguousarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:  # a non-number or ragged nesting
+        raise CohfactError(f"{what} must be a regular array of [re, im] number pairs: {exc}") from exc
+    if pairs.shape[-1] != 2:
+        raise CohfactError(f"{what} entries must be [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
+
+
+def _dimension(spec, what, default):
+    """The integer "d" of a spec, or ``default`` when it has none; an
+    integral float such as 2.0 is accepted."""
+    if "d" not in spec:
+        return default
+    d = spec["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer():
+        raise CohfactError(f"{what} 'd' must be an integer, got {d!r}")
+    return int(d)
+
+
+def _object(spec, what):
+    if not isinstance(spec, dict):
+        raise CohfactError(f"{what} spec must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -37,17 +62,22 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
+    spec = _object(spec, "state")
+    d = _dimension(spec, "state", None)
     if "matrix" in spec:
-        m = _matrix_from_json(spec["matrix"])
-        rho = density_matrix(m, validate=validate)
+        rho = density_matrix(_complex_from_json(spec["matrix"], "state 'matrix'"), validate=validate)
     elif "bloch" in spec:
-        d = int(spec["d"])
-        rho = bloch_compose(np.asarray(spec["bloch"], dtype=float), gellmann_basis(d),
-                            validate=validate)
+        if d is None:
+            raise CohfactError("state with a 'bloch' entry needs a 'd' entry")
+        try:
+            x = np.asarray(spec["bloch"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CohfactError(f"state 'bloch' must be a list of numbers: {exc}") from exc
+        rho = bloch_compose(x, gellmann_basis(d), validate=validate)
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
-    if "d" in spec and int(spec["d"]) != rho.d:
-        raise CohfactError(f"declared d={spec['d']} but matrix is {rho.d}x{rho.d}")
+    if d is not None and d != rho.d:
+        raise CohfactError(f"declared d={d} but matrix is {rho.d}x{rho.d}")
     return rho
 
 
@@ -72,10 +102,12 @@ def channel_to_dict(ch: KrausChannel) -> dict:
 
 
 def channel_from_dict(spec: dict) -> KrausChannel:
+    spec = _object(spec, "channel")
     if "name" in spec:
-        return make_named(spec["name"], d=int(spec.get("d", 2)), params=spec.get("params"))
+        d = _dimension(spec, "channel", 2)
+        return make_named(spec["name"], d=d, params=spec.get("params"))
     if "kraus" in spec:
-        ops = [_matrix_from_json(e) for e in spec["kraus"]]
+        ops = _complex_from_json(spec["kraus"], "channel 'kraus'")
         return kraus_channel(ops, label=spec.get("label", ""), params=spec.get("params"))
     raise CohfactError("channel spec needs a 'name' or 'kraus' entry")
 

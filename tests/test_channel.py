@@ -31,7 +31,7 @@ from cohfact.errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
-from cohfact.state import StateFamily, bloch_decompose, density_matrix, random_state
+from cohfact.state import StateFamily, bloch_compose, bloch_decompose, density_matrix, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -364,6 +364,43 @@ def test_aux_unreachable_target():
     with pytest.raises(UnreachableTargetError) as exc:
         aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.2, yb)
     assert exc.value.index == 1
+
+
+def _aux_q_reference(rho, m, chi, basis):
+    """q of c eps = q, one coordinate at a time; returns the first dead
+    coordinate's index instead when the target is unreachable."""
+    y = np.einsum("ab,iba->i", rho.m, basis.elements).real
+    q = np.zeros(4**basis.N)
+    q[0] = 1.0
+    for nu in range(1, 4**basis.N):
+        if abs(m[nu - 1]) > 0:
+            if abs(y[nu - 1]) <= 1e-10:
+                return nu
+            q[nu] = chi * m[nu - 1] / y[nu - 1]
+    return q
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_aux_solve_matches_coordinate_loop(N):
+    rng = np.random.default_rng(100 + N)
+    yb = pauli_tensor_basis(N)
+    n = 4**N - 1
+    dead_seen = 0
+    for trial in range(60):
+        # odd trials zero a few source coordinates; targets have zero entries
+        live_source = rng.random(n) < (0.9 if trial % 2 else 1.0)
+        rho = bloch_compose(0.1 * rng.standard_normal(n) * live_source, yb)
+        m = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        chi = rng.uniform(0.01, 0.3)
+        want = _aux_q_reference(rho, m, chi, yb)
+        if isinstance(want, int):
+            dead_seen += 1
+            with pytest.raises(UnreachableTargetError) as exc:
+                aux_solve(rho, m, chi, yb)
+            assert exc.value.index == want
+        else:
+            np.testing.assert_array_equal(aux_solve(rho, m, chi, yb).q_vec, want)
+    assert 0 < dead_seen < 60
 
 
 def test_aux_negative_eps_rejected():

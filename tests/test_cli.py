@@ -314,3 +314,89 @@ def test_depolarizing_d1_exits_2(tmp_path, capsys):
     ch = write_channel(tmp_path, "dep1.json", {"name": "depolarizing", "d": 1, "params": {"p": 0.1}})
     assert main(["verify", "theorem1", "--channel", ch]) == 2
     assert "d >= 2" in capsys.readouterr().err
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_is_built_once_and_lazily():
+    import subprocess
+    import sys
+
+    probe = "import cohfact.cli as c; print(c._parser.cache_info().currsize)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert res.stdout.strip() == "0"  # importing the CLI builds no parser
+    assert cli._parser() is cli._parser()
+
+
+def test_back_to_back_calls_match_fresh_runs(tmp_path, plus_file, capsys):
+    """One process, one cached parser: each call's output equals a run with a
+    newly built parser, and no flag of an earlier call carries over."""
+    dep = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
+    calls = [
+        (["--trials", "4", "verify", "theorem1", "--channel", dep, "--expect-violation"], 1),
+        (["--trials", "4", "verify", "theorem1", "--channel", dep], 0),  # flag did not stick
+        (["sweep", "phase_damping", "0:1:0.5", "--state", plus_file, "--d", "3"], 2),
+        (["sweep", "phase_damping", "0:1:0.5", "--state", plus_file], 0),  # --d fell back
+        (["--seed", "5", "--trials", "3", "verify", "lemma1", "--measure", "purity",
+          "--channel", dep], 0),
+        (["--trials", "3", "verify", "lemma1", "--channel", dep], 0),  # seed and measure reset
+        (["coherence", plus_file], 0),
+        (["transfer", "--channel", dep], 0),
+        (["freeze-check", "--channel", dep], 0),
+    ]
+    warm = [_run(argv, capsys) for argv, _ in calls]
+    for (argv, want_code), got in zip(calls, warm):
+        cli._parser.cache_clear()
+        fresh = _run(argv, capsys)
+        assert got == fresh, argv
+        assert got[0] == want_code, (argv, got[2])
+    seeds = {json.loads(line)["seed"] for line in warm[5][1].splitlines()}
+    assert seeds == {42}
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"name": "depolarizing", "d": "x", "params": {"p": 0.1}}, "'d'"),
+    ({"name": "depolarizing", "d": 2.5, "params": {"p": 0.1}}, "'d'"),
+    ({"name": "depolarizing", "d": True, "params": {"p": 0.1}}, "'d'"),
+    ({"kraus": [[[["a", 0], [0, 0]], [[0, 0], [1, 0]]]]}, "'kraus'"),
+    ({"kraus": [[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "'kraus'"),  # ragged
+    ({"kraus": [[[[1], [0]], [[0], [1]]]]}, "'kraus'"),  # one component per entry
+    ([1, 2], "channel spec"),
+])
+def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
+    ch = write_channel(tmp_path, "bad.json", spec)
+    code, out, err = _run(["transfer", "--channel", ch], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"bloch": [0.6, 0.8, 0.0]}, "needs a 'd' entry"),
+    ({"d": "x", "bloch": [0.6, 0.8, 0.0]}, "'d'"),
+    ({"d": 2.5, "bloch": [0.6, 0.8, 0.0]}, "'d'"),
+    ({"d": 2, "bloch": ["a", 0.8, 0.0]}, "'bloch'"),
+    ({"d": 2, "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}, "'matrix'"),
+    ({"matrix": [[[0.5, 0]], [[0, 0], [0.5, 0]]]}, "'matrix'"),  # ragged
+    ({"matrix": [[[0.5], [0]], [[0], [0.5]]]}, "'matrix'"),  # one component per entry
+    ("plus", "state spec"),
+])
+def test_bad_state_spec_exits_2(tmp_path, capsys, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(["coherence", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+def test_integral_float_d_is_accepted(tmp_path, capsys):
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2.0, "params": {"p": 0.2}})
+    assert main(["transfer", "--channel", ch]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 2

@@ -1,7 +1,8 @@
 """Property tests of the channel algebra on random and named channels: the
-transfer matrix against its dual-map definition and against apply,
-composition, trace preservation, complete positivity of every named
-channel, and the Bloch and JSON round trips."""
+transfer matrix against its dual-map definition and against apply, apply
+against the Kraus sum, duality, composition, trace preservation, complete
+positivity of every named channel, the Kraus stack's validation, and the
+Bloch and JSON round trips."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cohfact import io
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (
+    a_matrix,
     apply,
     dual_apply,
     kraus_channel,
@@ -19,6 +21,7 @@ from cohfact.channel import (
     random_channel,
     transfer_matrix,
 )
+from cohfact.errors import InvalidChannelError
 from cohfact.state import bloch_compose, bloch_decompose, random_state
 
 dims = st.integers(2, 5)
@@ -89,6 +92,62 @@ def test_apply_matches_transfer_matrix_action(d, k, seed):
     x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho, b).x))
     got = bloch_decompose(apply(ch, rho), b).x
     np.testing.assert_allclose(got, (transfer_matrix(ch).t @ x)[1:], rtol=0, atol=1e-12)
+
+
+def _random_operator(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_stack_products_match_kraus_sums(d, k, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_channel(d, k=k, seed=rng)
+    rho = random_state(d, rng)
+    obs = _random_operator(d, rng)
+    want = sum(e @ rho.m @ e.conj().T for e in ch.kraus)
+    np.testing.assert_allclose(apply(ch, rho).m, want, rtol=0, atol=1e-12)
+    want = sum(e.conj().T @ obs @ e for e in ch.kraus)
+    np.testing.assert_allclose(dual_apply(ch, obs), want, rtol=0, atol=1e-12)
+    want = sum(e @ e.conj().T for e in ch.kraus)
+    np.testing.assert_allclose(a_matrix(ch), want, rtol=0, atol=1e-12)
+
+
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_duality(d, k, seed):
+    # Tr[E(rho) O] = Tr[rho E^dag(O)] for any operator O
+    rng = np.random.default_rng(seed)
+    ch = random_channel(d, k=k, seed=rng)
+    rho = random_state(d, rng)
+    obs = _random_operator(d, rng)
+    lhs = np.trace(apply(ch, rho).m @ obs)
+    rhs = np.trace(rho.m @ dual_apply(ch, obs))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(obs).max())
+
+
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=20, deadline=None)
+def test_kraus_stack_is_a_read_only_copy(d, k, seed):
+    ops = np.array(random_channel(d, k=k, seed=seed).kraus)
+    ch = kraus_channel(ops)
+    assert ch.kraus.shape == (k, d, d)
+    assert not ch.kraus.flags.writeable
+    assert ops.flags.writeable
+    ops[0] = 0.0  # the caller's array stays theirs
+    assert np.abs(ch.kraus[0]).max() > 0
+
+
+@given(d=dims, d2=dims, k=kraus_counts)
+@settings(max_examples=30, deadline=None)
+def test_ragged_or_non_square_kraus_sets_are_rejected(d, d2, k):
+    ops = [np.eye(d) / np.sqrt(k)] * k
+    with pytest.raises(InvalidChannelError):
+        kraus_channel(ops + [np.eye(d + 1)])  # ragged
+    with pytest.raises(InvalidChannelError):
+        kraus_channel(np.ones((k, d, d2 + d)))  # non-square
+    with pytest.raises(InvalidChannelError):
+        kraus_channel(np.eye(d))  # one matrix, not a stack
 
 
 # ---------------------------------------------------------------------------
