@@ -41,6 +41,7 @@ from .factorization import (
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
+    verify_families,
     verify_lemma1,
     verify_theorem1,
 )
@@ -66,6 +67,7 @@ from .state import (
     density_matrix,
     family_member,
     probe_state,
+    random_families,
     random_family,
     random_state,
     validate_density,

@@ -3,12 +3,13 @@ channel families, the frozen-coherence qubit constructions, and the
 N-qubit auxiliary channel."""
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import (
+    CACHE_SIZE,
     GeneratorBasis,
     PauliTensorBasis,
     _SIGMA,
@@ -70,7 +71,6 @@ class AuxSolve:
     """Solved coefficients of the auxiliary channel: c eps = q."""
 
     N: int
-    c: np.ndarray
     q_vec: np.ndarray
     eps: np.ndarray
 
@@ -98,19 +98,22 @@ def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChan
 
 
 def _side_by_side(stack):
-    """(k, d, d) stack of B_mu as the d x (k d) matrix [B_0 B_1 ... B_{k-1}]."""
-    k, d, _ = stack.shape
-    return stack.transpose(1, 0, 2).reshape(d, k * d)
+    """(..., k, d, d) stack of B_mu as the (..., d, k d) matrix
+    [B_0 B_1 ... B_{k-1}]."""
+    k, d = stack.shape[-3], stack.shape[-1]
+    return stack.swapaxes(-3, -2).reshape(stack.shape[:-3] + (d, k * d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schroedinger-picture action sum_mu E_mu rho E_mu^dag, computed as
-    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]."""
+    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]; a state holding
+    an (s, d, d) stack maps to the stack of the s images."""
     if rho.d != ch.d:
         raise DimensionMismatchError(f"state d={rho.d} vs channel d={ch.d}")
     k, d = len(ch.kraus), ch.d
-    e_rho = (ch.kraus.reshape(-1, d) @ rho.m).reshape(k, d, d)
-    return DensityMatrix(d=d, m=_side_by_side(e_rho) @ _side_by_side(ch.kraus).conj().T)
+    e_rho = (ch.kraus.reshape(-1, d) @ rho.m).reshape(rho.m.shape[:-2] + (k, d, d))
+    e_dag = ch.kraus.conj().transpose(0, 2, 1).reshape(k * d, d)
+    return DensityMatrix(d=d, m=_side_by_side(e_rho) @ e_dag)
 
 
 def dual_apply(ch: KrausChannel, obs) -> np.ndarray:
@@ -440,11 +443,13 @@ _AUX_SIGNS = _read_only(np.array(
     [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def aux_coefficient_matrix(N) -> np.ndarray:
     """c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits
     nu_k, mu_k are nonzero and differ: the N-fold Kronecker power of the
-    one-qubit sign table, scaled by 2^(1-N). Since c c = 4 I, c^-1 = c / 4."""
-    return reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N))
+    one-qubit sign table, scaled by 2^(1-N). Since c c = 4 I, c^-1 = c / 4.
+    Cached per N and read-only."""
+    return _read_only(reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N)))
 
 
 def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
@@ -468,8 +473,7 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
     q = np.zeros(4**N)
     q[0] = 1.0
     q[1:][live] = chi * m[live] / y[live]
-    c = aux_coefficient_matrix(N)
-    return AuxSolve(N=N, c=c, q_vec=q, eps=c @ q / 4.0)
+    return AuxSolve(N=N, q_vec=q, eps=aux_coefficient_matrix(N) @ q / 4.0)
 
 
 def aux_channel(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> KrausChannel:

@@ -31,11 +31,10 @@ from .factorization import (
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
-    verify_lemma1,
-    verify_theorem1,
+    verify_families,
 )
 from .measures import correlation_measures, l1_from_density, purity_measure
-from .state import StateFamily, random_family, random_state
+from .state import StateFamily, random_families, random_state
 
 
 @lru_cache(maxsize=1)
@@ -119,39 +118,81 @@ def cmd_coherence(args):
     return 0
 
 
+# Trials of theorem1 and lemma1 are checked together in chunks of at most
+# CHUNK_TRIALS, fewer when the (2 * chunk, k, d, d) intermediate of the
+# channel product would hold more than CHUNK_ENTRIES complex entries; this
+# bounds a run's memory whatever --trials is.
+CHUNK_TRIALS = 1024
+CHUNK_ENTRIES = 1 << 20
+
+
+def _trial_rngs(seed, trials):
+    """The generators of the given trials, each made when it is needed from
+    its own (seed, trial) stream."""
+    return (np.random.default_rng([seed, trial]) for trial in trials)
+
+
+def _family_chunks(measure, ch, args):
+    """Sample the families of a chunk of trials, then check them with one
+    verify_families call."""
+    chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (2 * ch.kraus.size)))
+    t = None
+    for lo in range(0, args.trials, chunk):
+        rngs = list(_trial_rngs(args.seed, range(lo, min(lo + chunk, args.trials))))
+        n, chi = random_families(ch.d, rngs)
+        t = t or transfer_matrix(ch)
+        yield verify_families(measure, ch, n, chi, t)
+
+
+def _verify_corollary2(ch, args):
+    t = None
+    for rng in _trial_rngs(args.seed, range(args.trials)):
+        rho = random_state(ch.d, rng)
+        t = t or transfer_matrix(ch)
+        yield verify_corollary2(ch, rho, t)
+
+
+def _verify_cascade(ch, args):
+    N = int(np.log2(ch.d))
+    if 2**N != ch.d:
+        raise CohfactError(f"cascade requires a 2^N-dimensional channel, got d={ch.d}")
+    t = None
+    for rng in _trial_rngs(args.seed, range(args.trials)):
+        rho, m, chi = _sample_reachable_target(N, rng)
+        t = t or transfer_matrix(ch)
+        yield verify_cascade(ch, rho, m, chi, t)
+
+
+# Each verify kind yields reports of consecutive trials, one trial per report
+# or an array report over a chunk of trials. A kind builds the transfer
+# matrix once, after its first draw, so that an input the draws reject (such
+# as d < 2) fails there first, before any transfer matrix is built.
+_VERIFY = {
+    "theorem1": lambda ch, args: _family_chunks("l1", ch, args),
+    "lemma1": lambda ch, args: _family_chunks(args.measure, ch, args),
+    "corollary2": _verify_corollary2,
+    "cascade": _verify_cascade,
+}
+
+
 def cmd_verify(args):
     if args.trials < 1:
         raise CohfactError(f"--trials must be at least 1, got {args.trials}")
     ch = io.load_channel(args.channel)
     fh = _open_out(args.out)
     failures = 0
+    trial = 0
     try:
-        for trial in range(args.trials):
-            rng = np.random.default_rng([args.seed, trial])
-            if args.kind == "theorem1":
-                fam = random_family(ch.d, rng)
-                rep = verify_theorem1(ch, fam)
-            elif args.kind == "lemma1":
-                fam = random_family(ch.d, rng)
-                rep = verify_lemma1(args.measure, ch, fam)
-            elif args.kind == "corollary2":
-                rho = random_state(ch.d, rng)
-                rep = verify_corollary2(ch, rho)
-            else:  # cascade
-                N = int(np.log2(ch.d))
-                if 2**N != ch.d:
-                    raise CohfactError(f"cascade requires a 2^N-dimensional channel, got d={ch.d}")
-                rho, m, chi = _sample_reachable_target(N, rng)
-                rep = verify_cascade(ch, rho, m, chi)
-            _writeln(fh, json.dumps({
-                "trial": trial, "seed": args.seed, "d": ch.d, "channel": ch.label,
-                "lhs": io.fmt12(rep.lhs), "rhs": io.fmt12(rep.rhs),
-                "abs_err": io.fmt12(rep.abs_err),
-                "probe_physical": rep.probe_physical,
-                "condition_held": rep.condition_held,
-            }))
-            if not rep.within(args.tol):  # a NaN error is a failure
-                failures += 1
+        for rep in _VERIFY[args.kind](ch, args):
+            fields = (rep.lhs, rep.rhs, rep.abs_err, rep.probe_physical, rep.condition_held)
+            for lhs, rhs, err, physical, held in zip(*(np.atleast_1d(f).tolist() for f in fields)):
+                _writeln(fh, json.dumps({
+                    "trial": trial, "seed": args.seed, "d": ch.d, "channel": ch.label,
+                    "lhs": io.fmt12(lhs), "rhs": io.fmt12(rhs), "abs_err": io.fmt12(err),
+                    "probe_physical": physical, "condition_held": held,
+                }))
+                trial += 1
+            failures += int(np.count_nonzero(~np.atleast_1d(rep.within(args.tol))))  # NaN fails
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -162,7 +203,8 @@ def cmd_verify(args):
 
 def _sample_reachable_target(N, rng, max_tries=200):
     """Draw (rho, m, chi) with all source coordinates live and eps >= 0,
-    shrinking chi on failure."""
+    halving chi while eps has a negative entry; an unreachable coordinate
+    does not depend on chi, so it moves on to the next draw."""
     ybasis = pauli_tensor_basis(N)
     for _ in range(max_tries):
         rho = random_state(2**N, rng)
@@ -172,9 +214,11 @@ def _sample_reachable_target(N, rng, max_tries=200):
         for _ in range(60):
             try:
                 aux_channel(rho, m, chi, ybasis)
-            except (NotAChannelError, UnreachableTargetError):
+            except NotAChannelError:
                 chi *= 0.5
                 continue
+            except UnreachableTargetError:
+                break
             return rho, m, chi
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
@@ -288,7 +332,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CohfactError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CohfactError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,20 +2,22 @@
 factorization relation, its scalar and purity variants, the cascaded
 N-qubit generalization, and frozen-coherence sweeps."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
 from .channel import (
+    CONDITION_TOL,
     KrausChannel,
+    TransferMatrix,
     apply,
     aux_channel,
     scalar_action_detect,
     theorem1_condition,
     transfer_matrix,
 )
-from .errors import NotApplicableError
+from .errors import DimensionMismatchError, IncoherentDirectionError, NotApplicableError
 from .measures import l1_from_density, purity_measure
 from .state import (
     DensityMatrix,
@@ -23,9 +25,7 @@ from .state import (
     bloch_compose,
     bloch_decompose,
     coherence_weight,
-    family_member,
     is_psd,
-    probe_state,
 )
 
 
@@ -39,6 +39,9 @@ class FamilyDecomposition:
 
 @dataclass(frozen=True)
 class FactorizationReport:
+    """Both sides of a factorization law and its flags for one trial, or,
+    from verify_families, arrays with one entry per family."""
+
     lhs: float
     rhs: float
     abs_err: float
@@ -54,57 +57,84 @@ def decompose_family(fam: StateFamily) -> FamilyDecomposition:
     return FamilyDecomposition(f_chi=fam.chi, g_n=coherence_weight(fam.n, fam.d))
 
 
-def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
-    """Both sides of C[E(rho)] = C(rho) C[E(rho_p)] for one family.
+def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None) -> FactorizationReport:
+    """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] for the s families with
+    the unit directions in the rows of n and the factors in chi, for the
+    measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1).
 
-    Never aborts on a failed channel condition: a report with
-    ``condition_held=False`` is a counterexample probe."""
-    basis = gellmann_basis(fam.d)
-    member = family_member(fam, basis)
-    probe = probe_state(fam.n, basis)
-    lhs = l1_from_density(apply(ch, member))
-    rhs = l1_from_density(member) * l1_from_density(apply(ch, probe.state))
+    The s members and s probes are composed as one (2s, d, d) stack and
+    mapped by the channel in one product. The l1 probe has chi_p = 1/g(n^s);
+    the purity probe solves chi_p^2 / 2 = 1 (chi_p = sqrt(2)). Probes
+    outside the physical range are kept and flagged. The channel condition
+    (T_k0 = 0 on the off-diagonal rows for l1, full unitality for purity)
+    is read from ``t``, the channel's transfer matrix, built here when not
+    given. A failed condition never aborts: its reports are counterexample
+    probes. Returns a report whose fields are arrays of s entries.
+    """
+    if measure not in ("l1", "purity"):
+        raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
+    basis = gellmann_basis(ch.d)
+    n = np.asarray(n, dtype=float)
+    chi = np.asarray(chi, dtype=float)
+    if t is None:
+        t = transfer_matrix(ch, basis)
+    if measure == "l1":
+        g = coherence_weight(n, ch.d)
+        if np.any(g <= 1e-12):
+            raise IncoherentDirectionError(
+                "direction has no coherent part (g = 0); probe state undefined"
+            )
+        chi_p, measure_fn, condition = 1.0 / g, l1_from_density, theorem1_condition(t)
+    else:  # all T_k0 = 0: unital
+        chi_p, measure_fn = np.full(len(chi), np.sqrt(2.0)), purity_measure
+        condition = bool(np.max(np.abs(t.t[1:, 0])) <= CONDITION_TOL)
+    s = len(chi)
+    states = bloch_compose(np.concatenate((chi[:, None] * n, chi_p[:, None] * n)), basis)
+    before = measure_fn(states.m[:s])
+    after = measure_fn(apply(ch, states).m)
+    lhs, rhs = after[:s], before * after[s:]
     return FactorizationReport(
         lhs=lhs,
         rhs=rhs,
-        abs_err=abs(lhs - rhs),
-        probe_physical=probe.physical,
-        condition_held=theorem1_condition(transfer_matrix(ch, basis)),
+        abs_err=np.abs(lhs - rhs),
+        probe_physical=is_psd(states.m[s:]),
+        condition_held=np.full(s, condition),
     )
+
+
+def _one_family(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
+    if fam.d != ch.d:
+        raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
+    rep = verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi])
+    return FactorizationReport(**{f.name: getattr(rep, f.name)[0].item() for f in fields(rep)})
+
+
+def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
+    """Both sides of C[E(rho)] = C(rho) C[E(rho_p)] for one family: the
+    one-family case of verify_families.
+
+    Never aborts on a failed channel condition: a report with
+    ``condition_held=False`` is a counterexample probe."""
+    return _one_family("l1", ch, fam)
 
 
 def verify_lemma1(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
-    """Factorization check for a named measure ('l1' or 'purity').
-
-    The purity probe solves chi_p^2 / 2 = 1 (chi_p = sqrt(2), formal when
-    outside the purity radius); its condition is full unitality of T."""
-    if measure == "l1":
-        return verify_theorem1(ch, fam)
-    if measure != "purity":
-        raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
-    basis = gellmann_basis(fam.d)
-    member = family_member(fam, basis)
-    chi_p = np.sqrt(2.0)
-    probe = bloch_compose(chi_p * fam.n, basis)
-    lhs = purity_measure(apply(ch, member))
-    rhs = purity_measure(member) * purity_measure(apply(ch, probe))
-    t = transfer_matrix(ch, basis)
-    condition = bool(np.max(np.abs(t.t[1:, 0])) <= 1e-10)  # all T_k0 = 0: unital
-    return FactorizationReport(
-        lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs),
-        probe_physical=is_psd(probe.m), condition_held=condition,
-    )
+    """Factorization check of one family for a named measure ('l1' or
+    'purity'): the one-family case of verify_families."""
+    return _one_family(measure, ch, fam)
 
 
-def verify_corollary2(ch: KrausChannel, rho: DensityMatrix) -> FactorizationReport:
-    """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho populates."""
+def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = None) -> FactorizationReport:
+    """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho
+    populates; ``t`` is the channel's transfer matrix, built when not given."""
     basis = gellmann_basis(rho.d)
     x = bloch_decompose(rho, basis).x
     n_off = basis.num_offdiag
     subset = [k + 1 for k in range(n_off) if abs(x[k]) > 1e-12]
     if not subset:
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
-    t = transfer_matrix(ch, basis)
+    if t is None:
+        t = transfer_matrix(ch, basis)
     q = scalar_action_detect(t, subset)
     if q is None:
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
@@ -115,11 +145,13 @@ def verify_corollary2(ch: KrausChannel, rho: DensityMatrix) -> FactorizationRepo
     )
 
 
-def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi) -> FactorizationReport:
+def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
+                   t: TransferMatrix = None) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)].
 
     The probe factor chi_p comes from the direction rewritten in the
-    Gell-Mann ordering via the Y->X transform."""
+    Gell-Mann ordering via the Y->X transform; ``t`` is the transfer matrix
+    of E_F, built when not given."""
     N = int(np.log2(rho.d))
     if 2**N != rho.d:
         raise NotApplicableError(f"cascade requires a 2^N-dimensional state, got d={rho.d}")
@@ -141,7 +173,7 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi) -> Factorizat
         rhs=rhs,
         abs_err=abs(lhs - rhs),
         probe_physical=is_psd(probe.m),
-        condition_held=theorem1_condition(transfer_matrix(ch_f)),
+        condition_held=theorem1_condition(transfer_matrix(ch_f) if t is None else t),
     )
 
 

@@ -6,11 +6,12 @@ Numbers serialize with 12 significant digits.
 """
 
 import json
+import sys
 
 import numpy as np
 
 from .basis import gellmann_basis
-from .channel import KrausChannel, TransferMatrix, kraus_channel, make_named
+from .channel import KrausChannel, TransferMatrix, channel_entry, kraus_channel, make_named
 from .errors import CohfactError
 from .state import DensityMatrix, bloch_compose, density_matrix
 
@@ -53,8 +54,14 @@ def _dimension(spec, what, default):
 
 def _object(spec, what):
     if not isinstance(spec, dict):
-        raise CohfactError(f"{what} spec must be a JSON object, got {type(spec).__name__}")
+        raise CohfactError(f"{what} must be a JSON object, got {type(spec).__name__}")
     return spec
+
+
+def _params(spec):
+    """The "params" object of a channel spec; absent or null means none."""
+    params = spec.get("params")
+    return {} if params is None else _object(params, "channel 'params'")
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -62,7 +69,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
-    spec = _object(spec, "state")
+    spec = _object(spec, "state spec")
     d = _dimension(spec, "state", None)
     if "matrix" in spec:
         rho = density_matrix(_complex_from_json(spec["matrix"], "state 'matrix'"), validate=validate)
@@ -73,6 +80,8 @@ def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
             x = np.asarray(spec["bloch"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise CohfactError(f"state 'bloch' must be a list of numbers: {exc}") from exc
+        if x.ndim != 1:
+            raise CohfactError(f"state 'bloch' must be a flat list of numbers, got shape {x.shape}")
         rho = bloch_compose(x, gellmann_basis(d), validate=validate)
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
@@ -101,14 +110,35 @@ def channel_to_dict(ch: KrausChannel) -> dict:
     }
 
 
+def _named_params(spec):
+    """The "params" object of a named-channel spec: finite numbers under
+    keys of the channel's table row."""
+    name = spec["name"]
+    if not isinstance(name, str):
+        raise CohfactError(f"channel 'name' must be a string, got {name!r}")
+    params = _params(spec)
+    entry = channel_entry(name)
+    known = set(entry.keys) | {k for k, _ in entry.defaults}
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise CohfactError(f"channel 'params' of {name!r} has unknown keys {unknown}; "
+                           f"known: {sorted(known)}")
+    for key, value in params.items():
+        # false for NaN, the infinities and integers too large for a float
+        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        if isinstance(value, bool) or not finite:
+            raise CohfactError(f"channel 'params' entry {key!r} must be a finite number, got {value!r}")
+    return params
+
+
 def channel_from_dict(spec: dict) -> KrausChannel:
-    spec = _object(spec, "channel")
+    spec = _object(spec, "channel spec")
     if "name" in spec:
         d = _dimension(spec, "channel", 2)
-        return make_named(spec["name"], d=d, params=spec.get("params"))
+        return make_named(spec["name"], d=d, params=_named_params(spec))
     if "kraus" in spec:
         ops = _complex_from_json(spec["kraus"], "channel 'kraus'")
-        return kraus_channel(ops, label=spec.get("label", ""), params=spec.get("params"))
+        return kraus_channel(ops, label=spec.get("label", ""), params=_params(spec))
     raise CohfactError("channel spec needs a 'name' or 'kraus' entry")
 
 

@@ -34,10 +34,16 @@ class MeasurementDirection:
         return (np.eye(2, dtype=complex) + av) / 2, (np.eye(2, dtype=complex) - av) / 2
 
 
+def _per_matrix(values):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def l1_from_density(rho) -> float:
-    """C_l1: sum of absolute values of the off-diagonal elements."""
-    m = _mat(rho)
-    return float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
+    """C_l1: sum of absolute values of the off-diagonal elements (of each
+    matrix of an (s, d, d) stack)."""
+    a = np.abs(_mat(rho))
+    return _per_matrix(a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1))
 
 
 def l1_from_bloch(x: BlochVector) -> float:
@@ -47,10 +53,11 @@ def l1_from_bloch(x: BlochVector) -> float:
 
 
 def purity_measure(rho) -> float:
-    """P(rho) = Tr(rho^2) - 1/d = |x|^2 / 2, in [0, (d-1)/d]."""
+    """P(rho) = Tr(rho^2) - 1/d = |x|^2 / 2, in [0, (d-1)/d] (of each
+    matrix of an (s, d, d) stack)."""
     m = _mat(rho)
-    d = m.shape[0]
-    return float(np.trace(m @ m).real - 1.0 / d)
+    d = m.shape[-1]
+    return _per_matrix(np.trace(m @ m, axis1=-2, axis2=-1).real - 1.0 / d)
 
 
 def _bloch_coordinates(m):

@@ -18,7 +18,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9  # accumulated round-off in G G^dag / Tr compositions
 REAL_TOL = 1e-12
-MAX_CHI_DRAWS = 1000  # random_family's PSD resampling bound
+MAX_CHI_DRAWS = 1000  # bound on the chi draws for one family
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ def density_matrix(m, validate=True):
 def validate_density(rho, psd_tol=PSD_TOL):
     """Raise UnphysicalStateError unless rho is finite, Hermitian, unit trace, PSD."""
     m = rho.m
+    if m.ndim != 2:
+        raise InvalidDimensionError(f"validation takes one d x d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise UnphysicalStateError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
@@ -92,8 +94,9 @@ def validate_density(rho, psd_tol=PSD_TOL):
 
 
 def is_psd(m, psd_tol=PSD_TOL):
-    w = np.linalg.eigvalsh(np.asarray(m))
-    return bool(w[0] >= psd_tol)
+    """PSD flag of a d x d matrix, or the flags of a (s, d, d) stack."""
+    ok = np.linalg.eigvalsh(np.asarray(m))[..., 0] >= psd_tol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
@@ -111,10 +114,11 @@ def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
 
 def bloch_compose(x, basis: GeneratorBasis, validate=False) -> DensityMatrix:
     """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates in a
-    Gell-Mann or Pauli tensor basis."""
+    Gell-Mann or Pauli tensor basis. Rows of an (s, d^2-1) array of
+    coordinates give a DensityMatrix holding an (s, d, d) stack."""
     xv = x.x if isinstance(x, BlochVector) else np.asarray(x, dtype=float)
     d = basis.d
-    if xv.shape != (d * d - 1,):
+    if xv.ndim not in (1, 2) or xv.shape[-1] != d * d - 1:
         raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {xv.shape}")
     rho = DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(xv, basis.elements, 1))
     if validate:
@@ -130,10 +134,12 @@ def family_member(fam: StateFamily, basis: GeneratorBasis, validate=False) -> De
 
 
 def coherence_weight(n, d):
-    """g(n^s) = sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal pairs."""
+    """g(n^s) = sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal pairs;
+    an array of weights for the rows of a 2-D ``n``."""
     n = np.asarray(n, dtype=float)
     d0 = (d * d - d) // 2
-    return float(np.sum(np.hypot(n[0 : 2 * d0 : 2], n[1 : 2 * d0 : 2])))
+    g = np.sum(np.hypot(n[..., 0 : 2 * d0 : 2], n[..., 1 : 2 * d0 : 2]), axis=-1)
+    return float(g) if g.ndim == 0 else g
 
 
 def probe_state(n, basis: GeneratorBasis) -> ProbeState:
@@ -170,18 +176,48 @@ def random_state(d, seed=None) -> DensityMatrix:
     return DensityMatrix(d=d, m=m / np.trace(m).real)
 
 
-def random_family(d, seed=None) -> StateFamily:
-    """Random unit direction with chi drawn uniformly, resampled until PSD
-    (at most MAX_CHI_DRAWS draws)."""
+def chi_interval(n, basis: GeneratorBasis):
+    """Closed-form range lo <= chi <= hi of the physical members of the
+    families with the unit directions in the rows of ``n``.
+
+    I/d + (chi/2) n.X has eigenvalues 1/d + (chi/2) lam, with lam those of
+    n.X (lam_min < 0 < lam_max for a traceless n.X != 0), so it passes the
+    PSD check iff -2c/lam_max <= chi <= 2c/|lam_min|, c = 1/d - PSD_TOL
+    (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
+    J. Phys. A 41, 235303 (2008)). Returns the arrays (lo, hi).
+    """
+    lam = np.linalg.eigvalsh(np.tensordot(np.asarray(n, dtype=float), basis.elements, 1))
+    c = 2.0 * (1.0 / basis.d - PSD_TOL)
+    return -c / lam[..., -1], c / -lam[..., 0]
+
+
+def random_families(d, rngs):
+    """Unit directions (rows of n) and factors chi of one random family per
+    generator in ``rngs``.
+
+    Each generator draws its direction, then uniform chi values until one
+    lies in the family's chi_interval (at most MAX_CHI_DRAWS draws); one
+    stacked eigendecomposition gives every family's interval.
+    """
     if d < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
-    rng = _rng(seed)
-    basis = gellmann_basis(d)
-    v = rng.standard_normal(d * d - 1)
-    n = v / np.linalg.norm(v)
+    v = np.array([rng.standard_normal(d * d - 1) for rng in rngs])
+    n = v / np.linalg.norm(v, axis=1)[:, None]
+    lo, hi = chi_interval(n, gellmann_basis(d))
     bound = purity_radius(d)
-    for _ in range(MAX_CHI_DRAWS):
-        chi = rng.uniform(-bound, bound)
-        if is_psd(bloch_compose(chi * n, basis).m):
-            return StateFamily(d=d, n=n, chi=float(chi))
-    raise CohfactError(f"no PSD family member in {MAX_CHI_DRAWS} draws of chi (d={d})")
+    chi = np.empty(len(n))
+    for i, rng in enumerate(rngs):
+        for _ in range(MAX_CHI_DRAWS):
+            chi[i] = rng.uniform(-bound, bound)
+            if lo[i] <= chi[i] <= hi[i]:
+                break
+        else:
+            raise CohfactError(f"no PSD family member in {MAX_CHI_DRAWS} draws of chi (d={d})")
+    return n, chi
+
+
+def random_family(d, seed=None) -> StateFamily:
+    """Random unit direction with chi drawn uniformly until the member is
+    PSD: the one-family case of random_families."""
+    n, chi = random_families(d, [_rng(seed)])
+    return StateFamily(d=d, n=n[0], chi=float(chi[0]))

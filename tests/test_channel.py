@@ -337,6 +337,12 @@ def test_aux_coefficient_matrix_digit_rule(N):
     np.testing.assert_array_equal(c @ c, 4.0 * np.eye(size))
 
 
+def test_aux_coefficient_matrix_is_cached_and_read_only():
+    c = aux_coefficient_matrix(3)
+    assert aux_coefficient_matrix(3) is c
+    assert not c.flags.writeable
+
+
 def test_aux_identity_target():
     yb = pauli_tensor_basis(1)
     rho = random_state(2, 3)

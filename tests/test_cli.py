@@ -293,10 +293,12 @@ def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
     from cohfact import cli
     from cohfact.factorization import FactorizationReport
 
-    nan = float("nan")
-    report = FactorizationReport(lhs=nan, rhs=0.0, abs_err=nan,
-                                 probe_physical=True, condition_held=True)
-    monkeypatch.setattr(cli, "verify_theorem1", lambda ch, fam: report)
+    def nan_reports(measure, ch, n, chi, t):
+        nan, ones = np.full(len(chi), np.nan), np.ones(len(chi), dtype=bool)
+        return FactorizationReport(lhs=nan, rhs=np.zeros(len(chi)), abs_err=nan,
+                                   probe_physical=ones, condition_held=ones)
+
+    monkeypatch.setattr(cli, "verify_families", nan_reports)
     ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
     out = tmp_path / "r.jsonl"
     assert main(["--trials", "2", "--out", str(out), "verify", "theorem1", "--channel", ch]) == 1
@@ -314,6 +316,17 @@ def test_depolarizing_d1_exits_2(tmp_path, capsys):
     ch = write_channel(tmp_path, "dep1.json", {"name": "depolarizing", "d": 1, "params": {"p": 0.1}})
     assert main(["verify", "theorem1", "--channel", ch]) == 2
     assert "d >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("theorem1", "dimension must be >= 2"), ("lemma1", "dimension must be >= 2"),
+    ("corollary2", "dimension must be >= 2"), ("cascade", "qubit count must be in 1..6"),
+])
+def test_verify_on_a_d1_kraus_channel_exits_2(tmp_path, capsys, kind, message):
+    """The trial draws reject d = 1 before any transfer matrix is built."""
+    ch = write_channel(tmp_path, "one.json", {"kraus": [[[[1, 0]]]]})
+    assert main(["verify", kind, "--channel", ch]) == 2
+    assert capsys.readouterr().err == f"error: {message}, got {0 if kind == 'cascade' else 1}\n"
 
 
 def _run(argv, capsys):
@@ -368,6 +381,14 @@ def test_back_to_back_calls_match_fresh_runs(tmp_path, plus_file, capsys):
     ({"kraus": [[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "'kraus'"),  # ragged
     ({"kraus": [[[[1], [0]], [[0], [1]]]]}, "'kraus'"),  # one component per entry
     ([1, 2], "channel spec"),
+    ({"name": "depolarizing", "d": 2, "params": {"p": "x"}}, "'params' entry 'p'"),
+    ({"name": "depolarizing", "d": 2, "params": [0.1]}, "'params' must be a JSON object"),
+    ({"name": "depolarizing", "d": 2, "params": {"p": float("nan")}}, "'params' entry 'p'"),
+    ({"name": "depolarizing", "d": 2, "params": {"p": True}}, "'params' entry 'p'"),
+    ({"name": "gell_mann_G", "d": 2, "params": {"q": 10**400, "q0": 1}}, "'params' entry 'q'"),
+    ({"name": "depolarizing", "d": 2, "params": {"p": 0.1, "q": 0.2}}, "unknown keys ['q']"),
+    ({"name": ["depolarizing"], "params": {"p": 0.1}}, "'name'"),
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": [1]}, "'params'"),
 ])
 def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     ch = write_channel(tmp_path, "bad.json", spec)
@@ -386,6 +407,7 @@ def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     ({"matrix": [[[0.5, 0]], [[0, 0], [0.5, 0]]]}, "'matrix'"),  # ragged
     ({"matrix": [[[0.5], [0]], [[0], [0.5]]]}, "'matrix'"),  # one component per entry
     ("plus", "state spec"),
+    ({"d": 2, "bloch": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]}, "'bloch'"),  # a stack
 ])
 def test_bad_state_spec_exits_2(tmp_path, capsys, spec, field):
     path = tmp_path / "bad.json"
@@ -394,6 +416,17 @@ def test_bad_state_spec_exits_2(tmp_path, capsys, spec, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and field in err
+
+
+def test_internal_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    """Only user mistakes exit 2: a KeyError from a bug propagates."""
+    def broken(path):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.io, "load_channel", broken)
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
+    with pytest.raises(KeyError, match="internal"):
+        main(["verify", "theorem1", "--channel", ch])
 
 
 def test_integral_float_d_is_accepted(tmp_path, capsys):

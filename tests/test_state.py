@@ -178,14 +178,26 @@ def test_random_family_members_physical():
         assert abs(fam.chi) <= purity_radius(3)
 
 
-def test_random_family_draws_are_bounded(monkeypatch):
-    calls = itertools.count(1)
+class _CountingGenerator(np.random.Generator):
+    """Generator that fails once it has made ``limit`` uniform draws."""
 
-    def never_psd(m, psd_tol=state.PSD_TOL):
-        if next(calls) > 10 * state.MAX_CHI_DRAWS:
+    def __init__(self, seed, limit):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = itertools.count(1)
+        self.limit = limit
+
+    def uniform(self, *args, **kwargs):
+        if next(self.draws) > self.limit:
             raise RuntimeError("random_family kept drawing")
-        return False
+        return super().uniform(*args, **kwargs)
 
-    monkeypatch.setattr(state, "is_psd", never_psd)
+
+def test_random_family_draws_are_bounded(monkeypatch):
+    def empty_interval(n, basis):
+        return np.ones(len(n)), -np.ones(len(n))  # lo > hi: no chi qualifies
+
+    monkeypatch.setattr(state, "chi_interval", empty_interval)
+    rng = _CountingGenerator(0, 10 * state.MAX_CHI_DRAWS)
     with pytest.raises(CohfactError, match="draws"):
-        random_family(3, 0)
+        random_family(3, rng)
+    assert next(rng.draws) == state.MAX_CHI_DRAWS + 1
