@@ -36,6 +36,9 @@ class KrausChannel:
     """CPTP map given by Kraus operators E_mu with sum E^dag E = I.
 
     ``kraus`` is a read-only (k, d, d) complex array; ``kraus[mu]`` is E_mu.
+    make_named over an array of parameter values gives a (..., k, d, d)
+    stack of channels instead, one per value; ``apply`` maps a state through
+    such a stack, while the other functions take one channel.
     """
 
     d: int
@@ -77,7 +80,8 @@ class AuxSolve:
 
 def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChannel:
     """Build a KrausChannel from a (k, d, d) stack or a sequence of d x d
-    operators, enforcing the completeness condition. The operators are
+    operators, enforcing the completeness condition. A (..., k, d, d) stack
+    holds one channel per leading index, each checked. The operators are
     copied once, so the caller's array stays writable."""
     try:
         kraus = np.array(ops, dtype=complex)
@@ -85,14 +89,15 @@ def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChan
         raise InvalidChannelError(f"Kraus operators must be d x d numeric matrices of one size: {exc}") from exc
     if kraus.size == 0:
         raise InvalidChannelError("empty Kraus set")
-    if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
+    if kraus.ndim < 3 or kraus.shape[-2] != kraus.shape[-1]:
         raise InvalidChannelError(f"Kraus operators must be square d x d matrices, got shape {kraus.shape}")
     if not np.all(np.isfinite(kraus)):
         raise InvalidChannelError("Kraus operators have non-finite entries")
-    d = kraus.shape[1]
-    v = kraus.reshape(-1, d)  # [E_0; E_1; ...], so V^dag V = sum E^dag E
-    err = np.max(np.abs(v.conj().T @ v - np.eye(d)))
-    if err > tol:
+    d = kraus.shape[-1]
+    v = kraus.reshape(kraus.shape[:-3] + (-1, d))  # [E_0; E_1; ...], so V^dag V = sum E^dag E
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN error
+        err = np.max(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(d)))
+    if not err <= tol:
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")
     return KrausChannel(d=d, kraus=_read_only(kraus), label=label, params=dict(params or {}))
 
@@ -106,19 +111,30 @@ def _side_by_side(stack):
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schroedinger-picture action sum_mu E_mu rho E_mu^dag, computed as
-    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]; a state holding
-    an (s, d, d) stack maps to the stack of the s images."""
+    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]. Leading axes
+    broadcast: a state holding an (s, d, d) stack maps to the stack of the
+    s images, and a (P, k, d, d) stack of channels maps one state to its P
+    images."""
     if rho.d != ch.d:
         raise DimensionMismatchError(f"state d={rho.d} vs channel d={ch.d}")
-    k, d = len(ch.kraus), ch.d
-    e_rho = (ch.kraus.reshape(-1, d) @ rho.m).reshape(rho.m.shape[:-2] + (k, d, d))
-    e_dag = ch.kraus.conj().transpose(0, 2, 1).reshape(k * d, d)
+    lead, (k, d) = ch.kraus.shape[:-3], ch.kraus.shape[-3:-1]
+    e_rho = ch.kraus.reshape(lead + (k * d, d)) @ rho.m
+    e_rho = e_rho.reshape(e_rho.shape[:-2] + (k, d, d))
+    e_dag = ch.kraus.conj().swapaxes(-2, -1).reshape(lead + (k * d, d))
     return DensityMatrix(d=d, m=_side_by_side(e_rho) @ e_dag)
+
+
+def _one_channel(ch: KrausChannel):
+    """The (k, d, d) Kraus set of a channel that is not a stack."""
+    if ch.kraus.ndim != 3:
+        raise InvalidChannelError(f"expected one channel, got a stack of shape {ch.kraus.shape[:-3]}")
+    return ch.kraus
 
 
 def dual_apply(ch: KrausChannel, obs) -> np.ndarray:
     """Heisenberg-picture action E^dag(O) = sum_mu E_mu^dag O E_mu, computed
     as [E_0^dag ... E_{k-1}^dag] [O E_0; ...; O E_{k-1}]."""
+    _one_channel(ch)
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != (ch.d, ch.d):
         raise DimensionMismatchError(f"observable shape {obs.shape} vs channel d={ch.d}")
@@ -129,7 +145,7 @@ def dual_apply(ch: KrausChannel, obs) -> np.ndarray:
 
 def a_matrix(ch: KrausChannel) -> np.ndarray:
     """A = sum_mu E_mu E_mu^dag (diagonal iff Corollary-1 condition holds)."""
-    e = _side_by_side(ch.kraus)
+    e = _side_by_side(_one_channel(ch))
     return e @ e.conj().T
 
 
@@ -147,7 +163,7 @@ def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferM
         raise DimensionMismatchError(f"basis d={basis.d} vs channel d={d}")
     n = d * d
     g = np.concatenate(([basis.identity_element], basis.elements)).reshape(n, n)
-    e = ch.kraus.reshape(-1, n)  # row mu is vec(E_mu)
+    e = _one_channel(ch).reshape(-1, n)  # row mu is vec(E_mu)
     s = (e.conj().T @ e).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
     t = g @ s @ g.conj().T / 2.0
     if np.max(np.abs(t.imag)) > REAL_TOL:
@@ -255,12 +271,33 @@ def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None, tol=CONDI
 
 # ---------------------------------------------------------------------------
 # named channels: the factories build unlabelled Kraus channels, and
-# make_named attaches the name and the full parameter map.
+# make_named attaches the name and the full parameter map. Each factory
+# takes scalar parameters, or arrays of values that broadcast together, and
+# returns the (..., k, d, d) stack of the channels at those values; a scalar
+# is the 0-d case. Every value is range-checked before any is used.
 
 
-def _require(cond, msg):
-    if not cond:
-        raise InvalidChannelError(msg)
+def _require(ok, msg, *values):
+    """Raise InvalidChannelError unless ``ok`` holds at every parameter
+    value. ``msg`` is formatted with ``values`` at the first value where it
+    fails; a scalar is formatted as given."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        raise InvalidChannelError(msg.format(*(
+            v if np.ndim(v) == 0 else np.broadcast_to(v, ok.shape).flat[i] for v in values)))
+
+
+def _in_unit_interval(q):
+    x = np.asarray(q, dtype=float)
+    return (0.0 <= x) & (x <= 1.0)
+
+
+def _nonzero(ops, w):
+    """The operators of nonzero weight ``w`` of one (k, d, d) channel. A
+    stack of channels keeps them all, so that every channel has the same k;
+    a zero operator adds nothing to the channel's action."""
+    return ops[w > 0] if ops.ndim == 3 else ops
 
 
 def _pauli_flip(name, k):
@@ -268,63 +305,75 @@ def _pauli_flip(name, k):
     other two Paulis by q."""
 
     def flip(q):
-        _require(0.0 <= q <= 1.0, f"{name} requires 0 <= q <= 1, got q={q}")
-        w = np.sqrt([(1 + q) / 2, (1 - q) / 2])
-        return kraus_channel(w[:, None, None] * _SIGMA[[0, k]])
+        _require(_in_unit_interval(q), f"{name} requires 0 <= q <= 1, got q={{}}", q)
+        x = np.asarray(q, dtype=float)
+        w = np.sqrt(np.stack([(1 + x) / 2, (1 - x) / 2], axis=-1))
+        return kraus_channel(w[..., None, None] * _SIGMA[[0, k]])
 
     return flip
 
 
 def phase_damping(q) -> KrausChannel:
     """Qubit phase damping scaling the off-diagonal elements by q."""
-    _require(0.0 <= q <= 1.0, f"phase_damping requires 0 <= q <= 1, got q={q}")
-    return kraus_channel([[[1.0, 0.0], [0.0, q]], [[0.0, 0.0], [0.0, np.sqrt(1 - q * q)]]])
+    _require(_in_unit_interval(q), "phase_damping requires 0 <= q <= 1, got q={}", q)
+    x = np.asarray(q, dtype=float)
+    ops = np.zeros(x.shape + (2, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = 1.0
+    ops[..., 0, 1, 1] = x
+    ops[..., 1, 1, 1] = np.sqrt(1 - x * x)
+    return kraus_channel(ops)
 
 
 def pauli(p0, p1, p2, p3) -> KrausChannel:
     """Pauli channel E(rho) = sum_i p_i sigma_i rho sigma_i."""
-    p = np.array([p0, p1, p2, p3], dtype=float)
-    _require(np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12, "pauli probabilities must be a distribution")
-    return kraus_channel((np.sqrt(p)[:, None, None] * _SIGMA)[p > 0])
+    p = np.moveaxis(np.array(np.broadcast_arrays(p0, p1, p2, p3), dtype=float), 0, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the check
+        ok = np.all(p >= 0, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+    _require(ok, "pauli probabilities must be a distribution")
+    return kraus_channel(_nonzero(np.sqrt(p)[..., None, None] * _SIGMA, p))
 
 
 def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
     """Qubit GAD channel with damping gamma toward a pbar/(1-pbar) mixture."""
-    _require(0.0 <= gamma <= 1.0, f"gamma must be in [0,1], got {gamma}")
-    _require(0.0 <= pbar <= 1.0, f"pbar must be in [0,1], got {pbar}")
-    g = np.sqrt(gamma)
-    gq = np.sqrt(1 - gamma)
-    w = np.sqrt([pbar, pbar, 1 - pbar, 1 - pbar])
-    ops = w[:, None, None] * np.array([
-        [[1, 0], [0, gq]], [[0, g], [0, 0]], [[gq, 0], [0, 1]], [[0, 0], [g, 0]],
-    ], dtype=complex)
-    return kraus_channel(ops[np.abs(ops).max(axis=(1, 2)) > 0])
+    _require(_in_unit_interval(gamma), "gamma must be in [0,1], got {}", gamma)
+    _require(_in_unit_interval(pbar), "pbar must be in [0,1], got {}", pbar)
+    gamma, pbar = np.asarray(gamma, dtype=float), np.asarray(pbar, dtype=float)
+    ops = np.zeros(np.broadcast_shapes(gamma.shape, pbar.shape) + (4, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 2, 1, 1] = 1.0
+    ops[..., 0, 1, 1] = ops[..., 2, 0, 0] = np.sqrt(1 - gamma)
+    ops[..., 1, 0, 1] = ops[..., 3, 1, 0] = np.sqrt(gamma)
+    ops *= np.sqrt(np.stack(np.broadcast_arrays(pbar, pbar, 1 - pbar, 1 - pbar), axis=-1))[..., None, None]
+    return kraus_channel(_nonzero(ops, np.abs(ops).max(axis=(-2, -1))))
 
 
 def gell_mann_G(d, q, q0) -> KrausChannel:
     """Generator-mixing channel whose dual multiplies every off-diagonal
     generator by q and every diagonal one by q0."""
     _require(d >= 2, f"gell_mann_G requires d >= 2, got d={d}")
-    c1 = 1.0 - q0
-    c2 = 1.0 - d * q + (d - 1) * q0
-    c3 = 1.0 + (d * d - d) * q + (d - 1) * q0
-    _require(c1 >= -1e-12, f"gell_mann_G requires 1 - q0 >= 0 (got {c1:.3e})")
-    _require(c2 >= -1e-12, f"gell_mann_G requires 1 - d q + (d-1) q0 >= 0 (got {c2:.3e})")
-    _require(c3 >= -1e-12, f"gell_mann_G requires 1 + (d^2-d) q + (d-1) q0 >= 0 (got {c3:.3e})")
+    q, q0 = np.asarray(q, dtype=float), np.asarray(q0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite c fails a check
+        c1 = 1.0 - q0
+        c2 = 1.0 - d * q + (d - 1) * q0
+        c3 = 1.0 + (d * d - d) * q + (d - 1) * q0
+    _require(c1 >= -1e-12, "gell_mann_G requires 1 - q0 >= 0 (got {:.3e})", c1)
+    _require(c2 >= -1e-12, "gell_mann_G requires 1 - d q + (d-1) q0 >= 0 (got {:.3e})", c2)
+    _require(c3 >= -1e-12, "gell_mann_G requires 1 + (d^2-d) q + (d-1) q0 >= 0 (got {:.3e})", c3)
     basis = gellmann_basis(d)
     n_off = basis.num_offdiag
-    w = np.concatenate(([np.sqrt(max(c3, 0.0)) / d],
-                        np.full(n_off, np.sqrt(max(c1, 0.0) / (2 * d))),
-                        np.full(d - 1, np.sqrt(max(c2, 0.0) / (2 * d)))))
+    w = np.empty(c2.shape + (d * d,))  # c2 depends on q and q0, so it has their broadcast shape
+    w[..., 0] = np.sqrt(np.maximum(c3, 0.0)) / d
+    w[..., 1 : n_off + 1] = np.sqrt(np.maximum(c1, 0.0) / (2 * d))[..., None]
+    w[..., n_off + 1 :] = np.sqrt(np.maximum(c2, 0.0) / (2 * d))[..., None]
     gens = np.concatenate((np.eye(d, dtype=complex)[None], basis.elements))
-    return kraus_channel((w[:, None, None] * gens)[w > 0], tol=1e-12)
+    return kraus_channel(_nonzero(w[..., None, None] * gens, w), tol=1e-12)
 
 
 def depolarizing(d, p) -> KrausChannel:
     """rho -> (1-p) rho + p I/d, realized as gell_mann_G(d, 1-p, 1-p)."""
     _require(d >= 2, f"depolarizing requires d >= 2, got d={d}")
-    _require(0.0 <= p <= 1.0 + 1.0 / (d * d - 1), f"depolarizing requires p in range, got {p}")
-    return gell_mann_G(d, 1.0 - p, 1.0 - p)
+    x = np.asarray(p, dtype=float)
+    _require((0.0 <= x) & (x <= 1.0 + 1.0 / (d * d - 1)), "depolarizing requires p in range, got {}", p)
+    return gell_mann_G(d, 1.0 - x, 1.0 - x)
 
 
 def make_frozen_qubit(variant, q, sign=+1) -> KrausChannel:
@@ -333,17 +382,18 @@ def make_frozen_qubit(variant, q, sign=+1) -> KrausChannel:
     variant 'xy': E_0 = q sigma_x +/- q' sigma_y;
     variant 'z':  E_0 = q I +/- i q' sigma_z; q' = sqrt(1 - q^2).
     """
-    _require(0.0 <= q <= 1.0, f"frozen qubit channel requires 0 <= q <= 1, got {q}")
+    _require(_in_unit_interval(q), "frozen qubit channel requires 0 <= q <= 1, got {}", q)
     if sign not in (+1, -1):
         raise InvalidChannelError(f"sign must be +1 or -1, got {sign}")
-    qp = np.sqrt(1.0 - q * q)
+    x = np.asarray(q, dtype=float)[..., None, None]
+    qp = np.sqrt(1.0 - x * x)
     if variant == "xy":
-        e0 = q * _SIGMA[1] + sign * qp * _SIGMA[2]
+        e0 = x * _SIGMA[1] + sign * qp * _SIGMA[2]
     elif variant == "z":
-        e0 = q * _SIGMA[0] + sign * 1j * qp * _SIGMA[3]
+        e0 = x * _SIGMA[0] + sign * 1j * qp * _SIGMA[3]
     else:
         raise InvalidChannelError(f"variant must be 'xy' or 'z', got {variant!r}")
-    return kraus_channel(e0[None])
+    return kraus_channel(e0[..., None, :, :])
 
 
 class ChannelEntry(NamedTuple):
@@ -395,7 +445,9 @@ def channel_entry(name) -> ChannelEntry:
 def make_named(name, d=2, params=None) -> KrausChannel:
     """Construct a named channel from its parameter map. The channel is
     labelled ``name`` and carries every parameter, defaults included; a
-    channel that does not take ``d`` is a qubit channel and needs d = 2."""
+    channel that does not take ``d`` is a qubit channel and needs d = 2.
+    Parameters given as arrays build the (..., k, d, d) stack of the
+    channels at their broadcast values."""
     entry = channel_entry(name)
     p = dict(params or {})
     missing = [k for k in entry.keys if k not in p]

@@ -16,9 +16,7 @@ from .basis import gellmann_basis, pauli_tensor_basis
 from .channel import (
     aux_channel,
     aux_solve,
-    channel_entry,
     frozen_condition_check,
-    make_named,
     transfer_matrix,
 )
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .factorization import (
+    CHUNK_ENTRIES,
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
@@ -81,9 +80,11 @@ def _parser():
 
 def _direction(values, length, what):
     """Parse a user-given direction of ``length`` components and normalise it."""
+    if not isinstance(values, list):
+        raise CohfactError(f"{what} must be a list of numbers, got {type(values).__name__}")
     try:
         n = np.array([float(v) for v in values])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CohfactError(f"{what} must be a list of numbers: {exc}") from exc
     if n.shape != (length,):
         raise CohfactError(f"{what} needs {length} components, got {n.size}")
@@ -120,10 +121,10 @@ def cmd_coherence(args):
 
 # Trials of theorem1 and lemma1 are checked together in chunks of at most
 # CHUNK_TRIALS, fewer when the (2 * chunk, k, d, d) intermediate of the
-# channel product would hold more than CHUNK_ENTRIES complex entries; this
-# bounds a run's memory whatever --trials is.
+# channel product would hold more than CHUNK_ENTRIES complex entries.
 CHUNK_TRIALS = 1024
-CHUNK_ENTRIES = 1 << 20
+# A sweep's grid a:b:step holds at most this many points.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 def _trial_rngs(seed, trials):
@@ -231,18 +232,20 @@ def cmd_sweep(args):
         raise CohfactError(f"invalid range {args.range!r}, expected a:b:step") from exc
     if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
         raise CohfactError(f"invalid range {args.range!r}")
+    points = np.ceil((b + step / 2 - a) / step)  # the length of the arange below
+    if points > MAX_SWEEP_POINTS:
+        raise CohfactError(f"range {args.range!r} has {points:.0f} points, "
+                           f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
     grid = np.arange(a, b + step / 2, step)
-    name = args.channel_name
-    keys = channel_entry(name).keys
-    if len(keys) != 1:
-        raise CohfactError(f"sweep needs a one-parameter channel; {name!r} takes {list(keys)}")
-    d = args.d or rho.d
-    traj = freeze_trajectory(lambda q: make_named(name, d=d, params={keys[0]: q}), grid, rho)
+    d = rho.d if args.d is None else io.bounded_dimension(args.d, "--d")
+    traj = freeze_trajectory(args.channel_name, grid, rho, d=d)
+    # 12 significant digits, the same text as formatting io.fmt12 of each value
+    rows = map("{:.12g},{:.12g},{:.12g}\n".format,
+               traj.params.tolist(), traj.values.tolist(), traj.purities.tolist())
     fh = _open_out(args.out)
     try:
         _writeln(fh, "param,c_l1,purity")
-        for q, c, pur in zip(traj.params, traj.values, traj.purities):
-            _writeln(fh, f"{io.fmt12(q):.12g},{io.fmt12(c):.12g},{io.fmt12(pur):.12g}")
+        fh.write("".join(rows))
         _writeln(fh, f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}")
     finally:
         if fh is not sys.stdout:
@@ -300,8 +303,10 @@ def _load_family(path, d):
         raise CohfactError(f"family d={spec['d']} vs channel d={d}")
     try:
         chi = float(spec.get("chi", 1.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CohfactError(f"family chi must be a number: {exc}") from exc
+    if not np.isfinite(chi):
+        raise CohfactError(f"family chi must be finite, got {chi}")
     return StateFamily(d=d, n=_direction(spec["n"], d * d - 1, "family direction n"), chi=chi)
 
 

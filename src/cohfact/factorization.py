@@ -13,11 +13,18 @@ from .channel import (
     TransferMatrix,
     apply,
     aux_channel,
+    channel_entry,
+    make_named,
     scalar_action_detect,
     theorem1_condition,
     transfer_matrix,
 )
-from .errors import DimensionMismatchError, IncoherentDirectionError, NotApplicableError
+from .errors import (
+    DimensionMismatchError,
+    IncoherentDirectionError,
+    InvalidChannelError,
+    NotApplicableError,
+)
 from .measures import l1_from_density, purity_measure
 from .state import (
     DensityMatrix,
@@ -27,6 +34,12 @@ from .state import (
     coherence_weight,
     is_psd,
 )
+
+# Bound on the complex entries of the Kraus stack one batched product runs
+# through: the (2s, k, d, d) product of a chunk of verify trials, or the
+# (P, k, d, d) stack of a chunk of sweep points. It bounds a run's memory
+# whatever its trial or point count.
+CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -188,15 +201,30 @@ class Trajectory:
     spread: float
 
 
-def freeze_trajectory(channel_fn, params, rho: DensityMatrix, tol=1e-9) -> Trajectory:
-    """Sweep C_l1(E_q(rho)) and P(E_q(rho)) over the parameter values q;
-    frozen iff the coherence's max - min <= tol."""
-    params = np.asarray(params, dtype=float)
-    values, purities = np.empty(len(params)), np.empty(len(params))
-    for i, q in enumerate(params):
-        out = apply(channel_fn(q), rho)
-        values[i] = l1_from_density(out)
-        purities[i] = purity_measure(out)
+def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9) -> Trajectory:
+    """Sweep C_l1(E_q(rho)) and P(E_q(rho)) of the named channel over the
+    values q in ``grid`` of its one required parameter; any other
+    parameter (the sign of frozen_xy and frozen_z) comes from ``params``.
+    Frozen iff the coherence's max - min <= tol.
+
+    The grid is evaluated in chunks: one make_named call builds a chunk's
+    channels as a (P, k, d, d) stack, and one product maps rho through all
+    of them. Every named channel has k <= d^2, so a chunk of
+    CHUNK_ENTRIES // d^4 points keeps the stack within CHUNK_ENTRIES. A grid
+    value outside the channel's range raises InvalidChannelError naming the
+    first such value.
+    """
+    keys = channel_entry(name).keys
+    if len(keys) != 1:
+        raise InvalidChannelError(f"sweep needs a one-parameter channel; {name!r} takes {list(keys)}")
+    grid = np.asarray(grid, dtype=float)
+    values, purities = np.empty(len(grid)), np.empty(len(grid))
+    points = max(1, CHUNK_ENTRIES // max(1, d**4))
+    for lo in range(0, len(grid), points):
+        chunk = slice(lo, lo + points)
+        ch = make_named(name, d=d, params={**(params or {}), keys[0]: grid[chunk]})
+        out = apply(ch, rho).m
+        values[chunk], purities[chunk] = l1_from_density(out), purity_measure(out)
     spread = float(values.max() - values.min()) if len(values) else 0.0
-    return Trajectory(params=params, values=values, purities=purities,
+    return Trajectory(params=grid, values=values, purities=purities,
                       frozen=bool(spread <= tol), spread=spread)

@@ -16,6 +16,12 @@ from .errors import CohfactError
 from .state import DensityMatrix, bloch_compose, density_matrix
 
 
+# Largest d accepted from input. A named channel or Bloch state of
+# dimension d allocates O(d^4) entries (the (d^2, d, d) generator stack),
+# so an unchecked d could exhaust memory; 32 is twice the largest d used.
+MAX_D = 32
+
+
 def fmt12(x):
     """12-significant-digit float, round-tripping through repr."""
     return float(f"{float(x):.12g}")
@@ -34,7 +40,7 @@ def _complex_from_json(entries, what):
     complex view of the (..., 2) float array is exactly complex(re, im)."""
     try:
         pairs = np.ascontiguousarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:  # a non-number or ragged nesting
+    except (TypeError, ValueError, OverflowError) as exc:  # a non-number, ragged nesting or a huge integer
         raise CohfactError(f"{what} must be a regular array of [re, im] number pairs: {exc}") from exc
     if pairs.shape[-1] != 2:
         raise CohfactError(f"{what} entries must be [re, im] pairs, got shape {pairs.shape}")
@@ -47,9 +53,17 @@ def _dimension(spec, what, default):
     if "d" not in spec:
         return default
     d = spec["d"]
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer():
+    integral = isinstance(d, int) or (isinstance(d, float) and d.is_integer())
+    if isinstance(d, bool) or not integral:
         raise CohfactError(f"{what} 'd' must be an integer, got {d!r}")
-    return int(d)
+    return bounded_dimension(int(d), f"{what} 'd'")
+
+
+def bounded_dimension(d, what):
+    """``d`` if it is at most MAX_D."""
+    if d > MAX_D:
+        raise CohfactError(f"{what} must be at most MAX_D = {MAX_D}, got {d}")
+    return d
 
 
 def _object(spec, what):
@@ -78,10 +92,13 @@ def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
             raise CohfactError("state with a 'bloch' entry needs a 'd' entry")
         try:
             x = np.asarray(spec["bloch"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CohfactError(f"state 'bloch' must be a list of numbers: {exc}") from exc
         if x.ndim != 1:
             raise CohfactError(f"state 'bloch' must be a flat list of numbers, got shape {x.shape}")
+        if not np.all(np.abs(x) <= np.sqrt(2.0)):  # NaN fails too
+            raise CohfactError("state 'bloch' entries must be finite and at most sqrt(2) in size, "
+                               "as every state's coordinates are")
         rho = bloch_compose(x, gellmann_basis(d), validate=validate)
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
@@ -138,6 +155,8 @@ def channel_from_dict(spec: dict) -> KrausChannel:
         return make_named(spec["name"], d=d, params=_named_params(spec))
     if "kraus" in spec:
         ops = _complex_from_json(spec["kraus"], "channel 'kraus'")
+        if ops.ndim != 3:
+            raise CohfactError(f"channel 'kraus' must be a list of d x d matrices, got shape {ops.shape}")
         return kraus_channel(ops, label=spec.get("label", ""), params=_params(spec))
     raise CohfactError("channel spec needs a 'name' or 'kraus' entry")
 

@@ -80,6 +80,10 @@ def validate_density(rho, psd_tol=PSD_TOL):
         raise InvalidDimensionError(f"validation takes one d x d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise UnphysicalStateError("matrix has non-finite entries")
+    # a state's entries have size at most 1, so this rejects no state; it
+    # keeps huge entries from overflowing in the checks below
+    if np.max(np.maximum(np.abs(m.real), np.abs(m.imag))) > 2.0:
+        raise UnphysicalStateError("matrix has an entry larger than 2 in size")
     if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
         raise UnphysicalStateError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

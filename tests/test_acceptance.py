@@ -10,7 +10,6 @@ from cohfact.channel import (
     aux_channel,
     corollary1_check,
     gell_mann_G,
-    make_frozen_qubit,
     make_named,
     random_channel,
     random_unital_channel,
@@ -113,9 +112,7 @@ def test_criterion_4_frozen_coherence():
         for sign in (+1, -1):
             for _ in range(50):
                 rho = random_state(2, rng)
-                traj = freeze_trajectory(
-                    lambda q: make_frozen_qubit(variant, q, sign=sign), grid, rho
-                )
+                traj = freeze_trajectory(f"frozen_{variant}", grid, rho, params={"sign": sign})
                 worst = np.maximum(worst, traj.spread)
     b = gellmann_basis(2)
     for name, zero_idx in (("bit_flip", 1), ("bit_phase_flip", 0)):
@@ -127,7 +124,7 @@ def test_criterion_4_frozen_coherence():
             if not is_psd(family_member(StateFamily(d=2, n=n, chi=chi), b).m):
                 chi *= 0.5
             rho = family_member(StateFamily(d=2, n=n, chi=chi), b)
-            traj = freeze_trajectory(lambda q: make_named(name, params={"q": q}), grid, rho)
+            traj = freeze_trajectory(name, grid, rho)
             worst = np.maximum(worst, traj.spread)
     _report("4 frozen-coherence", worst <= 1e-9, f"max spread = {worst:.3e}")
 

@@ -8,7 +8,6 @@ from cohfact.channel import (
     apply,
     aux_channel,
     kraus_channel,
-    make_frozen_qubit,
     make_named,
     random_unital_channel,
     theorem1_condition,
@@ -220,7 +219,7 @@ def test_cascade_n1_matches_theorem1():
 
 def test_freeze_trajectory_frozen_xy():
     rho = random_state(2, 41)
-    traj = freeze_trajectory(lambda q: make_frozen_qubit("xy", q), np.linspace(0, 1, 101), rho)
+    traj = freeze_trajectory("frozen_xy", np.linspace(0, 1, 101), rho)
     assert traj.frozen
     assert traj.spread <= 1e-9
 
@@ -229,16 +228,14 @@ def test_freeze_trajectory_bit_flip_family():
     b = gellmann_basis(2)
     fam = StateFamily(d=2, n=np.array([0.6, 0.0, 0.8]), chi=0.5)
     rho = family_member(fam, b)
-    traj = freeze_trajectory(
-        lambda q: make_named("bit_flip", params={"q": q}), np.linspace(0, 1, 101), rho
-    )
+    traj = freeze_trajectory("bit_flip", np.linspace(0, 1, 101), rho)
     assert traj.frozen
 
 
 def test_freeze_trajectory_phase_damping_decay():
     rho = density_matrix(np.full((2, 2), 0.5, dtype=complex))
     grid = np.linspace(0, 1, 11)
-    traj = freeze_trajectory(lambda q: make_named("phase_damping", params={"q": q}), grid, rho)
+    traj = freeze_trajectory("phase_damping", grid, rho)
     assert not traj.frozen
     np.testing.assert_allclose(traj.values, grid, atol=1e-12)
     # |+><+| keeps its populations, so P = Tr(rho^2) - 1/2 = q^2 / 2

@@ -1,0 +1,151 @@
+"""Fuzz of the input boundary: whatever JSON a state, channel or family file
+holds, its parser returns a value or raises CohfactError (which the CLI
+turns into exit 2), never another exception."""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cohfact import cli, io
+from cohfact.channel import channel_entry, named_channels
+from cohfact.errors import CohfactError
+
+KEYS = ["d", "matrix", "bloch", "name", "params", "kraus", "label", "n", "chi"]
+PARAM_KEYS = ["q", "p", "gamma", "pbar", "q0", "sign", "p0", "p1", "p2", "p3", "x"]
+
+numbers = (st.integers(-3, 6) | st.integers() | st.sampled_from([10**400, -(10**400)])
+           | st.floats(allow_nan=True, allow_infinity=True) | st.floats(-1.5, 1.5))
+dims = st.integers(-2, 6) | st.sampled_from([io.MAX_D + 1, 10**400, 2.0, 2.5, 3.0, -1.0, "3", None, True])
+scalars = st.none() | st.booleans() | numbers | st.text(max_size=4) | st.sampled_from(named_channels())
+
+
+def _pairs(d, k=None):
+    """A d x d matrix (or a stack of k) of [re, im] pairs, sometimes ragged."""
+    pair = st.lists(numbers, min_size=2, max_size=2) | st.lists(numbers, max_size=3)
+    matrix = st.lists(st.lists(pair, min_size=d, max_size=d), min_size=d, max_size=d)
+    return matrix if k is None else st.lists(matrix, min_size=k, max_size=k)
+
+
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS + PARAM_KEYS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=20,
+)
+structured = {
+    "d": dims,
+    "matrix": st.integers(1, 3).flatmap(_pairs),
+    "bloch": st.lists(numbers, max_size=9) | st.lists(st.lists(numbers, max_size=3), max_size=3),
+    "name": st.sampled_from(named_channels()) | scalars,
+    "params": st.none() | st.dictionaries(st.sampled_from(PARAM_KEYS), numbers | scalars, max_size=5),
+    "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a))
+    | st.integers(1, 3).flatmap(_pairs),
+    "label": scalars,
+    "n": st.lists(numbers, max_size=9) | scalars,
+    "chi": numbers | scalars,
+}
+# Specs of the right shape, so that the fuzz also reaches the range checks
+# and the builders behind the type checks.
+unit = st.floats(-0.2, 1.2) | st.sampled_from([0.0, 1.0])
+small_d = st.integers(1, 5) | st.sampled_from([io.MAX_D + 1, 2.0])
+
+
+def _named(name):
+    entry = channel_entry(name)
+    values = unit | st.sampled_from([1, -1, 0, 1.0]) if entry.defaults else unit | numbers
+    params = st.fixed_dictionaries({k: unit | numbers for k in entry.keys},
+                                   optional={k: values for k, _ in entry.defaults})
+    return st.fixed_dictionaries({"name": st.just(name), "params": params}, optional={"d": small_d})
+
+
+named_specs = st.sampled_from(named_channels()).flatmap(_named)
+bloch_specs = small_d.flatmap(lambda d: st.fixed_dictionaries({
+    "d": st.just(d),
+    "bloch": st.sampled_from([st.floats(-0.6, 0.6), numbers]).flatmap(lambda x: st.lists(
+        x, min_size=max(int(d) ** 2 - 2, 0), max_size=int(d) ** 2)) if d <= 5 else st.just([0.0]),
+}))
+kraus_specs = st.fixed_dictionaries({"kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda a: _pairs(*a))}, optional={"label": scalars, "params": json_values})
+family_specs = st.integers(2, 4).flatmap(lambda d: st.fixed_dictionaries(
+    {"d": st.sampled_from([d, 2, 2.0, "2"]), "n": st.lists(unit | numbers, min_size=d * d - 2, max_size=d * d)},
+    optional={"chi": unit | numbers | scalars}))
+specs = (named_specs | bloch_specs | kraus_specs | family_specs
+         | st.fixed_dictionaries({}, optional={key: structured[key] | json_values for key in KEYS})
+         | json_values)
+
+
+def _only_cohfact_errors(parse, spec):
+    try:
+        parse(spec)
+    except CohfactError:
+        pass
+
+
+@given(spec=specs)
+@settings(max_examples=200, deadline=None)
+def test_state_parser_raises_only_cohfact_errors(spec):
+    _only_cohfact_errors(io.state_from_dict, spec)
+
+
+@given(spec=specs)
+@settings(max_examples=200, deadline=None)
+def test_channel_parser_raises_only_cohfact_errors(spec):
+    _only_cohfact_errors(io.channel_from_dict, spec)
+
+
+@given(spec=specs, d=st.integers(2, 4))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_family_loader_raises_only_cohfact_errors(spec, d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        _only_cohfact_errors(lambda p: cli._load_family(p, d), path)
+
+
+def test_family_loader_rejects_non_finite_and_non_list_entries(tmp_path):
+    for spec in ({"d": 2, "n": [1, 0, 0], "chi": float("nan")},
+                 {"d": 2, "n": [1, 0, 0], "chi": 10**400},
+                 {"d": 2, "n": "100"},
+                 {"d": 2, "n": [10**400, 0, 0]}):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        try:
+            cli._load_family(str(path), 2)
+        except CohfactError:
+            continue
+        raise AssertionError(f"accepted {spec}")
+
+
+def test_kraus_file_must_hold_one_channel():
+    """A stack of channels is a library value; a channel file holds one."""
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert io.channel_from_dict({"kraus": [one]}).kraus.shape == (1, 2, 2)
+    try:
+        io.channel_from_dict({"kraus": [[one]]})
+    except CohfactError as exc:
+        assert "list of d x d matrices" in str(exc)
+    else:
+        raise AssertionError("a (1, 1, 2, 2) Kraus entry was accepted")
+    np.testing.assert_array_equal(io.state_from_dict({"d": 2, "bloch": [0, 0, 0]}).m, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("parse, spec", [
+    (io.state_from_dict, {"d": 2, "bloch": [0.0, 0.0, float("inf")]}),
+    (io.state_from_dict, {"d": 2, "bloch": [float("nan"), 0.0, 0.0]}),
+    (io.state_from_dict, {"d": 3, "bloch": [1e308] * 8}),
+    (io.state_from_dict, {"matrix": [[[1e308, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]}),
+    (io.channel_from_dict, {"kraus": [[[[0, 0], [1e200, 0]], [[0, 0], [0, 0]]]]}),
+    (io.channel_from_dict, {"kraus": [[[[0, 1.3407807929942597e154]]]]}),
+    (io.channel_from_dict, {"kraus": [[[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]]}),  # NaN error
+])
+def test_huge_or_non_finite_entries_fail_before_any_arithmetic(parse, spec):
+    """Rejected with CohfactError before they can overflow: NumPy's
+    RuntimeWarning fails the suite."""
+    with pytest.raises(CohfactError):
+        parse(spec)

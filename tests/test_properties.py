@@ -2,18 +2,20 @@
 transfer matrix against its dual-map definition and against apply, apply
 against the Kraus sum, duality, composition, trace preservation, complete
 positivity of every named channel, the Kraus stack's validation, and the
-Bloch and JSON round trips."""
+Bloch and JSON round trips, and the auxiliary channel of reachable
+targets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohfact import io
+from cohfact import cli, io
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (
     a_matrix,
     apply,
+    aux_channel,
     dual_apply,
     kraus_channel,
     make_named,
@@ -202,6 +204,25 @@ def test_named_channel_choi_matrix_is_psd(name, data):
     np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(choi).min() >= -1e-10
     assert abs(np.trace(choi).real - d) <= 1e-10
+
+
+@given(N=st.integers(1, 2), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
+    """The auxiliary channel of a random reachable target is trace
+    preserving, has a PSD Choi matrix, and maps its source onto the target."""
+    rho, m, chi = cli._sample_reachable_target(N, np.random.default_rng(seed))
+    ybasis = pauli_tensor_basis(N)
+    ch = aux_channel(rho, m, chi, ybasis)
+    d = 2**N
+    v = ch.kraus.reshape(-1, d)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)
+    t = transfer_matrix(ch).t
+    np.testing.assert_allclose(t[0], np.eye(d * d)[0], rtol=0, atol=1e-12)
+    choi = _choi_from_transfer(t, gellmann_basis(d))
+    np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-10
+    np.testing.assert_allclose(apply(ch, rho).m, bloch_compose(chi * m, ybasis).m, rtol=0, atol=1e-12)
 
 
 def _assert_json_round_trip(ch):
