@@ -7,7 +7,6 @@ from .basis import (
     GeneratorBasis,
     PauliTensorBasis,
     gellmann_basis,
-    pair_for_position,
     pair_indices,
     pauli_tensor_basis,
     y_to_x_transform,
@@ -37,7 +36,6 @@ from .channel import (
 from .factorization import (
     FactorizationReport,
     Trajectory,
-    decompose_family,
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,

@@ -96,18 +96,6 @@ def pair_indices(d):
     return list(combinations(range(1, d + 1), 2))
 
 
-def pair_for_position(d, pos):
-    """Map a 1-based off-diagonal generator position to (r, (j,k), kind).
-
-    ``kind`` is 'u' for odd positions and 'v' for even ones.
-    """
-    if not 1 <= pos <= d * d - d:
-        raise IndexError(f"position {pos} outside off-diagonal range for d={d}")
-    r = (pos + 1) // 2
-    jk = pair_indices(d)[r - 1]
-    return r, jk, "u" if pos % 2 == 1 else "v"
-
-
 def _w_matrix(d, l):
     # Standard diagonal generator, normalized so Tr(w_l^2) = 2.
     diag = np.zeros(d)

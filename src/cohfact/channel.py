@@ -58,16 +58,6 @@ class TransferMatrix:
     d: int
     t: np.ndarray
 
-    @property
-    def s_block(self):
-        """T^S: rows 1..d^2-d, columns 1..d^2-1."""
-        return self.t[1 : self.d * self.d - self.d + 1, 1:]
-
-    def block(self, r):
-        """2x2 diagonal block T^S_r of the r-th off-diagonal pair (1-based)."""
-        i = 2 * r - 1
-        return self.t[i : i + 2, i : i + 2]
-
 
 @dataclass(frozen=True)
 class AuxSolve:
@@ -186,87 +176,51 @@ def corollary1_check(ch: KrausChannel, tol=CONDITION_TOL) -> bool:
     return bool(np.max(np.abs(off)) <= tol)
 
 
-def is_unital(ch: KrausChannel, tol=CONDITION_TOL) -> bool:
-    """True iff the channel fixes the maximally mixed state (A = I)."""
-    return bool(np.max(np.abs(a_matrix(ch) - np.eye(ch.d))) <= tol)
-
-
 def scalar_action_detect(T: TransferMatrix, subset, tol=CONDITION_TOL):
     """Return q if T acts as q * identity on every row in ``subset``.
 
     ``subset`` holds 1-based off-diagonal generator indices. Returns None
     when the rows are not a common rescaling.
     """
-    subset = sorted(set(int(k) for k in subset))
-    if not subset:
+    k = np.unique([int(i) for i in subset])
+    if not k.size:
         return None
     k_max = T.d * T.d - T.d
-    if subset[0] < 1 or subset[-1] > k_max:
+    if k[0] < 1 or k[-1] > k_max:
         raise IndexError(f"subset must lie in 1..{k_max}")
-    q = None
-    for k in subset:
-        row = T.t[k]
-        if q is None:
-            q = row[k]
-        if abs(row[k] - q) > tol:
-            return None
-        rest = np.delete(row, k)
-        if np.max(np.abs(rest)) > tol:
-            return None
-    return float(q)
+    q = T.t[k[0], k[0]]
+    rows = T.t[k]  # each must be q on its own diagonal entry and 0 elsewhere
+    own = np.arange(T.d * T.d) == k[:, None]
+    return float(q) if np.all(np.abs(np.where(own, rows - q, rows)) <= tol) else None
 
 
 def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None, tol=CONDITION_TOL) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
 
-    Without a family the full condition is tested: T^S block diagonal with
-    orthogonal 2x2 blocks. With a family, blocks whose direction component
-    n_{2r-1} (or n_{2r}) vanishes get the relaxed single-column test, and
-    only couplings into coordinates the family actually populates count.
+    T^S must be block diagonal with orthogonal 2x2 blocks, read on the
+    coordinates the family populates (|n_i| > tol); without a family every
+    coordinate is populated. A pair with a populated coordinate must not
+    couple into populated coordinates outside its block, and its block's
+    Gram matrix b^T b must be I on the entries whose two columns are both
+    populated: with n_{2r} = 0 (or n_{2r-1} = 0) only one column has to
+    keep unit length.
     """
+    if fam is not None and fam.d != T.d:
+        raise DimensionMismatchError(f"family d={fam.d} vs transfer matrix d={T.d}")
     if not theorem1_condition(T, tol=tol):
         raise NotApplicableError(
             "frozen-coherence check requires the factorization precondition T_k0 = 0"
         )
-    d = T.d
-    d0 = (d * d - d) // 2
-    s = T.s_block  # rows 0..d^2-d-1 are generators 1..d^2-d (0-based here)
-
-    if fam is None:
-        for r in range(1, d0 + 1):
-            rows = slice(2 * r - 2, 2 * r)
-            off = s[rows].copy()
-            off[:, 2 * r - 2 : 2 * r] = 0.0
-            if np.max(np.abs(off)) > tol:
-                return False
-            b = T.block(r)
-            if np.max(np.abs(b.T @ b - np.eye(2))) > tol:
-                return False
-        return True
-
-    n = np.asarray(fam.n, dtype=float)
-    populated = np.abs(n) > tol
-    for r in range(1, d0 + 1):
-        i, j = 2 * r - 2, 2 * r - 1  # 0-based positions of the pair
-        if not populated[i] and not populated[j]:
-            continue
-        # rows of this pair must not pick up populated coordinates outside it
-        off = s[i : j + 1].copy()
-        off[:, i : j + 1] = 0.0
-        off[:, ~populated] = 0.0
-        if np.max(np.abs(off)) > tol:
-            return False
-        b = T.block(r)
-        if populated[i] and populated[j]:
-            if np.max(np.abs(b.T @ b - np.eye(2))) > tol:
-                return False
-        elif populated[i]:  # n_{2r} = 0: only the first column enters
-            if abs(b[0, 0] ** 2 + b[1, 0] ** 2 - 1.0) > tol:
-                return False
-        else:  # n_{2r-1} = 0: only the second column enters
-            if abs(b[0, 1] ** 2 + b[1, 1] ** 2 - 1.0) > tol:
-                return False
-    return True
+    n, d0 = T.d * T.d - 1, (T.d * T.d - T.d) // 2
+    populated = np.full(n, True) if fam is None else np.abs(np.asarray(fam.n, dtype=float)) > tol
+    pair = populated[: 2 * d0].reshape(d0, 2)
+    rows = T.t[1 : 2 * d0 + 1, 1:].reshape(d0, 2, n)  # the two rows of each pair
+    r = np.arange(d0)
+    blocks = rows[:, :, : 2 * d0].reshape(d0, 2, d0, 2)[r, :, r]
+    gram = blocks.swapaxes(1, 2) @ blocks - np.eye(2)
+    coupled = pair.any(axis=1)[:, None] & populated & (np.arange(n) // 2 != r[:, None])
+    return bool(np.all(np.abs(rows.swapaxes(0, 1)[:, coupled]) <= tol)
+                and np.all(np.abs(gram[pair[:, :, None] & pair[:, None, :]]) <= tol))
 
 
 # ---------------------------------------------------------------------------

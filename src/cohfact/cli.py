@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 tolerance/feasibility failure, 2 usage or parse error.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -96,8 +97,15 @@ def _direction(values, length, what):
     return n / norm
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+@contextmanager
+def _output(path):
+    """The file at ``path``, opened for writing and closed on leaving, or
+    the standard output of the moment when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _writeln(fh, line):
@@ -106,16 +114,12 @@ def _writeln(fh, line):
 
 def cmd_coherence(args):
     rho = io.load_state(args.state)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _writeln(fh, f"C_l1 = {l1_from_density(rho):.12f}")
         _writeln(fh, f"purity = {purity_measure(rho):.12f}")
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
                 _writeln(fh, f"{k} = {v:.12f}")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -180,10 +184,9 @@ def cmd_verify(args):
     if args.trials < 1:
         raise CohfactError(f"--trials must be at least 1, got {args.trials}")
     ch = io.load_channel(args.channel)
-    fh = _open_out(args.out)
     failures = 0
     trial = 0
-    try:
+    with _output(args.out) as fh:
         for rep in _VERIFY[args.kind](ch, args):
             fields = (rep.lhs, rep.rhs, rep.abs_err, rep.probe_physical, rep.condition_held)
             for lhs, rhs, err, physical, held in zip(*(np.atleast_1d(f).tolist() for f in fields)):
@@ -194,9 +197,6 @@ def cmd_verify(args):
                 }))
                 trial += 1
             failures += int(np.count_nonzero(~np.atleast_1d(rep.within(args.tol))))  # NaN fails
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     if args.expect_violation:
         return 0 if failures > 0 else 1
     return 0 if failures == 0 else 1
@@ -242,14 +242,10 @@ def cmd_sweep(args):
     # 12 significant digits, the same text as formatting io.fmt12 of each value
     rows = map("{:.12g},{:.12g},{:.12g}\n".format,
                traj.params.tolist(), traj.values.tolist(), traj.purities.tolist())
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _writeln(fh, "param,c_l1,purity")
         fh.write("".join(rows))
         _writeln(fh, f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -281,12 +277,8 @@ def cmd_transfer(args):
     ch = io.load_channel(args.channel)
     t = transfer_matrix(ch, gellmann_basis(ch.d))
     doc = json.dumps(io.transfer_to_dict(t))
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _writeln(fh, doc)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -301,13 +293,19 @@ def _load_family(path, d):
             raise CohfactError(f"family file has no {key!r} entry")
     if spec["d"] != d:
         raise CohfactError(f"family d={spec['d']} vs channel d={d}")
+    # booleans and strings would pass float(); named-channel params refuse them too
+    chi, n = spec.get("chi", 1.0), spec["n"]
+    if isinstance(chi, (bool, str)):
+        raise CohfactError(f"family chi must be a number, got {chi!r}")
+    if isinstance(n, list) and any(isinstance(v, (bool, str)) for v in n):
+        raise CohfactError("family direction n must hold numbers, not booleans or strings")
     try:
-        chi = float(spec.get("chi", 1.0))
+        chi = float(chi)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CohfactError(f"family chi must be a number: {exc}") from exc
     if not np.isfinite(chi):
         raise CohfactError(f"family chi must be finite, got {chi}")
-    return StateFamily(d=d, n=_direction(spec["n"], d * d - 1, "family direction n"), chi=chi)
+    return StateFamily(d=d, n=_direction(n, d * d - 1, "family direction n"), chi=chi)
 
 
 def cmd_freeze_check(args):

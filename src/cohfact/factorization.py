@@ -43,14 +43,6 @@ CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
-class FamilyDecomposition:
-    """Factor split C = f(chi) * g(n^s) of a family's coherence."""
-
-    f_chi: float
-    g_n: float
-
-
-@dataclass(frozen=True)
 class FactorizationReport:
     """Both sides of a factorization law and its flags for one trial, or,
     from verify_families, arrays with one entry per family."""
@@ -63,11 +55,6 @@ class FactorizationReport:
 
     def within(self, tol):
         return self.abs_err <= tol
-
-
-def decompose_family(fam: StateFamily) -> FamilyDecomposition:
-    """f(chi) = chi and g(n^s) for the l1 norm of coherence."""
-    return FamilyDecomposition(f_chi=fam.chi, g_n=coherence_weight(fam.n, fam.d))
 
 
 def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None) -> FactorizationReport:
@@ -142,9 +129,8 @@ def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = 
     populates; ``t`` is the channel's transfer matrix, built when not given."""
     basis = gellmann_basis(rho.d)
     x = bloch_decompose(rho, basis).x
-    n_off = basis.num_offdiag
-    subset = [k + 1 for k in range(n_off) if abs(x[k]) > 1e-12]
-    if not subset:
+    subset = np.flatnonzero(np.abs(x[: basis.num_offdiag]) > 1e-12) + 1
+    if not subset.size:
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     if t is None:
         t = transfer_matrix(ch, basis)

@@ -3,7 +3,6 @@ import pytest
 
 from cohfact.basis import (
     gellmann_basis,
-    pair_for_position,
     pair_indices,
     pauli_tensor_basis,
     y_to_x_transform,
@@ -62,11 +61,6 @@ def test_d3_diagonal_generator_textbook_formula():
 
 def test_ordering_contract():
     assert pair_indices(3) == [(1, 2), (1, 3), (2, 3)]
-    assert pair_for_position(3, 1) == (1, (1, 2), "u")
-    assert pair_for_position(3, 4) == (2, (1, 3), "v")
-    assert pair_for_position(4, 11) == (6, (3, 4), "u")
-    with pytest.raises(IndexError):
-        pair_for_position(3, 7)  # position 7 is a diagonal generator
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

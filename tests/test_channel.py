@@ -12,7 +12,6 @@ from cohfact.channel import (
     dual_apply,
     frozen_condition_check,
     gell_mann_G,
-    is_unital,
     kraus_channel,
     make_frozen_qubit,
     make_named,
@@ -261,7 +260,7 @@ def test_make_named_label_and_params():
 
 def test_pauli_channel():
     ch = make_named("pauli", params={"p0": 0.4, "p1": 0.3, "p2": 0.2, "p3": 0.1})
-    assert is_unital(ch)
+    np.testing.assert_allclose(a_matrix(ch), np.eye(2), atol=1e-10)
     t = transfer_matrix(ch)
     # dual scales sigma_k by p0 + p_k - (sum of the other two)
     np.testing.assert_allclose(np.diag(t.t), [1.0, 0.4, 0.2, 0.0], atol=1e-12)

@@ -218,6 +218,11 @@ def test_construct_aux_bad_target_exits_2(tmp_path, capsys, target):
     {"d": 2, "n": [1, 0, 0], "chi": "x"},
     [0.6, 0.0, 0.8],  # not an object
     {"n": [1, 0, 0]},
+    {"d": 2, "n": ["0.6", True, 0.8], "chi": True},  # float() would read these
+    {"d": 2, "n": [0.6, 0, 0.8], "chi": "0.5"},
+    {"d": 2, "n": ["0.6", 0, 0.8]},
+    {"d": 2, "n": [0.6, True, 0.8]},
+    {"d": 2, "n": [1, 0, 0], "chi": True},
 ])
 def test_freeze_check_bad_family_exits_2(tmp_path, capsys, family):
     pd = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})

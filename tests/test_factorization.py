@@ -15,7 +15,6 @@ from cohfact.channel import (
 )
 from cohfact.errors import NotAChannelError, NotApplicableError
 from cohfact.factorization import (
-    decompose_family,
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
@@ -45,11 +44,10 @@ def nonunital_offdiag_channel():
 
 def test_decompose_family():
     fam = StateFamily(d=2, n=np.array([0.6, 0.8, 0.0]), chi=0.5)
-    dec = decompose_family(fam)
-    assert abs(dec.f_chi - 0.5) < 1e-15
-    assert abs(dec.g_n - 1.0) < 1e-15
+    g = coherence_weight(fam.n, 2)
+    assert abs(g - 1.0) < 1e-15
     member = family_member(fam, gellmann_basis(2))
-    assert abs(l1_from_density(member) - dec.f_chi * dec.g_n) < 1e-12
+    assert abs(l1_from_density(member) - fam.chi * g) < 1e-12
 
 
 def test_theorem1_identity_channel():

@@ -1,0 +1,241 @@
+"""The masked transfer-matrix conditions against the loops they replaced.
+
+``reference_frozen_condition_check`` and ``reference_scalar_action_detect``
+are the earlier per-pair and per-row bodies of ``frozen_condition_check``
+and ``scalar_action_detect``. The masked versions must give the same
+answer, ``NotApplicableError`` and ``IndexError`` included, on channels and
+on transfer matrices built to sit on either side of each condition.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohfact.channel import (
+    CONDITION_TOL,
+    TransferMatrix,
+    _haar_unitaries,
+    frozen_condition_check,
+    gell_mann_G,
+    kraus_channel,
+    make_named,
+    random_channel,
+    random_unital_channel,
+    scalar_action_detect,
+    theorem1_condition,
+    transfer_matrix,
+)
+from cohfact.errors import DimensionMismatchError, NotApplicableError
+from cohfact.state import StateFamily
+
+
+def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
+    subset = sorted(set(int(k) for k in subset))
+    if not subset:
+        return None
+    k_max = T.d * T.d - T.d
+    if subset[0] < 1 or subset[-1] > k_max:
+        raise IndexError(f"subset must lie in 1..{k_max}")
+    q = None
+    for k in subset:
+        row = T.t[k]
+        if q is None:
+            q = row[k]
+        if abs(row[k] - q) > tol:
+            return None
+        rest = np.delete(row, k)
+        if np.max(np.abs(rest)) > tol:
+            return None
+    return float(q)
+
+
+def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
+    if not theorem1_condition(T, tol=tol):
+        raise NotApplicableError("factorization precondition fails")
+    d = T.d
+    d0 = (d * d - d) // 2
+    s = T.t[1 : d * d - d + 1, 1:]
+
+    def block(r):
+        i = 2 * r - 1
+        return T.t[i : i + 2, i : i + 2]
+
+    if fam is None:
+        for r in range(1, d0 + 1):
+            rows = slice(2 * r - 2, 2 * r)
+            off = s[rows].copy()
+            off[:, 2 * r - 2 : 2 * r] = 0.0
+            if np.max(np.abs(off)) > tol:
+                return False
+            b = block(r)
+            if np.max(np.abs(b.T @ b - np.eye(2))) > tol:
+                return False
+        return True
+
+    n = np.asarray(fam.n, dtype=float)
+    populated = np.abs(n) > tol
+    for r in range(1, d0 + 1):
+        i, j = 2 * r - 2, 2 * r - 1
+        if not populated[i] and not populated[j]:
+            continue
+        off = s[i : j + 1].copy()
+        off[:, i : j + 1] = 0.0
+        off[:, ~populated] = 0.0
+        if np.max(np.abs(off)) > tol:
+            return False
+        b = block(r)
+        if populated[i] and populated[j]:
+            if np.max(np.abs(b.T @ b - np.eye(2))) > tol:
+                return False
+        elif populated[i]:
+            if abs(b[0, 0] ** 2 + b[1, 0] ** 2 - 1.0) > tol:
+                return False
+        else:
+            if abs(b[0, 1] ** 2 + b[1, 1] ** 2 - 1.0) > tol:
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotApplicableError, IndexError) as exc:
+        return type(exc)
+
+
+def _channel(kind, d, rng):
+    """A channel of the given kind; the qubit-only kinds ignore ``d``."""
+    q = rng.choice([0.0, 1.0, rng.uniform()])
+    if kind == "haar_unitary":
+        return kraus_channel(_haar_unitaries(1, d, rng))
+    if kind == "phase_unitary":  # diagonal phases freeze every pair
+        return kraus_channel(np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))[None])
+    if kind == "permutation":  # pairs map onto pairs, with phases
+        u = np.eye(d)[rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        return kraus_channel(u[None])
+    if kind == "frozen":
+        return make_named(str(rng.choice(["frozen_xy", "frozen_z"])),
+                          params={"q": q, "sign": int(rng.choice([1, -1]))})
+    if kind == "pauli":
+        name = rng.choice(["bit_flip", "bit_phase_flip", "phase_flip", "phase_damping"])
+        return make_named(str(name), params={"q": q})
+    if kind == "unital":
+        return random_unital_channel(d, k=int(rng.integers(1, d * d + 1)), seed=rng)
+    if kind == "gell_mann_G":
+        q0 = rng.uniform()
+        lo, hi = -(1 + (d - 1) * q0) / (d * d - d), (1 + (d - 1) * q0) / d
+        return gell_mann_G(d, rng.choice([q0, rng.uniform(lo, hi)]), q0)
+    if kind == "amplitude_damping":  # T_k0 = 0 holds although the channel is not unital
+        return make_named("amplitude_damping", params={"gamma": q})
+    return random_channel(d, k=int(rng.integers(1, d * d + 1)), seed=rng)
+
+
+def _random_transfer(d, rng):
+    """A transfer matrix around the frozen condition: T^S block diagonal
+    with orthogonal 2x2 blocks, then some blocks replaced by ones with a
+    single unit column, some rows coupled outside their block, and T_k0
+    sometimes nonzero. The matrix need not belong to a channel."""
+    n, d0 = d * d, (d * d - d) // 2
+    t = np.zeros((n, n))
+    t[0, 0] = 1.0
+    t[1 + 2 * d0 :, 1:] = rng.standard_normal((d - 1, n - 1))
+    for r in range(d0):
+        a = rng.uniform(0, 2 * np.pi)
+        b = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        kind = rng.integers(5)
+        if kind == 1:  # a reflection
+            b[:, 1] *= -1
+        elif kind == 2:  # shrunk
+            b *= rng.uniform(0.2, 0.99)
+        elif kind == 3:  # one unit column, the other neither unit nor orthogonal to it
+            b[:, 1] = b[:, 0] * rng.uniform(0.1, 0.9) + b[::-1, 0] * [1, -1] * rng.uniform(0.1, 0.9)
+            b = b[:, ::-1] if rng.integers(2) else b
+        t[1 + 2 * r : 3 + 2 * r, 1 + 2 * r : 3 + 2 * r] = b
+    for _ in range(rng.integers(3)):  # couplings outside the own block, into any column
+        i, j = rng.integers(1, 1 + 2 * d0), rng.integers(1, n)
+        t[i, j] += rng.choice([1e-3, 0.5])
+    if rng.uniform() < 0.1:
+        t[rng.integers(1, 1 + 2 * d0), 0] = 0.1
+    return TransferMatrix(d=d, t=t)
+
+
+def _family(d, rng):
+    """A unit direction with each component, and sometimes each whole
+    u/v pair, zeroed at random; at least one component stays."""
+    n = rng.standard_normal(d * d - 1)
+    n[rng.uniform(size=n.size) < rng.uniform()] = 0.0
+    pairs = (d * d - d) // 2
+    n[: 2 * pairs].reshape(pairs, 2)[rng.uniform(size=pairs) < 0.3] = 0.0
+    if not n.any():
+        n[rng.integers(n.size)] = 1.0
+    return StateFamily(d=d, n=n / np.linalg.norm(n), chi=0.5)
+
+
+def _subset(d, rng):
+    """Random 1-based indices, sometimes with one outside 1..d^2-d."""
+    k_max = d * d - d
+    subset = list(rng.choice(np.arange(1, k_max + 1), size=rng.integers(0, k_max + 1), replace=False))
+    if rng.uniform() < 0.1:
+        subset.append(rng.choice([0, k_max + 1]))
+    return subset
+
+
+def _check(T, rng):
+    for fam in (None, _family(T.d, rng), _family(T.d, rng), _family(T.d, rng)):
+        assert (_outcome(frozen_condition_check, T, fam)
+                == _outcome(reference_frozen_condition_check, T, fam))
+    for _ in range(3):
+        subset = _subset(T.d, rng)
+        assert (_outcome(scalar_action_detect, T, subset)
+                == _outcome(reference_scalar_action_detect, T, subset))
+
+
+KINDS = ["haar_unitary", "phase_unitary", "permutation", "frozen", "pauli", "unital",
+         "gell_mann_G", "amplitude_damping", "random"]
+
+
+@given(kind=st.sampled_from(KINDS), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_masked_conditions_match_reference_on_channels(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    _check(transfer_matrix(_channel(kind, d, rng)), rng)
+
+
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_masked_conditions_match_reference_on_built_matrices(d, seed):
+    rng = np.random.default_rng(seed)
+    _check(_random_transfer(d, rng), rng)
+
+
+def test_channel_cases_reach_every_answer():
+    """Channels alone give frozen, not frozen and not applicable, so the
+    comparison above is not only on one answer."""
+    rng = np.random.default_rng(5)
+    ts = [transfer_matrix(_channel(kind, d, rng)) for kind in KINDS for d in (2, 3)]
+    seen = {_outcome(frozen_condition_check, T, fam) for T in ts for fam in (None, _family(T.d, rng))}
+    assert {True, False, NotApplicableError} <= seen
+
+
+def test_built_matrices_reach_both_answers():
+    rng = np.random.default_rng(7)
+    seen = [_outcome(frozen_condition_check, _random_transfer(3, rng), fam)
+            for _ in range(200) for fam in (None, _family(3, rng))]
+    assert {True, False, NotApplicableError} <= set(seen)
+
+
+def test_nan_never_passes():
+    t = np.eye(4)
+    t[1, 3] = np.nan  # a coupling of the first pair's u row
+    T = TransferMatrix(d=2, t=t)
+    assert frozen_condition_check(T) is False
+    t = np.eye(4)
+    t[1, 1] = t[2, 2] = np.nan
+    assert scalar_action_detect(TransferMatrix(d=2, t=t), [1, 2]) is None
+
+
+def test_family_of_another_dimension():
+    T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
+    with pytest.raises(DimensionMismatchError):
+        frozen_condition_check(T, StateFamily(d=3, n=np.eye(8)[0], chi=0.5))
