@@ -3,16 +3,13 @@ bases, states, Kraus channels, transfer matrices, coherence measures, and
 verification of the coherence factorization laws."""
 
 from .basis import (
-    BasisTransform,
     GeneratorBasis,
-    PauliTensorBasis,
     gellmann_basis,
     pair_indices,
     pauli_tensor_basis,
     y_to_x_transform,
 )
 from .channel import (
-    AuxSolve,
     KrausChannel,
     TransferMatrix,
     apply,

@@ -38,11 +38,13 @@ _SIGMA = _read_only(np.array([
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Ordered generalized Gell-Mann basis for a d-dimensional system.
+    """Ordered generator basis of a d-dimensional system: the generalized
+    Gell-Mann basis of gellmann_basis, or the N-qubit Pauli tensor basis of
+    pauli_tensor_basis (d = 2^N).
 
     ``elements`` is a read-only (d^2-1, d, d) array whose ``elements[i]``
-    is X_{i+1} in the 1-based ordering above; ``identity_element`` is
-    X_0 = sqrt(2/d) I.
+    is X_{i+1} in the 1-based ordering of its builder; ``identity_element``
+    is X_0 = sqrt(2/d) I.
     """
 
     d: int
@@ -51,41 +53,8 @@ class GeneratorBasis:
 
     @property
     def num_offdiag(self):
-        """Number of off-diagonal (u/v) generators, d^2 - d."""
+        """Number of off-diagonal (u/v) Gell-Mann generators, d^2 - d."""
         return self.d * self.d - self.d
-
-    @property
-    def num_pairs(self):
-        """d_0 = (d^2 - d)/2, the number of (j,k) index pairs."""
-        return (self.d * self.d - self.d) // 2
-
-
-@dataclass(frozen=True)
-class PauliTensorBasis:
-    """Ordered N-qubit Pauli tensor basis Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}.
-
-    ``elements`` is a read-only (4^N-1, 2^N, 2^N) array; ``index_digits[j]``
-    is the base-4 digit string of Y_{j+1}; elements run in numeric order
-    (00..1), (00..2), ..., (33..3).
-    """
-
-    N: int
-    elements: np.ndarray
-    index_digits: tuple
-    identity_element: np.ndarray
-
-    @property
-    def d(self):
-        """Hilbert-space dimension 2^N."""
-        return 2**self.N
-
-
-@dataclass(frozen=True)
-class BasisTransform:
-    """Real matrix a with X_i = sum_j a_ij Y_j (orthogonal: a a^T = I)."""
-
-    N: int
-    a: np.ndarray
 
 
 def pair_indices(d):
@@ -125,22 +94,25 @@ def gellmann_basis(d):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
-    """Build the N-qubit Pauli tensor basis, 1 <= N <= 6."""
+    """Build the N-qubit Pauli tensor basis, 1 <= N <= 6: the generators
+    Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}, where j_1 ... j_N are
+    the base-4 digits of j, in numeric order (00..1), (00..2), ..., (33..3)."""
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 6:
         raise InvalidDimensionError(f"qubit count must be in 1..6, got {N}")
-    dim = 2**N
     scale = 2.0 ** ((1 - N) / 2)
-    digits = tuple(np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
+    digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
     elements = [reduce(np.kron, _SIGMA[[int(c) for c in ds]], scale) for ds in digits]
-    identity = np.sqrt(2.0 ** (1 - N)) * np.eye(dim, dtype=complex)
-    return PauliTensorBasis(N=int(N), elements=_read_only(np.array(elements)),
-                            index_digits=digits, identity_element=_read_only(identity))
+    identity = np.sqrt(2.0 ** (1 - N)) * np.eye(2**N, dtype=complex)
+    return GeneratorBasis(d=2**int(N), elements=_read_only(np.array(elements)),
+                          identity_element=_read_only(identity))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def y_to_x_transform(N):
-    """Transform a with X_i = sum_j a_ij Y_j, a_ij = Tr(X_i Y_j)/2, N <= 3."""
+    """Read-only orthogonal matrix a with X_i = sum_j a_ij Y_j,
+    a_ij = Tr(X_i Y_j)/2, from the Pauli tensor to the Gell-Mann basis of
+    N <= 3 qubits."""
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 3:
         raise InvalidDimensionError(f"qubit count must be in 1..3, got {N}")
     a = np.einsum("iab,jba->ij", gellmann_basis(2**N).elements, pauli_tensor_basis(N).elements)
-    return BasisTransform(N=int(N), a=_read_only(a.real / 2.0))
+    return _read_only(a.real / 2.0)

@@ -11,13 +11,13 @@ import numpy as np
 from .basis import (
     CACHE_SIZE,
     GeneratorBasis,
-    PauliTensorBasis,
     _SIGMA,
     _read_only,
     gellmann_basis,
     pauli_tensor_basis,
 )
 from .errors import (
+    CohfactError,
     DimensionMismatchError,
     InvalidChannelError,
     NotAChannelError,
@@ -57,15 +57,6 @@ class TransferMatrix:
 
     d: int
     t: np.ndarray
-
-
-@dataclass(frozen=True)
-class AuxSolve:
-    """Solved coefficients of the auxiliary channel: c eps = q."""
-
-    N: int
-    q_vec: np.ndarray
-    eps: np.ndarray
 
 
 def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChannel:
@@ -458,15 +449,19 @@ def aux_coefficient_matrix(N) -> np.ndarray:
     return _read_only(reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N)))
 
 
-def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
-    """Solve c eps = q for the auxiliary channel steering rho onto the
-    family member chi * m in the Pauli tensor picture."""
-    N = basis.N
-    if rho.d != 2**N:
-        raise DimensionMismatchError(f"state d={rho.d} vs basis d={2**N}")
+def aux_solve(rho: DensityMatrix, m, chi, basis: GeneratorBasis) -> np.ndarray:
+    """Weights eps of the auxiliary channel steering rho onto the family
+    member chi * m, in the N-qubit Pauli tensor basis: the solution
+    eps = c q / 4 of c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu for
+    the source coordinates y. Weights that overflow come out non-finite."""
+    N = int(np.log2(basis.d))
+    if rho.d != basis.d or basis.d != 2**N:
+        raise DimensionMismatchError(f"state d={rho.d} vs Pauli tensor basis d={basis.d}")
     m = np.asarray(m, dtype=float)
     if m.shape != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
+    if not np.isfinite(chi):
+        raise CohfactError(f"chi must be finite, got chi={chi}")
     y = np.einsum("ab,iba->i", rho.m, basis.elements).real
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     dead = live & (np.abs(y) <= 1e-10)
@@ -478,24 +473,25 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> AuxSolve:
         )
     q = np.zeros(4**N)
     q[0] = 1.0
-    q[1:][live] = chi * m[live] / y[live]
-    return AuxSolve(N=N, q_vec=q, eps=aux_coefficient_matrix(N) @ q / 4.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # aux_channel rejects the non-finite
+        q[1:][live] = chi * m[live] / y[live]
+        return aux_coefficient_matrix(N) @ q / 4.0
 
 
-def aux_channel(rho: DensityMatrix, m, chi, basis: PauliTensorBasis) -> KrausChannel:
+def aux_channel(rho: DensityMatrix, m, chi, basis: GeneratorBasis) -> KrausChannel:
     """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu mapping
-    rho onto the family member with direction m and factor chi."""
-    sol = aux_solve(rho, m, chi, basis)
-    eps = sol.eps
-    if np.min(eps) < EPS_TOL:
+    rho onto the family member with direction m and factor chi; raises
+    NotAChannelError unless every weight is >= EPS_TOL (a NaN weight fails)."""
+    eps = aux_solve(rho, m, chi, basis)
+    if not np.all(eps >= EPS_TOL):
+        i = int(np.argmin(eps))  # the most negative weight, or the first NaN
         raise NotAChannelError(
-            f"no Kraus realization: solved weight eps[{int(np.argmin(eps))}] = {np.min(eps):.3e} < 0",
-            eps=eps,
-        )
+            f"no Kraus realization: solved weight eps[{i}] = {eps[i]:.3e} < 0", eps=eps)
     eps = np.clip(eps, 0.0, None)
     gens = np.concatenate(([basis.identity_element], basis.elements))
     ops = np.sqrt(eps)[:, None, None] * gens
-    return kraus_channel(ops[eps > 0], label="aux", params={"chi": float(chi), "N": basis.N})
+    return kraus_channel(ops[eps > 0], label="aux",
+                         params={"chi": float(chi), "N": int(np.log2(basis.d))})
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +510,7 @@ def _haar_unitaries(count, n, rng):
 def random_channel(d, k=None, seed=None) -> KrausChannel:
     """Random CPTP map from a Haar isometry on d*k dimensions (k Kraus
     operators via the stacked-block construction); default k = d^2."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     k = d * d if k is None else int(k)
     v = _haar_unitaries(1, d * k, rng)[0, :, :d]  # isometry; row block mu is E_mu
     return kraus_channel(v.reshape(k, d, d), label="random", params={"k": k})
@@ -523,7 +519,7 @@ def random_channel(d, k=None, seed=None) -> KrausChannel:
 def random_unital_channel(d, k=None, seed=None) -> KrausChannel:
     """Random unital CPTP map: a Dirichlet-weighted mixture of Haar
     unitaries (A = I, so the factorization condition holds)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     k = d * d if k is None else int(k)
     p = rng.dirichlet(np.ones(k))
     ops = np.sqrt(p)[:, None, None] * _haar_unitaries(k, d, rng)

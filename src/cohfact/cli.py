@@ -15,6 +15,7 @@ import numpy as np
 from . import io
 from .basis import gellmann_basis, pauli_tensor_basis
 from .channel import (
+    EPS_TOL,
     aux_channel,
     aux_solve,
     frozen_condition_check,
@@ -204,23 +205,31 @@ def cmd_verify(args):
 
 def _sample_reachable_target(N, rng, max_tries=200):
     """Draw (rho, m, chi) with all source coordinates live and eps >= 0,
-    halving chi while eps has a negative entry; an unreachable coordinate
-    does not depend on chi, so it moves on to the next draw."""
+    halving chi at most 59 times until every weight eps is >= EPS_TOL; a
+    draw with an unreachable coordinate (which does not depend on chi) or
+    with no feasible halving moves on to the next draw.
+
+    One aux_solve per draw gives every halving: q_0 = 1 and c[:, 0] =
+    2^(1-N), so the weights are affine in chi, eps(chi 2^-k) = 2^(-1-N) +
+    2^-k (eps(chi) - 2^(-1-N)), and chi 2^-k is exactly chi halved k times.
+    No channel is built here; verify_cascade's aux_channel call confirms
+    the choice, and should the two ever disagree at a rounding boundary it
+    raises NotAChannelError rather than pass."""
     ybasis = pauli_tensor_basis(N)
+    floor = 2.0 ** (-1 - N)
     for _ in range(max_tries):
         rho = random_state(2**N, rng)
         v = rng.standard_normal(4**N - 1)
         m = v / np.linalg.norm(v)
         chi = rng.uniform(0.01, 0.3)
-        for _ in range(60):
-            try:
-                aux_channel(rho, m, chi, ybasis)
-            except NotAChannelError:
-                chi *= 0.5
-                continue
-            except UnreachableTargetError:
-                break
-            return rho, m, chi
+        try:
+            eps = aux_solve(rho, m, chi, ybasis)
+        except UnreachableTargetError:
+            continue
+        halved = floor + 0.5 ** np.arange(60)[:, None] * (eps - floor)
+        feasible = np.all(halved >= EPS_TOL, axis=1)
+        if feasible.any():
+            return rho, m, chi * 0.5 ** int(np.argmax(feasible))
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
 
@@ -257,7 +266,7 @@ def cmd_construct_aux(args):
     m = _direction(args.target.split(","), 4**N - 1, "--target")
     ybasis = pauli_tensor_basis(N)
     try:
-        sol = aux_solve(rho, m, args.chi, ybasis)
+        eps = aux_solve(rho, m, args.chi, ybasis)
         ch = aux_channel(rho, m, args.chi, ybasis)
     except UnreachableTargetError as exc:
         print(f"error: unreachable coordinate {exc.index}: {exc}", file=sys.stderr)
@@ -266,8 +275,8 @@ def cmd_construct_aux(args):
         print(f"error: {exc}", file=sys.stderr)
         print("eps = " + ",".join(f"{v:.12g}" for v in exc.eps), file=sys.stderr)
         return 1
-    print("eps = " + ",".join(f"{v:.12g}" for v in sol.eps))
-    print(f"all_nonnegative = {str(bool(np.min(sol.eps) >= -1e-10)).lower()}")
+    print("eps = " + ",".join(f"{v:.12g}" for v in eps))
+    print(f"all_nonnegative = {str(bool(np.all(eps >= EPS_TOL))).lower()}")
     if args.out:
         io.save_channel(args.out, ch)
     return 0

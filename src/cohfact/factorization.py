@@ -160,7 +160,7 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
     sigma = apply(aux, rho)
     lhs = l1_from_density(apply(ch_f, sigma))
 
-    m_bar = y_to_x_transform(N).a @ m
+    m_bar = y_to_x_transform(N) @ m
     g = coherence_weight(m_bar, 2**N)
     if g <= 1e-12:
         raise NotApplicableError("target direction has no coherent part")

@@ -166,15 +166,11 @@ def probe_state(n, basis: GeneratorBasis) -> ProbeState:
     return ProbeState(n=n, chi_p=chi_p, state=state, physical=is_psd(state.m))
 
 
-def _rng(seed):
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def random_state(d, seed=None) -> DensityMatrix:
     """Random full-rank state G G^dag / Tr(G G^dag), G complex Gaussian."""
     if d < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix(d=d, m=m / np.trace(m).real)
@@ -223,5 +219,5 @@ def random_families(d, rngs):
 def random_family(d, seed=None) -> StateFamily:
     """Random unit direction with chi drawn uniformly until the member is
     PSD: the one-family case of random_families."""
-    n, chi = random_families(d, [_rng(seed)])
+    n, chi = random_families(d, [np.random.default_rng(seed)])
     return StateFamily(d=d, n=n[0], chi=float(chi[0]))

@@ -224,8 +224,9 @@ def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
         seen.append((rho.m, chi))
         if len(seen) == 1:
             raise UnreachableTargetError("dead coordinate", index=1)
+        return np.full(basis.d**2, 1.0 / basis.d**2)
 
-    monkeypatch.setattr(cli, "aux_channel", aux)
+    monkeypatch.setattr(cli, "aux_solve", aux)
     cli._sample_reachable_target(2, np.random.default_rng(0))
     assert len(seen) == 2
     assert not np.array_equal(seen[0][0], seen[1][0]) and seen[1][1] != seen[0][1] / 2

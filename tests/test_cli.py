@@ -210,6 +210,25 @@ def test_construct_aux_bad_target_exits_2(tmp_path, capsys, target):
     assert "--target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chi", ["nan", "inf", "-inf"])
+def test_construct_aux_non_finite_chi_exits_2(tmp_path, capsys, chi):
+    path = write_state(tmp_path, "rho.json", np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))
+    assert main(["construct-aux", "--state", path, "--target", "0.6,0,0.8", f"--chi={chi}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: chi must be finite, got chi={float(chi)}\n"
+
+
+def test_construct_aux_overflowing_chi_is_not_a_channel(tmp_path, capsys):
+    """Weights that overflow fail the weight rule (exit 1), with no NumPy
+    RuntimeWarning (the suite turns one into an error)."""
+    path = write_state(tmp_path, "rho.json", np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))
+    assert main(["construct-aux", "--state", path, "--target", "0.6,0,0.8", "--chi=1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no Kraus realization: solved weight eps[")
+
+
 @pytest.mark.parametrize("family", [
     {"d": 2, "n": [0.6, 0.8]},  # wrong length
     {"d": 3, "n": [1, 0, 0, 0, 0, 0, 0, 0]},  # d differs from the channel's
