@@ -92,18 +92,32 @@ def gellmann_basis(d):
                           identity_element=_read_only(identity))
 
 
+def _qubits(N, most):
+    """``N`` as an int if it is an integer qubit count in 1..most."""
+    if not isinstance(N, (int, np.integer)) or N < 1 or N > most:
+        raise InvalidDimensionError(f"qubit count must be in 1..{most}, got {N}")
+    return int(N)
+
+
+def qubit_count(d):
+    """Qubit count N of a d = 2^N dimensional system, 1 <= N <= 6."""
+    N = int(d).bit_length() - 1
+    if d < 1 or 2**N != d:
+        raise InvalidDimensionError(f"dimension must be a power of 2, got d={d}")
+    return _qubits(N, 6)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
     """Build the N-qubit Pauli tensor basis, 1 <= N <= 6: the generators
     Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}, where j_1 ... j_N are
     the base-4 digits of j, in numeric order (00..1), (00..2), ..., (33..3)."""
-    if not isinstance(N, (int, np.integer)) or N < 1 or N > 6:
-        raise InvalidDimensionError(f"qubit count must be in 1..6, got {N}")
+    N = _qubits(N, 6)
     scale = 2.0 ** ((1 - N) / 2)
     digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
     elements = [reduce(np.kron, _SIGMA[[int(c) for c in ds]], scale) for ds in digits]
     identity = np.sqrt(2.0 ** (1 - N)) * np.eye(2**N, dtype=complex)
-    return GeneratorBasis(d=2**int(N), elements=_read_only(np.array(elements)),
+    return GeneratorBasis(d=2**N, elements=_read_only(np.array(elements)),
                           identity_element=_read_only(identity))
 
 
@@ -112,7 +126,6 @@ def y_to_x_transform(N):
     """Read-only orthogonal matrix a with X_i = sum_j a_ij Y_j,
     a_ij = Tr(X_i Y_j)/2, from the Pauli tensor to the Gell-Mann basis of
     N <= 3 qubits."""
-    if not isinstance(N, (int, np.integer)) or N < 1 or N > 3:
-        raise InvalidDimensionError(f"qubit count must be in 1..3, got {N}")
+    N = _qubits(N, 3)
     a = np.einsum("iab,jba->ij", gellmann_basis(2**N).elements, pauli_tensor_basis(N).elements)
     return _read_only(a.real / 2.0)

@@ -10,11 +10,11 @@ import numpy as np
 
 from .basis import (
     CACHE_SIZE,
-    GeneratorBasis,
     _SIGMA,
     _read_only,
     gellmann_basis,
     pauli_tensor_basis,
+    qubit_count,
 )
 from .errors import (
     CohfactError,
@@ -130,18 +130,15 @@ def a_matrix(ch: KrausChannel) -> np.ndarray:
     return e @ e.conj().T
 
 
-def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferMatrix:
-    """Transfer matrix T_ij = Tr[E^dag(X_i) X_j]/2 in the given basis.
+def transfer_matrix(ch: KrausChannel) -> TransferMatrix:
+    """Transfer matrix T_ij = Tr[E^dag(X_i) X_j]/2 in the Gell-Mann basis.
 
     With G the rows vec(X_i) (X_0 first) and the superoperator
     S[(b,c),(a,d)] = sum_mu conj(E_mu[b,a]) E_mu[c,d], T = G S G^dag / 2
     (the X_j are Hermitian, so X_j[d,a] = conj(G[j,(a,d)])).
     """
-    if basis is None:
-        basis = gellmann_basis(ch.d)
     d = ch.d
-    if basis.d != d:
-        raise DimensionMismatchError(f"basis d={basis.d} vs channel d={d}")
+    basis = gellmann_basis(d)
     n = d * d
     g = np.concatenate(([basis.identity_element], basis.elements)).reshape(n, n)
     e = _one_channel(ch).reshape(-1, n)  # row mu is vec(E_mu)
@@ -154,20 +151,20 @@ def transfer_matrix(ch: KrausChannel, basis: GeneratorBasis = None) -> TransferM
     return TransferMatrix(d=ch.d, t=t.real)
 
 
-def theorem1_condition(T: TransferMatrix, tol=CONDITION_TOL) -> bool:
+def theorem1_condition(T: TransferMatrix) -> bool:
     """True iff T_k0 = 0 for every off-diagonal generator row k."""
     k_max = T.d * T.d - T.d
-    return bool(np.max(np.abs(T.t[1 : k_max + 1, 0])) <= tol)
+    return bool(np.max(np.abs(T.t[1 : k_max + 1, 0])) <= CONDITION_TOL)
 
 
-def corollary1_check(ch: KrausChannel, tol=CONDITION_TOL) -> bool:
+def corollary1_check(ch: KrausChannel) -> bool:
     """True iff A = sum E E^dag is diagonal."""
     a = a_matrix(ch)
     off = a - np.diag(np.diag(a))
-    return bool(np.max(np.abs(off)) <= tol)
+    return bool(np.max(np.abs(off)) <= CONDITION_TOL)
 
 
-def scalar_action_detect(T: TransferMatrix, subset, tol=CONDITION_TOL):
+def scalar_action_detect(T: TransferMatrix, subset):
     """Return q if T acts as q * identity on every row in ``subset``.
 
     ``subset`` holds 1-based off-diagonal generator indices. Returns None
@@ -182,36 +179,36 @@ def scalar_action_detect(T: TransferMatrix, subset, tol=CONDITION_TOL):
     q = T.t[k[0], k[0]]
     rows = T.t[k]  # each must be q on its own diagonal entry and 0 elsewhere
     own = np.arange(T.d * T.d) == k[:, None]
-    return float(q) if np.all(np.abs(np.where(own, rows - q, rows)) <= tol) else None
+    return float(q) if np.all(np.abs(np.where(own, rows - q, rows)) <= CONDITION_TOL) else None
 
 
-def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None, tol=CONDITION_TOL) -> bool:
+def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
 
     T^S must be block diagonal with orthogonal 2x2 blocks, read on the
-    coordinates the family populates (|n_i| > tol); without a family every
-    coordinate is populated. A pair with a populated coordinate must not
-    couple into populated coordinates outside its block, and its block's
-    Gram matrix b^T b must be I on the entries whose two columns are both
-    populated: with n_{2r} = 0 (or n_{2r-1} = 0) only one column has to
-    keep unit length.
+    coordinates the family populates (|n_i| > CONDITION_TOL); without a
+    family every coordinate is populated. A pair with a populated
+    coordinate must not couple into populated coordinates outside its
+    block, and its block's Gram matrix b^T b must be I on the entries whose
+    two columns are both populated: with n_{2r} = 0 (or n_{2r-1} = 0) only
+    one column has to keep unit length.
     """
     if fam is not None and fam.d != T.d:
         raise DimensionMismatchError(f"family d={fam.d} vs transfer matrix d={T.d}")
-    if not theorem1_condition(T, tol=tol):
+    if not theorem1_condition(T):
         raise NotApplicableError(
             "frozen-coherence check requires the factorization precondition T_k0 = 0"
         )
     n, d0 = T.d * T.d - 1, (T.d * T.d - T.d) // 2
-    populated = np.full(n, True) if fam is None else np.abs(np.asarray(fam.n, dtype=float)) > tol
+    populated = np.full(n, True) if fam is None else np.abs(np.asarray(fam.n, dtype=float)) > CONDITION_TOL
     pair = populated[: 2 * d0].reshape(d0, 2)
     rows = T.t[1 : 2 * d0 + 1, 1:].reshape(d0, 2, n)  # the two rows of each pair
     r = np.arange(d0)
     blocks = rows[:, :, : 2 * d0].reshape(d0, 2, d0, 2)[r, :, r]
     gram = blocks.swapaxes(1, 2) @ blocks - np.eye(2)
     coupled = pair.any(axis=1)[:, None] & populated & (np.arange(n) // 2 != r[:, None])
-    return bool(np.all(np.abs(rows.swapaxes(0, 1)[:, coupled]) <= tol)
-                and np.all(np.abs(gram[pair[:, :, None] & pair[:, None, :]]) <= tol))
+    return bool(np.all(np.abs(rows.swapaxes(0, 1)[:, coupled]) <= CONDITION_TOL)
+                and np.all(np.abs(gram[pair[:, :, None] & pair[:, None, :]]) <= CONDITION_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +402,7 @@ def make_named(name, d=2, params=None) -> KrausChannel:
     return KrausChannel(d=ch.d, kraus=ch.kraus, label=name, params=args)
 
 
-def validate_frozen_coefficients(eps, tol=CONDITION_TOL) -> bool:
+def validate_frozen_coefficients(eps) -> bool:
     """Frozen-coherence decision for a qubit Kraus set
     E_i = sum_j eps[i, j] sigma_j.
 
@@ -418,7 +415,7 @@ def validate_frozen_coefficients(eps, tol=CONDITION_TOL) -> bool:
         raise InvalidChannelError(f"expected a 4x4 coefficient table, got {eps.shape}")
     ch = kraus_channel(np.tensordot(eps, _SIGMA, 1))  # raises InvalidChannelError on completeness failure
     try:
-        return frozen_condition_check(transfer_matrix(ch), tol=tol)
+        return frozen_condition_check(transfer_matrix(ch))
     except NotApplicableError:
         return False
 
@@ -449,14 +446,13 @@ def aux_coefficient_matrix(N) -> np.ndarray:
     return _read_only(reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N)))
 
 
-def aux_solve(rho: DensityMatrix, m, chi, basis: GeneratorBasis) -> np.ndarray:
-    """Weights eps of the auxiliary channel steering rho onto the family
-    member chi * m, in the N-qubit Pauli tensor basis: the solution
-    eps = c q / 4 of c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu for
-    the source coordinates y. Weights that overflow come out non-finite."""
-    N = int(np.log2(basis.d))
-    if rho.d != basis.d or basis.d != 2**N:
-        raise DimensionMismatchError(f"state d={rho.d} vs Pauli tensor basis d={basis.d}")
+def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
+    """Weights eps of the auxiliary channel steering the d = 2^N state rho
+    onto the family member chi * m, in the N-qubit Pauli tensor basis:
+    eps = c q / 4 solves c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu
+    for the source coordinates y. Weights that overflow are non-finite."""
+    N = qubit_count(rho.d)
+    basis = pauli_tensor_basis(N)
     m = np.asarray(m, dtype=float)
     if m.shape != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
@@ -478,20 +474,23 @@ def aux_solve(rho: DensityMatrix, m, chi, basis: GeneratorBasis) -> np.ndarray:
         return aux_coefficient_matrix(N) @ q / 4.0
 
 
-def aux_channel(rho: DensityMatrix, m, chi, basis: GeneratorBasis) -> KrausChannel:
-    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu mapping
-    rho onto the family member with direction m and factor chi; raises
-    NotAChannelError unless every weight is >= EPS_TOL (a NaN weight fails)."""
-    eps = aux_solve(rho, m, chi, basis)
+def aux_channel(rho: DensityMatrix, m, chi) -> KrausChannel:
+    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
+    of the Pauli tensor basis, mapping rho onto the family member with
+    direction m and factor chi; raises NotAChannelError unless every weight
+    is >= EPS_TOL (a NaN weight fails)."""
+    eps = aux_solve(rho, m, chi)
     if not np.all(eps >= EPS_TOL):
         i = int(np.argmin(eps))  # the most negative weight, or the first NaN
         raise NotAChannelError(
             f"no Kraus realization: solved weight eps[{i}] = {eps[i]:.3e} < 0", eps=eps)
     eps = np.clip(eps, 0.0, None)
+    N = qubit_count(rho.d)
+    basis = pauli_tensor_basis(N)
     gens = np.concatenate(([basis.identity_element], basis.elements))
     ops = np.sqrt(eps)[:, None, None] * gens
     return kraus_channel(ops[eps > 0], label="aux",
-                         params={"chi": float(chi), "N": int(np.log2(basis.d))})
+                         params={"chi": float(chi), "N": N})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import io
-from .basis import gellmann_basis, pauli_tensor_basis
+from .basis import qubit_count
 from .channel import (
     EPS_TOL,
     aux_channel,
@@ -159,9 +159,7 @@ def _verify_corollary2(ch, args):
 
 
 def _verify_cascade(ch, args):
-    N = int(np.log2(ch.d))
-    if 2**N != ch.d:
-        raise CohfactError(f"cascade requires a 2^N-dimensional channel, got d={ch.d}")
+    N = qubit_count(ch.d)
     t = None
     for rng in _trial_rngs(args.seed, range(args.trials)):
         rho, m, chi = _sample_reachable_target(N, rng)
@@ -215,7 +213,6 @@ def _sample_reachable_target(N, rng, max_tries=200):
     No channel is built here; verify_cascade's aux_channel call confirms
     the choice, and should the two ever disagree at a rounding boundary it
     raises NotAChannelError rather than pass."""
-    ybasis = pauli_tensor_basis(N)
     floor = 2.0 ** (-1 - N)
     for _ in range(max_tries):
         rho = random_state(2**N, rng)
@@ -223,7 +220,7 @@ def _sample_reachable_target(N, rng, max_tries=200):
         m = v / np.linalg.norm(v)
         chi = rng.uniform(0.01, 0.3)
         try:
-            eps = aux_solve(rho, m, chi, ybasis)
+            eps = aux_solve(rho, m, chi)
         except UnreachableTargetError:
             continue
         halved = floor + 0.5 ** np.arange(60)[:, None] * (eps - floor)
@@ -247,7 +244,7 @@ def cmd_sweep(args):
                            f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
     grid = np.arange(a, b + step / 2, step)
     d = rho.d if args.d is None else io.bounded_dimension(args.d, "--d")
-    traj = freeze_trajectory(args.channel_name, grid, rho, d=d)
+    traj = freeze_trajectory(args.channel_name, grid, rho, d=d, tol=args.tol)
     # 12 significant digits, the same text as formatting io.fmt12 of each value
     rows = map("{:.12g},{:.12g},{:.12g}\n".format,
                traj.params.tolist(), traj.values.tolist(), traj.purities.tolist())
@@ -260,14 +257,11 @@ def cmd_sweep(args):
 
 def cmd_construct_aux(args):
     rho = io.load_state(args.state)
-    N = int(np.log2(rho.d))
-    if 2**N != rho.d:
-        raise CohfactError(f"auxiliary channel needs a 2^N-dimensional state, got d={rho.d}")
+    N = qubit_count(rho.d)
     m = _direction(args.target.split(","), 4**N - 1, "--target")
-    ybasis = pauli_tensor_basis(N)
     try:
-        eps = aux_solve(rho, m, args.chi, ybasis)
-        ch = aux_channel(rho, m, args.chi, ybasis)
+        eps = aux_solve(rho, m, args.chi)
+        ch = aux_channel(rho, m, args.chi)
     except UnreachableTargetError as exc:
         print(f"error: unreachable coordinate {exc.index}: {exc}", file=sys.stderr)
         return 1
@@ -284,7 +278,7 @@ def cmd_construct_aux(args):
 
 def cmd_transfer(args):
     ch = io.load_channel(args.channel)
-    t = transfer_matrix(ch, gellmann_basis(ch.d))
+    t = transfer_matrix(ch)
     doc = json.dumps(io.transfer_to_dict(t))
     with _output(args.out) as fh:
         _writeln(fh, doc)
@@ -319,7 +313,7 @@ def _load_family(path, d):
 
 def cmd_freeze_check(args):
     ch = io.load_channel(args.channel)
-    t = transfer_matrix(ch, gellmann_basis(ch.d))
+    t = transfer_matrix(ch)
     fam = _load_family(args.family, ch.d) if args.family else None
     try:
         frozen = frozen_condition_check(t, fam)

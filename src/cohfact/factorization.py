@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
+from .basis import gellmann_basis, pauli_tensor_basis, qubit_count, y_to_x_transform
 from .channel import (
     CONDITION_TOL,
     KrausChannel,
@@ -73,11 +73,10 @@ def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None)
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
-    basis = gellmann_basis(ch.d)
     n = np.asarray(n, dtype=float)
     chi = np.asarray(chi, dtype=float)
     if t is None:
-        t = transfer_matrix(ch, basis)
+        t = transfer_matrix(ch)
     if measure == "l1":
         g = coherence_weight(n, ch.d)
         if np.any(g <= 1e-12):
@@ -89,7 +88,7 @@ def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None)
         chi_p, measure_fn = np.full(len(chi), np.sqrt(2.0)), purity_measure
         condition = bool(np.max(np.abs(t.t[1:, 0])) <= CONDITION_TOL)
     s = len(chi)
-    states = bloch_compose(np.concatenate((chi[:, None] * n, chi_p[:, None] * n)), basis)
+    states = bloch_compose(np.concatenate((chi[:, None] * n, chi_p[:, None] * n)), gellmann_basis(ch.d))
     before = measure_fn(states.m[:s])
     after = measure_fn(apply(ch, states).m)
     lhs, rhs = after[:s], before * after[s:]
@@ -133,7 +132,7 @@ def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = 
     if not subset.size:
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     if t is None:
-        t = transfer_matrix(ch, basis)
+        t = transfer_matrix(ch)
     q = scalar_action_detect(t, subset)
     if q is None:
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
@@ -151,12 +150,9 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
     The probe factor chi_p comes from the direction rewritten in the
     Gell-Mann ordering via the Y->X transform; ``t`` is the transfer matrix
     of E_F, built when not given."""
-    N = int(np.log2(rho.d))
-    if 2**N != rho.d:
-        raise NotApplicableError(f"cascade requires a 2^N-dimensional state, got d={rho.d}")
-    ybasis = pauli_tensor_basis(N)
+    N = qubit_count(rho.d)
     m = np.asarray(m, dtype=float)
-    aux = aux_channel(rho, m, chi, ybasis)
+    aux = aux_channel(rho, m, chi)
     sigma = apply(aux, rho)
     lhs = l1_from_density(apply(ch_f, sigma))
 
@@ -165,7 +161,7 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
     if g <= 1e-12:
         raise NotApplicableError("target direction has no coherent part")
     chi_p = 1.0 / g
-    probe = bloch_compose(chi_p * m, ybasis)
+    probe = bloch_compose(chi_p * m, pauli_tensor_basis(N))
     rhs = l1_from_density(sigma) * l1_from_density(apply(ch_f, probe))
     return FactorizationReport(
         lhs=lhs,

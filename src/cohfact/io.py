@@ -82,11 +82,11 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     return {"d": rho.d, "matrix": _matrix_to_json(rho.m)}
 
 
-def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
+def state_from_dict(spec: dict) -> DensityMatrix:
     spec = _object(spec, "state spec")
     d = _dimension(spec, "state", None)
     if "matrix" in spec:
-        rho = density_matrix(_complex_from_json(spec["matrix"], "state 'matrix'"), validate=validate)
+        rho = density_matrix(_complex_from_json(spec["matrix"], "state 'matrix'"))
     elif "bloch" in spec:
         if d is None:
             raise CohfactError("state with a 'bloch' entry needs a 'd' entry")
@@ -99,7 +99,7 @@ def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
         if not np.all(np.abs(x) <= np.sqrt(2.0)):  # NaN fails too
             raise CohfactError("state 'bloch' entries must be finite and at most sqrt(2) in size, "
                                "as every state's coordinates are")
-        rho = bloch_compose(x, gellmann_basis(d), validate=validate)
+        rho = bloch_compose(x, gellmann_basis(d), validate=True)
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
     if d is not None and d != rho.d:
@@ -107,9 +107,9 @@ def state_from_dict(spec: dict, validate=True) -> DensityMatrix:
     return rho
 
 
-def load_state(path, validate=True) -> DensityMatrix:
+def load_state(path) -> DensityMatrix:
     with open(path) as fh:
-        return state_from_dict(json.load(fh), validate=validate)
+        return state_from_dict(json.load(fh))
 
 
 def save_state(path, rho: DensityMatrix):

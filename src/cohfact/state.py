@@ -62,18 +62,15 @@ def purity_radius(d):
     return np.sqrt(2.0 * (d - 1) / d)
 
 
-def density_matrix(m, validate=True):
-    """Wrap a matrix as a DensityMatrix, optionally validating it."""
+def density_matrix(m):
+    """Wrap a matrix as a validated DensityMatrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
-    rho = DensityMatrix(d=m.shape[0], m=m)
-    if validate:
-        validate_density(rho)
-    return rho
+    return validate_density(DensityMatrix(d=m.shape[0], m=m))
 
 
-def validate_density(rho, psd_tol=PSD_TOL):
+def validate_density(rho):
     """Raise UnphysicalStateError unless rho is finite, Hermitian, unit trace, PSD."""
     m = rho.m
     if m.ndim != 2:
@@ -89,7 +86,7 @@ def validate_density(rho, psd_tol=PSD_TOL):
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         raise UnphysicalStateError(f"trace is {np.trace(m)}, expected 1")
     w = np.linalg.eigvalsh(m)
-    if w[0] < psd_tol:
+    if w[0] < PSD_TOL:
         raise UnphysicalStateError(
             f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})",
             min_eigenvalue=float(w[0]),
@@ -97,9 +94,9 @@ def validate_density(rho, psd_tol=PSD_TOL):
     return rho
 
 
-def is_psd(m, psd_tol=PSD_TOL):
+def is_psd(m):
     """PSD flag of a d x d matrix, or the flags of a (s, d, d) stack."""
-    ok = np.linalg.eigvalsh(np.asarray(m))[..., 0] >= psd_tol
+    ok = np.linalg.eigvalsh(np.asarray(m))[..., 0] >= PSD_TOL
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -130,11 +127,9 @@ def bloch_compose(x, basis: GeneratorBasis, validate=False) -> DensityMatrix:
     return rho
 
 
-def family_member(fam: StateFamily, basis: GeneratorBasis, validate=False) -> DensityMatrix:
+def family_member(fam: StateFamily) -> DensityMatrix:
     """Density matrix of rho^n at the family's chi."""
-    if fam.d != basis.d:
-        raise DimensionMismatchError(f"family d={fam.d} vs basis d={basis.d}")
-    return bloch_compose(fam.chi * fam.n, basis, validate=validate)
+    return bloch_compose(fam.chi * fam.n, gellmann_basis(fam.d))
 
 
 def coherence_weight(n, d):
@@ -146,14 +141,14 @@ def coherence_weight(n, d):
     return float(g) if g.ndim == 0 else g
 
 
-def probe_state(n, basis: GeneratorBasis) -> ProbeState:
-    """Probe state of the family direction n: chi_p = 1/g(n^s), C_l1 = 1.
+def probe_state(n, d) -> ProbeState:
+    """Probe state of the family direction n of a d-dimensional system:
+    chi_p = 1/g(n^s), C_l1 = 1.
 
     Probes with chi_p beyond the purity radius are returned flagged
     ``physical=False`` rather than rejected.
     """
     n = np.asarray(n, dtype=float)
-    d = basis.d
     if n.shape != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
     g = coherence_weight(n, d)
@@ -162,7 +157,7 @@ def probe_state(n, basis: GeneratorBasis) -> ProbeState:
             "direction has no coherent part (g = 0); probe state undefined"
         )
     chi_p = 1.0 / g
-    state = bloch_compose(chi_p * n, basis, validate=False)
+    state = bloch_compose(chi_p * n, gellmann_basis(d))
     return ProbeState(n=n, chi_p=chi_p, state=state, physical=is_psd(state.m))
 
 
@@ -176,9 +171,9 @@ def random_state(d, seed=None) -> DensityMatrix:
     return DensityMatrix(d=d, m=m / np.trace(m).real)
 
 
-def chi_interval(n, basis: GeneratorBasis):
+def chi_interval(n, d):
     """Closed-form range lo <= chi <= hi of the physical members of the
-    families with the unit directions in the rows of ``n``.
+    d-dimensional families with the unit directions in the rows of ``n``.
 
     I/d + (chi/2) n.X has eigenvalues 1/d + (chi/2) lam, with lam those of
     n.X (lam_min < 0 < lam_max for a traceless n.X != 0), so it passes the
@@ -186,8 +181,8 @@ def chi_interval(n, basis: GeneratorBasis):
     (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
     J. Phys. A 41, 235303 (2008)). Returns the arrays (lo, hi).
     """
-    lam = np.linalg.eigvalsh(np.tensordot(np.asarray(n, dtype=float), basis.elements, 1))
-    c = 2.0 * (1.0 / basis.d - PSD_TOL)
+    lam = np.linalg.eigvalsh(np.tensordot(np.asarray(n, dtype=float), gellmann_basis(d).elements, 1))
+    c = 2.0 * (1.0 / d - PSD_TOL)
     return -c / lam[..., -1], c / -lam[..., 0]
 
 
@@ -203,7 +198,7 @@ def random_families(d, rngs):
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
     v = np.array([rng.standard_normal(d * d - 1) for rng in rngs])
     n = v / np.linalg.norm(v, axis=1)[:, None]
-    lo, hi = chi_interval(n, gellmann_basis(d))
+    lo, hi = chi_interval(n, d)
     bound = purity_radius(d)
     chi = np.empty(len(n))
     for i, rng in enumerate(rngs):

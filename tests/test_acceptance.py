@@ -114,16 +114,15 @@ def test_criterion_4_frozen_coherence():
                 rho = random_state(2, rng)
                 traj = freeze_trajectory(f"frozen_{variant}", grid, rho, params={"sign": sign})
                 worst = np.maximum(worst, traj.spread)
-    b = gellmann_basis(2)
     for name, zero_idx in (("bit_flip", 1), ("bit_phase_flip", 0)):
         for _ in range(20):
             n = rng.standard_normal(3)
             n[zero_idx] = 0.0
             n /= np.linalg.norm(n)
             chi = rng.uniform(0.05, 0.9)
-            if not is_psd(family_member(StateFamily(d=2, n=n, chi=chi), b).m):
+            if not is_psd(family_member(StateFamily(d=2, n=n, chi=chi)).m):
                 chi *= 0.5
-            rho = family_member(StateFamily(d=2, n=n, chi=chi), b)
+            rho = family_member(StateFamily(d=2, n=n, chi=chi))
             traj = freeze_trajectory(name, grid, rho)
             worst = np.maximum(worst, traj.spread)
     _report("4 frozen-coherence", worst <= 1e-9, f"max spread = {worst:.3e}")
@@ -140,7 +139,7 @@ def _reachable_targets(N, count, seed):
         chi = rng.uniform(0.005, 0.2)
         for _ in range(60):
             try:
-                ch = aux_channel(rho, m, chi, yb)
+                ch = aux_channel(rho, m, chi)
             except NotAChannelError:
                 chi *= 0.5
                 continue
@@ -192,7 +191,7 @@ def test_criterion_6_dual_picture_and_transfer():
         for _ in range(167):
             ch = random_channel(d, k=d, seed=rng)
             rho = random_state(d, rng)
-            t = transfer_matrix(ch, b)
+            t = transfer_matrix(ch)
             xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b).x])
             got = bloch_decompose(apply(ch, rho), b).x
             worst_t = np.maximum(worst_t, float(np.max(np.abs((t.t @ xa)[1:] - got))))
@@ -269,11 +268,10 @@ def test_criterion_9_probe_contract():
     flags_consistent = True
     both_seen = set()
     for d in (2, 3, 4):
-        b = gellmann_basis(d)
         rng = np.random.default_rng(9000 + d)
         for _ in range(500):
             v = rng.standard_normal(d * d - 1)
-            p = probe_state(v / np.linalg.norm(v), b)
+            p = probe_state(v / np.linalg.norm(v), d)
             worst = np.maximum(worst, abs(l1_from_density(p.state) - 1.0))
             w_min = float(np.linalg.eigvalsh(p.state.m)[0])
             flags_consistent = flags_consistent and (p.physical == (w_min >= -1e-9))

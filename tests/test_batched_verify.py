@@ -56,10 +56,10 @@ def reference_random_family(d, rng):
 def reference_verify(measure, ch, fam):
     """(lhs, rhs, probe_physical, condition_held) of one family."""
     basis = gellmann_basis(fam.d)
-    member = family_member(fam, basis)
-    t = transfer_matrix(ch, basis)
+    member = family_member(fam)
+    t = transfer_matrix(ch)
     if measure == "l1":
-        probe, f = probe_state(fam.n, basis).state, l1_from_density
+        probe, f = probe_state(fam.n, fam.d).state, l1_from_density
         condition = theorem1_condition(t)
     else:
         probe, f = bloch_compose(np.sqrt(2.0) * fam.n, basis), purity_measure
@@ -143,7 +143,7 @@ def test_chi_interval_agrees_with_psd_check(d, seed):
     basis = gellmann_basis(d)
     v = rng.standard_normal(d * d - 1)
     n = v / np.linalg.norm(v)
-    lo, hi = chi_interval(n[None], basis)
+    lo, hi = chi_interval(n[None], d)
     assert lo[0] < 0 < hi[0]
     bound = purity_radius(d)
     edges = np.array([lo[0], hi[0]])
@@ -190,9 +190,9 @@ def test_verify_families_takes_a_stack(capsys):
 def test_transfer_matrix_runs_once_per_verify_run(tmp_path, monkeypatch, capsys, kind, extra):
     calls = []
 
-    def counted(ch, basis=None):
+    def counted(ch):
         calls.append(ch.d)
-        return transfer_matrix(ch, basis)
+        return transfer_matrix(ch)
 
     for mod in (cli, factorization):
         monkeypatch.setattr(mod, "transfer_matrix", counted)
@@ -220,11 +220,11 @@ def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
     new draw instead of halving chi."""
     seen = []
 
-    def aux(rho, m, chi, basis):
+    def aux(rho, m, chi):
         seen.append((rho.m, chi))
         if len(seen) == 1:
             raise UnreachableTargetError("dead coordinate", index=1)
-        return np.full(basis.d**2, 1.0 / basis.d**2)
+        return np.full(rho.d**2, 1.0 / rho.d**2)
 
     monkeypatch.setattr(cli, "aux_solve", aux)
     cli._sample_reachable_target(2, np.random.default_rng(0))

@@ -25,6 +25,7 @@ from cohfact.channel import (
     validate_frozen_coefficients,
 )
 from cohfact.errors import (
+    CohfactError,
     InvalidChannelError,
     NotAChannelError,
     NotApplicableError,
@@ -122,7 +123,7 @@ def test_transfer_consistency_with_apply(d):
     for _ in range(50):
         ch = random_channel(d, seed=rng)
         rho = random_state(d, rng)
-        t = transfer_matrix(ch, b)
+        t = transfer_matrix(ch)
         xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b).x])
         got = bloch_decompose(apply(ch, rho), b).x
         np.testing.assert_allclose(t.t @ xa, np.concatenate([[np.sqrt(2.0 / d)], got]), atol=1e-11)
@@ -147,8 +148,13 @@ def test_corollary1_cases():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_corollary1_equivalent_to_theorem1(d):
     rng = np.random.default_rng(d * 11)
-    for i in range(30):
-        ch = random_channel(d, seed=rng) if i % 3 else random_unital_channel(d, seed=rng)
+    channels = [random_channel(d, seed=rng) if i % 3 else random_unital_channel(d, seed=rng)
+                for i in range(30)]
+    if d == 4:  # amplitude damping (0.5) on each qubit: non-unital with A diagonal
+        ad = make_named("amplitude_damping", params={"gamma": 0.5}).kraus
+        channels.append(kraus_channel([np.kron(a, b) for a in ad for b in ad]))
+        assert corollary1_check(channels[-1])
+    for ch in channels:
         assert corollary1_check(ch) == theorem1_condition(transfer_matrix(ch))
 
 
@@ -346,30 +352,35 @@ def test_aux_identity_target():
     yb = pauli_tensor_basis(1)
     rho = random_state(2, 3)
     y = np.array([np.trace(rho.m @ e).real for e in yb.elements])
-    eps = aux_solve(rho, y / np.linalg.norm(y), np.linalg.norm(y), yb)
+    eps = aux_solve(rho, y / np.linalg.norm(y), np.linalg.norm(y))
     np.testing.assert_allclose(eps, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_aux_shrink_example():
     # hand-solved 4x4 system: q = (1, 0.5, 0, 0), eps = c q / 4
     b = gellmann_basis(2)
-    yb = pauli_tensor_basis(1)
     rho = density_matrix(np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex))  # y = (0.8, 0, 0)
-    eps = aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.4, yb)
+    eps = aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.4)
     q = np.array([1.0, 0.5, 0.0, 0.0])
     np.testing.assert_allclose(eps, aux_coefficient_matrix(1) @ q / 4, atol=1e-14)
     np.testing.assert_allclose(eps, [0.375, 0.375, 0.125, 0.125], atol=1e-14)
-    ch = aux_channel(rho, np.array([1.0, 0.0, 0.0]), 0.4, yb)
+    ch = aux_channel(rho, np.array([1.0, 0.0, 0.0]), 0.4)
     out = bloch_decompose(apply(ch, rho), b)
     np.testing.assert_allclose(out.x, [0.4, 0.0, 0.0], atol=1e-12)
 
 
 def test_aux_unreachable_target():
-    yb = pauli_tensor_basis(1)
     rho = density_matrix(np.array([[0.9, 0.0], [0.0, 0.1]], dtype=complex))  # y = (0, 0, 0.8)
     with pytest.raises(UnreachableTargetError) as exc:
-        aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.2, yb)
+        aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.2)
     assert exc.value.index == 1
+
+
+def test_aux_needs_a_power_of_2_dimension():
+    rho = random_state(3, 0)
+    for fn in (aux_solve, aux_channel):
+        with pytest.raises(CohfactError):
+            fn(rho, np.eye(8)[0], 0.1)
 
 
 def _aux_q_reference(rho, m, chi, basis):
@@ -402,19 +413,18 @@ def test_aux_solve_matches_coordinate_loop(N):
         if isinstance(want, int):
             dead_seen += 1
             with pytest.raises(UnreachableTargetError) as exc:
-                aux_solve(rho, m, chi, yb)
+                aux_solve(rho, m, chi)
             assert exc.value.index == want
         else:
-            np.testing.assert_array_equal(aux_solve(rho, m, chi, yb),
+            np.testing.assert_array_equal(aux_solve(rho, m, chi),
                                           aux_coefficient_matrix(N) @ want / 4)
     assert 0 < dead_seen < 60
 
 
 def test_aux_negative_eps_rejected():
-    yb = pauli_tensor_basis(1)
     rho = density_matrix(np.array([[0.5, 0.05], [0.05, 0.5]], dtype=complex))  # y = (0.1, 0, 0)
     with pytest.raises(NotAChannelError) as exc:
-        aux_channel(rho, np.array([1.0, 0.0, 0.0]), 1.0, yb)  # q_1 = 10
+        aux_channel(rho, np.array([1.0, 0.0, 0.0]), 1.0)  # q_1 = 10
     assert exc.value.eps is not None
 
 
@@ -428,7 +438,7 @@ def test_aux_n2_frobenius():
         m = v / np.linalg.norm(v)
         chi = rng.uniform(0.005, 0.05)
         try:
-            ch = aux_channel(rho, m, chi, yb)
+            ch = aux_channel(rho, m, chi)
         except NotAChannelError:
             continue
         hits += 1

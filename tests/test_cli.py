@@ -153,6 +153,13 @@ def test_sweep_depolarizing_on_mixed_is_zero(tmp_path):
     assert all(float(c) == 0.0 for _, c, _ in rows)
 
 
+def test_sweep_frozen_flag_uses_the_global_tol(plus_file, capsys):
+    # phase damping of |+> over q = 0, 0.5, 1 spreads the coherence by 1
+    for tol, frozen in (("10", "true"), ("0.5", "false"), ("1e-9", "false")):
+        assert main(["--tol", tol, "sweep", "phase_damping", "0:1:0.5", "--state", plus_file]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"# frozen={frozen} spread=1", tol
+
+
 def test_sweep_bad_range(tmp_path, plus_file):
     for bad in ("nonsense", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
         assert main(["sweep", "phase_damping", bad, "--state", plus_file]) == 2, bad

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohfact.basis import gellmann_basis, pauli_tensor_basis
+from cohfact.basis import gellmann_basis
 from cohfact.channel import (
     apply,
     aux_channel,
@@ -46,7 +46,7 @@ def test_decompose_family():
     fam = StateFamily(d=2, n=np.array([0.6, 0.8, 0.0]), chi=0.5)
     g = coherence_weight(fam.n, 2)
     assert abs(g - 1.0) < 1e-15
-    member = family_member(fam, gellmann_basis(2))
+    member = family_member(fam)
     assert abs(l1_from_density(member) - fam.chi * g) < 1e-12
 
 
@@ -56,7 +56,7 @@ def test_theorem1_identity_channel():
     rep = verify_theorem1(ident, fam)
     assert rep.condition_held
     assert rep.abs_err < 1e-12
-    member = family_member(fam, gellmann_basis(3))
+    member = family_member(fam)
     assert abs(rep.lhs - l1_from_density(member)) < 1e-12
 
 
@@ -102,7 +102,7 @@ def test_channel_linearity_on_coherence_coordinates(d):
         ch = random_unital_channel(d, seed=rng)
         fam = random_family(d, rng)
         out_n = bloch_decompose(apply(ch, bloch_compose(fam.n, b)), b).x
-        out_chi = bloch_decompose(apply(ch, family_member(fam, b)), b).x
+        out_chi = bloch_decompose(apply(ch, family_member(fam)), b).x
         np.testing.assert_allclose(out_chi[:n_off], fam.chi * out_n[:n_off], atol=1e-11)
 
 
@@ -171,7 +171,6 @@ def test_corollary2_not_applicable_without_scalar_action():
 
 
 def _reachable_target(N, rng):
-    yb = pauli_tensor_basis(N)
     while True:
         rho = random_state(2**N, rng)
         v = rng.standard_normal(4**N - 1)
@@ -179,7 +178,7 @@ def _reachable_target(N, rng):
         chi = rng.uniform(0.005, 0.1)
         for _ in range(40):
             try:
-                aux_channel(rho, m, chi, yb)
+                aux_channel(rho, m, chi)
                 return rho, m, chi
             except NotAChannelError:
                 chi *= 0.5
@@ -199,7 +198,7 @@ def test_cascade_identity_reduces_to_aux_coherence():
     rho, m, chi = _reachable_target(2, rng)
     ident = kraus_channel([np.eye(4, dtype=complex)])
     rep = verify_cascade(ident, rho, m, chi)
-    aux = aux_channel(rho, m, chi, pauli_tensor_basis(2))
+    aux = aux_channel(rho, m, chi)
     assert abs(rep.lhs - l1_from_density(apply(aux, rho))) < 1e-12
     assert rep.abs_err <= 1e-9
 
@@ -223,9 +222,8 @@ def test_freeze_trajectory_frozen_xy():
 
 
 def test_freeze_trajectory_bit_flip_family():
-    b = gellmann_basis(2)
     fam = StateFamily(d=2, n=np.array([0.6, 0.0, 0.8]), chi=0.5)
-    rho = family_member(fam, b)
+    rho = family_member(fam)
     traj = freeze_trajectory("bit_flip", np.linspace(0, 1, 101), rho)
     assert traj.frozen
 

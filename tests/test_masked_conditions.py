@@ -51,7 +51,7 @@ def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
 
 
 def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
-    if not theorem1_condition(T, tol=tol):
+    if not theorem1_condition(T):
         raise NotApplicableError("factorization precondition fails")
     d = T.d
     d0 = (d * d - d) // 2

@@ -213,7 +213,7 @@ def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     preserving, has a PSD Choi matrix, and maps its source onto the target."""
     rho, m, chi = cli._sample_reachable_target(N, np.random.default_rng(seed))
     ybasis = pauli_tensor_basis(N)
-    ch = aux_channel(rho, m, chi, ybasis)
+    ch = aux_channel(rho, m, chi)
     d = 2**N
     v = ch.kraus.reshape(-1, d)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)

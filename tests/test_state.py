@@ -91,24 +91,22 @@ def test_dimension_mismatch():
 
 
 def test_family_member_trivials():
-    b = gellmann_basis(3)
     fam = StateFamily(d=3, n=np.eye(8)[0], chi=0.0)
-    np.testing.assert_allclose(family_member(fam, b).m, np.eye(3) / 3)
-    b2 = gellmann_basis(2)
+    np.testing.assert_allclose(family_member(fam).m, np.eye(3) / 3)
     fam2 = StateFamily(d=2, n=np.array([1.0, 0, 0]), chi=1.0)
-    np.testing.assert_allclose(family_member(fam2, b2).m, plus_state().m, atol=1e-14)
+    np.testing.assert_allclose(family_member(fam2).m, plus_state().m, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_family_purity_relation(d):
     for seed in range(5):
         fam = random_family(d, seed)
-        rho = family_member(fam, gellmann_basis(d))
+        rho = family_member(fam)
         assert abs(np.trace(rho.m @ rho.m).real - (fam.chi**2 / 2 + 1 / d)) < 1e-12
 
 
 def test_probe_qubit_x_direction():
-    p = probe_state(np.array([1.0, 0.0, 0.0]), gellmann_basis(2))
+    p = probe_state(np.array([1.0, 0.0, 0.0]), 2)
     assert abs(p.chi_p - 1.0) < 1e-15
     assert p.physical
     np.testing.assert_allclose(p.state.m, plus_state().m, atol=1e-14)
@@ -116,7 +114,7 @@ def test_probe_qubit_x_direction():
 
 def test_probe_formal_flag():
     # chi_p = 1/0.6 = 5/3 exceeds the qubit Bloch ball
-    p = probe_state(np.array([0.6, 0.0, 0.8]), gellmann_basis(2))
+    p = probe_state(np.array([0.6, 0.0, 0.8]), 2)
     assert abs(p.chi_p - 5.0 / 3.0) < 1e-12
     assert not p.physical
     assert np.linalg.eigvalsh(p.state.m)[0] < -1e-9
@@ -125,11 +123,10 @@ def test_probe_formal_flag():
 def test_probe_coherence_is_one():
     rng = np.random.default_rng(0)
     for d in (2, 3, 4):
-        b = gellmann_basis(d)
         for _ in range(20):
             v = rng.standard_normal(d * d - 1)
             n = v / np.linalg.norm(v)
-            p = probe_state(n, b)
+            p = probe_state(n, d)
             assert abs(l1_from_density(p.state) - 1.0) < 1e-12
 
 
@@ -137,7 +134,7 @@ def test_probe_incoherent_direction_rejected():
     n = np.zeros(8)
     n[6] = 1.0  # purely diagonal direction
     with pytest.raises(IncoherentDirectionError):
-        probe_state(n, gellmann_basis(3))
+        probe_state(n, 3)
 
 
 def test_coherence_weight_uses_offdiagonal_pairs_only():
@@ -173,7 +170,7 @@ def test_random_state_batch_validity():
 def test_random_family_members_physical():
     for seed in range(20):
         fam = random_family(3, seed)
-        validate_density(family_member(fam, gellmann_basis(3)))
+        validate_density(family_member(fam))
         assert abs(np.linalg.norm(fam.n) - 1.0) < 1e-12
         assert abs(fam.chi) <= purity_radius(3)
 
@@ -193,7 +190,7 @@ class _CountingGenerator(np.random.Generator):
 
 
 def test_random_family_draws_are_bounded(monkeypatch):
-    def empty_interval(n, basis):
+    def empty_interval(n, d):
         return np.ones(len(n)), -np.ones(len(n))  # lo > hi: no chi qualifies
 
     monkeypatch.setattr(state, "chi_interval", empty_interval)

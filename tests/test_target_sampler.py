@@ -23,7 +23,6 @@ from cohfact.state import DensityMatrix, random_state
 
 
 def reference_sample_reachable_target(N, rng, max_tries=200):
-    ybasis = pauli_tensor_basis(N)
     for _ in range(max_tries):
         rho = cli.random_state(2**N, rng)
         v = rng.standard_normal(4**N - 1)
@@ -31,7 +30,7 @@ def reference_sample_reachable_target(N, rng, max_tries=200):
         chi = rng.uniform(0.01, 0.3)
         for _ in range(60):
             try:
-                aux_channel(rho, m, chi, ybasis)
+                aux_channel(rho, m, chi)
             except NotAChannelError:
                 chi *= 0.5
                 continue
@@ -82,9 +81,9 @@ def test_compared_draws_reach_every_path():
     comparison is not only on one path."""
     seen = set()
 
-    def spy(rho, m, chi, basis):
+    def spy(rho, m, chi):
         try:
-            eps = aux_solve(rho, m, chi, basis)
+            eps = aux_solve(rho, m, chi)
         except UnreachableTargetError:
             seen.add("unreachable")
             raise
