@@ -18,7 +18,7 @@ from .errors import InvalidDimensionError
 
 
 # Entries kept per basis cache; enough for every d and N of a typical run
-# (d <= 16, N <= 3) while bounding the memory a long process can hold.
+# (d <= 16, N <= 4) while bounding the memory a long process can hold.
 CACHE_SIZE = 16
 
 
@@ -100,11 +100,12 @@ def _qubits(N, most):
 
 
 def qubit_count(d):
-    """Qubit count N of a d = 2^N dimensional system, 1 <= N <= 6."""
+    """Qubit count N of a d = 2^N dimensional system, 1 <= N <= 5: the
+    largest input dimension, io.MAX_D = 32, is 5 qubits."""
     N = int(d).bit_length() - 1
     if d < 1 or 2**N != d:
         raise InvalidDimensionError(f"dimension must be a power of 2, got d={d}")
-    return _qubits(N, 6)
+    return _qubits(N, 5)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

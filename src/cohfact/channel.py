@@ -164,6 +164,24 @@ def corollary1_check(ch: KrausChannel) -> bool:
     return bool(np.max(np.abs(off)) <= CONDITION_TOL)
 
 
+def scalar_actions(T: TransferMatrix, populated) -> np.ndarray:
+    """The scalar q by which T acts on each set of populated off-diagonal
+    generator rows, one set per row of the (..., d^2 - d) boolean mask
+    ``populated``: every populated row k must be q on its own diagonal
+    entry T_kk and 0 elsewhere. NaN where the rows are no common rescaling
+    or none is populated; one masked read of T serves every set."""
+    k_max = T.d * T.d - T.d
+    rows = T.t[1 : k_max + 1]
+    diag = np.diagonal(rows, offset=1)  # T_kk of the rows k = 1..k_max
+    own = np.arange(T.d * T.d) == np.arange(1, k_max + 1)[:, None]
+    clean = np.all(np.abs(np.where(own, 0.0, rows)) <= CONDITION_TOL, axis=1)
+    populated = np.asarray(populated, dtype=bool)
+    q = diag[np.argmax(populated, axis=-1)]  # T_kk of the first populated row
+    scalar = clean & (np.abs(diag - q[..., None]) <= CONDITION_TOL)
+    ok = populated.any(axis=-1) & np.all(scalar | ~populated, axis=-1)
+    return np.where(ok, q, np.nan)
+
+
 def scalar_action_detect(T: TransferMatrix, subset):
     """Return q if T acts as q * identity on every row in ``subset``.
 
@@ -176,10 +194,8 @@ def scalar_action_detect(T: TransferMatrix, subset):
     k_max = T.d * T.d - T.d
     if k[0] < 1 or k[-1] > k_max:
         raise IndexError(f"subset must lie in 1..{k_max}")
-    q = T.t[k[0], k[0]]
-    rows = T.t[k]  # each must be q on its own diagonal entry and 0 elsewhere
-    own = np.arange(T.d * T.d) == k[:, None]
-    return float(q) if np.all(np.abs(np.where(own, rows - q, rows)) <= CONDITION_TOL) else None
+    q = scalar_actions(T, np.isin(np.arange(1, k_max + 1), k))
+    return None if np.isnan(q) else float(q)
 
 
 def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None) -> bool:
@@ -446,51 +462,76 @@ def aux_coefficient_matrix(N) -> np.ndarray:
     return _read_only(reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N)))
 
 
-def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
-    """Weights eps of the auxiliary channel steering the d = 2^N state rho
-    onto the family member chi * m, in the N-qubit Pauli tensor basis:
+def aux_weights(rho: DensityMatrix, m, chi):
+    """Weights eps of the auxiliary channels steering d = 2^N states rho
+    onto the family members chi * m, in the N-qubit Pauli tensor basis,
+    and the mask of the target coordinates they cannot reach.
+
     eps = c q / 4 solves c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu
-    for the source coordinates y. Weights that overflow are non-finite."""
+    for the source coordinates y. A target coordinate m_nu != 0 over a
+    vanishing source coordinate (|y_nu| <= 1e-10) is unreachable, whatever
+    chi; its row's weights are meaningless. Rows of an (s, d, d) stack of
+    states, (s, 4^N - 1) directions and s factors are solved together, each
+    by its own product c q; weights that overflow are non-finite."""
     N = qubit_count(rho.d)
-    basis = pauli_tensor_basis(N)
     m = np.asarray(m, dtype=float)
-    if m.shape != (4**N - 1,):
+    chi = np.asarray(chi, dtype=float)
+    if m.shape[-1:] != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
-    if not np.isfinite(chi):
+    if not np.all(np.isfinite(chi)):
         raise CohfactError(f"chi must be finite, got chi={chi}")
-    y = np.einsum("ab,iba->i", rho.m, basis.elements).real
+    y = np.einsum("...ab,iba->...i", rho.m, pauli_tensor_basis(N).elements).real
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
-    dead = live & (np.abs(y) <= 1e-10)
-    if dead.any():
-        nu = int(np.argmax(dead)) + 1
+    unreachable = live & (np.abs(y) <= 1e-10)
+    q = np.zeros(m.shape[:-1] + (4**N,))
+    q[..., 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite weights fail later
+        q[..., 1:] = np.where(live & ~unreachable, chi[..., None] * m / y, 0.0)
+        eps = (aux_coefficient_matrix(N) @ q[..., None])[..., 0] / 4.0
+    return eps, unreachable
+
+
+def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
+    """Weights eps of aux_weights, raising UnreachableTargetError, which
+    names the first unreachable coordinate, when a row has one."""
+    eps, unreachable = aux_weights(rho, m, chi)
+    if unreachable.any():
+        nu = int(np.argmax(unreachable.reshape(-1, unreachable.shape[-1]).any(axis=0))) + 1
         raise UnreachableTargetError(
             f"target coordinate {nu} is nonzero but the source coordinate vanishes",
             index=nu,
         )
-    q = np.zeros(4**N)
-    q[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # aux_channel rejects the non-finite
-        q[1:][live] = chi * m[live] / y[live]
-        return aux_coefficient_matrix(N) @ q / 4.0
+    return eps
+
+
+def aux_kraus_channel(eps, chi) -> KrausChannel:
+    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
+    of the Pauli tensor basis, from the weights eps of aux_solve at factor
+    chi; raises NotAChannelError unless every weight is >= EPS_TOL (a NaN
+    weight fails). The rows of (s, 4^N) weights give the (s, 4^N, d, d)
+    stack of their channels; one channel keeps only its nonzero operators."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(eps >= EPS_TOL):
+        flat = eps.reshape(-1, eps.shape[-1])
+        row = int(np.argmin(np.all(flat >= EPS_TOL, axis=1)))  # the first row that fails
+        i = int(np.argmin(flat[row]))  # its most negative weight, or its first NaN
+        raise NotAChannelError(
+            f"no Kraus realization: solved weight eps[{i}] = {flat[row, i]:.3e} < 0", eps=flat[row])
+    eps = np.clip(eps, 0.0, None)
+    N = qubit_count(int(np.sqrt(eps.shape[-1])))
+    basis = pauli_tensor_basis(N)
+    gens = np.concatenate(([basis.identity_element], basis.elements))
+    ops = np.sqrt(eps)[..., None, None] * gens
+    return kraus_channel(_nonzero(ops, eps), label="aux",
+                         params={"chi": np.asarray(chi, dtype=float).tolist(), "N": N})
 
 
 def aux_channel(rho: DensityMatrix, m, chi) -> KrausChannel:
-    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
-    of the Pauli tensor basis, mapping rho onto the family member with
-    direction m and factor chi; raises NotAChannelError unless every weight
-    is >= EPS_TOL (a NaN weight fails)."""
-    eps = aux_solve(rho, m, chi)
-    if not np.all(eps >= EPS_TOL):
-        i = int(np.argmin(eps))  # the most negative weight, or the first NaN
-        raise NotAChannelError(
-            f"no Kraus realization: solved weight eps[{i}] = {eps[i]:.3e} < 0", eps=eps)
-    eps = np.clip(eps, 0.0, None)
-    N = qubit_count(rho.d)
-    basis = pauli_tensor_basis(N)
-    gens = np.concatenate(([basis.identity_element], basis.elements))
-    ops = np.sqrt(eps)[:, None, None] * gens
-    return kraus_channel(ops[eps > 0], label="aux",
-                         params={"chi": float(chi), "N": N})
+    """Auxiliary channel mapping rho onto the family member with direction
+    m and factor chi: aux_kraus_channel of the weights of aux_solve. An
+    (s, d, d) stack of states with s directions and factors gives the
+    (s, 4^N, d, d) stack of their channels."""
+    return aux_kraus_channel(aux_solve(rho, m, chi), chi)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from . import io
 from .basis import qubit_count
 from .channel import (
     EPS_TOL,
-    aux_channel,
+    aux_kraus_channel,
     aux_solve,
+    aux_weights,
     frozen_condition_check,
     transfer_matrix,
 )
@@ -35,7 +36,7 @@ from .factorization import (
     verify_families,
 )
 from .measures import correlation_measures, l1_from_density, purity_measure
-from .state import StateFamily, random_families, random_state
+from .state import DensityMatrix, StateFamily, ginibre_state, random_families, random_state
 
 
 @lru_cache(maxsize=1)
@@ -124,58 +125,78 @@ def cmd_coherence(args):
     return 0
 
 
-# Trials of theorem1 and lemma1 are checked together in chunks of at most
-# CHUNK_TRIALS, fewer when the (2 * chunk, k, d, d) intermediate of the
-# channel product would hold more than CHUNK_ENTRIES complex entries.
+# The trials of a verify run are checked together in chunks of at most
+# CHUNK_TRIALS, fewer when a chunk's largest intermediate of the channel
+# products would hold more than CHUNK_ENTRIES complex entries.
 CHUNK_TRIALS = 1024
+# Trials are drawn in blocks: trial i comes from the generator
+# default_rng([seed, start]) of its block, start = BLOCK_TRIALS * (i //
+# BLOCK_TRIALS). A block draws its uniforms for all of its rows, then its
+# normals row by row, so a run draws only the rows it needs and the first t
+# records of any run are those of a t-trial run, whatever the chunk size.
+BLOCK_TRIALS = 16
+# Rounds of new draws for the cascade targets of a block that are not yet
+# realizable; round r > 0 draws from default_rng([seed, start, r]).
+MAX_TARGET_ROUNDS = 200
 # A sweep's grid a:b:step holds at most this many points.
 MAX_SWEEP_POINTS = 1_000_000
 
 
-def _trial_rngs(seed, trials):
-    """The generators of the given trials, each made when it is needed from
-    its own (seed, trial) stream."""
-    return (np.random.default_rng([seed, trial]) for trial in trials)
+def _draws(seed, lo, hi, draw):
+    """The draws of trials lo..hi-1, a list of arrays with one row per
+    trial; ``draw(key, rows)`` gives those of the first ``rows`` trials of
+    the block whose generator is default_rng(key)."""
+    parts = []
+    for start in range(lo - lo % BLOCK_TRIALS, hi, BLOCK_TRIALS):
+        got = draw([seed, start], min(hi - start, BLOCK_TRIALS))
+        parts.append([a[max(lo - start, 0):] for a in got])
+    return [np.concatenate(a) for a in zip(*parts)]
 
 
-def _family_chunks(measure, ch, args):
-    """Sample the families of a chunk of trials, then check them with one
-    verify_families call."""
-    chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (2 * ch.kraus.size)))
+def _chunks(ch, args, entries_per_trial, draw, verify):
+    """One report per chunk of trials: the chunk's draws, checked by one
+    ``verify(*draws, t)`` call. The transfer matrix t is built once, after
+    the first draw, so that an input the draws reject (such as d < 2) fails
+    there first."""
+    chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries_per_trial))
+    if chunk > BLOCK_TRIALS:
+        chunk -= chunk % BLOCK_TRIALS  # whole blocks, each drawn once
     t = None
     for lo in range(0, args.trials, chunk):
-        rngs = list(_trial_rngs(args.seed, range(lo, min(lo + chunk, args.trials))))
-        n, chi = random_families(ch.d, rngs)
+        sample = _draws(args.seed, lo, min(lo + chunk, args.trials), draw)
         t = t or transfer_matrix(ch)
-        yield verify_families(measure, ch, n, chi, t)
+        yield verify(*sample, t)
 
 
-def _verify_corollary2(ch, args):
-    t = None
-    for rng in _trial_rngs(args.seed, range(args.trials)):
-        rho = random_state(ch.d, rng)
-        t = t or transfer_matrix(ch)
-        yield verify_corollary2(ch, rho, t)
+def _families(measure, ch, args):
+    """theorem1 and lemma1: the (2 * chunk, k, d, d) product of members and
+    probes bounds the chunk."""
+    return _chunks(ch, args, 2 * ch.kraus.size,
+                   lambda key, rows: random_families(ch.d, np.random.default_rng(key), rows, BLOCK_TRIALS),
+                   lambda n, chi, t: verify_families(measure, ch, n, chi, t))
 
 
-def _verify_cascade(ch, args):
+def _corollary2(ch, args):
+    return _chunks(ch, args, ch.kraus.size,
+                   lambda key, rows: [random_state(ch.d, key, rows).m],
+                   lambda m, t: verify_corollary2(ch, DensityMatrix(d=ch.d, m=m), t))
+
+
+def _cascade(ch, args):
+    """The (chunk, d^2, d, d) stack of auxiliary channels bounds the chunk
+    too."""
     N = qubit_count(ch.d)
-    t = None
-    for rng in _trial_rngs(args.seed, range(args.trials)):
-        rho, m, chi = _sample_reachable_target(N, rng)
-        t = t or transfer_matrix(ch)
-        yield verify_cascade(ch, rho, m, chi, t)
+    return _chunks(ch, args, max(ch.d**4, ch.kraus.size),
+                   lambda key, rows: _sample_reachable_target(N, key, rows),
+                   lambda rho, m, chi, t: verify_cascade(ch, DensityMatrix(d=ch.d, m=rho), m, chi, t))
 
 
-# Each verify kind yields reports of consecutive trials, one trial per report
-# or an array report over a chunk of trials. A kind builds the transfer
-# matrix once, after its first draw, so that an input the draws reject (such
-# as d < 2) fails there first, before any transfer matrix is built.
+# Each verify kind yields array reports over consecutive chunks of trials.
 _VERIFY = {
-    "theorem1": lambda ch, args: _family_chunks("l1", ch, args),
-    "lemma1": lambda ch, args: _family_chunks(args.measure, ch, args),
-    "corollary2": _verify_corollary2,
-    "cascade": _verify_cascade,
+    "theorem1": lambda ch, args: _families("l1", ch, args),
+    "lemma1": lambda ch, args: _families(args.measure, ch, args),
+    "corollary2": _corollary2,
+    "cascade": _cascade,
 }
 
 
@@ -188,45 +209,58 @@ def cmd_verify(args):
     with _output(args.out) as fh:
         for rep in _VERIFY[args.kind](ch, args):
             fields = (rep.lhs, rep.rhs, rep.abs_err, rep.probe_physical, rep.condition_held)
-            for lhs, rhs, err, physical, held in zip(*(np.atleast_1d(f).tolist() for f in fields)):
+            for lhs, rhs, err, physical, held in zip(*(f.tolist() for f in fields)):
                 _writeln(fh, json.dumps({
                     "trial": trial, "seed": args.seed, "d": ch.d, "channel": ch.label,
                     "lhs": io.fmt12(lhs), "rhs": io.fmt12(rhs), "abs_err": io.fmt12(err),
                     "probe_physical": physical, "condition_held": held,
                 }))
                 trial += 1
-            failures += int(np.count_nonzero(~np.atleast_1d(rep.within(args.tol))))  # NaN fails
+            failures += int(np.count_nonzero(~rep.within(args.tol)))  # NaN fails
     if args.expect_violation:
         return 0 if failures > 0 else 1
     return 0 if failures == 0 else 1
 
 
-def _sample_reachable_target(N, rng, max_tries=200):
-    """Draw (rho, m, chi) with all source coordinates live and eps >= 0,
-    halving chi at most 59 times until every weight eps is >= EPS_TOL; a
-    draw with an unreachable coordinate (which does not depend on chi) or
-    with no feasible halving moves on to the next draw.
+_HALVINGS = 0.5 ** np.arange(60)[:, None]  # chi halved 0..59 times
 
-    One aux_solve per draw gives every halving: q_0 = 1 and c[:, 0] =
-    2^(1-N), so the weights are affine in chi, eps(chi 2^-k) = 2^(-1-N) +
-    2^-k (eps(chi) - 2^(-1-N)), and chi 2^-k is exactly chi halved k times.
-    No channel is built here; verify_cascade's aux_channel call confirms
-    the choice, and should the two ever disagree at a rounding boundary it
-    raises NotAChannelError rather than pass."""
-    floor = 2.0 ** (-1 - N)
-    for _ in range(max_tries):
-        rho = random_state(2**N, rng)
-        v = rng.standard_normal(4**N - 1)
-        m = v / np.linalg.norm(v)
-        chi = rng.uniform(0.01, 0.3)
-        try:
-            eps = aux_solve(rho, m, chi)
-        except UnreachableTargetError:
-            continue
-        halved = floor + 0.5 ** np.arange(60)[:, None] * (eps - floor)
-        feasible = np.all(halved >= EPS_TOL, axis=1)
-        if feasible.any():
-            return rho, m, chi * 0.5 ** int(np.argmax(feasible))
+
+def _sample_reachable_target(N, key, rows):
+    """(rho, m, chi) stacks of the first ``rows`` cascade trials of the
+    block with generator key ``key``: every source coordinate under a
+    nonzero target one is live, and every weight eps is >= EPS_TOL once chi
+    is halved at most 59 times.
+
+    Each round draws chi for the whole block, then each row's state and
+    unit direction, and each row still open takes its draw of the round if
+    that draw is realizable, else waits for the next round (an unreachable
+    coordinate does not depend on chi). A row's result so depends only on
+    its own draws. One aux_weights call per round gives every halving: q_0
+    = 1 and c[:, 0] = 2^(1-N), so the weights are affine in chi, eps(chi
+    2^-k) = 2^(-1-N) + 2^-k (eps(chi) - 2^(-1-N)), chi 2^-k is exactly chi
+    halved k times, and a row's smallest weight decides. No channel is
+    built here; verify_cascade's aux_channel call confirms the choice, and
+    should the two ever disagree at a rounding boundary it raises
+    NotAChannelError rather than pass."""
+    d, floor = 2**N, 2.0 ** (-1 - N)
+    rho, m, chi = np.empty((rows, d, d), dtype=complex), np.empty((rows, 4**N - 1)), np.empty(rows)
+    todo = np.arange(rows)
+    for r in range(MAX_TARGET_ROUNDS):
+        rng = np.random.default_rng([*key, r] if r else key)
+        x = rng.uniform(0.01, 0.3, BLOCK_TRIALS)[todo]
+        z = rng.standard_normal((todo[-1] + 1, 2 * d * d + 4**N - 1))[todo]
+        states = ginibre_state(z[:, : 2 * d * d].reshape(-1, 2, d, d))
+        dirs = z[:, 2 * d * d :] / np.linalg.norm(z[:, 2 * d * d :], axis=-1, keepdims=True)
+        eps, unreachable = aux_weights(states, dirs, x)
+        feasible = floor + _HALVINGS * (eps.min(axis=1) - floor) >= EPS_TOL
+        ok = feasible.any(axis=0) & ~unreachable.any(axis=1)
+        x = x * 0.5 ** np.argmax(feasible, axis=0)
+        if r == 0 and ok.all():  # the usual case: every row realizable at once
+            return states.m, dirs, x
+        rho[todo[ok]], m[todo[ok]], chi[todo[ok]] = states.m[ok], dirs[ok], x[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return rho, m, chi
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
 
@@ -261,7 +295,7 @@ def cmd_construct_aux(args):
     m = _direction(args.target.split(","), 4**N - 1, "--target")
     try:
         eps = aux_solve(rho, m, args.chi)
-        ch = aux_channel(rho, m, args.chi)
+        ch = aux_kraus_channel(eps, args.chi)
     except UnreachableTargetError as exc:
         print(f"error: unreachable coordinate {exc.index}: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import gellmann_basis, pauli_tensor_basis, qubit_count, y_to_x_transform
+from .basis import gellmann_basis, pauli_tensor_basis, qubit_count
 from .channel import (
     CONDITION_TOL,
     KrausChannel,
@@ -15,7 +15,7 @@ from .channel import (
     aux_channel,
     channel_entry,
     make_named,
-    scalar_action_detect,
+    scalar_actions,
     theorem1_condition,
     transfer_matrix,
 )
@@ -101,11 +101,15 @@ def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None)
     )
 
 
+def _first(rep: FactorizationReport) -> FactorizationReport:
+    """The one-trial report of a report over a stack of one."""
+    return FactorizationReport(**{f.name: getattr(rep, f.name)[0].item() for f in fields(rep)})
+
+
 def _one_family(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
     if fam.d != ch.d:
         raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
-    rep = verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi])
-    return FactorizationReport(**{f.name: getattr(rep, f.name)[0].item() for f in fields(rep)})
+    return _first(verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi]))
 
 
 def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
@@ -125,50 +129,62 @@ def verify_lemma1(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationR
 
 def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = None) -> FactorizationReport:
     """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho
-    populates; ``t`` is the channel's transfer matrix, built when not given."""
+    populates; ``t`` is the channel's transfer matrix, built when not given.
+
+    A state holding an (s, d, d) stack gives a report of arrays: one masked
+    read of ``t`` gives every state's q, and the stack goes through the
+    channel in one product. Raises NotApplicableError if a state populates
+    no off-diagonal coordinate or the channel has no common scalar on the
+    ones it populates."""
+    if rho.m.ndim == 2:
+        return _first(verify_corollary2(ch, DensityMatrix(d=rho.d, m=rho.m[None]), t))
     basis = gellmann_basis(rho.d)
-    x = bloch_decompose(rho, basis).x
-    subset = np.flatnonzero(np.abs(x[: basis.num_offdiag]) > 1e-12) + 1
-    if not subset.size:
+    populated = np.abs(bloch_decompose(rho, basis).x[:, : basis.num_offdiag]) > 1e-12
+    if not populated.any(axis=1).all():
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     if t is None:
         t = transfer_matrix(ch)
-    q = scalar_action_detect(t, subset)
-    if q is None:
+    q = scalar_actions(t, populated)
+    if np.isnan(q).any():
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
-    lhs = l1_from_density(apply(ch, rho))
-    rhs = abs(q) * l1_from_density(rho)
-    return FactorizationReport(
-        lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), probe_physical=True, condition_held=True
-    )
+    lhs = l1_from_density(apply(ch, rho).m)
+    rhs = np.abs(q) * l1_from_density(rho.m)
+    s = len(q)
+    return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
+                               probe_physical=np.full(s, True), condition_held=np.full(s, True))
 
 
 def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
                    t: TransferMatrix = None) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)].
 
-    The probe factor chi_p comes from the direction rewritten in the
-    Gell-Mann ordering via the Y->X transform; ``t`` is the transfer matrix
-    of E_F, built when not given."""
-    N = qubit_count(rho.d)
+    The probe factor chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m)
+    is the l1 coherence of (1/2) m.Y, the direction in any basis, so it is
+    read off the composed direction, which chi_p then rescales. ``t`` is
+    the transfer matrix of E_F, built when not given. An (s, d, d) stack of
+    states with (s, 4^N - 1) directions and s factors gives a report of
+    arrays: the s auxiliary channels map their states as one (s, 4^N, d, d)
+    stack, and E_F maps the s images, then the s probes, each as one
+    stack."""
     m = np.asarray(m, dtype=float)
-    aux = aux_channel(rho, m, chi)
-    sigma = apply(aux, rho)
-    lhs = l1_from_density(apply(ch_f, sigma))
-
-    m_bar = y_to_x_transform(N) @ m
-    g = coherence_weight(m_bar, 2**N)
-    if g <= 1e-12:
+    if rho.m.ndim == 2:
+        return _first(verify_cascade(ch_f, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi], t))
+    sigma = apply(aux_channel(rho, m, chi), rho).m
+    mixed = np.eye(rho.d) / rho.d
+    direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(rho.d)).elements, 1)  # (1/2) m.Y
+    g = l1_from_density(direction)
+    if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    chi_p = 1.0 / g
-    probe = bloch_compose(chi_p * m, pauli_tensor_basis(N))
-    rhs = l1_from_density(sigma) * l1_from_density(apply(ch_f, probe))
+    probe = mixed + direction / g[:, None, None]
+    s = len(g)
+    lhs = l1_from_density(apply(ch_f, DensityMatrix(d=rho.d, m=sigma)).m)
+    rhs = l1_from_density(sigma) * l1_from_density(apply(ch_f, DensityMatrix(d=rho.d, m=probe)).m)
     return FactorizationReport(
         lhs=lhs,
         rhs=rhs,
-        abs_err=abs(lhs - rhs),
-        probe_physical=is_psd(probe.m),
-        condition_held=theorem1_condition(transfer_matrix(ch_f) if t is None else t),
+        abs_err=np.abs(lhs - rhs),
+        probe_physical=is_psd(probe),
+        condition_held=np.full(s, theorem1_condition(transfer_matrix(ch_f) if t is None else t)),
     )
 
 

@@ -7,6 +7,7 @@ Numbers serialize with 12 significant digits.
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -35,14 +36,34 @@ def _matrix_to_json(m):
     return [[_complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _complex_from_json(entries, what):
-    """Complex array from nested [re, im] pairs, parsed in one pass. The
-    complex view of the (..., 2) float array is exactly complex(re, im)."""
+def _numbers(entries, what):
+    """Float array of a regular nesting of lists of JSON numbers. Booleans
+    and strings are not numbers here, though float() would take them; the
+    nesting is walked one level at a time, each level one C-level pass."""
+    shape, level = [], [entries]
+    while True:
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            break
+        sizes = set(map(len, level))
+        if len(sizes) != 1:
+            raise CohfactError(f"{what} must be a regular array of numbers, got lists of lengths {sorted(sizes)}")
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+    if not kinds <= {int, float}:
+        names = sorted(t.__name__ for t in kinds - {int, float})
+        raise CohfactError(f"{what} must be a regular array of numbers, got {', '.join(names)}")
     try:
-        pairs = np.ascontiguousarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # a non-number, ragged nesting or a huge integer
-        raise CohfactError(f"{what} must be a regular array of [re, im] number pairs: {exc}") from exc
-    if pairs.shape[-1] != 2:
+        return np.array(level, dtype=float).reshape(shape)
+    except OverflowError as exc:  # an integer too large for a float
+        raise CohfactError(f"{what} has a number out of range: {exc}") from exc
+
+
+def _complex_from_json(entries, what):
+    """Complex array from nested [re, im] number pairs. The complex view of
+    the (..., 2) float array is exactly complex(re, im)."""
+    pairs = _numbers(entries, what)
+    if pairs.ndim == 0 or pairs.shape[-1] != 2:
         raise CohfactError(f"{what} entries must be [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(complex)[..., 0]
 
@@ -90,10 +111,7 @@ def state_from_dict(spec: dict) -> DensityMatrix:
     elif "bloch" in spec:
         if d is None:
             raise CohfactError("state with a 'bloch' entry needs a 'd' entry")
-        try:
-            x = np.asarray(spec["bloch"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CohfactError(f"state 'bloch' must be a list of numbers: {exc}") from exc
+        x = _numbers(spec["bloch"], "state 'bloch'")
         if x.ndim != 1:
             raise CohfactError(f"state 'bloch' must be a flat list of numbers, got shape {x.shape}")
         if not np.all(np.abs(x) <= np.sqrt(2.0)):  # NaN fails too

@@ -7,7 +7,6 @@ import numpy as np
 
 from .basis import GeneratorBasis, gellmann_basis
 from .errors import (
-    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     InvalidDimensionError,
@@ -18,7 +17,6 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9  # accumulated round-off in G G^dag / Tr compositions
 REAL_TOL = 1e-12
-MAX_CHI_DRAWS = 1000  # bound on the chi draws for one family
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,11 @@ def is_psd(m):
 
 
 def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
-    """Bloch coordinates x_i = Tr(rho X_i) in a Gell-Mann or Pauli tensor basis."""
+    """Bloch coordinates x_i = Tr(rho X_i) in a Gell-Mann or Pauli tensor
+    basis; a state holding an (s, d, d) stack gives (s, d^2-1) coordinates."""
     if rho.d != basis.d:
         raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.d}")
-    x = np.einsum("ab,iba->i", rho.m, basis.elements)
+    x = np.einsum("...ab,iba->...i", rho.m, basis.elements)
     if np.max(np.abs(x.imag)) > REAL_TOL:
         raise UnphysicalStateError(
             f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "
@@ -161,14 +160,24 @@ def probe_state(n, d) -> ProbeState:
     return ProbeState(n=n, chi_p=chi_p, state=state, physical=is_psd(state.m))
 
 
-def random_state(d, seed=None) -> DensityMatrix:
-    """Random full-rank state G G^dag / Tr(G G^dag), G complex Gaussian."""
+def random_state(d, seed=None, size=None) -> DensityMatrix:
+    """Random full-rank state G G^dag / Tr(G G^dag), G complex Gaussian; with
+    ``size``, a DensityMatrix holding the (size, d, d) stack of that many.
+    Each state draws its real, then its imaginary d x d block, so the first
+    states of a stack do not depend on its size."""
     if d < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(d=d, m=m / np.trace(m).real)
+    return ginibre_state(rng.standard_normal((2, d, d) if size is None else (size, 2, d, d)))
+
+
+def ginibre_state(z) -> DensityMatrix:
+    """The state G G^dag / Tr(G G^dag) of G = z[..., 0, :, :] + i z[..., 1, :, :],
+    for each (2, d, d) block of the real array z; a stack of blocks gives a
+    stack of states, each computed on its own."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-2, -1)
+    return DensityMatrix(d=z.shape[-1], m=m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def chi_interval(n, d):
@@ -179,40 +188,44 @@ def chi_interval(n, d):
     n.X (lam_min < 0 < lam_max for a traceless n.X != 0), so it passes the
     PSD check iff -2c/lam_max <= chi <= 2c/|lam_min|, c = 1/d - PSD_TOL
     (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
-    J. Phys. A 41, 235303 (2008)). Returns the arrays (lo, hi).
+    J. Phys. A 41, 235303 (2008)). Each row's n.X is its own product, so a
+    row's interval does not depend on the rows beside it. Returns the
+    arrays (lo, hi).
     """
-    lam = np.linalg.eigvalsh(np.tensordot(np.asarray(n, dtype=float), gellmann_basis(d).elements, 1))
+    n = np.asarray(n, dtype=float)
+    if n.shape[-1:] != (d * d - 1,):
+        raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
+    gens = gellmann_basis(d).elements.reshape(d * d - 1, d * d)
+    lam = np.linalg.eigvalsh((n[..., None, :] @ gens).reshape(n.shape[:-1] + (d, d)))
     c = 2.0 * (1.0 / d - PSD_TOL)
     return -c / lam[..., -1], c / -lam[..., 0]
 
 
-def random_families(d, rngs):
-    """Unit directions (rows of n) and factors chi of one random family per
-    generator in ``rngs``.
+def random_families(d, rng, count, block=None):
+    """Unit directions (rows of n) and factors chi of ``count`` random
+    families drawn from the generator ``rng``.
 
-    Each generator draws its direction, then uniform chi values until one
-    lies in the family's chi_interval (at most MAX_CHI_DRAWS draws); one
-    stacked eigendecomposition gives every family's interval.
+    One uniform draw u of ``block`` rows (at least ``count``), then one
+    stacked normal draw of the ``count`` directions, row by row; chi = a +
+    u (b - a) is uniform on the physical range [a, b] = [max(lo, -r),
+    min(hi, r)] of its family (chi_interval, r the purity radius), the law
+    of drawing chi uniformly in [-r, r] until it is physical. So every
+    count <= block gives the same first families, and no direction past
+    count is drawn.
     """
     if d < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {d}")
-    v = np.array([rng.standard_normal(d * d - 1) for rng in rngs])
-    n = v / np.linalg.norm(v, axis=1)[:, None]
+    u = rng.uniform(size=max(count, block or 0))[:count]
+    v = rng.standard_normal((count, d * d - 1))
+    n = v / np.linalg.norm(v, axis=-1, keepdims=True)
     lo, hi = chi_interval(n, d)
     bound = purity_radius(d)
-    chi = np.empty(len(n))
-    for i, rng in enumerate(rngs):
-        for _ in range(MAX_CHI_DRAWS):
-            chi[i] = rng.uniform(-bound, bound)
-            if lo[i] <= chi[i] <= hi[i]:
-                break
-        else:
-            raise CohfactError(f"no PSD family member in {MAX_CHI_DRAWS} draws of chi (d={d})")
-    return n, chi
+    a, b = np.maximum(lo, -bound), np.minimum(hi, bound)
+    return n, a + u * (b - a)
 
 
 def random_family(d, seed=None) -> StateFamily:
-    """Random unit direction with chi drawn uniformly until the member is
-    PSD: the one-family case of random_families."""
-    n, chi = random_families(d, [np.random.default_rng(seed)])
+    """Random unit direction with chi uniform on the family's physical
+    range: the one-family case of random_families."""
+    n, chi = random_families(d, np.random.default_rng(seed), 1)
     return StateFamily(d=d, n=n[0], chi=float(chi[0]))

@@ -2,7 +2,6 @@
 at the pinned tolerance. Run with ``pytest -s tests/test_acceptance.py``."""
 
 import numpy as np
-import pytest
 
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (

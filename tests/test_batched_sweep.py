@@ -216,7 +216,7 @@ def test_fixed_parameters_reach_every_point(name, sign):
     rho = random_state(2, 5)
     grid = np.linspace(0.0, 1.0, 11)
     traj = freeze_trajectory(name, grid, rho, params={"sign": sign})
-    values, purities, frozen, spread = reference_trajectory(name, grid, rho, params={"sign": sign})
+    values, _, frozen, spread = reference_trajectory(name, grid, rho, params={"sign": sign})
     np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-15)
     assert traj.frozen and frozen and traj.spread == spread
 

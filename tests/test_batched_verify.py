@@ -1,9 +1,10 @@
 """The batched verify path against the per-trial reference it replaced.
 
-``reference_random_family`` and ``reference_verify`` are the per-trial
-bodies of the earlier ``random_family``, ``verify_theorem1`` and
-``verify_lemma1``: one PSD eigendecomposition per chi draw, one channel
-application per state and one transfer matrix per trial.
+``reference_block_family`` draws one trial's family on its own from its
+block's generator, and ``reference_verify`` is the per-trial body of the
+earlier ``verify_theorem1`` and ``verify_lemma1``: one channel application
+per state and one transfer matrix per trial. ``rejection_chi`` is the chi
+sampler the closed form replaced.
 """
 
 import json
@@ -17,17 +18,18 @@ from cohfact import cli, factorization, io
 from cohfact.basis import gellmann_basis
 from cohfact.channel import (
     apply,
+    aux_weights,
     make_named,
     random_channel,
     random_unital_channel,
     theorem1_condition,
     transfer_matrix,
 )
-from cohfact.errors import CohfactError, InvalidDimensionError, UnreachableTargetError
+from cohfact.errors import InvalidDimensionError
 from cohfact.factorization import verify_families, verify_lemma1, verify_theorem1
 from cohfact.measures import l1_from_density, purity_measure
 from cohfact.state import (
-    MAX_CHI_DRAWS,
+    PSD_TOL,
     StateFamily,
     bloch_compose,
     chi_interval,
@@ -41,16 +43,42 @@ from cohfact.state import (
 )
 
 
-def reference_random_family(d, rng):
-    basis = gellmann_basis(d)
-    v = rng.standard_normal(d * d - 1)
-    n = v / np.linalg.norm(v)
+B = cli.BLOCK_TRIALS
+
+
+def reference_block_family(d, seed, trial):
+    """The family of one trial of a verify run: row r = trial % B of the
+    block drawn by generator (seed, B * (trial // B)), which draws the
+    uniforms of all B rows, then the directions of rows 0..r. chi is
+    uniform on the physical part of [-R, R], found from the eigenvalues of
+    n.X."""
+    rng = np.random.default_rng([seed, B * (trial // B)])
+    r = trial % B
+    u = rng.uniform(size=B)[r]
+    v = rng.standard_normal((r + 1, d * d - 1))[r:]
+    n = (v / np.linalg.norm(v, axis=-1, keepdims=True))[0]
+    lam = np.linalg.eigvalsh((n @ gellmann_basis(d).elements.reshape(d * d - 1, d * d)).reshape(d, d))
+    c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
-    for _ in range(MAX_CHI_DRAWS):
-        chi = rng.uniform(-bound, bound)
-        if is_psd(bloch_compose(chi * n, basis).m):
-            return StateFamily(d=d, n=n, chi=float(chi))
-    raise CohfactError("no PSD family member")
+    a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
+    return StateFamily(d=d, n=n, chi=float(a + u * (b - a)))
+
+
+def rejection_chi(d, rng, count):
+    """chi of ``count`` random families by the rejection sampler the closed
+    form replaced: chi uniform in [-r, r], drawn again until the member is
+    PSD (each round redraws every family still open)."""
+    basis = gellmann_basis(d)
+    v = rng.standard_normal((count, d * d - 1))
+    n = v / np.linalg.norm(v, axis=1)[:, None]
+    chi = np.full(count, np.nan)
+    bound = purity_radius(d)
+    while np.isnan(chi).any():
+        todo = np.flatnonzero(np.isnan(chi))
+        x = rng.uniform(-bound, bound, len(todo))
+        ok = is_psd(bloch_compose(x[:, None] * n[todo], basis).m)
+        chi[todo[ok]] = x[ok]
+    return chi
 
 
 def reference_verify(measure, ch, fam):
@@ -99,7 +127,7 @@ def test_verify_jsonl_matches_reference_loop(tmp_path, monkeypatch, capsys, d, c
     assert [r["trial"] for r in records] == list(range(trials))
     failures = 0
     for r in records:
-        fam = reference_random_family(d, np.random.default_rng([seed, r["trial"]]))
+        fam = reference_block_family(d, seed, r["trial"])
         lhs, rhs, physical, held = reference_verify(measure, ch, fam)
         assert (r["probe_physical"], r["condition_held"]) == (physical, held)
         assert abs(r["lhs"] - lhs) <= 1e-15 and abs(r["rhs"] - rhs) <= 1e-15
@@ -123,17 +151,28 @@ def test_one_family_functions_match_reference(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_random_families_match_block_reference(d):
+    """Bitwise the same chi and direction for every trial, whether a block
+    is drawn for all its rows or for a prefix of them."""
+    for seed in range(3):
+        for rows in (1, 7, B):
+            n, chi = random_families(d, np.random.default_rng([seed, 0]), rows, B)
+            for i in range(rows):
+                ref = reference_block_family(d, seed, i)
+                assert chi[i] == ref.chi
+                assert np.array_equal(n[i], ref.n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_random_families_match_rejection_sampler(d):
-    """Same chi for every family and the direction to round-off, whether the
-    families are drawn one at a time or together."""
-    rngs = [np.random.default_rng([d, i]) for i in range(300)]
-    n, chi = random_families(d, rngs)
-    for i in range(300):
-        ref = reference_random_family(d, np.random.default_rng([d, i]))
-        assert chi[i] == ref.chi
-        np.testing.assert_allclose(n[i], ref.n, rtol=0, atol=1e-15)
-        one = random_family(d, np.random.default_rng([d, i]))
-        assert one.chi == ref.chi
+    """The closed-form chi has the law of the rejection sampler: a two-sample
+    Kolmogorov-Smirnov test at level 0.001 on 4000 draws each, fixed seeds."""
+    size = 4000
+    _, chi = random_families(d, np.random.default_rng([d, 1]), size)
+    ref = rejection_chi(d, np.random.default_rng([d, 2]), size)
+    both = np.sort(np.concatenate((chi, ref)))
+    gap = np.searchsorted(np.sort(chi), both, side="right") - np.searchsorted(np.sort(ref), both, side="right")
+    assert np.max(np.abs(gap)) / size <= 1.949 * np.sqrt(2.0 / size)
 
 
 @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -157,7 +196,7 @@ def test_layer_functions_map_a_stack_state_by_state():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
         basis = gellmann_basis(d)
-        n, chi = random_families(d, [np.random.default_rng([d, i]) for i in range(4)])
+        n, chi = random_families(d, np.random.default_rng(d), 4)
         stack = bloch_compose(chi[:, None] * n, basis)
         assert stack.m.shape == (4, d, d)
         ch = random_channel(d, seed=rng)
@@ -215,18 +254,65 @@ def test_chunked_run_matches_one_chunk(tmp_path, monkeypatch, capsys, limit, val
     assert capsys.readouterr().out == whole
 
 
+def _target_round(N, key, rows):
+    """One round of cascade target draws for the first ``rows`` rows of a
+    block: chi values, then each row's state and unit direction."""
+    rng = np.random.default_rng(key)
+    chi = rng.uniform(0.01, 0.3, B)[:rows]
+    z = rng.standard_normal((rows, 2 * 4**N + 4**N - 1))
+    g = z[:, : 2 * 4**N].reshape(rows, 2, 2**N, 2**N)
+    rho = np.empty((rows, 2**N, 2**N), dtype=complex)
+    for i in range(rows):
+        one = g[i, 0] + 1j * g[i, 1]
+        rho[i] = one @ one.conj().T / np.trace(one @ one.conj().T).real
+    v = z[:, 2 * 4**N :]
+    return rho, v / np.linalg.norm(v, axis=-1, keepdims=True), chi
+
+
 def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
-    """An unreachable coordinate does not depend on chi: the sampler makes a
-    new draw instead of halving chi."""
-    seen = []
+    """An unreachable coordinate does not depend on chi: the row takes its
+    draw of the next round instead of halving chi, and the other rows keep
+    their draws of the first round."""
+    calls = []
 
-    def aux(rho, m, chi):
-        seen.append((rho.m, chi))
-        if len(seen) == 1:
-            raise UnreachableTargetError("dead coordinate", index=1)
-        return np.full(rho.d**2, 1.0 / rho.d**2)
+    def weights(rho, m, chi):
+        eps, unreachable = aux_weights(rho, m, chi)
+        calls.append(len(chi))
+        if len(calls) == 1:
+            unreachable = unreachable.copy()
+            unreachable[0, 0] = True
+        return eps, unreachable
 
-    monkeypatch.setattr(cli, "aux_solve", aux)
-    cli._sample_reachable_target(2, np.random.default_rng(0))
-    assert len(seen) == 2
-    assert not np.array_equal(seen[0][0], seen[1][0]) and seen[1][1] != seen[0][1] / 2
+    monkeypatch.setattr(cli, "aux_weights", weights)
+    rho, m, chi = cli._sample_reachable_target(2, [7, 0], 3)
+    assert calls == [3, 1]
+    first, second = _target_round(2, [7, 0], 3), _target_round(2, [7, 0, 1], 1)
+    assert np.array_equal(rho[0], second[0][0]) and np.array_equal(m[0], second[1][0])
+    assert np.array_equal(rho[1:], first[0][1:3]) and np.array_equal(m[1:], first[1][1:3])
+    for i, x in ((0, second[2][0]), (1, first[2][1]), (2, first[2][2])):
+        assert np.log2(x / chi[i]) == int(np.log2(x / chi[i]))  # chi halved k >= 0 times
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("theorem1", []), ("lemma1", ["--measure", "purity"]), ("corollary2", []), ("cascade", []),
+])
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_first_records_match_a_shorter_run(tmp_path, monkeypatch, capsys, kind, extra, chunk):
+    """The first t records of a run of 3 B + 5 trials are those of a
+    t-trial run, for t within a block, across a block boundary and at the
+    last partial block, with chunks of the default size or of 5 trials."""
+    path = tmp_path / "dep.json"
+    path.write_text(json.dumps({"name": "depolarizing", "d": 2, "params": {"p": 0.3}}))
+
+    def run(trials):
+        assert cli.main(["--trials", str(trials), "--seed", "5", "verify", kind,
+                         "--channel", str(path), *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    prefixes = {t: run(t) for t in (1, 7, B + 3, 3 * B + 5)}
+    if chunk:
+        monkeypatch.setattr(cli, "CHUNK_TRIALS", chunk)
+    whole = run(3 * B + 5)
+    assert len(whole) == 3 * B + 5
+    for t, lines in prefixes.items():
+        assert whole[:t] == lines

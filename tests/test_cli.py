@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohfact import cli, io
+from cohfact import channel, cli, io
+from cohfact.channel import aux_weights
 from cohfact.cli import main
 from cohfact.state import density_matrix
 
@@ -118,6 +119,16 @@ def test_verify_cascade(tmp_path):
     assert main(["--trials", "5", "--out", str(out), "verify", "cascade", "--channel", ch]) == 0
 
 
+def test_verify_cascade_at_four_qubits(tmp_path, capsys):
+    """d = 16: the probe factor is read off the composed direction, so the
+    cascade runs for every N up to the qubit cap."""
+    ch = write_channel(tmp_path, "dep16.json", {"name": "depolarizing", "d": 16, "params": {"p": 0.3}})
+    assert main(["--trials", "3", "verify", "cascade", "--channel", ch]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["trial"] for r in records] == [0, 1, 2]
+    assert all(r["d"] == 16 and r["condition_held"] and r["abs_err"] <= 1e-9 for r in records)
+
+
 def test_verify_deterministic_output(tmp_path):
     ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.2}})
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -201,6 +212,21 @@ def test_construct_aux_identity_target(tmp_path, capsys):
     # written channel re-parses through the package's own loader
     ch = io.load_channel(out_ch)
     assert ch.d == 2
+
+
+def test_construct_aux_solves_once(tmp_path, monkeypatch, capsys):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return aux_weights(*args)
+
+    monkeypatch.setattr(channel, "aux_weights", counted)
+    path = write_state(tmp_path, "rho.json", np.array([[0.8, 0.2 - 0.2j], [0.2 + 0.2j, 0.2]]))
+    assert main(["--out", str(tmp_path / "aux.json"), "construct-aux", "--state", path,
+                 "--target", "0.6,0,0.8", "--chi", "0.1"]) == 0
+    assert len(solves) == 1
+    assert capsys.readouterr().out.startswith("eps = ")
 
 
 def test_construct_aux_unreachable(tmp_path, capsys):
@@ -351,7 +377,7 @@ def test_depolarizing_d1_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, message", [
     ("theorem1", "dimension must be >= 2"), ("lemma1", "dimension must be >= 2"),
-    ("corollary2", "dimension must be >= 2"), ("cascade", "qubit count must be in 1..6"),
+    ("corollary2", "dimension must be >= 2"), ("cascade", "qubit count must be in 1..5"),
 ])
 def test_verify_on_a_d1_kraus_channel_exits_2(tmp_path, capsys, kind, message):
     """The trial draws reject d = 1 before any transfer matrix is built."""
@@ -420,6 +446,8 @@ def test_back_to_back_calls_match_fresh_runs(tmp_path, plus_file, capsys):
     ({"name": "depolarizing", "d": 2, "params": {"p": 0.1, "q": 0.2}}, "unknown keys ['q']"),
     ({"name": ["depolarizing"], "params": {"p": 0.1}}, "'name'"),
     ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": [1]}, "'params'"),
+    ({"kraus": [[[["1", "0"], [0, 0]], [[0, 0], [True, 0]]]]}, "'kraus'"),  # float() reads these
+    ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [True, False]]]]}, "'kraus'"),
 ])
 def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     ch = write_channel(tmp_path, "bad.json", spec)
@@ -439,6 +467,9 @@ def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     ({"matrix": [[[0.5], [0]], [[0], [0.5]]]}, "'matrix'"),  # one component per entry
     ("plus", "state spec"),
     ({"d": 2, "bloch": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]}, "'bloch'"),  # a stack
+    ({"d": 2, "bloch": ["0.1", True, 0]}, "'bloch'"),  # float() reads these
+    ({"d": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "'matrix'"),
+    ({"d": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}, "'matrix'"),
 ])
 def test_bad_state_spec_exits_2(tmp_path, capsys, spec, field):
     path = tmp_path / "bad.json"

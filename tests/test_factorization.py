@@ -10,8 +10,6 @@ from cohfact.channel import (
     kraus_channel,
     make_named,
     random_unital_channel,
-    theorem1_condition,
-    transfer_matrix,
 )
 from cohfact.errors import NotAChannelError, NotApplicableError
 from cohfact.factorization import (

@@ -24,7 +24,7 @@ from cohfact.channel import (
     transfer_matrix,
 )
 from cohfact.errors import InvalidChannelError
-from cohfact.state import bloch_compose, bloch_decompose, random_state
+from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, random_state
 
 dims = st.integers(2, 5)
 seeds = st.integers(0, 2**32 - 1)
@@ -211,7 +211,8 @@ def test_named_channel_choi_matrix_is_psd(name, data):
 def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     """The auxiliary channel of a random reachable target is trace
     preserving, has a PSD Choi matrix, and maps its source onto the target."""
-    rho, m, chi = cli._sample_reachable_target(N, np.random.default_rng(seed))
+    rhos, ms, chis = cli._sample_reachable_target(N, [seed, 0], 1)
+    rho, m, chi = DensityMatrix(d=2**N, m=rhos[0]), ms[0], chis[0]
     ybasis = pauli_tensor_basis(N)
     ch = aux_channel(rho, m, chi)
     d = 2**N

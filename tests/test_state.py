@@ -1,12 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from cohfact import state
 from cohfact.basis import gellmann_basis
 from cohfact.errors import (
-    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     UnphysicalStateError,
@@ -15,11 +11,13 @@ from cohfact.state import (
     StateFamily,
     bloch_compose,
     bloch_decompose,
+    chi_interval,
     coherence_weight,
     density_matrix,
     family_member,
     probe_state,
     purity_radius,
+    random_families,
     random_family,
     random_state,
     validate_density,
@@ -175,26 +173,28 @@ def test_random_family_members_physical():
         assert abs(fam.chi) <= purity_radius(3)
 
 
-class _CountingGenerator(np.random.Generator):
-    """Generator that fails once it has made ``limit`` uniform draws."""
+def test_random_family_chi_lies_in_its_interval():
+    """chi is uniform on the family's physical range, so every draw lies in
+    its chi_interval and within the purity radius."""
+    for d in (2, 3, 4, 8):
+        n, chi = random_families(d, np.random.default_rng(d), 200)
+        lo, hi = chi_interval(n, d)
+        assert np.all((lo <= chi) & (chi <= hi) & (np.abs(chi) <= purity_radius(d)))
+        for seed in range(20):
+            fam = random_family(d, seed)
+            lo, hi = chi_interval(fam.n, d)
+            assert lo <= fam.chi <= hi
 
-    def __init__(self, seed, limit):
-        super().__init__(np.random.PCG64(seed))
-        self.draws = itertools.count(1)
-        self.limit = limit
 
-    def uniform(self, *args, **kwargs):
-        if next(self.draws) > self.limit:
-            raise RuntimeError("random_family kept drawing")
-        return super().uniform(*args, **kwargs)
+def test_chi_interval_rejects_a_direction_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError, match="expected 8 components"):
+        chi_interval(np.ones((1, 3)), 3)
+    with pytest.raises(DimensionMismatchError):
+        chi_interval(np.ones(15), 3)
 
 
-def test_random_family_draws_are_bounded(monkeypatch):
-    def empty_interval(n, d):
-        return np.ones(len(n)), -np.ones(len(n))  # lo > hi: no chi qualifies
-
-    monkeypatch.setattr(state, "chi_interval", empty_interval)
-    rng = _CountingGenerator(0, 10 * state.MAX_CHI_DRAWS)
-    with pytest.raises(CohfactError, match="draws"):
-        random_family(3, rng)
-    assert next(rng.draws) == state.MAX_CHI_DRAWS + 1
+def test_random_state_stack_rows_are_states():
+    rho = random_state(3, np.random.default_rng(5), size=7)
+    assert rho.m.shape == (7, 3, 3)
+    for m in rho.m:
+        validate_density(density_matrix(m))
