@@ -11,7 +11,6 @@ from .basis import (
 )
 from .channel import (
     KrausChannel,
-    TransferMatrix,
     apply,
     aux_channel,
     aux_solve,
@@ -45,14 +44,12 @@ from .measures import (
     correlation_measures,
     geometric_discord2,
     hellinger_discord,
-    l1_from_bloch,
     l1_from_density,
     min2,
     projective_collapse,
     purity_measure,
 )
 from .state import (
-    BlochVector,
     DensityMatrix,
     ProbeState,
     StateFamily,

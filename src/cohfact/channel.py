@@ -4,6 +4,7 @@ N-qubit auxiliary channel."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,18 +46,6 @@ class KrausChannel:
     kraus: np.ndarray
     label: str = ""
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real d^2 x d^2 Heisenberg-picture matrix, row/col 0 for X_0.
-
-    T_ij = Tr[E^dag(X_i) X_j]/2, so Bloch coordinates evolve as
-    x'_i = sum_j T_ij x_j with the fixed coordinate x_0 = sqrt(2/d).
-    """
-
-    d: int
-    t: np.ndarray
 
 
 def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChannel:
@@ -130,8 +119,11 @@ def a_matrix(ch: KrausChannel) -> np.ndarray:
     return e @ e.conj().T
 
 
-def transfer_matrix(ch: KrausChannel) -> TransferMatrix:
-    """Transfer matrix T_ij = Tr[E^dag(X_i) X_j]/2 in the Gell-Mann basis.
+def transfer_matrix(ch: KrausChannel) -> np.ndarray:
+    """Real (d^2, d^2) Heisenberg-picture transfer matrix T_ij =
+    Tr[E^dag(X_i) X_j]/2 in the Gell-Mann basis, row and column 0 for X_0,
+    so Bloch coordinates evolve as x'_i = sum_j T_ij x_j with the fixed
+    coordinate x_0 = sqrt(2/d).
 
     With G the rows vec(X_i) (X_0 first) and the superoperator
     S[(b,c),(a,d)] = sum_mu conj(E_mu[b,a]) E_mu[c,d], T = G S G^dag / 2
@@ -148,13 +140,14 @@ def transfer_matrix(ch: KrausChannel) -> TransferMatrix:
         raise InvalidChannelError(
             f"transfer matrix has imaginary residue {np.max(np.abs(t.imag)):.3e}"
         )
-    return TransferMatrix(d=ch.d, t=t.real)
+    return t.real
 
 
-def theorem1_condition(T: TransferMatrix) -> bool:
-    """True iff T_k0 = 0 for every off-diagonal generator row k."""
-    k_max = T.d * T.d - T.d
-    return bool(np.max(np.abs(T.t[1 : k_max + 1, 0])) <= CONDITION_TOL)
+def theorem1_condition(T) -> bool:
+    """True iff T_k0 = 0 for every off-diagonal generator row k of the
+    (d^2, d^2) transfer matrix T."""
+    d = isqrt(len(T))
+    return bool(np.max(np.abs(T[1 : d * d - d + 1, 0])) <= CONDITION_TOL)
 
 
 def corollary1_check(ch: KrausChannel) -> bool:
@@ -164,16 +157,16 @@ def corollary1_check(ch: KrausChannel) -> bool:
     return bool(np.max(np.abs(off)) <= CONDITION_TOL)
 
 
-def scalar_actions(T: TransferMatrix, populated) -> np.ndarray:
+def scalar_actions(T, populated) -> np.ndarray:
     """The scalar q by which T acts on each set of populated off-diagonal
     generator rows, one set per row of the (..., d^2 - d) boolean mask
     ``populated``: every populated row k must be q on its own diagonal
     entry T_kk and 0 elsewhere. NaN where the rows are no common rescaling
     or none is populated; one masked read of T serves every set."""
-    k_max = T.d * T.d - T.d
-    rows = T.t[1 : k_max + 1]
+    k_max = len(T) - isqrt(len(T))
+    rows = T[1 : k_max + 1]
     diag = np.diagonal(rows, offset=1)  # T_kk of the rows k = 1..k_max
-    own = np.arange(T.d * T.d) == np.arange(1, k_max + 1)[:, None]
+    own = np.arange(len(T)) == np.arange(1, k_max + 1)[:, None]
     clean = np.all(np.abs(np.where(own, 0.0, rows)) <= CONDITION_TOL, axis=1)
     populated = np.asarray(populated, dtype=bool)
     q = diag[np.argmax(populated, axis=-1)]  # T_kk of the first populated row
@@ -182,7 +175,7 @@ def scalar_actions(T: TransferMatrix, populated) -> np.ndarray:
     return np.where(ok, q, np.nan)
 
 
-def scalar_action_detect(T: TransferMatrix, subset):
+def scalar_action_detect(T, subset):
     """Return q if T acts as q * identity on every row in ``subset``.
 
     ``subset`` holds 1-based off-diagonal generator indices. Returns None
@@ -191,14 +184,14 @@ def scalar_action_detect(T: TransferMatrix, subset):
     k = np.unique([int(i) for i in subset])
     if not k.size:
         return None
-    k_max = T.d * T.d - T.d
+    k_max = len(T) - isqrt(len(T))
     if k[0] < 1 or k[-1] > k_max:
         raise IndexError(f"subset must lie in 1..{k_max}")
     q = scalar_actions(T, np.isin(np.arange(1, k_max + 1), k))
     return None if np.isnan(q) else float(q)
 
 
-def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None) -> bool:
+def frozen_condition_check(T, fam: StateFamily = None) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
 
     T^S must be block diagonal with orthogonal 2x2 blocks, read on the
@@ -209,16 +202,17 @@ def frozen_condition_check(T: TransferMatrix, fam: StateFamily = None) -> bool:
     two columns are both populated: with n_{2r} = 0 (or n_{2r-1} = 0) only
     one column has to keep unit length.
     """
-    if fam is not None and fam.d != T.d:
-        raise DimensionMismatchError(f"family d={fam.d} vs transfer matrix d={T.d}")
+    d = isqrt(len(T))
+    if fam is not None and fam.d != d:
+        raise DimensionMismatchError(f"family d={fam.d} vs transfer matrix d={d}")
     if not theorem1_condition(T):
         raise NotApplicableError(
             "frozen-coherence check requires the factorization precondition T_k0 = 0"
         )
-    n, d0 = T.d * T.d - 1, (T.d * T.d - T.d) // 2
+    n, d0 = d * d - 1, (d * d - d) // 2
     populated = np.full(n, True) if fam is None else np.abs(np.asarray(fam.n, dtype=float)) > CONDITION_TOL
     pair = populated[: 2 * d0].reshape(d0, 2)
-    rows = T.t[1 : 2 * d0 + 1, 1:].reshape(d0, 2, n)  # the two rows of each pair
+    rows = T[1 : 2 * d0 + 1, 1:].reshape(d0, 2, n)  # the two rows of each pair
     r = np.arange(d0)
     blocks = rows[:, :, : 2 * d0].reshape(d0, 2, d0, 2)[r, :, r]
     gram = blocks.swapaxes(1, 2) @ blocks - np.eye(2)
@@ -400,14 +394,32 @@ def channel_entry(name) -> ChannelEntry:
     return _NAMED[name]
 
 
+def _finite(value):
+    """True iff ``value`` is a finite real number or a NumPy array of them:
+    not a boolean, a string, a list or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number, np.ndarray)):
+        return False
+    x = np.asarray(value)
+    return x.dtype.kind in "iuf" and bool(np.isfinite(x).all())
+
+
 def make_named(name, d=2, params=None) -> KrausChannel:
     """Construct a named channel from its parameter map. The channel is
     labelled ``name`` and carries every parameter, defaults included; a
     channel that does not take ``d`` is a qubit channel and needs d = 2.
-    Parameters given as arrays build the (..., k, d, d) stack of the
-    channels at their broadcast values."""
+    Every parameter must be a key of the channel's table row and a finite
+    real number; parameters given as NumPy arrays build the (..., k, d, d)
+    stack of the channels at their broadcast values."""
     entry = channel_entry(name)
     p = dict(params or {})
+    known = set(entry.keys) | {k for k, _ in entry.defaults}
+    unknown = sorted(set(p) - known)
+    if unknown:
+        raise InvalidChannelError(f"channel 'params' of {name!r} has unknown keys {unknown}; "
+                                  f"known: {sorted(known)}")
+    for key, value in p.items():
+        if not _finite(value):
+            raise InvalidChannelError(f"channel 'params' entry {key!r} must be a finite number, got {value!r}")
     missing = [k for k in entry.keys if k not in p]
     if missing:
         raise InvalidChannelError(f"channel {name!r} missing parameters {missing}")

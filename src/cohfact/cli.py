@@ -36,7 +36,7 @@ from .factorization import (
     verify_families,
 )
 from .measures import correlation_measures, l1_from_density, purity_measure
-from .state import DensityMatrix, StateFamily, ginibre_state, random_families, random_state
+from .state import DensityMatrix, ginibre_state, random_families, random_state
 
 
 @lru_cache(maxsize=1)
@@ -81,22 +81,11 @@ def _parser():
     return p
 
 
-def _direction(values, length, what):
-    """Parse a user-given direction of ``length`` components and normalise it."""
-    if not isinstance(values, list):
-        raise CohfactError(f"{what} must be a list of numbers, got {type(values).__name__}")
-    try:
-        n = np.array([float(v) for v in values])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CohfactError(f"{what} must be a list of numbers: {exc}") from exc
-    if n.shape != (length,):
-        raise CohfactError(f"{what} needs {length} components, got {n.size}")
-    if not np.all(np.isfinite(n)):
-        raise CohfactError(f"{what} has non-finite components")
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise CohfactError(f"{what} is zero")
-    return n / norm
+def _check_tol(tol):
+    """Refuse a --tol that is negative or not finite: a NaN tolerance would
+    pass no trial and freeze no sweep."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise CohfactError(f"--tol must be finite and at least 0, got {tol}")
 
 
 @contextmanager
@@ -110,18 +99,14 @@ def _output(path):
         yield fh
 
 
-def _writeln(fh, line):
-    fh.write(line + "\n")
-
-
 def cmd_coherence(args):
     rho = io.load_state(args.state)
     with _output(args.out) as fh:
-        _writeln(fh, f"C_l1 = {l1_from_density(rho):.12f}")
-        _writeln(fh, f"purity = {purity_measure(rho):.12f}")
+        print(f"C_l1 = {l1_from_density(rho):.12f}", file=fh)
+        print(f"purity = {purity_measure(rho):.12f}", file=fh)
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
-                _writeln(fh, f"{k} = {v:.12f}")
+                print(f"{k} = {v:.12f}", file=fh)
     return 0
 
 
@@ -161,10 +146,10 @@ def _chunks(ch, args, entries_per_trial, draw, verify):
     chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries_per_trial))
     if chunk > BLOCK_TRIALS:
         chunk -= chunk % BLOCK_TRIALS  # whole blocks, each drawn once
-    t = None
     for lo in range(0, args.trials, chunk):
         sample = _draws(args.seed, lo, min(lo + chunk, args.trials), draw)
-        t = t or transfer_matrix(ch)
+        if lo == 0:
+            t = transfer_matrix(ch)
         yield verify(*sample, t)
 
 
@@ -203,6 +188,9 @@ _VERIFY = {
 def cmd_verify(args):
     if args.trials < 1:
         raise CohfactError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise CohfactError(f"--seed must be at least 0, got {args.seed}")
+    _check_tol(args.tol)
     ch = io.load_channel(args.channel)
     failures = 0
     trial = 0
@@ -210,11 +198,11 @@ def cmd_verify(args):
         for rep in _VERIFY[args.kind](ch, args):
             fields = (rep.lhs, rep.rhs, rep.abs_err, rep.probe_physical, rep.condition_held)
             for lhs, rhs, err, physical, held in zip(*(f.tolist() for f in fields)):
-                _writeln(fh, json.dumps({
+                print(json.dumps({
                     "trial": trial, "seed": args.seed, "d": ch.d, "channel": ch.label,
                     "lhs": io.fmt12(lhs), "rhs": io.fmt12(rhs), "abs_err": io.fmt12(err),
                     "probe_physical": physical, "condition_held": held,
-                }))
+                }), file=fh)
                 trial += 1
             failures += int(np.count_nonzero(~rep.within(args.tol)))  # NaN fails
     if args.expect_violation:
@@ -265,6 +253,7 @@ def _sample_reachable_target(N, key, rows):
 
 
 def cmd_sweep(args):
+    _check_tol(args.tol)
     rho = io.load_state(args.state)
     try:
         a, b, step = (float(v) for v in args.range.split(":"))
@@ -283,16 +272,16 @@ def cmd_sweep(args):
     rows = map("{:.12g},{:.12g},{:.12g}\n".format,
                traj.params.tolist(), traj.values.tolist(), traj.purities.tolist())
     with _output(args.out) as fh:
-        _writeln(fh, "param,c_l1,purity")
+        print("param,c_l1,purity", file=fh)
         fh.write("".join(rows))
-        _writeln(fh, f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}")
+        print(f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}", file=fh)
     return 0
 
 
 def cmd_construct_aux(args):
     rho = io.load_state(args.state)
     N = qubit_count(rho.d)
-    m = _direction(args.target.split(","), 4**N - 1, "--target")
+    m = io.unit_direction(args.target.split(","), 4**N - 1, "--target")
     try:
         eps = aux_solve(rho, m, args.chi)
         ch = aux_kraus_channel(eps, args.chi)
@@ -315,40 +304,14 @@ def cmd_transfer(args):
     t = transfer_matrix(ch)
     doc = json.dumps(io.transfer_to_dict(t))
     with _output(args.out) as fh:
-        _writeln(fh, doc)
+        print(doc, file=fh)
     return 0
-
-
-def _load_family(path, d):
-    """Read a family file {"d", "n", "chi" (default 1)} for a d-dimensional channel."""
-    with open(path) as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise CohfactError("family file must hold a JSON object {d, n, chi}")
-    for key in ("d", "n"):
-        if key not in spec:
-            raise CohfactError(f"family file has no {key!r} entry")
-    if spec["d"] != d:
-        raise CohfactError(f"family d={spec['d']} vs channel d={d}")
-    # booleans and strings would pass float(); named-channel params refuse them too
-    chi, n = spec.get("chi", 1.0), spec["n"]
-    if isinstance(chi, (bool, str)):
-        raise CohfactError(f"family chi must be a number, got {chi!r}")
-    if isinstance(n, list) and any(isinstance(v, (bool, str)) for v in n):
-        raise CohfactError("family direction n must hold numbers, not booleans or strings")
-    try:
-        chi = float(chi)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CohfactError(f"family chi must be a number: {exc}") from exc
-    if not np.isfinite(chi):
-        raise CohfactError(f"family chi must be finite, got {chi}")
-    return StateFamily(d=d, n=_direction(n, d * d - 1, "family direction n"), chi=chi)
 
 
 def cmd_freeze_check(args):
     ch = io.load_channel(args.channel)
     t = transfer_matrix(ch)
-    fam = _load_family(args.family, ch.d) if args.family else None
+    fam = io.load_family(args.family, ch.d) if args.family else None
     try:
         frozen = frozen_condition_check(t, fam)
     except NotApplicableError as exc:

@@ -10,7 +10,6 @@ from .basis import gellmann_basis, pauli_tensor_basis, qubit_count
 from .channel import (
     CONDITION_TOL,
     KrausChannel,
-    TransferMatrix,
     apply,
     aux_channel,
     channel_entry,
@@ -21,7 +20,6 @@ from .channel import (
 )
 from .errors import (
     DimensionMismatchError,
-    IncoherentDirectionError,
     InvalidChannelError,
     NotApplicableError,
 )
@@ -31,8 +29,8 @@ from .state import (
     StateFamily,
     bloch_compose,
     bloch_decompose,
-    coherence_weight,
     is_psd,
+    probe_factor,
 )
 
 # Bound on the complex entries of the Kraus stack one batched product runs
@@ -57,7 +55,25 @@ class FactorizationReport:
         return self.abs_err <= tol
 
 
-def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None) -> FactorizationReport:
+def _law(measure_fn, ch: KrausChannel, states: DensityMatrix, condition) -> FactorizationReport:
+    """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags for the
+    (2s, d, d) stack ``states`` of s states rho, then their s probes rho_p,
+    mapped by the channel in one product; ``condition`` is the channel
+    condition's outcome."""
+    s = len(states.m) // 2
+    before = measure_fn(states.m[:s])
+    after = measure_fn(apply(ch, states).m)
+    lhs, rhs = after[:s], before * after[s:]
+    return FactorizationReport(
+        lhs=lhs,
+        rhs=rhs,
+        abs_err=np.abs(lhs - rhs),
+        probe_physical=is_psd(states.m[s:]),
+        condition_held=np.full(s, condition),
+    )
+
+
+def verify_families(measure, ch: KrausChannel, n, chi, t=None) -> FactorizationReport:
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] for the s families with
     the unit directions in the rows of n and the factors in chi, for the
     measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1).
@@ -78,38 +94,17 @@ def verify_families(measure, ch: KrausChannel, n, chi, t: TransferMatrix = None)
     if t is None:
         t = transfer_matrix(ch)
     if measure == "l1":
-        g = coherence_weight(n, ch.d)
-        if np.any(g <= 1e-12):
-            raise IncoherentDirectionError(
-                "direction has no coherent part (g = 0); probe state undefined"
-            )
-        chi_p, measure_fn, condition = 1.0 / g, l1_from_density, theorem1_condition(t)
+        chi_p, measure_fn, condition = probe_factor(n, ch.d), l1_from_density, theorem1_condition(t)
     else:  # all T_k0 = 0: unital
         chi_p, measure_fn = np.full(len(chi), np.sqrt(2.0)), purity_measure
-        condition = bool(np.max(np.abs(t.t[1:, 0])) <= CONDITION_TOL)
-    s = len(chi)
+        condition = bool(np.max(np.abs(t[1:, 0])) <= CONDITION_TOL)
     states = bloch_compose(np.concatenate((chi[:, None] * n, chi_p[:, None] * n)), gellmann_basis(ch.d))
-    before = measure_fn(states.m[:s])
-    after = measure_fn(apply(ch, states).m)
-    lhs, rhs = after[:s], before * after[s:]
-    return FactorizationReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=np.abs(lhs - rhs),
-        probe_physical=is_psd(states.m[s:]),
-        condition_held=np.full(s, condition),
-    )
+    return _law(measure_fn, ch, states, condition)
 
 
 def _first(rep: FactorizationReport) -> FactorizationReport:
     """The one-trial report of a report over a stack of one."""
     return FactorizationReport(**{f.name: getattr(rep, f.name)[0].item() for f in fields(rep)})
-
-
-def _one_family(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
-    if fam.d != ch.d:
-        raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
-    return _first(verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi]))
 
 
 def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
@@ -118,16 +113,18 @@ def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
 
     Never aborts on a failed channel condition: a report with
     ``condition_held=False`` is a counterexample probe."""
-    return _one_family("l1", ch, fam)
+    return verify_lemma1("l1", ch, fam)
 
 
 def verify_lemma1(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
     """Factorization check of one family for a named measure ('l1' or
     'purity'): the one-family case of verify_families."""
-    return _one_family(measure, ch, fam)
+    if fam.d != ch.d:
+        raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
+    return _first(verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi]))
 
 
-def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = None) -> FactorizationReport:
+def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t=None) -> FactorizationReport:
     """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho
     populates; ``t`` is the channel's transfer matrix, built when not given.
 
@@ -139,7 +136,7 @@ def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = 
     if rho.m.ndim == 2:
         return _first(verify_corollary2(ch, DensityMatrix(d=rho.d, m=rho.m[None]), t))
     basis = gellmann_basis(rho.d)
-    populated = np.abs(bloch_decompose(rho, basis).x[:, : basis.num_offdiag]) > 1e-12
+    populated = np.abs(bloch_decompose(rho, basis)[:, : basis.num_offdiag]) > 1e-12
     if not populated.any(axis=1).all():
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     if t is None:
@@ -154,8 +151,7 @@ def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t: TransferMatrix = 
                                probe_physical=np.full(s, True), condition_held=np.full(s, True))
 
 
-def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
-                   t: TransferMatrix = None) -> FactorizationReport:
+def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi, t=None) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)].
 
     The probe factor chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m)
@@ -164,28 +160,18 @@ def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi,
     the transfer matrix of E_F, built when not given. An (s, d, d) stack of
     states with (s, 4^N - 1) directions and s factors gives a report of
     arrays: the s auxiliary channels map their states as one (s, 4^N, d, d)
-    stack, and E_F maps the s images, then the s probes, each as one
-    stack."""
+    stack, and E_F maps the s images and the s probes as one stack."""
     m = np.asarray(m, dtype=float)
     if rho.m.ndim == 2:
         return _first(verify_cascade(ch_f, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi], t))
     sigma = apply(aux_channel(rho, m, chi), rho).m
-    mixed = np.eye(rho.d) / rho.d
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(rho.d)).elements, 1)  # (1/2) m.Y
     g = l1_from_density(direction)
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    probe = mixed + direction / g[:, None, None]
-    s = len(g)
-    lhs = l1_from_density(apply(ch_f, DensityMatrix(d=rho.d, m=sigma)).m)
-    rhs = l1_from_density(sigma) * l1_from_density(apply(ch_f, DensityMatrix(d=rho.d, m=probe)).m)
-    return FactorizationReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=np.abs(lhs - rhs),
-        probe_physical=is_psd(probe),
-        condition_held=np.full(s, theorem1_condition(transfer_matrix(ch_f) if t is None else t)),
-    )
+    probes = np.eye(rho.d) / rho.d + direction / g[:, None, None]
+    condition = theorem1_condition(transfer_matrix(ch_f) if t is None else t)
+    return _law(l1_from_density, ch_f, DensityMatrix(d=rho.d, m=np.concatenate((sigma, probes))), condition)
 
 
 @dataclass(frozen=True)

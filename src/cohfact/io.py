@@ -2,19 +2,20 @@
 
 State: {"d": int, "matrix": [[[re, im], ...], ...]} or {"d": int, "bloch": [...]}.
 Channel: {"name": ..., "d": int, "params": {...}} or {"kraus": [[[[re, im], ...]]]}.
+Family: {"d": int, "n": [...], "chi": number (default 1)}.
 Numbers serialize with 12 significant digits.
 """
 
 import json
-import sys
 from itertools import chain
+from math import isqrt
 
 import numpy as np
 
 from .basis import gellmann_basis
-from .channel import KrausChannel, TransferMatrix, channel_entry, kraus_channel, make_named
+from .channel import KrausChannel, kraus_channel, make_named
 from .errors import CohfactError
-from .state import DensityMatrix, bloch_compose, density_matrix
+from .state import DensityMatrix, StateFamily, bloch_compose, density_matrix, validate_density
 
 
 # Largest d accepted from input. A named channel or Bloch state of
@@ -28,12 +29,8 @@ def fmt12(x):
     return float(f"{float(x):.12g}")
 
 
-def _complex_to_pair(z):
-    return [fmt12(z.real), fmt12(z.imag)]
-
-
 def _matrix_to_json(m):
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    return [[[fmt12(z.real), fmt12(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _numbers(entries, what):
@@ -117,7 +114,7 @@ def state_from_dict(spec: dict) -> DensityMatrix:
         if not np.all(np.abs(x) <= np.sqrt(2.0)):  # NaN fails too
             raise CohfactError("state 'bloch' entries must be finite and at most sqrt(2) in size, "
                                "as every state's coordinates are")
-        rho = bloch_compose(x, gellmann_basis(d), validate=True)
+        rho = validate_density(bloch_compose(x, gellmann_basis(d)))
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
     if d is not None and d != rho.d:
@@ -145,32 +142,13 @@ def channel_to_dict(ch: KrausChannel) -> dict:
     }
 
 
-def _named_params(spec):
-    """The "params" object of a named-channel spec: finite numbers under
-    keys of the channel's table row."""
-    name = spec["name"]
-    if not isinstance(name, str):
-        raise CohfactError(f"channel 'name' must be a string, got {name!r}")
-    params = _params(spec)
-    entry = channel_entry(name)
-    known = set(entry.keys) | {k for k, _ in entry.defaults}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise CohfactError(f"channel 'params' of {name!r} has unknown keys {unknown}; "
-                           f"known: {sorted(known)}")
-    for key, value in params.items():
-        # false for NaN, the infinities and integers too large for a float
-        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        if isinstance(value, bool) or not finite:
-            raise CohfactError(f"channel 'params' entry {key!r} must be a finite number, got {value!r}")
-    return params
-
-
 def channel_from_dict(spec: dict) -> KrausChannel:
     spec = _object(spec, "channel spec")
-    if "name" in spec:
+    if "name" in spec:  # make_named checks the params' keys and values
         d = _dimension(spec, "channel", 2)
-        return make_named(spec["name"], d=d, params=_named_params(spec))
+        if not isinstance(spec["name"], str):
+            raise CohfactError(f"channel 'name' must be a string, got {spec['name']!r}")
+        return make_named(spec["name"], d=d, params=_params(spec))
     if "kraus" in spec:
         ops = _complex_from_json(spec["kraus"], "channel 'kraus'")
         if ops.ndim != 3:
@@ -190,6 +168,45 @@ def save_channel(path, ch: KrausChannel):
         fh.write("\n")
 
 
-def transfer_to_dict(t: TransferMatrix) -> dict:
-    """Row-major real entries, index-0 (identity) row first."""
-    return {"d": t.d, "t": [[fmt12(v) for v in row] for row in t.t]}
+def transfer_to_dict(t) -> dict:
+    """Row-major real entries of a (d^2, d^2) transfer matrix, index-0
+    (identity) row first."""
+    return {"d": isqrt(len(t)), "t": [[fmt12(v) for v in row] for row in t]}
+
+
+def unit_direction(values, length, what):
+    """The array of ``length`` finite numbers ``values`` (or strings that
+    float() reads), not all zero, normalised to unit length."""
+    try:
+        n = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise CohfactError(f"{what} must be a list of numbers: {exc}") from exc
+    if n.shape != (length,):
+        raise CohfactError(f"{what} needs {length} components, got {n.size if n.ndim == 1 else f'shape {n.shape}'}")
+    if not np.all(np.isfinite(n)):
+        raise CohfactError(f"{what} has non-finite components")
+    norm = np.linalg.norm(n)
+    if norm == 0.0:
+        raise CohfactError(f"{what} is zero")
+    return n / norm
+
+
+def family_from_dict(spec: dict, d) -> StateFamily:
+    """The family of a spec for a d-dimensional channel, its direction
+    normalised."""
+    spec = _object(spec, "family spec")
+    for key in ("d", "n"):
+        if key not in spec:
+            raise CohfactError(f"family spec needs a {key!r} entry")
+    if _dimension(spec, "family", None) != d:
+        raise CohfactError(f"family d={spec['d']} vs channel d={d}")
+    chi = _numbers(spec.get("chi", 1.0), "family 'chi'")
+    if chi.ndim != 0 or not np.isfinite(chi):
+        raise CohfactError(f"family 'chi' must be a finite number, got {spec['chi']!r}")
+    n = unit_direction(_numbers(spec["n"], "family 'n'"), d * d - 1, "family 'n'")
+    return StateFamily(d=d, n=n, chi=float(chi))
+
+
+def load_family(path, d) -> StateFamily:
+    with open(path) as fh:
+        return family_from_dict(json.load(fh), d)

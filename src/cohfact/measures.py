@@ -1,5 +1,5 @@
-"""Coherence and correlation measures: the l1 norm in both pictures, the
-purity monotone, and the two-qubit correlation/discord family."""
+"""Coherence and correlation measures: the l1 norm, the purity monotone,
+and the two-qubit correlation/discord family."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from .basis import _SIGMA
 from .errors import DimensionMismatchError, UnphysicalStateError
-from .state import BlochVector, DensityMatrix, coherence_weight
+from .state import DensityMatrix
 
 
 def _mat(rho):
@@ -23,17 +23,6 @@ class CorrelationMatrix:
     eigs: np.ndarray
 
 
-@dataclass(frozen=True)
-class MeasurementDirection:
-    """Unit Bloch vector a defining projectors (I +/- a.sigma)/2 on A."""
-
-    a: np.ndarray
-
-    def projectors(self):
-        av = np.tensordot(self.a, _SIGMA[1:], 1)
-        return (np.eye(2, dtype=complex) + av) / 2, (np.eye(2, dtype=complex) - av) / 2
-
-
 def _per_matrix(values):
     """A float for one matrix, the array of values for a stack."""
     return float(values) if values.ndim == 0 else values
@@ -44,12 +33,6 @@ def l1_from_density(rho) -> float:
     matrix of an (s, d, d) stack)."""
     a = np.abs(_mat(rho))
     return _per_matrix(a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1))
-
-
-def l1_from_bloch(x: BlochVector) -> float:
-    """C_l1 in Bloch form: sum_r sqrt(x_{2r-1}^2 + x_{2r}^2); the diagonal
-    (w_l) coordinates do not contribute."""
-    return coherence_weight(x.x, x.d)
 
 
 def purity_measure(rho) -> float:
@@ -91,14 +74,14 @@ def correlation_measures(rho) -> dict:
 
 
 def projective_collapse(rho, direction) -> DensityMatrix:
-    """Local measurement map sum_k (Pi_k x I) rho (Pi_k x I) on subsystem A."""
+    """Local measurement map sum_k (Pi_k x I) rho (Pi_k x I) on subsystem A,
+    with Pi_+/- = (I +/- a.sigma)/2 for the unit Bloch vector a ``direction``."""
     m = _mat(rho)
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    if not isinstance(direction, MeasurementDirection):
-        direction = MeasurementDirection(np.asarray(direction, dtype=float))
+    av = np.tensordot(np.asarray(direction, dtype=float), _SIGMA[1:], 1)
     out = np.zeros((4, 4), dtype=complex)
-    for p in direction.projectors():
+    for p in ((np.eye(2) + av) / 2, (np.eye(2) - av) / 2):
         pk = np.kron(p, np.eye(2))
         out += pk @ m @ pk
     return DensityMatrix(d=4, m=out)

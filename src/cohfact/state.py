@@ -1,4 +1,4 @@
-"""States in two pictures: density matrices and Bloch vectors, plus the
+"""States in two pictures: density matrices and Bloch coordinates, plus the
 one-parameter state families rho^n and their probe states."""
 
 from dataclasses import dataclass
@@ -23,12 +23,6 @@ REAL_TOL = 1e-12
 class DensityMatrix:
     d: int
     m: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    d: int
-    x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,10 @@ def is_psd(m):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
-    """Bloch coordinates x_i = Tr(rho X_i) in a Gell-Mann or Pauli tensor
-    basis; a state holding an (s, d, d) stack gives (s, d^2-1) coordinates."""
+def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> np.ndarray:
+    """The real (d^2-1,) array of Bloch coordinates x_i = Tr(rho X_i) in a
+    Gell-Mann or Pauli tensor basis; a state holding an (s, d, d) stack
+    gives (s, d^2-1) coordinates."""
     if rho.d != basis.d:
         raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.d}")
     x = np.einsum("...ab,iba->...i", rho.m, basis.elements)
@@ -109,21 +104,18 @@ def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> BlochVector:
             f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "
             "input is not Hermitian"
         )
-    return BlochVector(d=basis.d, x=x.real)
+    return x.real
 
 
-def bloch_compose(x, basis: GeneratorBasis, validate=False) -> DensityMatrix:
+def bloch_compose(x, basis: GeneratorBasis) -> DensityMatrix:
     """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates in a
-    Gell-Mann or Pauli tensor basis. Rows of an (s, d^2-1) array of
-    coordinates give a DensityMatrix holding an (s, d, d) stack."""
-    xv = x.x if isinstance(x, BlochVector) else np.asarray(x, dtype=float)
+    Gell-Mann or Pauli tensor basis, unvalidated. Rows of an (s, d^2-1)
+    array of coordinates give a DensityMatrix holding an (s, d, d) stack."""
+    x = np.asarray(x, dtype=float)
     d = basis.d
-    if xv.ndim not in (1, 2) or xv.shape[-1] != d * d - 1:
-        raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {xv.shape}")
-    rho = DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(xv, basis.elements, 1))
-    if validate:
-        validate_density(rho)
-    return rho
+    if x.ndim not in (1, 2) or x.shape[-1] != d * d - 1:
+        raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {x.shape}")
+    return DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(x, basis.elements, 1))
 
 
 def family_member(fam: StateFamily) -> DensityMatrix:
@@ -133,11 +125,25 @@ def family_member(fam: StateFamily) -> DensityMatrix:
 
 def coherence_weight(n, d):
     """g(n^s) = sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal pairs;
-    an array of weights for the rows of a 2-D ``n``."""
+    an array of weights for the rows of a 2-D ``n``. Of Gell-Mann Bloch
+    coordinates x it is C_l1 in the Bloch picture; the diagonal (w_l)
+    coordinates do not contribute."""
     n = np.asarray(n, dtype=float)
     d0 = (d * d - d) // 2
     g = np.sum(np.hypot(n[..., 0 : 2 * d0 : 2], n[..., 1 : 2 * d0 : 2]), axis=-1)
     return float(g) if g.ndim == 0 else g
+
+
+def probe_factor(n, d):
+    """chi_p = 1/g(n^s), the factor that gives the direction n (each row of
+    a 2-D ``n``) a probe of l1 coherence 1; raises IncoherentDirectionError
+    when a direction has no coherent part."""
+    g = coherence_weight(n, d)
+    if np.any(g <= 1e-12):
+        raise IncoherentDirectionError(
+            "direction has no coherent part (g = 0); probe state undefined"
+        )
+    return 1.0 / g
 
 
 def probe_state(n, d) -> ProbeState:
@@ -150,12 +156,7 @@ def probe_state(n, d) -> ProbeState:
     n = np.asarray(n, dtype=float)
     if n.shape != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
-    g = coherence_weight(n, d)
-    if g <= 1e-12:
-        raise IncoherentDirectionError(
-            "direction has no coherent part (g = 0); probe state undefined"
-        )
-    chi_p = 1.0 / g
+    chi_p = probe_factor(n, d)
     state = bloch_compose(chi_p * n, gellmann_basis(d))
     return ProbeState(n=n, chi_p=chi_p, state=state, physical=is_psd(state.m))
 

@@ -26,7 +26,6 @@ from cohfact.measures import (
     _collapse_extreme,
     correlation_measures,
     geometric_discord2,
-    l1_from_bloch,
     l1_from_density,
     min2,
     projective_collapse,
@@ -34,6 +33,7 @@ from cohfact.measures import (
 from cohfact.state import (
     StateFamily,
     bloch_decompose,
+    coherence_weight,
     density_matrix,
     family_member,
     is_psd,
@@ -181,7 +181,7 @@ def test_criterion_6_dual_picture_and_transfer():
         rng = np.random.default_rng(6000 + d)
         for _ in range(500):
             rho = random_state(d, rng)
-            err = abs(l1_from_density(rho) - l1_from_bloch(bloch_decompose(rho, b)))
+            err = abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho, b), d))
             worst_l1 = np.maximum(worst_l1, err)
     worst_t = 0.0
     for d in (2, 3, 4):
@@ -191,9 +191,9 @@ def test_criterion_6_dual_picture_and_transfer():
             ch = random_channel(d, k=d, seed=rng)
             rho = random_state(d, rng)
             t = transfer_matrix(ch)
-            xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b).x])
-            got = bloch_decompose(apply(ch, rho), b).x
-            worst_t = np.maximum(worst_t, float(np.max(np.abs((t.t @ xa)[1:] - got))))
+            xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b)])
+            got = bloch_decompose(apply(ch, rho), b)
+            worst_t = np.maximum(worst_t, float(np.max(np.abs((t @ xa)[1:] - got))))
     ok = worst_l1 <= 1e-12 and worst_t <= 1e-11
     _report("6 dual-picture", ok, f"l1 err = {worst_l1:.3e}, transfer err = {worst_t:.3e}")
 

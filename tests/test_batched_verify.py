@@ -40,6 +40,7 @@ from cohfact.state import (
     purity_radius,
     random_families,
     random_family,
+    validate_density,
 )
 
 
@@ -91,7 +92,7 @@ def reference_verify(measure, ch, fam):
         condition = theorem1_condition(t)
     else:
         probe, f = bloch_compose(np.sqrt(2.0) * fam.n, basis), purity_measure
-        condition = bool(np.max(np.abs(t.t[1:, 0])) <= 1e-10)
+        condition = bool(np.max(np.abs(t[1:, 0])) <= 1e-10)
     lhs = f(apply(ch, member))
     rhs = f(member) * f(apply(ch, probe))
     return lhs, rhs, is_psd(probe.m), condition
@@ -210,7 +211,7 @@ def test_layer_functions_map_a_stack_state_by_state():
             assert is_psd(stack.m)[i] == is_psd(one.m)
             assert coherence_weight(n, d)[i] == coherence_weight(n[i], d)
         with pytest.raises(InvalidDimensionError):
-            bloch_compose(chi[:, None] * n, basis, validate=True)
+            validate_density(bloch_compose(chi[:, None] * n, basis))
 
 
 def test_verify_families_takes_a_stack(capsys):

@@ -8,6 +8,7 @@ from cohfact.channel import (
     aux_channel,
     aux_coefficient_matrix,
     aux_solve,
+    channel_entry,
     corollary1_check,
     dual_apply,
     frozen_condition_check,
@@ -31,6 +32,7 @@ from cohfact.errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
+from cohfact.io import channel_from_dict
 from cohfact.state import StateFamily, bloch_compose, bloch_decompose, density_matrix, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,19 +103,19 @@ def test_adjoint_pairing():
 
 def test_transfer_identity_channel():
     t = transfer_matrix(identity_channel(3))
-    np.testing.assert_allclose(t.t, np.eye(9), atol=1e-13)
+    np.testing.assert_allclose(t, np.eye(9), atol=1e-13)
 
 
 def test_transfer_depolarizing_diagonal():
     p = 0.25
     t = transfer_matrix(make_named("depolarizing", d=2, params={"p": p}))
-    np.testing.assert_allclose(t.t, np.diag([1.0, 1 - p, 1 - p, 1 - p]), atol=1e-12)
+    np.testing.assert_allclose(t, np.diag([1.0, 1 - p, 1 - p, 1 - p]), atol=1e-12)
 
 
 def test_transfer_row0_is_trace_preservation():
     for seed in range(5):
         t = transfer_matrix(random_channel(3, seed=seed))
-        np.testing.assert_allclose(t.t[0], np.eye(9)[0], atol=1e-12)
+        np.testing.assert_allclose(t[0], np.eye(9)[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -124,16 +126,16 @@ def test_transfer_consistency_with_apply(d):
         ch = random_channel(d, seed=rng)
         rho = random_state(d, rng)
         t = transfer_matrix(ch)
-        xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b).x])
-        got = bloch_decompose(apply(ch, rho), b).x
-        np.testing.assert_allclose(t.t @ xa, np.concatenate([[np.sqrt(2.0 / d)], got]), atol=1e-11)
+        xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b)])
+        got = bloch_decompose(apply(ch, rho), b)
+        np.testing.assert_allclose(t @ xa, np.concatenate([[np.sqrt(2.0 / d)], got]), atol=1e-11)
 
 
 def test_theorem1_condition_cases():
     assert theorem1_condition(transfer_matrix(random_unital_channel(3, seed=1)))
     # amplitude damping: T_30 != 0 but the off-diagonal rows are clean
     t = transfer_matrix(make_named("amplitude_damping", params={"gamma": 0.5}))
-    assert abs(t.t[3, 0]) > 1e-3
+    assert abs(t[3, 0]) > 1e-3
     assert theorem1_condition(t)
     assert not theorem1_condition(transfer_matrix(nondiagonal_a_channel()))
 
@@ -203,7 +205,7 @@ def test_gell_mann_G_d2_depolarizing_special_case():
     q = 0.35
     tg = transfer_matrix(gell_mann_G(2, q, q))
     td = transfer_matrix(make_named("depolarizing", d=2, params={"p": 1 - q}))
-    np.testing.assert_allclose(tg.t, td.t, atol=1e-12)
+    np.testing.assert_allclose(tg, td, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -212,7 +214,7 @@ def test_gell_mann_G_dual_action(d):
     t = transfer_matrix(gell_mann_G(d, q, q0))
     n_off = d * d - d
     want = np.diag([1.0] + [q] * n_off + [q0] * (d - 1))
-    np.testing.assert_allclose(t.t, want, atol=1e-11)
+    np.testing.assert_allclose(t, want, atol=1e-11)
 
 
 def test_gell_mann_G_parameter_validation():
@@ -233,7 +235,7 @@ def test_d_parameterized_channels_reject_small_d(name, params, d):
 def test_bit_flip_transfer():
     q = 0.6
     t = transfer_matrix(make_named("bit_flip", params={"q": q}))
-    np.testing.assert_allclose(t.t, np.diag([1.0, 1.0, q, q]), atol=1e-12)
+    np.testing.assert_allclose(t, np.diag([1.0, 1.0, q, q]), atol=1e-12)
 
 
 def test_make_named_errors():
@@ -245,12 +247,45 @@ def test_make_named_errors():
         make_named("bit_flip", params={"q": 1.5})
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("frozen_xy", {"q": 0.3, "sgn": -1}, "has unknown keys ['sgn']; known: ['q', 'sign']"),
+    ("amplitude_damping", {"gamma": 0.2, "pbar": 0.5}, "has unknown keys ['pbar']; known: ['gamma']"),
+    ("bit_flip", {"q": "0.5"}, "entry 'q' must be a finite number, got '0.5'"),
+    ("bit_flip", {"q": True}, "entry 'q' must be a finite number, got True"),
+    ("bit_flip", {"q": None}, "entry 'q' must be a finite number, got None"),
+    ("bit_flip", {"q": [0.2, 0.5]}, "entry 'q' must be a finite number, got [0.2, 0.5]"),
+    ("bit_flip", {"q": np.nan}, "entry 'q' must be a finite number, got nan"),
+    ("bit_flip", {"q": np.array([0.2, np.inf])}, "entry 'q' must be a finite number"),
+    ("bit_flip", {"q": np.array([True])}, "entry 'q' must be a finite number"),
+    ("bit_flip", {"q": 0.5j}, "entry 'q' must be a finite number"),
+    ("frozen_z", {"q": 0.3, "sign": 10**400}, "entry 'sign' must be a finite number"),
+])
+def test_make_named_checks_every_parameter(name, params, message):
+    """make_named is the one gate for named-channel parameters: a key off
+    the channel's table row and a value that is not a finite real number
+    are refused, from a library call and from a channel file alike."""
+    with pytest.raises(InvalidChannelError) as lib:
+        make_named(name, params=params)
+    assert message in str(lib.value)
+    if not any(isinstance(v, np.ndarray) or isinstance(v, complex) for v in params.values()):
+        with pytest.raises(CohfactError) as file:
+            channel_from_dict({"name": name, "params": params})
+        assert str(file.value) == str(lib.value)
+
+
+def test_make_named_takes_numpy_numbers_and_arrays():
+    ch = make_named("frozen_xy", params={"q": np.float64(0.3), "sign": np.int64(-1)})
+    np.testing.assert_array_equal(ch.kraus, make_frozen_qubit("xy", 0.3, sign=-1).kraus)
+    assert make_named("bit_flip", params={"q": np.array([0.2, 0.5])}).kraus.shape == (2, 2, 2, 2)
+    assert make_named("bit_flip", params={"q": np.array([0, 1])}).kraus.shape == (2, 2, 2, 2)
+
+
 @pytest.mark.parametrize("name", ["phase_damping", "amplitude_damping", "frozen_z", "pauli"])
 @pytest.mark.parametrize("d", [1, 3, 4])
 def test_qubit_channel_rejects_other_d(name, d):
     params = {"q": 0.5, "gamma": 0.5, "p0": 1.0, "p1": 0.0, "p2": 0.0, "p3": 0.0}
     with pytest.raises(InvalidChannelError, match="qubit channel"):
-        make_named(name, d=d, params=params)
+        make_named(name, d=d, params={k: params[k] for k in channel_entry(name).keys})
 
 
 def test_make_named_label_and_params():
@@ -258,7 +293,7 @@ def test_make_named_label_and_params():
     ch = make_named("frozen_z", params={"q": 0.3})
     assert (ch.label, ch.params) == ("frozen_z", {"q": 0.3, "sign": 1})
     np.testing.assert_array_equal(ch.kraus[0], make_frozen_qubit("z", 0.3).kraus[0])
-    ch = make_named("amplitude_damping", params={"gamma": 0.2, "pbar": 0.5})
+    ch = make_named("amplitude_damping", params={"gamma": 0.2})
     assert (ch.label, ch.params) == ("amplitude_damping", {"gamma": 0.2})
     ch = make_named("depolarizing", d=3, params={"p": 0.4})
     assert (ch.label, ch.params, ch.d) == ("depolarizing", {"p": 0.4}, 3)
@@ -269,7 +304,7 @@ def test_pauli_channel():
     np.testing.assert_allclose(a_matrix(ch), np.eye(2), atol=1e-10)
     t = transfer_matrix(ch)
     # dual scales sigma_k by p0 + p_k - (sum of the other two)
-    np.testing.assert_allclose(np.diag(t.t), [1.0, 0.4, 0.2, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.diag(t), [1.0, 0.4, 0.2, 0.0], atol=1e-12)
 
 
 def test_frozen_qubit_trivial_endpoints():
@@ -366,7 +401,7 @@ def test_aux_shrink_example():
     np.testing.assert_allclose(eps, [0.375, 0.375, 0.125, 0.125], atol=1e-14)
     ch = aux_channel(rho, np.array([1.0, 0.0, 0.0]), 0.4)
     out = bloch_decompose(apply(ch, rho), b)
-    np.testing.assert_allclose(out.x, [0.4, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(out, [0.4, 0.0, 0.0], atol=1e-12)
 
 
 def test_aux_unreachable_target():

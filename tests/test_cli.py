@@ -197,6 +197,38 @@ def test_verify_needs_a_trial(tmp_path, capsys, trials):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["theorem1", "lemma1", "corollary2", "cascade"])
+def test_verify_negative_seed_exits_2(tmp_path, capsys, kind):
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.3}})
+    code, out, err = _run(["--seed", "-1", "--trials", "3", "verify", kind, "--channel", ch], capsys)
+    assert (code, out, err) == (2, "", "error: --seed must be at least 0, got -1\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("extra", [[], ["--expect-violation"]])
+def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol, extra):
+    ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.3}})
+    code, out, err = _run([f"--tol={tol}", "--trials", "3", "verify", "theorem1", "--channel", ch, *extra],
+                          capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be finite and at least 0, got ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_sweep_tol_must_be_finite_and_non_negative(plus_file, capsys, tol):
+    code, out, err = _run([f"--tol={tol}", "sweep", "frozen_z", "0:1:0.5", "--state", plus_file], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be finite and at least 0, got ")
+
+
+def test_zero_tol_is_accepted(tmp_path, capsys):
+    mixed = write_state(tmp_path, "mixed.json", np.eye(2) / 2)  # no coherence to lose
+    assert main(["--tol", "0", "sweep", "phase_damping", "0:1:0.5", "--state", mixed]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# frozen=true spread=0"
+    ch = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})
+    assert main(["--tol", "0", "--trials", "3", "verify", "corollary2", "--channel", ch]) != 2
+
+
 def test_construct_aux_identity_target(tmp_path, capsys):
     m = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     path = write_state(tmp_path, "rho.json", m)
@@ -275,6 +307,7 @@ def test_construct_aux_overflowing_chi_is_not_a_channel(tmp_path, capsys):
     {"d": 2, "n": ["0.6", 0, 0.8]},
     {"d": 2, "n": [0.6, True, 0.8]},
     {"d": 2, "n": [1, 0, 0], "chi": True},
+    {"d": 2, "n": [[0.6, 0, 0.8]]},  # nested
 ])
 def test_freeze_check_bad_family_exits_2(tmp_path, capsys, family):
     pd = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})
@@ -284,6 +317,17 @@ def test_freeze_check_bad_family_exits_2(tmp_path, capsys, family):
     out, err = capsys.readouterr()
     assert "frozen" not in out
     assert err.startswith("error: family")
+
+
+def test_freeze_check_not_applicable_exits_1(tmp_path, capsys):
+    """A channel with T_k0 != 0 has no frozen-coherence decision."""
+    path = tmp_path / "random.json"
+    ch = channel.random_channel(2, seed=1)
+    assert not channel.theorem1_condition(channel.transfer_matrix(ch))
+    io.save_channel(path, ch)
+    code, out, err = _run(["freeze-check", "--channel", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("not applicable: frozen-coherence check requires")
 
 
 def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
@@ -470,6 +514,7 @@ def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     ({"d": 2, "bloch": ["0.1", True, 0]}, "'bloch'"),  # float() reads these
     ({"d": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "'matrix'"),
     ({"d": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}, "'matrix'"),
+    ({"d": 3, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}, "declared d=3 but matrix is 2x2"),
 ])
 def test_bad_state_spec_exits_2(tmp_path, capsys, spec, field):
     path = tmp_path / "bad.json"

@@ -99,8 +99,8 @@ def test_channel_linearity_on_coherence_coordinates(d):
     for _ in range(10):
         ch = random_unital_channel(d, seed=rng)
         fam = random_family(d, rng)
-        out_n = bloch_decompose(apply(ch, bloch_compose(fam.n, b)), b).x
-        out_chi = bloch_decompose(apply(ch, family_member(fam)), b).x
+        out_n = bloch_decompose(apply(ch, bloch_compose(fam.n, b)), b)
+        out_chi = bloch_decompose(apply(ch, family_member(fam)), b)
         np.testing.assert_allclose(out_chi[:n_off], fam.chi * out_n[:n_off], atol=1e-11)
 
 
@@ -210,6 +210,16 @@ def test_cascade_n1_matches_theorem1():
     rep2 = verify_theorem1(ch_f, StateFamily(d=2, n=m, chi=chi))
     assert abs(rep.lhs - rep2.lhs) < 1e-11
     assert abs(rep.rhs - rep2.rhs) < 1e-11
+
+
+def test_cascade_target_without_coherent_part():
+    """A target along the diagonal generator sigma_z is reachable, but its
+    direction has no l1 coherence, so the cascade has no probe."""
+    rho = density_matrix(np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))  # y = (0.3, 0.4, 0.5)
+    m = np.array([0.0, 0.0, 1.0])
+    aux_channel(rho, m, 0.1)  # realizable
+    with pytest.raises(NotApplicableError, match="target direction has no coherent part"):
+        verify_cascade(make_named("bit_flip", params={"q": 0.5}), rho, m, 0.1)
 
 
 def test_freeze_trajectory_frozen_xy():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohfact import cli, io
+from cohfact import io
 from cohfact.channel import channel_entry, named_channels
 from cohfact.errors import CohfactError
 
@@ -105,7 +105,7 @@ def test_family_loader_raises_only_cohfact_errors(spec, d):
         path = os.path.join(tmp, "family.json")
         with open(path, "w") as fh:
             json.dump(spec, fh)
-        _only_cohfact_errors(lambda p: cli._load_family(p, d), path)
+        _only_cohfact_errors(lambda p: io.load_family(p, d), path)
 
 
 def test_family_loader_rejects_non_finite_and_non_list_entries(tmp_path):
@@ -116,7 +116,7 @@ def test_family_loader_rejects_non_finite_and_non_list_entries(tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps(spec))
         try:
-            cli._load_family(str(path), 2)
+            io.load_family(str(path), 2)
         except CohfactError:
             continue
         raise AssertionError(f"accepted {spec}")

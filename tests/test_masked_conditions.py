@@ -7,6 +7,8 @@ answer, ``NotApplicableError`` and ``IndexError`` included, on channels and
 on transfer matrices built to sit on either side of each condition.
 """
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 from cohfact.channel import (
     CONDITION_TOL,
-    TransferMatrix,
     _haar_unitaries,
     frozen_condition_check,
     gell_mann_G,
@@ -34,12 +35,12 @@ def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
     subset = sorted(set(int(k) for k in subset))
     if not subset:
         return None
-    k_max = T.d * T.d - T.d
+    k_max = len(T) - isqrt(len(T))
     if subset[0] < 1 or subset[-1] > k_max:
         raise IndexError(f"subset must lie in 1..{k_max}")
     q = None
     for k in subset:
-        row = T.t[k]
+        row = T[k]
         if q is None:
             q = row[k]
         if abs(row[k] - q) > tol:
@@ -53,13 +54,13 @@ def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
 def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
     if not theorem1_condition(T):
         raise NotApplicableError("factorization precondition fails")
-    d = T.d
+    d = isqrt(len(T))
     d0 = (d * d - d) // 2
-    s = T.t[1 : d * d - d + 1, 1:]
+    s = T[1 : d * d - d + 1, 1:]
 
     def block(r):
         i = 2 * r - 1
-        return T.t[i : i + 2, i : i + 2]
+        return T[i : i + 2, i : i + 2]
 
     if fam is None:
         for r in range(1, d0 + 1):
@@ -157,7 +158,7 @@ def _random_transfer(d, rng):
         t[i, j] += rng.choice([1e-3, 0.5])
     if rng.uniform() < 0.1:
         t[rng.integers(1, 1 + 2 * d0), 0] = 0.1
-    return TransferMatrix(d=d, t=t)
+    return t
 
 
 def _family(d, rng):
@@ -182,11 +183,12 @@ def _subset(d, rng):
 
 
 def _check(T, rng):
-    for fam in (None, _family(T.d, rng), _family(T.d, rng), _family(T.d, rng)):
+    d = isqrt(len(T))
+    for fam in (None, _family(d, rng), _family(d, rng), _family(d, rng)):
         assert (_outcome(frozen_condition_check, T, fam)
                 == _outcome(reference_frozen_condition_check, T, fam))
     for _ in range(3):
-        subset = _subset(T.d, rng)
+        subset = _subset(d, rng)
         assert (_outcome(scalar_action_detect, T, subset)
                 == _outcome(reference_scalar_action_detect, T, subset))
 
@@ -214,7 +216,7 @@ def test_channel_cases_reach_every_answer():
     comparison above is not only on one answer."""
     rng = np.random.default_rng(5)
     ts = [transfer_matrix(_channel(kind, d, rng)) for kind in KINDS for d in (2, 3)]
-    seen = {_outcome(frozen_condition_check, T, fam) for T in ts for fam in (None, _family(T.d, rng))}
+    seen = {_outcome(frozen_condition_check, T, fam) for T in ts for fam in (None, _family(isqrt(len(T)), rng))}
     assert {True, False, NotApplicableError} <= seen
 
 
@@ -228,11 +230,10 @@ def test_built_matrices_reach_both_answers():
 def test_nan_never_passes():
     t = np.eye(4)
     t[1, 3] = np.nan  # a coupling of the first pair's u row
-    T = TransferMatrix(d=2, t=t)
-    assert frozen_condition_check(T) is False
+    assert frozen_condition_check(t) is False
     t = np.eye(4)
     t[1, 1] = t[2, 2] = np.nan
-    assert scalar_action_detect(TransferMatrix(d=2, t=t), [1, 2]) is None
+    assert scalar_action_detect(t, [1, 2]) is None
 
 
 def test_family_of_another_dimension():

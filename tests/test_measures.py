@@ -10,19 +10,17 @@ from cohfact.basis import gellmann_basis
 from cohfact.channel import apply, make_named
 from cohfact.errors import DimensionMismatchError
 from cohfact.measures import (
-    MeasurementDirection,
     _collapse_extreme,
     correlation_matrix,
     correlation_measures,
     geometric_discord2,
     hellinger_discord,
-    l1_from_bloch,
     l1_from_density,
     min2,
     projective_collapse,
     purity_measure,
 )
-from cohfact.state import BlochVector, bloch_decompose, density_matrix, random_state
+from cohfact.state import bloch_decompose, coherence_weight, density_matrix, random_state
 
 
 def bell_state():
@@ -43,9 +41,8 @@ def test_l1_maximally_coherent(d):
 
 
 def test_l1_bloch_trivials():
-    assert l1_from_bloch(BlochVector(d=2, x=np.zeros(3))) == 0.0
-    x = BlochVector(d=2, x=np.array([0.6, 0.8, 0.3]))
-    assert abs(l1_from_bloch(x) - 1.0) < 1e-15
+    assert coherence_weight(np.zeros(3), 2) == 0.0
+    assert abs(coherence_weight(np.array([0.6, 0.8, 0.3]), 2) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -54,7 +51,7 @@ def test_dual_picture_agreement(d):
     rng = np.random.default_rng(d)
     for _ in range(50):
         rho = random_state(d, rng)
-        assert abs(l1_from_density(rho) - l1_from_bloch(bloch_decompose(rho, b))) < 1e-12
+        assert abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho, b), d)) < 1e-12
 
 
 def test_purity_trivials():
@@ -68,7 +65,7 @@ def test_purity_bloch_identity(d):
     rng = np.random.default_rng(d + 100)
     for _ in range(20):
         rho = random_state(d, rng)
-        x = bloch_decompose(rho, b).x
+        x = bloch_decompose(rho, b)
         assert abs(purity_measure(rho) - np.dot(x, x) / 2.0) < 1e-12
 
 
@@ -249,7 +246,11 @@ def test_import_does_not_load_scipy():
 
 
 def test_measurement_direction_projectors():
-    d = MeasurementDirection(np.array([1.0, 0.0, 0.0]))
-    p, q = d.projectors()
-    np.testing.assert_allclose(p + q, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(p @ p, p, atol=1e-15)
+    """The collapse along a = x uses the projectors (I +/- sigma_x)/2: an
+    x eigenstate on A is kept, and a z eigenstate on A becomes I/2."""
+    b = random_state(2, 4).m
+    plus, zero = np.full((2, 2), 0.5), np.diag([1.0, 0.0])
+    np.testing.assert_allclose(projective_collapse(np.kron(plus, b), [1.0, 0.0, 0.0]).m,
+                               np.kron(plus, b), atol=1e-15)
+    np.testing.assert_allclose(projective_collapse(np.kron(zero, b), [1.0, 0.0, 0.0]).m,
+                               np.kron(np.eye(2) / 2, b), atol=1e-15)

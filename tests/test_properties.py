@@ -42,7 +42,7 @@ def _transfer_reference(ch, basis):
 @settings(max_examples=40, deadline=None)
 def test_transfer_matrix_matches_dual_definition(d, k, seed):
     ch = random_channel(d, k=k, seed=seed)
-    got = transfer_matrix(ch).t
+    got = transfer_matrix(ch)
     np.testing.assert_allclose(got, _transfer_reference(ch, gellmann_basis(d)), rtol=0, atol=1e-12)
 
 
@@ -54,14 +54,14 @@ def test_transfer_matrix_of_composition_is_product(d, k1, k2, seed):
     e1 = random_channel(d, k=k1, seed=rng)
     e2 = random_channel(d, k=k2, seed=rng)
     both = kraus_channel([f @ e for e in e1.kraus for f in e2.kraus])
-    want = transfer_matrix(e2).t @ transfer_matrix(e1).t
-    np.testing.assert_allclose(transfer_matrix(both).t, want, rtol=0, atol=1e-12)
+    want = transfer_matrix(e2) @ transfer_matrix(e1)
+    np.testing.assert_allclose(transfer_matrix(both), want, rtol=0, atol=1e-12)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)
 @settings(max_examples=40, deadline=None)
 def test_trace_preserving_channel_has_unit_first_row(d, k, seed):
-    t = transfer_matrix(random_channel(d, k=k, seed=seed)).t
+    t = transfer_matrix(random_channel(d, k=k, seed=seed))
     e0 = np.zeros(d * d)
     e0[0] = 1.0
     np.testing.assert_allclose(t[0], e0, rtol=0, atol=1e-12)
@@ -72,7 +72,7 @@ def test_trace_preserving_channel_has_unit_first_row(d, k, seed):
 def test_bloch_round_trip_gellmann(d, seed):
     x = np.random.default_rng(seed).standard_normal(d * d - 1)
     b = gellmann_basis(d)
-    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b).x, x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b), x, rtol=0, atol=1e-12)
 
 
 @given(N=st.integers(1, 3), seed=seeds)
@@ -80,7 +80,7 @@ def test_bloch_round_trip_gellmann(d, seed):
 def test_bloch_round_trip_pauli_tensor(N, seed):
     x = np.random.default_rng(seed).standard_normal(4**N - 1)
     b = pauli_tensor_basis(N)
-    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b).x, x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b), x, rtol=0, atol=1e-12)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)
@@ -91,9 +91,9 @@ def test_apply_matches_transfer_matrix_action(d, k, seed):
     ch = random_channel(d, k=k, seed=rng)
     rho = random_state(d, rng)
     b = gellmann_basis(d)
-    x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho, b).x))
-    got = bloch_decompose(apply(ch, rho), b).x
-    np.testing.assert_allclose(got, (transfer_matrix(ch).t @ x)[1:], rtol=0, atol=1e-12)
+    x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho, b)))
+    got = bloch_decompose(apply(ch, rho), b)
+    np.testing.assert_allclose(got, (transfer_matrix(ch) @ x)[1:], rtol=0, atol=1e-12)
 
 
 def _random_operator(d, rng):
@@ -200,7 +200,7 @@ def _choi_from_transfer(t, basis):
 def test_named_channel_choi_matrix_is_psd(name, data):
     d, params = data.draw(_NAMED_PARAMS[name])
     ch = make_named(name, d=d, params=params)
-    choi = _choi_from_transfer(transfer_matrix(ch).t, gellmann_basis(d))
+    choi = _choi_from_transfer(transfer_matrix(ch), gellmann_basis(d))
     np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(choi).min() >= -1e-10
     assert abs(np.trace(choi).real - d) <= 1e-10
@@ -218,7 +218,7 @@ def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     d = 2**N
     v = ch.kraus.reshape(-1, d)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)
-    t = transfer_matrix(ch).t
+    t = transfer_matrix(ch)
     np.testing.assert_allclose(t[0], np.eye(d * d)[0], rtol=0, atol=1e-12)
     choi = _choi_from_transfer(t, gellmann_basis(d))
     np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)

@@ -32,11 +32,11 @@ def plus_state():
 def test_decompose_maximally_mixed_is_zero():
     b = gellmann_basis(3)
     rho = density_matrix(np.eye(3, dtype=complex) / 3)
-    assert np.max(np.abs(bloch_decompose(rho, b).x)) < 1e-14
+    assert np.max(np.abs(bloch_decompose(rho, b))) < 1e-14
 
 
 def test_decompose_plus_state():
-    x = bloch_decompose(plus_state(), gellmann_basis(2)).x
+    x = bloch_decompose(plus_state(), gellmann_basis(2))
     np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -60,7 +60,7 @@ def test_purity_identity(d):
     b = gellmann_basis(d)
     for seed in range(5):
         rho = random_state(d, seed)
-        x = bloch_decompose(rho, b).x
+        x = bloch_decompose(rho, b)
         assert abs(np.trace(rho.m @ rho.m).real - (np.dot(x, x) / 2 + 1 / d)) < 1e-12
 
 
@@ -69,7 +69,7 @@ def test_compose_rejects_unphysical():
     x = np.zeros(8)
     x[0] = purity_radius(3) * 1.05
     with pytest.raises(UnphysicalStateError) as exc:
-        bloch_compose(x, b, validate=True)
+        validate_density(bloch_compose(x, b))
     assert exc.value.min_eigenvalue < 0
 
 
@@ -78,7 +78,7 @@ def test_density_matrix_rejects_non_finite(bad):
     with pytest.raises(UnphysicalStateError, match="non-finite"):
         density_matrix(np.diag([bad, bad]))
     with pytest.raises(UnphysicalStateError, match="non-finite"), np.errstate(invalid="ignore"):
-        bloch_compose(np.array([0.0, bad, 0.0]), gellmann_basis(2), validate=True)
+        validate_density(bloch_compose(np.array([0.0, bad, 0.0]), gellmann_basis(2)))
 
 
 def test_dimension_mismatch():
@@ -160,7 +160,7 @@ def test_random_state_batch_validity():
     for _ in range(1000):
         rho = random_state(3, rng)
         validate_density(rho)
-        xs.append(bloch_decompose(rho, b).x)
+        xs.append(bloch_decompose(rho, b))
     mean = np.mean(xs, axis=0)
     assert np.linalg.norm(mean) < 5.0 / np.sqrt(1000)
 
