@@ -9,7 +9,7 @@ so the first d^2-d coordinates of a Bloch vector are the coherence part.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -114,11 +114,14 @@ def pauli_tensor_basis(N):
     Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}, where j_1 ... j_N are
     the base-4 digits of j, in numeric order (00..1), (00..2), ..., (33..3)."""
     N = _qubits(N, 6)
-    scale = 2.0 ** ((1 - N) / 2)
-    digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
-    elements = [reduce(np.kron, _SIGMA[[int(c) for c in ds]], scale) for ds in digits]
+    # products[j] = scale sigma_{j_1} x ... x sigma_{j_N}: each step appends one
+    # qubit, with its digit as the least significant one
+    products = np.full((1, 1, 1), 2.0 ** ((1 - N) / 2), dtype=complex)
+    for n in range(N):
+        products = (products[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]
+                    ).reshape(4 ** (n + 1), 2 ** (n + 1), 2 ** (n + 1))
     identity = np.sqrt(2.0 ** (1 - N)) * np.eye(2**N, dtype=complex)
-    return GeneratorBasis(d=2**N, elements=_read_only(np.array(elements)),
+    return GeneratorBasis(d=2**N, elements=_read_only(products[1:]),
                           identity_element=_read_only(identity))
 
 

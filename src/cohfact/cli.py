@@ -35,7 +35,15 @@ from .factorization import (
     verify_corollary2,
     verify_families,
 )
-from .measures import correlation_measures, l1_from_density, purity_measure
+from .measures import (
+    _collapse_extreme,
+    correlation_measures,
+    geometric_discord2,
+    hellinger_discord,
+    l1_from_density,
+    min2,
+    purity_measure,
+)
 from .state import DensityMatrix, ginibre_state, random_families, random_state
 
 
@@ -107,6 +115,15 @@ def cmd_coherence(args):
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
                 print(f"{k} = {v:.12f}", file=fh)
+            print(f"D2 = {geometric_discord2(rho):.12f}", file=fh)
+            print(f"N2 = {min2(rho):.12f}", file=fh)
+            print(f"D_H = {hellinger_discord(rho):.12f}", file=fh)
+            for name, largest in (("D2", False), ("N2", True)):
+                a = _collapse_extreme(rho.m, largest)[1]
+                # a and -a give the same measurement: print the one whose
+                # largest entry is positive, and no negative zeros
+                a = (a if a[np.argmax(np.abs(a))] > 0 else -a) + 0.0
+                print(f"{name}_direction = " + ",".join(f"{v:.12f}" for v in a), file=fh)
     return 0
 
 

@@ -1,11 +1,12 @@
 """Coherence and correlation measures: the l1 norm, the purity monotone,
 and the two-qubit correlation/discord family."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _SIGMA
+from .basis import _SIGMA, _read_only
 from .errors import DimensionMismatchError, UnphysicalStateError
 from .state import DensityMatrix
 
@@ -43,31 +44,42 @@ def purity_measure(rho) -> float:
     return _per_matrix(np.trace(m @ m, axis1=-2, axis2=-1).real - 1.0 / d)
 
 
-def _bloch_coordinates(m):
-    """Local Bloch vector x_i = Tr(m s_i x I) and correlation matrix
-    T_ij = Tr(m s_i x s_j) of a Hermitian 4x4 operator m."""
+# Row 4(i-1)+j is vec((s_i x s_j)^T), i = 1..3, j = 0..3, with s_0 = I, so
+# that Tr(m s_i x s_j) = (P @ m.reshape(16))[4(i-1)+j].
+_PAULI_PROJECTION = _read_only(np.array(
+    [np.kron(_SIGMA[i], _SIGMA[j]).T.reshape(16) for i in range(1, 4) for j in range(4)]))
+
+
+def _two_qubit(m):
+    """``m`` if it is a finite 4x4 operator."""
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    # r[i, j] = Tr(m s_i x s_j) with s_0 = I; the reshape indexes m[2a+b, 2c+d] as [a, b, c, d]
-    r = np.einsum("abcd,ica,jdb->ij", m.reshape(2, 2, 2, 2), _SIGMA, _SIGMA).real
-    return r[1:, 0], r[1:, 1:]
+    if not np.isfinite(m).all():
+        raise UnphysicalStateError("two-qubit state has non-finite entries")
+    return m
+
+
+def _bloch_coordinates(m):
+    """The 3x4 block [x | T] of a Hermitian 4x4 operator m: the local Bloch
+    vector x_i = Tr(m s_i x I) and the correlation matrix T_ij = Tr(m s_i x s_j)."""
+    return (_PAULI_PROJECTION @ _two_qubit(m).reshape(16)).real.reshape(3, 4)
 
 
 def correlation_matrix(rho) -> CorrelationMatrix:
     """Correlation matrix of a two-qubit state (tensor ordering A x B)."""
-    _, t3 = _bloch_coordinates(_mat(rho))
+    t3 = _bloch_coordinates(_mat(rho))[:, 1:]
     eigs = np.linalg.eigvalsh(t3.T @ t3)[::-1]
-    return CorrelationMatrix(t3=t3, eigs=np.clip(eigs, 0.0, None))
+    return CorrelationMatrix(t3=t3, eigs=np.maximum(eigs, 0.0))
 
 
 def correlation_measures(rho) -> dict:
     """Bell-max, RSP fidelity, and teleportation figures from the
     correlation-matrix eigenvalues E1 >= E2 >= E3."""
-    e1, e2, e3 = correlation_matrix(rho).eigs
-    n_qt = float(np.sqrt(e1 + e2 + e3))
+    e1, e2, e3 = correlation_matrix(rho).eigs.tolist()
+    n_qt = math.sqrt(e1 + e2 + e3)
     return {
-        "bell_max": float(2.0 * np.sqrt(e1 + e2)),
-        "rsp_fidelity": float((e2 + e3) / 2.0),
+        "bell_max": 2.0 * math.sqrt(e1 + e2),
+        "rsp_fidelity": (e2 + e3) / 2.0,
         "teleport_n": n_qt,
         "teleport_fidelity": 0.5 + n_qt / 6.0,
     }
@@ -75,51 +87,49 @@ def correlation_measures(rho) -> dict:
 
 def projective_collapse(rho, direction) -> DensityMatrix:
     """Local measurement map sum_k (Pi_k x I) rho (Pi_k x I) on subsystem A,
-    with Pi_+/- = (I +/- a.sigma)/2 for the unit Bloch vector a ``direction``."""
-    m = _mat(rho)
-    if m.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    av = np.tensordot(np.asarray(direction, dtype=float), _SIGMA[1:], 1)
-    out = np.zeros((4, 4), dtype=complex)
-    for p in ((np.eye(2) + av) / 2, (np.eye(2) - av) / 2):
-        pk = np.kron(p, np.eye(2))
-        out += pk @ m @ pk
-    return DensityMatrix(d=4, m=out)
+    with Pi_+/- = (I +/- a.sigma)/2 for the unit Bloch vector a ``direction``:
+    (rho + A rho A)/2 with A = (a.sigma) x I."""
+    m = _two_qubit(_mat(rho))
+    a = np.kron(np.tensordot(np.asarray(direction, dtype=float), _SIGMA[1:], 1), np.eye(2))
+    return DensityMatrix(d=4, m=(m + a @ m @ a) / 2)
 
 
 def _collapse_extreme(m, largest=False):
     """Extreme of ||m - Pi_a(m)||_2^2 over unit directions a, as (value, a).
 
-    With x and T the local Bloch vector and correlation matrix of m, the
-    residual is (|x|^2 + ||T||^2 - a^T K a)/4 with K = x x^T + T T^T, so the
-    minimum sits at K's top eigenvector and the maximum at its bottom one.
+    With R = [x | T] the local Bloch vector and correlation matrix of m, the
+    residual is (|x|^2 + ||T||^2 - a^T K a)/4 with K = R R^T = x x^T + T T^T,
+    and |x|^2 + ||T||^2 = tr K. So the minimum sits at K's top eigenvector and
+    is the sum of its other two eigenvalues over 4; the maximum sits at the
+    bottom one.
     """
-    x, t = _bloch_coordinates(m)
-    lam, vec = np.linalg.eigh(np.outer(x, x) + t @ t.T)
-    k = 0 if largest else -1
-    return (x @ x + np.sum(t * t) - lam[k]) / 4.0, vec[:, k]
+    r = _bloch_coordinates(m)
+    lam, vec = np.linalg.eigh(r @ r.T)
+    low, mid, top = lam.tolist()
+    if largest:
+        return (mid + top) / 4.0, vec[:, 0]
+    return (low + mid) / 4.0, vec[:, 2]
 
 
 def geometric_discord2(rho) -> float:
     """Schatten-2 geometric discord D2 = 2 min ||rho - Pi^A(rho)||_2^2."""
     val, _ = _collapse_extreme(_mat(rho))
-    return float(2.0 * val)
+    return 2.0 * val
 
 
 def min2(rho) -> float:
     """Schatten-2 measurement-induced nonlocality N2 = 2 max ||rho - Pi^A(rho)||_2^2."""
     val, _ = _collapse_extreme(_mat(rho), largest=True)
-    return float(2.0 * val)
+    return 2.0 * val
 
 
 def hellinger_discord(rho) -> float:
     """Hellinger discord D_H = min ||sqrt(rho) - Pi^A(sqrt(rho))||_2^2."""
-    m = _mat(rho)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_two_qubit(_mat(rho)))
     if w[0] < -1e-9:
         raise UnphysicalStateError(
             f"square root undefined: min eigenvalue {w[0]:.3e}", min_eigenvalue=float(w[0])
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     val, _ = _collapse_extreme(root)
-    return float(val)
+    return val

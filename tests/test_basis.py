@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,19 @@ def test_pauli_basis_n2_prefactor_and_order():
     assert len(b.elements) == 15
     np.testing.assert_allclose(b.elements[0], np.kron(np.eye(2), SX) / np.sqrt(2))
     np.testing.assert_allclose(b.elements[11], np.kron(SZ, np.eye(2)) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pauli_basis_equals_kron_reference(N):
+    """Element j is 2^((1-N)/2) times the Kronecker product of the Paulis
+    named by the base-4 digits of j, most significant first, exactly."""
+    sigma = [np.eye(2, dtype=complex), SX, SY, SZ]
+    digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
+    want = np.array([reduce(np.kron, [sigma[int(c)] for c in ds], 2.0 ** ((1 - N) / 2))
+                     for ds in digits])
+    got = pauli_tensor_basis(N).elements
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_pauli_basis_n2_pairwise_orthogonal():

@@ -52,6 +52,27 @@ def test_coherence_bell_state(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     bell = [l for l in lines if l.startswith("bell_max")]
     assert bell and bell[0].startswith("bell_max = 2.828427124746")
+    assert lines[6:9] == ["D2 = 1.000000000000", "N2 = 1.000000000000", "D_H = 0.500000000000"]
+
+
+def test_coherence_two_qubit_optima(tmp_path, capsys):
+    """|+><+| x I/2 is classical on A along x only: D2 = 0 at the unique
+    direction +/-x, printed with its largest entry positive, after the
+    correlation figures."""
+    path = write_state(tmp_path, "plus_mixed.json", np.kron(np.full((2, 2), 0.5), np.eye(2) / 2))
+    assert main(["coherence", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split(" = ")[0] for l in lines] == [
+        "C_l1", "purity", "bell_max", "rsp_fidelity", "teleport_n", "teleport_fidelity",
+        "D2", "N2", "D_H", "D2_direction", "N2_direction"]
+    values = dict(l.split(" = ") for l in lines)
+    assert values["D2"] == "0.000000000000"
+    assert values["N2"] == "0.500000000000"
+    assert values["D_H"] == "0.000000000000"
+    assert values["D2_direction"] == "1.000000000000,0.000000000000,0.000000000000"
+    # N2 is reached at any unit direction orthogonal to x
+    a = np.array([float(v) for v in values["N2_direction"].split(",")])
+    assert abs(a[0]) < 1e-12 and abs(np.linalg.norm(a) - 1.0) < 1e-11
 
 
 def test_coherence_bloch_input(tmp_path, capsys):

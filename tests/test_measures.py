@@ -8,7 +8,7 @@ import pytest
 import cohfact
 from cohfact.basis import gellmann_basis
 from cohfact.channel import apply, make_named
-from cohfact.errors import DimensionMismatchError
+from cohfact.errors import DimensionMismatchError, UnphysicalStateError
 from cohfact.measures import (
     _collapse_extreme,
     correlation_matrix,
@@ -234,6 +234,19 @@ def test_discord_definition_at_returned_direction(measure, operator, scale, larg
 def test_discord_rejects_non_two_qubit_input(measure):
     with pytest.raises(DimensionMismatchError):
         measure(np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("measure", [
+    correlation_measures, geometric_discord2, min2, hellinger_discord,
+    pytest.param(lambda m: projective_collapse(m, [0.0, 0.0, 1.0]), id="projective_collapse"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_two_qubit_measures_reject_non_finite_input(measure, bad):
+    one = np.eye(4, dtype=complex) / 4
+    one[0, 1] = bad
+    for m in (one, np.full((4, 4), bad)):
+        with pytest.raises(UnphysicalStateError, match="non-finite"):
+            measure(m)
 
 
 def test_import_does_not_load_scipy():
