@@ -33,11 +33,17 @@ from .state import (
     probe_factor,
 )
 
-# Bound on the complex entries of the Kraus stack one batched product runs
-# through: the (2s, k, d, d) product of a chunk of verify trials, or the
-# (P, k, d, d) stack of a chunk of sweep points. It bounds a run's memory
-# whatever its trial or point count.
+# Bound on the complex entries of the (2s, k, d, d) product one chunk of
+# verify trials runs through (16 MiB). It bounds a run's memory whatever its
+# trial count; sweeps have their own bound, SWEEP_CHUNK_ENTRIES.
 CHUNK_ENTRIES = 1 << 20
+
+# Bound on the complex entries of the (P, k, d, d) Kraus stack of one chunk
+# of sweep points (128 KiB). A chunk's stack and its temporaries then stay
+# in cache and in the heap the allocator keeps, so a sweep does not fault
+# fresh pages in on every call; each point is computed on its own, so the
+# output does not depend on the bound.
+SWEEP_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,8 @@ def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9
     The grid is evaluated in chunks: one make_named call builds a chunk's
     channels as a (P, k, d, d) stack, and one product maps rho through all
     of them. Every named channel has k <= d^2, so a chunk of
-    CHUNK_ENTRIES // d^4 points keeps the stack within CHUNK_ENTRIES. A grid
+    SWEEP_CHUNK_ENTRIES // d^4 points keeps the stack within
+    SWEEP_CHUNK_ENTRIES; CHUNK_ENTRIES bounds only verify's products. A grid
     value outside the channel's range raises InvalidChannelError naming the
     first such value.
     """
@@ -203,7 +210,7 @@ def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9
         raise InvalidChannelError(f"sweep needs a one-parameter channel; {name!r} takes {list(keys)}")
     grid = np.asarray(grid, dtype=float)
     values, purities = np.empty(len(grid)), np.empty(len(grid))
-    points = max(1, CHUNK_ENTRIES // max(1, d**4))
+    points = max(1, SWEEP_CHUNK_ENTRIES // max(1, d**4))
     for lo in range(0, len(grid), points):
         chunk = slice(lo, lo + points)
         ch = make_named(name, d=d, params={**(params or {}), keys[0]: grid[chunk]})

@@ -8,6 +8,7 @@ factories, kept verbatim."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,13 +222,9 @@ def test_fixed_parameters_reach_every_point(name, sign):
     assert traj.frozen and frozen and traj.spread == spread
 
 
-@pytest.mark.parametrize("name, d, per_chunk", [("bit_flip", 2, 3), ("depolarizing", 3, 7),
-                                                ("amplitude_damping", 2, 1)])
-def test_grid_over_several_chunks_matches_one_chunk(monkeypatch, name, d, per_chunk):
-    rng = np.random.default_rng(11)
-    rho = random_state(d, rng)
-    grid = _grid(name, d, rng)
-    whole = freeze_trajectory(name, grid, rho, d=d)
+def _chunked_and_whole(name, grid, rho, d, bound):
+    """The sweep at the given bound, the point count of each stack it built,
+    and the same sweep in one chunk."""
     built = []
 
     def counted(*args, **kwargs):
@@ -235,10 +232,52 @@ def test_grid_over_several_chunks_matches_one_chunk(monkeypatch, name, d, per_ch
         built.append(len(ch.kraus))
         return ch
 
-    monkeypatch.setattr(factorization, "CHUNK_ENTRIES", per_chunk * d**4)
-    monkeypatch.setattr(factorization, "make_named", counted)
-    chunked = freeze_trajectory(name, grid, rho, d=d)
+    with mock.patch.object(factorization, "make_named", counted), \
+            mock.patch.object(factorization, "SWEEP_CHUNK_ENTRIES", bound):
+        chunked = freeze_trajectory(name, grid, rho, d=d)
+    with mock.patch.object(factorization, "SWEEP_CHUNK_ENTRIES", max(1, len(grid)) * d**4):
+        whole = freeze_trajectory(name, grid, rho, d=d)
+    return chunked, built, whole
+
+
+@pytest.mark.parametrize("name, d, per_chunk", [("bit_flip", 2, 3), ("depolarizing", 3, 7),
+                                                ("amplitude_damping", 2, 1)])
+def test_grid_over_several_chunks_matches_one_chunk(name, d, per_chunk):
+    rng = np.random.default_rng(11)
+    rho = random_state(d, rng)
+    grid = _grid(name, d, rng)
+    chunked, built, whole = _chunked_and_whole(name, grid, rho, d, per_chunk * d**4)
     assert built == [min(per_chunk, len(grid) - lo) for lo in range(0, len(grid), per_chunk)]
+    np.testing.assert_array_equal(chunked.values, whole.values)
+    np.testing.assert_array_equal(chunked.purities, whole.purities)
+    assert chunked.spread == whole.spread
+
+
+def test_default_bound_splits_a_d4_sweep_into_cache_sized_stacks():
+    """2^13 entries hold 32 points of a (P, 16, 4, 4) depolarizing stack."""
+    assert factorization.SWEEP_CHUNK_ENTRIES == 1 << 13
+    grid = np.linspace(0.0, 1.0, 101)
+    rho = random_state(4, 29)
+    chunked, built, whole = _chunked_and_whole("depolarizing", grid, rho, 4,
+                                               factorization.SWEEP_CHUNK_ENTRIES)
+    assert built == [32, 32, 32, 5]
+    np.testing.assert_array_equal(chunked.values, whole.values)
+    np.testing.assert_array_equal(chunked.purities, whole.purities)
+    assert chunked.spread == whole.spread and chunked.frozen == whole.frozen
+
+
+@given(name=st.sampled_from(ONE_PARAMETER), d=st.sampled_from([2, 3, 4]),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=80),
+       bound=st.integers(1, 40 * 4**4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chunked_sweep_equals_one_chunk(name, d, fractions, bound, seed):
+    """Every point is computed on its own: the values and purities do not
+    depend on the bound, and the stacks hold max(1, bound // d^4) points."""
+    d = d if name == "depolarizing" else 2
+    grid = _top(name, d) * np.array(fractions, dtype=float)
+    chunked, built, whole = _chunked_and_whole(name, grid, random_state(d, seed), d, bound)
+    points = max(1, bound // d**4)
+    assert built == [min(points, len(grid) - lo) for lo in range(0, len(grid), points)]
     np.testing.assert_array_equal(chunked.values, whole.values)
     np.testing.assert_array_equal(chunked.purities, whole.purities)
     assert chunked.spread == whole.spread
@@ -246,7 +285,7 @@ def test_grid_over_several_chunks_matches_one_chunk(monkeypatch, name, d, per_ch
 
 def test_out_of_range_value_is_named_whatever_its_chunk(monkeypatch):
     grid = np.array([0.1, 0.2, 0.3, 0.4, 1.7, 2.5])
-    monkeypatch.setattr(factorization, "CHUNK_ENTRIES", 2 * 16)  # chunks of two points
+    monkeypatch.setattr(factorization, "SWEEP_CHUNK_ENTRIES", 2 * 16)  # chunks of two points
     with pytest.raises(InvalidChannelError, match=r"got q=1\.7$"):
         freeze_trajectory("phase_damping", grid, random_state(2, 3))
 
