@@ -36,12 +36,10 @@ from .factorization import (
     verify_families,
 )
 from .measures import (
-    _collapse_extreme,
+    _collapse_extremes,
     correlation_measures,
-    geometric_discord2,
     hellinger_discord,
     l1_from_density,
-    min2,
     purity_measure,
 )
 from .state import DensityMatrix, ginibre_state, random_families, random_state
@@ -115,11 +113,11 @@ def cmd_coherence(args):
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
                 print(f"{k} = {v:.12f}", file=fh)
-            print(f"D2 = {geometric_discord2(rho):.12f}", file=fh)
-            print(f"N2 = {min2(rho):.12f}", file=fh)
+            extremes = _collapse_extremes(rho.m)
+            print(f"D2 = {2.0 * extremes[0][0]:.12f}", file=fh)
+            print(f"N2 = {2.0 * extremes[1][0]:.12f}", file=fh)
             print(f"D_H = {hellinger_discord(rho):.12f}", file=fh)
-            for name, largest in (("D2", False), ("N2", True)):
-                a = _collapse_extreme(rho.m, largest)[1]
+            for name, (_, a) in zip(("D2", "N2"), extremes):
                 # a and -a give the same measurement: print the one whose
                 # largest entry is positive, and no negative zeros
                 a = (a if a[np.argmax(np.abs(a))] > 0 else -a) + 0.0
@@ -128,8 +126,9 @@ def cmd_coherence(args):
 
 
 # The trials of a verify run are checked together in chunks of at most
-# CHUNK_TRIALS, fewer when a chunk's largest intermediate of the channel
-# products would hold more than CHUNK_ENTRIES complex entries.
+# CHUNK_TRIALS, fewer when a chunk's largest stack (d^2 entries per trial
+# for its states or probes, d^4 for cascade's auxiliary Kraus operators)
+# would hold more than CHUNK_ENTRIES complex entries.
 CHUNK_TRIALS = 1024
 # Trials are drawn in blocks: trial i comes from the generator
 # default_rng([seed, start]) of its block, start = BLOCK_TRIALS * (i //
@@ -157,7 +156,7 @@ def _draws(seed, lo, hi, draw):
 
 def _chunks(ch, args, entries_per_trial, draw, verify):
     """One report per chunk of trials: the chunk's draws, checked by one
-    ``verify(*draws, t)`` call. The transfer matrix t is built once, after
+    ``verify(t, *draws)`` call. The transfer matrix t is built once, after
     the first draw, so that an input the draws reject (such as d < 2) fails
     there first."""
     chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries_per_trial))
@@ -167,30 +166,26 @@ def _chunks(ch, args, entries_per_trial, draw, verify):
         sample = _draws(args.seed, lo, min(lo + chunk, args.trials), draw)
         if lo == 0:
             t = transfer_matrix(ch)
-        yield verify(*sample, t)
+        yield verify(t, *sample)
 
 
 def _families(measure, ch, args):
-    """theorem1 and lemma1: the (2 * chunk, k, d, d) product of members and
-    probes bounds the chunk."""
-    return _chunks(ch, args, 2 * ch.kraus.size,
+    return _chunks(ch, args, ch.d**2,
                    lambda key, rows: random_families(ch.d, np.random.default_rng(key), rows, BLOCK_TRIALS),
-                   lambda n, chi, t: verify_families(measure, ch, n, chi, t))
+                   lambda t, n, chi: verify_families(measure, t, n, chi))
 
 
 def _corollary2(ch, args):
-    return _chunks(ch, args, ch.kraus.size,
+    return _chunks(ch, args, ch.d**2,
                    lambda key, rows: [random_state(ch.d, key, rows).m],
-                   lambda m, t: verify_corollary2(ch, DensityMatrix(d=ch.d, m=m), t))
+                   lambda t, m: verify_corollary2(t, DensityMatrix(d=ch.d, m=m)))
 
 
 def _cascade(ch, args):
-    """The (chunk, d^2, d, d) stack of auxiliary channels bounds the chunk
-    too."""
     N = qubit_count(ch.d)
-    return _chunks(ch, args, max(ch.d**4, ch.kraus.size),
+    return _chunks(ch, args, ch.d**4,
                    lambda key, rows: _sample_reachable_target(N, key, rows),
-                   lambda rho, m, chi, t: verify_cascade(ch, DensityMatrix(d=ch.d, m=rho), m, chi, t))
+                   lambda t, rho, m, chi: verify_cascade(t, DensityMatrix(d=ch.d, m=rho), m, chi))
 
 
 # Each verify kind yields array reports over consecutive chunks of trials.

@@ -3,6 +3,7 @@ factorization relation, its scalar and purity variants, the cascaded
 N-qubit generalization, and frozen-coherence sweeps."""
 
 from dataclasses import dataclass, fields
+from math import isqrt
 
 import numpy as np
 
@@ -29,13 +30,14 @@ from .state import (
     StateFamily,
     bloch_compose,
     bloch_decompose,
+    coherence_weight,
     is_psd,
     probe_factor,
 )
 
-# Bound on the complex entries of the (2s, k, d, d) product one chunk of
-# verify trials runs through (16 MiB). It bounds a run's memory whatever its
-# trial count; sweeps have their own bound, SWEEP_CHUNK_ENTRIES.
+# Bound on the complex entries of the largest stack of one chunk of verify
+# trials (16 MiB), whatever the run's trial count and the channel's Kraus
+# count; sweeps have their own bound, SWEEP_CHUNK_ENTRIES.
 CHUNK_ENTRIES = 1 << 20
 
 # Bound on the complex entries of the (P, k, d, d) Kraus stack of one chunk
@@ -61,51 +63,57 @@ class FactorizationReport:
         return self.abs_err <= tol
 
 
-def _law(measure_fn, ch: KrausChannel, states: DensityMatrix, condition) -> FactorizationReport:
+def _measure(measure, x, d):
+    """C_l1 = g of the generator coordinates 1..d^2-1, or the purity
+    |x|^2 / 2 - 1/d over all d^2 coordinates, of each row of ``x``."""
+    if measure == "l1":
+        return coherence_weight(x[:, 1:], d)
+    return 0.5 * np.sum(x * x, axis=-1) - 1.0 / d
+
+
+def _law(measure, t, x, probe_physical, condition) -> FactorizationReport:
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags for the
-    (2s, d, d) stack ``states`` of s states rho, then their s probes rho_p,
-    mapped by the channel in one product; ``condition`` is the channel
-    condition's outcome."""
-    s = len(states.m) // 2
-    before = measure_fn(states.m[:s])
-    after = measure_fn(apply(ch, states).m)
-    lhs, rhs = after[:s], before * after[s:]
-    return FactorizationReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=np.abs(lhs - rhs),
-        probe_physical=is_psd(states.m[s:]),
-        condition_held=np.full(s, condition),
-    )
+    (2s, d^2 - 1) Bloch coordinates ``x`` of s states rho, then their s
+    probes rho_p. With x_0 = sqrt(2/d) put first, the channel maps them as
+    x' = T x in one product with its transfer matrix ``t``; row 0 is used
+    too, since a channel read from a file is trace preserving only to its
+    printed digits. ``condition`` is the channel condition's outcome."""
+    d, s = isqrt(len(t)), len(x) // 2
+    x = np.insert(x, 0, np.sqrt(2.0 / d), axis=-1)
+    after = _measure(measure, x @ t.T, d)
+    lhs, rhs = after[:s], _measure(measure, x[:s], d) * after[s:]
+    return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
+                               probe_physical=probe_physical, condition_held=np.full(s, condition))
 
 
-def verify_families(measure, ch: KrausChannel, n, chi, t=None) -> FactorizationReport:
+def verify_families(measure, t, n, chi) -> FactorizationReport:
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] for the s families with
     the unit directions in the rows of n and the factors in chi, for the
-    measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1).
+    measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1), under the channel
+    with transfer matrix ``t``; d is read from its shape.
 
-    The s members and s probes are composed as one (2s, d, d) stack and
-    mapped by the channel in one product. The l1 probe has chi_p = 1/g(n^s);
-    the purity probe solves chi_p^2 / 2 = 1 (chi_p = sqrt(2)). Probes
-    outside the physical range are kept and flagged. The channel condition
-    (T_k0 = 0 on the off-diagonal rows for l1, full unitality for purity)
-    is read from ``t``, the channel's transfer matrix, built here when not
-    given. A failed condition never aborts: its reports are counterexample
+    The coordinates of the s members and s probes go through ``t`` in one
+    product. The l1 probe has chi_p = 1/g(n^s); the purity probe solves
+    chi_p^2 / 2 = 1 (chi_p = sqrt(2)). Probes outside the physical range
+    are kept and flagged. The channel condition (T_k0 = 0 on the
+    off-diagonal rows for l1, full unitality for purity) is read from
+    ``t``; a failed one never aborts, its reports are counterexample
     probes. Returns a report whose fields are arrays of s entries.
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
-    n = np.asarray(n, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    if t is None:
-        t = transfer_matrix(ch)
+    d = isqrt(len(t))
+    n, chi = np.asarray(n, dtype=float), np.asarray(chi, dtype=float)
+    if n.shape[-1:] != (d * d - 1,):
+        raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
     if measure == "l1":
-        chi_p, measure_fn, condition = probe_factor(n, ch.d), l1_from_density, theorem1_condition(t)
+        chi_p, condition = probe_factor(n, d), theorem1_condition(t)
     else:  # all T_k0 = 0: unital
-        chi_p, measure_fn = np.full(len(chi), np.sqrt(2.0)), purity_measure
+        chi_p = np.full(len(chi), np.sqrt(2.0))
         condition = bool(np.max(np.abs(t[1:, 0])) <= CONDITION_TOL)
-    states = bloch_compose(np.concatenate((chi[:, None] * n, chi_p[:, None] * n)), gellmann_basis(ch.d))
-    return _law(measure_fn, ch, states, condition)
+    probes = chi_p[:, None] * n
+    return _law(measure, t, np.concatenate((chi[:, None] * n, probes)),
+                is_psd(bloch_compose(probes, gellmann_basis(d)).m), condition)
 
 
 def _first(rep: FactorizationReport) -> FactorizationReport:
@@ -124,60 +132,62 @@ def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
 
 def verify_lemma1(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
     """Factorization check of one family for a named measure ('l1' or
-    'purity'): the one-family case of verify_families."""
+    'purity'): the one-family case of verify_families, with the channel's
+    transfer matrix built here."""
     if fam.d != ch.d:
         raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
-    return _first(verify_families(measure, ch, np.asarray(fam.n, dtype=float)[None], [fam.chi]))
+    return _first(verify_families(measure, transfer_matrix(ch), [fam.n], [fam.chi]))
 
 
-def verify_corollary2(ch: KrausChannel, rho: DensityMatrix, t=None) -> FactorizationReport:
+def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho
-    populates; ``t`` is the channel's transfer matrix, built when not given.
+    populates, under the channel with transfer matrix ``t``.
 
     A state holding an (s, d, d) stack gives a report of arrays: one masked
-    read of ``t`` gives every state's q, and the stack goes through the
-    channel in one product. Raises NotApplicableError if a state populates
-    no off-diagonal coordinate or the channel has no common scalar on the
-    ones it populates."""
+    read of ``t`` gives every state's q, and the coordinates of the stack
+    go through ``t`` in one product. Raises NotApplicableError if a state
+    populates no off-diagonal coordinate or the channel has no common
+    scalar on the ones it populates."""
     if rho.m.ndim == 2:
-        return _first(verify_corollary2(ch, DensityMatrix(d=rho.d, m=rho.m[None]), t))
-    basis = gellmann_basis(rho.d)
-    populated = np.abs(bloch_decompose(rho, basis)[:, : basis.num_offdiag]) > 1e-12
+        return _first(verify_corollary2(t, DensityMatrix(d=rho.d, m=rho.m[None])))
+    basis = gellmann_basis(isqrt(len(t)))
+    x = bloch_decompose(rho, basis)
+    populated = np.abs(x[:, : basis.num_offdiag]) > 1e-12
     if not populated.any(axis=1).all():
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
-    if t is None:
-        t = transfer_matrix(ch)
     q = scalar_actions(t, populated)
     if np.isnan(q).any():
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
-    lhs = l1_from_density(apply(ch, rho).m)
+    lhs = _measure("l1", np.insert(x, 0, np.sqrt(2.0 / rho.d), axis=-1) @ t.T, rho.d)  # x' = T x
     rhs = np.abs(q) * l1_from_density(rho.m)
     s = len(q)
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
                                probe_physical=np.full(s, True), condition_held=np.full(s, True))
 
 
-def verify_cascade(ch_f: KrausChannel, rho: DensityMatrix, m, chi, t=None) -> FactorizationReport:
-    """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)].
+def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
+    """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)]
+    for the channel E_F with transfer matrix ``t``.
 
     The probe factor chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m)
     is the l1 coherence of (1/2) m.Y, the direction in any basis, so it is
-    read off the composed direction, which chi_p then rescales. ``t`` is
-    the transfer matrix of E_F, built when not given. An (s, d, d) stack of
-    states with (s, 4^N - 1) directions and s factors gives a report of
-    arrays: the s auxiliary channels map their states as one (s, 4^N, d, d)
-    stack, and E_F maps the s images and the s probes as one stack."""
+    read off the composed direction, which chi_p then rescales. An (s, d, d)
+    stack of states with (s, 4^N - 1) directions and s factors gives a
+    report of arrays: the s auxiliary channels map their states as one
+    (s, 4^N, d, d) Kraus stack, and E_F maps the Gell-Mann coordinates of
+    the s images and the s probes through ``t`` in one product."""
     m = np.asarray(m, dtype=float)
     if rho.m.ndim == 2:
-        return _first(verify_cascade(ch_f, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi], t))
+        return _first(verify_cascade(t, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi]))
     sigma = apply(aux_channel(rho, m, chi), rho).m
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(rho.d)).elements, 1)  # (1/2) m.Y
     g = l1_from_density(direction)
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
     probes = np.eye(rho.d) / rho.d + direction / g[:, None, None]
-    condition = theorem1_condition(transfer_matrix(ch_f) if t is None else t)
-    return _law(l1_from_density, ch_f, DensityMatrix(d=rho.d, m=np.concatenate((sigma, probes))), condition)
+    x = bloch_decompose(DensityMatrix(d=rho.d, m=np.concatenate((sigma, probes))),
+                        gellmann_basis(isqrt(len(t))))
+    return _law("l1", t, x, is_psd(probes), theorem1_condition(t))
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,7 @@ def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9
     channels as a (P, k, d, d) stack, and one product maps rho through all
     of them. Every named channel has k <= d^2, so a chunk of
     SWEEP_CHUNK_ENTRIES // d^4 points keeps the stack within
-    SWEEP_CHUNK_ENTRIES; CHUNK_ENTRIES bounds only verify's products. A grid
+    SWEEP_CHUNK_ENTRIES; CHUNK_ENTRIES bounds only verify's chunks. A grid
     value outside the channel's range raises InvalidChannelError naming the
     first such value.
     """

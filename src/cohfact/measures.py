@@ -94,33 +94,29 @@ def projective_collapse(rho, direction) -> DensityMatrix:
     return DensityMatrix(d=4, m=(m + a @ m @ a) / 2)
 
 
-def _collapse_extreme(m, largest=False):
-    """Extreme of ||m - Pi_a(m)||_2^2 over unit directions a, as (value, a).
+def _collapse_extremes(m):
+    """(value, a) of the minimum, then of the maximum, of ||m - Pi_a(m)||_2^2 over unit a.
 
     With R = [x | T] the local Bloch vector and correlation matrix of m, the
     residual is (|x|^2 + ||T||^2 - a^T K a)/4 with K = R R^T = x x^T + T T^T,
     and |x|^2 + ||T||^2 = tr K. So the minimum sits at K's top eigenvector and
     is the sum of its other two eigenvalues over 4; the maximum sits at the
-    bottom one.
+    bottom one. One eigh of K gives both.
     """
     r = _bloch_coordinates(m)
     lam, vec = np.linalg.eigh(r @ r.T)
     low, mid, top = lam.tolist()
-    if largest:
-        return (mid + top) / 4.0, vec[:, 0]
-    return (low + mid) / 4.0, vec[:, 2]
+    return ((low + mid) / 4.0, vec[:, 2]), ((mid + top) / 4.0, vec[:, 0])
 
 
 def geometric_discord2(rho) -> float:
     """Schatten-2 geometric discord D2 = 2 min ||rho - Pi^A(rho)||_2^2."""
-    val, _ = _collapse_extreme(_mat(rho))
-    return 2.0 * val
+    return 2.0 * _collapse_extremes(_mat(rho))[0][0]
 
 
 def min2(rho) -> float:
     """Schatten-2 measurement-induced nonlocality N2 = 2 max ||rho - Pi^A(rho)||_2^2."""
-    val, _ = _collapse_extreme(_mat(rho), largest=True)
-    return 2.0 * val
+    return 2.0 * _collapse_extremes(_mat(rho))[1][0]
 
 
 def hellinger_discord(rho) -> float:
@@ -131,5 +127,4 @@ def hellinger_discord(rho) -> float:
             f"square root undefined: min eigenvalue {w[0]:.3e}", min_eigenvalue=float(w[0])
         )
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    val, _ = _collapse_extreme(root)
-    return val
+    return _collapse_extremes(root)[0][0]

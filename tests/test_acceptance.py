@@ -23,7 +23,7 @@ from cohfact.factorization import (
     verify_theorem1,
 )
 from cohfact.measures import (
-    _collapse_extreme,
+    _collapse_extremes,
     correlation_measures,
     geometric_discord2,
     l1_from_density,
@@ -163,7 +163,7 @@ def test_criterion_5_auxiliary_channel_and_cascade():
             worst_target = np.maximum(worst_target, float(np.linalg.norm(out - target)))
             if i < 50:
                 for ch_f in (dep, uni):
-                    rep = verify_cascade(ch_f, rho, m, chi)
+                    rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
                     worst_cascade = np.maximum(worst_cascade, rep.abs_err)
     ok = worst_target <= 1e-10 and worst_cascade <= 1e-9
     _report(
@@ -246,7 +246,7 @@ def test_criterion_8_two_qubit_measures():
     dominance = True
     for rho in states:
         d2 = geometric_discord2(rho)
-        _, a = _collapse_extreme(rho.m)
+        _, a = _collapse_extremes(rho.m)[0]
         at_a = 2.0 * np.sum(np.abs(rho.m - projective_collapse(rho, a).m) ** 2)
         def_err = np.maximum(def_err, abs(d2 - at_a))
         beaten_by = np.maximum(beaten_by, d2 / 2.0 - np.min(_collapse_residuals(rho.m, units)))

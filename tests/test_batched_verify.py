@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, factorization, io
-from cohfact.basis import gellmann_basis
+from cohfact.basis import gellmann_basis, pauli_tensor_basis, qubit_count
 from cohfact.channel import (
     apply,
+    aux_channel,
     aux_weights,
     make_named,
     random_channel,
@@ -25,11 +26,18 @@ from cohfact.channel import (
     theorem1_condition,
     transfer_matrix,
 )
-from cohfact.errors import InvalidDimensionError
-from cohfact.factorization import verify_families, verify_lemma1, verify_theorem1
+from cohfact.errors import DimensionMismatchError, InvalidDimensionError
+from cohfact.factorization import (
+    verify_cascade,
+    verify_corollary2,
+    verify_families,
+    verify_lemma1,
+    verify_theorem1,
+)
 from cohfact.measures import l1_from_density, purity_measure
 from cohfact.state import (
     PSD_TOL,
+    DensityMatrix,
     StateFamily,
     bloch_compose,
     chi_interval,
@@ -40,6 +48,7 @@ from cohfact.state import (
     purity_radius,
     random_families,
     random_family,
+    random_state,
     validate_density,
 )
 
@@ -217,7 +226,7 @@ def test_layer_functions_map_a_stack_state_by_state():
 def test_verify_families_takes_a_stack(capsys):
     ch = random_unital_channel(3, seed=4)
     fams = [random_family(3, s) for s in range(6)]
-    rep = verify_families("l1", ch, [f.n for f in fams], [f.chi for f in fams])
+    rep = verify_families("l1", transfer_matrix(ch), [f.n for f in fams], [f.chi for f in fams])
     assert rep.lhs.shape == rep.probe_physical.shape == rep.condition_held.shape == (6,)
     for i, fam in enumerate(fams):
         one = verify_theorem1(ch, fam)
@@ -317,3 +326,85 @@ def test_first_records_match_a_shorter_run(tmp_path, monkeypatch, capsys, kind, 
     assert len(whole) == 3 * B + 5
     for t, lines in prefixes.items():
         assert whole[:t] == lines
+
+
+def _round_trip(ch):
+    """The channel as read back from its 12-digit file form: trace
+    preserving only to about 1e-12."""
+    return io.channel_from_dict(json.loads(json.dumps(io.channel_to_dict(ch))))
+
+
+def _assert_close(got, want):
+    """Round-off agreement of the transfer-matrix path with the Kraus one:
+    |got - want| <= 1e-14 max(1, |want|), entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_transfer_path_matches_kraus_reference(d):
+    """verify_families (l1 and purity), verify_corollary2 and verify_cascade
+    map coordinates through T; the reference maps the composed states
+    through the Kraus operators with apply, as the drivers did before."""
+    rng = np.random.default_rng(d)
+    basis = gellmann_basis(d)
+    unital = random_unital_channel(d, seed=rng)
+    channels = [unital, _round_trip(unital), _round_trip(random_channel(d, k=d, seed=rng))]
+    assert np.max(np.abs(transfer_matrix(channels[1])[0] - np.eye(d * d)[0])) > 1e-14  # not exactly TP
+    n, chi = random_families(d, rng, 6)
+    for ch in channels:
+        t = transfer_matrix(ch)
+        for measure, chi_p, f in (("l1", 1.0 / coherence_weight(n, d), l1_from_density),
+                                  ("purity", np.full(6, np.sqrt(2.0)), purity_measure)):
+            members = bloch_compose(chi[:, None] * n, basis)
+            probes = bloch_compose(chi_p[:, None] * n, basis)
+            rep = verify_families(measure, t, n, chi)
+            _assert_close(rep.lhs, f(apply(ch, members).m))
+            _assert_close(rep.rhs, f(members.m) * f(apply(ch, probes).m))
+            assert np.array_equal(rep.probe_physical, is_psd(probes.m))
+    dep = make_named("depolarizing", d=d, params={"p": 0.3})
+    states = random_state(d, rng, 6)
+    for ch in (dep, _round_trip(dep)):
+        rep = verify_corollary2(transfer_matrix(ch), states)
+        _assert_close(rep.lhs, l1_from_density(apply(ch, states).m))
+    rho, m, x = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
+    rho = DensityMatrix(d=d, m=rho)
+    sigma = apply(aux_channel(rho, m, x), rho)
+    direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)).elements, 1)
+    probes = DensityMatrix(d=d, m=np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
+    for ch in (dep, *channels[:2]):
+        rep = verify_cascade(transfer_matrix(ch), rho, m, x)
+        _assert_close(rep.lhs, l1_from_density(apply(ch, sigma).m))
+        _assert_close(rep.rhs, l1_from_density(sigma.m) * l1_from_density(apply(ch, probes).m))
+
+
+def test_theorem1_draws_only_the_trials_it_runs(tmp_path, monkeypatch, capsys):
+    """32 trials at d = 16 come from 32 drawn family rows: the chunk bound
+    no longer grows with the channel's Kraus count k = 256, so no block is
+    drawn twice."""
+    rows = []
+
+    def counted(d, rng, count, block=None):
+        rows.append(count)
+        return random_families(d, rng, count, block)
+
+    monkeypatch.setattr(cli, "random_families", counted)
+    path = tmp_path / "dep16.json"
+    path.write_text(json.dumps({"name": "depolarizing", "d": 16, "params": {"p": 0.3}}))
+    assert cli.main(["--trials", "32", "verify", "theorem1", "--channel", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 32
+    assert sum(rows) == 32
+
+
+def test_drivers_refuse_coordinates_of_another_dimension():
+    """d is read from T's shape; directions or states of another d raise
+    DimensionMismatchError before any product."""
+    t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.3}))
+    n, chi = random_families(2, np.random.default_rng(0), 3)
+    with pytest.raises(DimensionMismatchError):
+        verify_families("l1", t, n, chi)
+    with pytest.raises(DimensionMismatchError):
+        verify_corollary2(t, random_state(2, 0, 3))
+    rho, m, x = cli._sample_reachable_target(1, [0, 0], 3)
+    with pytest.raises(DimensionMismatchError):
+        verify_cascade(t, DensityMatrix(d=2, m=rho), m, x)

@@ -370,6 +370,16 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, (line, capsys.readouterr().err)
 
 
+def test_readme_python_example(capsys):
+    """The README's Python example runs and prints what it says."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].endswith(" True") and lines[2].endswith(" True")
+
+
 def test_readme_lists_every_named_channel():
     from cohfact.channel import named_channels
 
@@ -415,7 +425,7 @@ def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
     from cohfact import cli
     from cohfact.factorization import FactorizationReport
 
-    def nan_reports(measure, ch, n, chi, t):
+    def nan_reports(measure, t, n, chi):
         nan, ones = np.full(len(chi), np.nan), np.ones(len(chi), dtype=bool)
         return FactorizationReport(lhs=nan, rhs=np.zeros(len(chi)), abs_err=nan,
                                    probe_physical=ones, condition_held=ones)

@@ -10,6 +10,7 @@ from cohfact.channel import (
     kraus_channel,
     make_named,
     random_unital_channel,
+    transfer_matrix,
 )
 from cohfact.errors import NotAChannelError, NotApplicableError
 from cohfact.factorization import (
@@ -141,7 +142,7 @@ def test_corollary2_phase_damping():
     q = 0.65
     ch = make_named("phase_damping", params={"q": q})
     rho = random_state(2, 12)
-    rep = verify_corollary2(ch, rho)
+    rep = verify_corollary2(transfer_matrix(ch), rho)
     assert rep.abs_err <= 1e-10
     assert abs(rep.lhs - q * l1_from_density(rho)) < 1e-10
 
@@ -150,14 +151,14 @@ def test_corollary2_gell_mann_G_arbitrary_state():
     ch = make_named("gell_mann_G", d=3, params={"q": 0.3, "q0": 0.7})
     rng = np.random.default_rng(6)
     for _ in range(20):
-        rep = verify_corollary2(ch, random_state(3, rng))
+        rep = verify_corollary2(transfer_matrix(ch), random_state(3, rng))
         assert rep.abs_err <= 1e-10
 
 
 def test_corollary2_identity_preserves_coherence():
     ch = make_named("phase_damping", params={"q": 1.0})
     rho = random_state(2, 1)
-    rep = verify_corollary2(ch, rho)
+    rep = verify_corollary2(transfer_matrix(ch), rho)
     assert abs(rep.lhs - rep.rhs) < 1e-12
     assert abs(rep.lhs - l1_from_density(rho)) < 1e-12
 
@@ -165,7 +166,7 @@ def test_corollary2_identity_preserves_coherence():
 def test_corollary2_not_applicable_without_scalar_action():
     ch = make_named("bit_flip", params={"q": 0.5})
     with pytest.raises(NotApplicableError):
-        verify_corollary2(ch, random_state(2, 3))
+        verify_corollary2(transfer_matrix(ch), random_state(2, 3))
 
 
 def _reachable_target(N, rng):
@@ -186,7 +187,8 @@ def test_cascade_depolarizing_n2():
     rng = np.random.default_rng(77)
     for _ in range(10):
         rho, m, chi = _reachable_target(2, rng)
-        rep = verify_cascade(make_named("depolarizing", d=4, params={"p": 0.4}), rho, m, chi)
+        t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.4}))
+        rep = verify_cascade(t, rho, m, chi)
         assert rep.condition_held
         assert rep.abs_err <= 1e-9
 
@@ -195,7 +197,7 @@ def test_cascade_identity_reduces_to_aux_coherence():
     rng = np.random.default_rng(13)
     rho, m, chi = _reachable_target(2, rng)
     ident = kraus_channel([np.eye(4, dtype=complex)])
-    rep = verify_cascade(ident, rho, m, chi)
+    rep = verify_cascade(transfer_matrix(ident), rho, m, chi)
     aux = aux_channel(rho, m, chi)
     assert abs(rep.lhs - l1_from_density(apply(aux, rho))) < 1e-12
     assert rep.abs_err <= 1e-9
@@ -205,7 +207,7 @@ def test_cascade_n1_matches_theorem1():
     rng = np.random.default_rng(29)
     rho, m, chi = _reachable_target(1, rng)
     ch_f = random_unital_channel(2, seed=31)
-    rep = verify_cascade(ch_f, rho, m, chi)
+    rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
     # for N = 1 the generated state is the family member (m, chi) directly
     rep2 = verify_theorem1(ch_f, StateFamily(d=2, n=m, chi=chi))
     assert abs(rep.lhs - rep2.lhs) < 1e-11
@@ -219,7 +221,7 @@ def test_cascade_target_without_coherent_part():
     m = np.array([0.0, 0.0, 1.0])
     aux_channel(rho, m, 0.1)  # realizable
     with pytest.raises(NotApplicableError, match="target direction has no coherent part"):
-        verify_cascade(make_named("bit_flip", params={"q": 0.5}), rho, m, 0.1)
+        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), rho, m, 0.1)
 
 
 def test_freeze_trajectory_frozen_xy():

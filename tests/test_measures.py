@@ -10,7 +10,7 @@ from cohfact.basis import gellmann_basis
 from cohfact.channel import apply, make_named
 from cohfact.errors import DimensionMismatchError, UnphysicalStateError
 from cohfact.measures import (
-    _collapse_extreme,
+    _collapse_extremes,
     correlation_matrix,
     correlation_measures,
     geometric_discord2,
@@ -220,7 +220,7 @@ def test_discord_definition_at_returned_direction(measure, operator, scale, larg
     rng = np.random.default_rng(37)
     for rho in [bell_state()] + [random_state(4, rng) for _ in range(10)]:
         m = operator(rho)
-        _, a = _collapse_extreme(m, largest=largest)
+        _, a = _collapse_extremes(m)[largest]
         best = _residual_sq(m, a)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
         assert abs(measure(rho) - scale * best) < 1e-8
