@@ -24,7 +24,6 @@ from .channel import (
     named_channels,
     random_channel,
     random_unital_channel,
-    scalar_action_detect,
     theorem1_condition,
     transfer_matrix,
     validate_frozen_coefficients,

@@ -175,22 +175,6 @@ def scalar_actions(T, populated) -> np.ndarray:
     return np.where(ok, q, np.nan)
 
 
-def scalar_action_detect(T, subset):
-    """Return q if T acts as q * identity on every row in ``subset``.
-
-    ``subset`` holds 1-based off-diagonal generator indices. Returns None
-    when the rows are not a common rescaling.
-    """
-    k = np.unique([int(i) for i in subset])
-    if not k.size:
-        return None
-    k_max = len(T) - isqrt(len(T))
-    if k[0] < 1 or k[-1] > k_max:
-        raise IndexError(f"subset must lie in 1..{k_max}")
-    q = scalar_actions(T, np.isin(np.arange(1, k_max + 1), k))
-    return None if np.isnan(q) else float(q)
-
-
 def frozen_condition_check(T, fam: StateFamily = None) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
 
@@ -516,12 +500,8 @@ def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
     return eps
 
 
-def aux_kraus_channel(eps, chi) -> KrausChannel:
-    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
-    of the Pauli tensor basis, from the weights eps of aux_solve at factor
-    chi; raises NotAChannelError unless every weight is >= EPS_TOL (a NaN
-    weight fails). The rows of (s, 4^N) weights give the (s, 4^N, d, d)
-    stack of their channels; one channel keeps only its nonzero operators."""
+def _realizable(eps):
+    """Weights eps clipped at 0; NotAChannelError if one is NaN or below EPS_TOL."""
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps >= EPS_TOL):
         flat = eps.reshape(-1, eps.shape[-1])
@@ -529,8 +509,32 @@ def aux_kraus_channel(eps, chi) -> KrausChannel:
         i = int(np.argmin(flat[row]))  # its most negative weight, or its first NaN
         raise NotAChannelError(
             f"no Kraus realization: solved weight eps[{i}] = {flat[row, i]:.3e} < 0", eps=flat[row])
-    eps = np.clip(eps, 0.0, None)
-    N = qubit_count(int(np.sqrt(eps.shape[-1])))
+    return np.clip(eps, 0.0, None)
+
+
+def aux_pauli_action(eps) -> np.ndarray:
+    """The factors lambda = c eps, one row per row of weights eps of
+    aux_solve, by which their auxiliary channel scales each Pauli tensor
+    coordinate, lambda_0 (the trace) first: Y_mu Y_nu Y_mu = c_{nu mu} Y_nu.
+    Raises NotAChannelError as aux_kraus_channel does, and
+    InvalidChannelError if |lambda_0 - 1| = |sum E^dag E - I| exceeds
+    COMPLETENESS_TOL for the clipped weights."""
+    eps = _realizable(eps)
+    lam = eps @ aux_coefficient_matrix(qubit_count(isqrt(eps.shape[-1])))  # c is symmetric
+    err = np.max(np.abs(lam[..., 0] - 1.0))
+    if not err <= COMPLETENESS_TOL:
+        raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")
+    return lam
+
+
+def aux_kraus_channel(eps, chi) -> KrausChannel:
+    """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
+    of the Pauli tensor basis, from the weights eps of aux_solve at factor
+    chi; raises NotAChannelError unless every weight is >= EPS_TOL. The rows
+    of (s, 4^N) weights give the (s, 4^N, d, d) stack of their channels;
+    one channel keeps only its nonzero operators."""
+    eps = _realizable(eps)
+    N = qubit_count(isqrt(eps.shape[-1]))
     basis = pauli_tensor_basis(N)
     gens = np.concatenate(([basis.identity_element], basis.elements))
     ops = np.sqrt(eps)[..., None, None] * gens

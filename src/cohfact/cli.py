@@ -29,7 +29,6 @@ from .errors import (
     UnreachableTargetError,
 )
 from .factorization import (
-    CHUNK_ENTRIES,
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
@@ -125,10 +124,10 @@ def cmd_coherence(args):
     return 0
 
 
-# The trials of a verify run are checked together in chunks of at most
-# CHUNK_TRIALS, fewer when a chunk's largest stack (d^2 entries per trial
-# for its states or probes, d^4 for cascade's auxiliary Kraus operators)
-# would hold more than CHUNK_ENTRIES complex entries.
+# The trials of a verify run are checked together in chunks of
+# CHUNK_TRIALS, whole blocks each drawn once. A chunk's stacks hold at most
+# two d x d matrices per trial (states, images or probes), so with d <=
+# io.MAX_D = 32 none holds more than 2^21 complex entries (32 MiB).
 CHUNK_TRIALS = 1024
 # Trials are drawn in blocks: trial i comes from the generator
 # default_rng([seed, start]) of its block, start = BLOCK_TRIALS * (i //
@@ -154,37 +153,31 @@ def _draws(seed, lo, hi, draw):
     return [np.concatenate(a) for a in zip(*parts)]
 
 
-def _chunks(ch, args, entries_per_trial, draw, verify):
+def _chunks(ch, args, draw, verify):
     """One report per chunk of trials: the chunk's draws, checked by one
     ``verify(t, *draws)`` call. The transfer matrix t is built once, after
     the first draw, so that an input the draws reject (such as d < 2) fails
     there first."""
-    chunk = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries_per_trial))
-    if chunk > BLOCK_TRIALS:
-        chunk -= chunk % BLOCK_TRIALS  # whole blocks, each drawn once
-    for lo in range(0, args.trials, chunk):
-        sample = _draws(args.seed, lo, min(lo + chunk, args.trials), draw)
+    for lo in range(0, args.trials, CHUNK_TRIALS):
+        sample = _draws(args.seed, lo, min(lo + CHUNK_TRIALS, args.trials), draw)
         if lo == 0:
             t = transfer_matrix(ch)
         yield verify(t, *sample)
 
 
 def _families(measure, ch, args):
-    return _chunks(ch, args, ch.d**2,
+    return _chunks(ch, args,
                    lambda key, rows: random_families(ch.d, np.random.default_rng(key), rows, BLOCK_TRIALS),
                    lambda t, n, chi: verify_families(measure, t, n, chi))
 
 
 def _corollary2(ch, args):
-    return _chunks(ch, args, ch.d**2,
-                   lambda key, rows: [random_state(ch.d, key, rows).m],
+    return _chunks(ch, args, lambda key, rows: [random_state(ch.d, key, rows).m],
                    lambda t, m: verify_corollary2(t, DensityMatrix(d=ch.d, m=m)))
 
 
 def _cascade(ch, args):
-    N = qubit_count(ch.d)
-    return _chunks(ch, args, ch.d**4,
-                   lambda key, rows: _sample_reachable_target(N, key, rows),
+    return _chunks(ch, args, lambda key, rows: _sample_reachable_target(qubit_count(ch.d), key, rows),
                    lambda t, rho, m, chi: verify_cascade(t, DensityMatrix(d=ch.d, m=rho), m, chi))
 
 
@@ -239,9 +232,9 @@ def _sample_reachable_target(N, key, rows):
     = 1 and c[:, 0] = 2^(1-N), so the weights are affine in chi, eps(chi
     2^-k) = 2^(-1-N) + 2^-k (eps(chi) - 2^(-1-N)), chi 2^-k is exactly chi
     halved k times, and a row's smallest weight decides. No channel is
-    built here; verify_cascade's aux_channel call confirms the choice, and
-    should the two ever disagree at a rounding boundary it raises
-    NotAChannelError rather than pass."""
+    built here; verify_cascade's aux_solve and aux_pauli_action calls
+    confirm the choice, and should the two ever disagree at a rounding
+    boundary they raise NotAChannelError rather than pass."""
     d, floor = 2**N, 2.0 ** (-1 - N)
     rho, m, chi = np.empty((rows, d, d), dtype=complex), np.empty((rows, 4**N - 1)), np.empty(rows)
     todo = np.arange(rows)

@@ -12,7 +12,8 @@ from .channel import (
     CONDITION_TOL,
     KrausChannel,
     apply,
-    aux_channel,
+    aux_pauli_action,
+    aux_solve,
     channel_entry,
     make_named,
     scalar_actions,
@@ -34,11 +35,6 @@ from .state import (
     is_psd,
     probe_factor,
 )
-
-# Bound on the complex entries of the largest stack of one chunk of verify
-# trials (16 MiB), whatever the run's trial count and the channel's Kraus
-# count; sweeps have their own bound, SWEEP_CHUNK_ENTRIES.
-CHUNK_ENTRIES = 1 << 20
 
 # Bound on the complex entries of the (P, k, d, d) Kraus stack of one chunk
 # of sweep points (128 KiB). A chunk's stack and its temporaries then stay
@@ -169,18 +165,22 @@ def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)]
     for the channel E_F with transfer matrix ``t``.
 
-    The probe factor chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m)
-    is the l1 coherence of (1/2) m.Y, the direction in any basis, so it is
-    read off the composed direction, which chi_p then rescales. An (s, d, d)
-    stack of states with (s, 4^N - 1) directions and s factors gives a
-    report of arrays: the s auxiliary channels map their states as one
-    (s, 4^N, d, d) Kraus stack, and E_F maps the Gell-Mann coordinates of
-    the s images and the s probes through ``t`` in one product."""
+    E_aux scales the Pauli coordinates of rho by its aux_pauli_action, with
+    no Kraus operators; its image is not replaced by the target member, so
+    the check covers whether the solved weights reach it. The probe factor
+    chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m) is the l1
+    coherence of (1/2) m.Y, the direction in any basis, so it is read off
+    the composed direction, which chi_p then rescales. An (s, d, d) stack
+    of states with (s, 4^N - 1) directions and s factors gives a report of
+    arrays: E_F maps the Gell-Mann coordinates of the s images and the s
+    probes through ``t`` in one product."""
     m = np.asarray(m, dtype=float)
     if rho.m.ndim == 2:
         return _first(verify_cascade(t, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi]))
-    sigma = apply(aux_channel(rho, m, chi), rho).m
-    direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(rho.d)).elements, 1)  # (1/2) m.Y
+    pauli = pauli_tensor_basis(qubit_count(rho.d))
+    lam = aux_pauli_action(aux_solve(rho, m, chi))
+    sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
+    direction = 0.5 * np.tensordot(m, pauli.elements, 1)  # (1/2) m.Y
     g = l1_from_density(direction)
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
@@ -211,9 +211,8 @@ def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9
     channels as a (P, k, d, d) stack, and one product maps rho through all
     of them. Every named channel has k <= d^2, so a chunk of
     SWEEP_CHUNK_ENTRIES // d^4 points keeps the stack within
-    SWEEP_CHUNK_ENTRIES; CHUNK_ENTRIES bounds only verify's chunks. A grid
-    value outside the channel's range raises InvalidChannelError naming the
-    first such value.
+    SWEEP_CHUNK_ENTRIES. A grid value outside the channel's range raises
+    InvalidChannelError naming the first such value.
     """
     keys = channel_entry(name).keys
     if len(keys) != 1:

@@ -153,6 +153,9 @@ def channel_from_dict(spec: dict) -> KrausChannel:
         ops = _complex_from_json(spec["kraus"], "channel 'kraus'")
         if ops.ndim != 3:
             raise CohfactError(f"channel 'kraus' must be a list of d x d matrices, got shape {ops.shape}")
+        d = bounded_dimension(ops.shape[-1], "channel 'kraus' operator size")
+        if _dimension(spec, "channel", d) != d:
+            raise CohfactError(f"declared d={spec['d']} but Kraus operators are {d}x{d}")
         return kraus_channel(ops, label=spec.get("label", ""), params=_params(spec))
     raise CohfactError("channel spec needs a 'name' or 'kraus' entry")
 

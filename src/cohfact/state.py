@@ -98,7 +98,9 @@ def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> np.ndarray:
     gives (s, d^2-1) coordinates."""
     if rho.d != basis.d:
         raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.d}")
-    x = np.einsum("...ab,iba->...i", rho.m, basis.elements)
+    # one BLAS product of the flattened matrices: X is Hermitian, so
+    # sum_ab conj(rho_ab) X_ab is conj(x_i), whose imaginary part is negated
+    x = rho.m.conj().reshape(rho.m.shape[:-2] + (-1,)) @ basis.elements.reshape(len(basis.elements), -1).T
     if np.max(np.abs(x.imag)) > REAL_TOL:
         raise UnphysicalStateError(
             f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "

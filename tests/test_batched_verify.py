@@ -26,7 +26,12 @@ from cohfact.channel import (
     theorem1_condition,
     transfer_matrix,
 )
-from cohfact.errors import DimensionMismatchError, InvalidDimensionError
+from cohfact.errors import (
+    DimensionMismatchError,
+    InvalidDimensionError,
+    NotAChannelError,
+    UnreachableTargetError,
+)
 from cohfact.factorization import (
     verify_cascade,
     verify_corollary2,
@@ -252,7 +257,7 @@ def test_transfer_matrix_runs_once_per_verify_run(tmp_path, monkeypatch, capsys,
     assert calls == [2]
 
 
-@pytest.mark.parametrize("limit, value", [("CHUNK_TRIALS", 2), ("CHUNK_ENTRIES", 1)])
+@pytest.mark.parametrize("limit, value", [("CHUNK_TRIALS", 2), ("CHUNK_TRIALS", 1)])
 def test_chunked_run_matches_one_chunk(tmp_path, monkeypatch, capsys, limit, value):
     path = tmp_path / "u.json"
     io.save_channel(path, random_unital_channel(3, seed=8))
@@ -372,7 +377,7 @@ def test_transfer_path_matches_kraus_reference(d):
     sigma = apply(aux_channel(rho, m, x), rho)
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)).elements, 1)
     probes = DensityMatrix(d=d, m=np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
-    for ch in (dep, *channels[:2]):
+    for ch in (dep, *channels):
         rep = verify_cascade(transfer_matrix(ch), rho, m, x)
         _assert_close(rep.lhs, l1_from_density(apply(ch, sigma).m))
         _assert_close(rep.rhs, l1_from_density(sigma.m) * l1_from_density(apply(ch, probes).m))
@@ -394,6 +399,46 @@ def test_theorem1_draws_only_the_trials_it_runs(tmp_path, monkeypatch, capsys):
     assert cli.main(["--trials", "32", "verify", "theorem1", "--channel", str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 32
     assert sum(rows) == 32
+
+
+def test_cascade_draws_only_the_trials_it_runs(tmp_path, monkeypatch, capsys):
+    """32 cascade trials at d = 32 come from 32 drawn target rows: the
+    auxiliary channel acts on Pauli coordinates, so a trial holds d^2
+    entries and no chunk is cut below a block."""
+    rows = []
+    sample = cli._sample_reachable_target
+
+    def counted(N, key, count):
+        rows.append(count)
+        return sample(N, key, count)
+
+    monkeypatch.setattr(cli, "_sample_reachable_target", counted)
+    path = tmp_path / "dep32.json"
+    path.write_text(json.dumps({"name": "depolarizing", "d": 32, "params": {"p": 0.3}}))
+    assert cli.main(["--trials", "32", "verify", "cascade", "--channel", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 32
+    assert sum(rows) == 32
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cascade_raises_what_the_kraus_path_raises(N):
+    """Where aux_channel finds no channel, a negative weight at a large chi
+    or a target coordinate over a vanishing source one, verify_cascade
+    raises the same class, for one trial and for a stack holding it."""
+    d = 2**N
+    t = transfer_matrix(make_named("depolarizing", d=d, params={"p": 0.3}))
+    rho, m, chi = cli._sample_reachable_target(N, [N, 0], 3)
+    large = chi.copy()
+    large[1] = 1e3
+    mixed = rho.copy()
+    mixed[1] = np.eye(d) / d  # every source coordinate vanishes
+    for states, x, want in ((rho, large, NotAChannelError), (mixed, chi, UnreachableTargetError)):
+        with pytest.raises(want):
+            aux_channel(DensityMatrix(d=d, m=states[1]), m[1], x[1])
+        with pytest.raises(want):
+            verify_cascade(t, DensityMatrix(d=d, m=states[1]), m[1], x[1])
+        with pytest.raises(want):
+            verify_cascade(t, DensityMatrix(d=d, m=states), m, x)
 
 
 def test_drivers_refuse_coordinates_of_another_dimension():

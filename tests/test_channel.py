@@ -20,7 +20,7 @@ from cohfact.channel import (
     pauli_coefficients,
     random_channel,
     random_unital_channel,
-    scalar_action_detect,
+    scalar_actions,
     theorem1_condition,
     transfer_matrix,
     validate_frozen_coefficients,
@@ -163,18 +163,18 @@ def test_corollary1_equivalent_to_theorem1(d):
 def test_scalar_action_phase_damping():
     q = 0.55
     t = transfer_matrix(make_named("phase_damping", params={"q": q}))
-    assert abs(scalar_action_detect(t, {1, 2}) - q) < 1e-12
+    assert abs(scalar_actions(t, [True, True]) - q) < 1e-12
 
 
 def test_scalar_action_gell_mann_G():
     t = transfer_matrix(gell_mann_G(3, 0.4, 0.9))
-    assert abs(scalar_action_detect(t, range(1, 7)) - 0.4) < 1e-12
+    assert abs(scalar_actions(t, np.ones(6, dtype=bool)) - 0.4) < 1e-12
 
 
 def test_scalar_action_bit_flip_has_no_common_q():
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
-    assert scalar_action_detect(t, {1, 2}) is None
-    assert abs(scalar_action_detect(t, {1}) - 1.0) < 1e-12
+    assert np.isnan(scalar_actions(t, [True, True]))
+    assert abs(scalar_actions(t, [True, False]) - 1.0) < 1e-12
 
 
 def test_frozen_condition_unitary_xy():

@@ -532,6 +532,35 @@ def test_bad_channel_file_exits_2(tmp_path, capsys, spec, field):
     assert err.startswith("error:") and field in err
 
 
+def _identity_kraus(d):
+    """A channel file holding the d x d identity as its one Kraus operator."""
+    return {"kraus": [[[[float(i == j), 0.0] for j in range(d)] for i in range(d)]]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_identity_kraus(64), "operator size must be at most MAX_D = 32, got 64"),
+    ({"d": 8, **_identity_kraus(2)}, "declared d=8 but Kraus operators are 2x2"),
+])
+@pytest.mark.parametrize("argv", [["transfer"], ["--trials", "2", "verify", "theorem1"]])
+def test_kraus_file_dimension_is_bounded_and_checked(tmp_path, capsys, spec, message, argv):
+    """A Kraus file's operator size is a d read from input: at most MAX_D,
+    and equal to the file's "d" when it declares one."""
+    ch = write_channel(tmp_path, "kraus.json", spec)
+    code, out, err = _run([*argv, "--channel", ch], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_saved_kraus_file_declares_its_d_and_loads(tmp_path, capsys):
+    path = tmp_path / "unital.json"
+    io.save_channel(path, channel.random_unital_channel(3, seed=1))
+    assert json.loads(path.read_text())["d"] == 3
+    assert main(["transfer", "--channel", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 3
+    assert main(["--trials", "2", "verify", "theorem1", "--channel", str(path)]) == 0
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"bloch": [0.6, 0.8, 0.0]}, "needs a 'd' entry"),
     ({"d": "x", "bloch": [0.6, 0.8, 0.0]}, "'d'"),

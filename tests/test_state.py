@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cohfact.basis import gellmann_basis
+from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.errors import (
     DimensionMismatchError,
     IncoherentDirectionError,
     UnphysicalStateError,
 )
 from cohfact.state import (
+    DensityMatrix,
     StateFamily,
     bloch_compose,
     bloch_decompose,
@@ -38,6 +39,22 @@ def test_decompose_maximally_mixed_is_zero():
 def test_decompose_plus_state():
     x = bloch_decompose(plus_state(), gellmann_basis(2))
     np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("basis", [gellmann_basis(3), gellmann_basis(8), pauli_tensor_basis(1),
+                                   pauli_tensor_basis(3)], ids=["gm3", "gm8", "pauli1", "pauli3"])
+def test_decompose_matches_trace_reference(basis):
+    """The one-product decomposition against x_i = Tr(rho X_i) as an
+    einsum, for one state and a stack; a non-Hermitian matrix still
+    raises."""
+    rho = random_state(basis.d, 4, 5)
+    want = np.einsum("...ab,iba->...i", rho.m, basis.elements).real
+    np.testing.assert_allclose(bloch_decompose(rho, basis), want, rtol=0, atol=1e-15)
+    one = DensityMatrix(d=basis.d, m=rho.m[2])
+    np.testing.assert_allclose(bloch_decompose(one, basis), want[2], rtol=0, atol=1e-15)
+    skew = DensityMatrix(d=basis.d, m=rho.m[2] + 1e-6j * np.triu(np.ones((basis.d, basis.d)), 1))
+    with pytest.raises(UnphysicalStateError, match="not Hermitian"):
+        bloch_decompose(skew, basis)
 
 
 def test_compose_trivials():
