@@ -37,8 +37,10 @@ from .factorization import (
 from .measures import (
     _collapse_extremes,
     correlation_measures,
+    geometric_discord2,
     hellinger_discord,
     l1_from_density,
+    min2,
     purity_measure,
 )
 from .state import DensityMatrix, ginibre_state, random_families, random_state
@@ -112,11 +114,10 @@ def cmd_coherence(args):
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
                 print(f"{k} = {v:.12f}", file=fh)
-            extremes = _collapse_extremes(rho.m)
-            print(f"D2 = {2.0 * extremes[0][0]:.12f}", file=fh)
-            print(f"N2 = {2.0 * extremes[1][0]:.12f}", file=fh)
+            print(f"D2 = {geometric_discord2(rho):.12f}", file=fh)
+            print(f"N2 = {min2(rho):.12f}", file=fh)
             print(f"D_H = {hellinger_discord(rho):.12f}", file=fh)
-            for name, (_, a) in zip(("D2", "N2"), extremes):
+            for name, (_, a) in zip(("D2", "N2"), _collapse_extremes(rho.m)):
                 # a and -a give the same measurement: print the one whose
                 # largest entry is positive, and no negative zeros
                 a = (a if a[np.argmax(np.abs(a))] > 0 else -a) + 0.0
@@ -190,6 +191,26 @@ _VERIFY = {
 }
 
 
+def _record_template(seed, d, label):
+    """The format string of one verify record line: the text json.dumps
+    writes for the record's dict, with trial, lhs, rhs, abs_err,
+    probe_physical and condition_held left as fields."""
+    fixed = json.dumps({"seed": seed, "d": d, "channel": label})[1:-1]
+    return ('{{"trial": {}, ' + fixed.replace("{", "{{").replace("}", "}}") +
+            ', "lhs": {}, "rhs": {}, "abs_err": {}, "probe_physical": {}, "condition_held": {}}}\n')
+
+
+# The JSON text json.dumps writes for the values whose repr or str differs.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _json_number(x):
+    """The JSON text of io.fmt12(x), as json.dumps writes it."""
+    text = repr(io.fmt12(x))
+    return _JSON_NONFINITE.get(text, text)
+
+
 def cmd_verify(args):
     if args.trials < 1:
         raise CohfactError(f"--trials must be at least 1, got {args.trials}")
@@ -197,17 +218,15 @@ def cmd_verify(args):
         raise CohfactError(f"--seed must be at least 0, got {args.seed}")
     _check_tol(args.tol)
     ch = io.load_channel(args.channel)
+    record = _record_template(args.seed, ch.d, ch.label)
     failures = 0
     trial = 0
     with _output(args.out) as fh:
         for rep in _VERIFY[args.kind](ch, args):
             fields = (rep.lhs, rep.rhs, rep.abs_err, rep.probe_physical, rep.condition_held)
             for lhs, rhs, err, physical, held in zip(*(f.tolist() for f in fields)):
-                print(json.dumps({
-                    "trial": trial, "seed": args.seed, "d": ch.d, "channel": ch.label,
-                    "lhs": io.fmt12(lhs), "rhs": io.fmt12(rhs), "abs_err": io.fmt12(err),
-                    "probe_physical": physical, "condition_held": held,
-                }), file=fh)
+                fh.write(record.format(trial, _json_number(lhs), _json_number(rhs), _json_number(err),
+                                       _JSON_BOOL[physical], _JSON_BOOL[held]))
                 trial += 1
             failures += int(np.count_nonzero(~rep.within(args.tol)))  # NaN fails
     if args.expect_violation:

@@ -104,7 +104,9 @@ def state_from_dict(spec: dict) -> DensityMatrix:
     spec = _object(spec, "state spec")
     d = _dimension(spec, "state", None)
     if "matrix" in spec:
-        rho = density_matrix(_complex_from_json(spec["matrix"], "state 'matrix'"))
+        m = _complex_from_json(spec["matrix"], "state 'matrix'")
+        bounded_dimension(max(m.shape, default=0), "state 'matrix' size")
+        rho = density_matrix(m)
     elif "bloch" in spec:
         if d is None:
             raise CohfactError("state with a 'bloch' entry needs a 'd' entry")

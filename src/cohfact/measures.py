@@ -60,22 +60,38 @@ def _two_qubit(m):
 
 
 def _bloch_coordinates(m):
-    """The 3x4 block [x | T] of a Hermitian 4x4 operator m: the local Bloch
-    vector x_i = Tr(m s_i x I) and the correlation matrix T_ij = Tr(m s_i x s_j)."""
-    return (_PAULI_PROJECTION @ _two_qubit(m).reshape(16)).real.reshape(3, 4)
+    """The 3x4 block [x | T] of a checked Hermitian 4x4 operator m: the local
+    Bloch vector x_i = Tr(m s_i x I) and the correlation matrix T_ij = Tr(m s_i x s_j)."""
+    return (_PAULI_PROJECTION @ m.reshape(16)).real.reshape(3, 4)
+
+
+def _k_matrix(m):
+    """K = R R^T = x x^T + T T^T of a checked Hermitian 4x4 operator m, R = [x | T].
+
+    The residual ||m - Pi_a(m)||_2^2 of the local measurement along the unit
+    vector a is (tr K - a^T K a)/4, so its extremes over a are sums of two
+    of K's eigenvalues over 4, and the optimal directions are eigenvectors."""
+    r = _bloch_coordinates(m)
+    return r @ r.T
+
+
+def _correlation_spectrum(m):
+    """T and the ascending eigenvalues of T^T T, clipped at 0, of a checked
+    4x4 operator m."""
+    t3 = _bloch_coordinates(m)[:, 1:]
+    return t3, np.maximum(np.linalg.eigvalsh(t3.T @ t3), 0.0)
 
 
 def correlation_matrix(rho) -> CorrelationMatrix:
     """Correlation matrix of a two-qubit state (tensor ordering A x B)."""
-    t3 = _bloch_coordinates(_mat(rho))[:, 1:]
-    eigs = np.linalg.eigvalsh(t3.T @ t3)[::-1]
-    return CorrelationMatrix(t3=t3, eigs=np.maximum(eigs, 0.0))
+    t3, eigs = _correlation_spectrum(_two_qubit(_mat(rho)))
+    return CorrelationMatrix(t3=t3, eigs=eigs[::-1])
 
 
 def correlation_measures(rho) -> dict:
     """Bell-max, RSP fidelity, and teleportation figures from the
     correlation-matrix eigenvalues E1 >= E2 >= E3."""
-    e1, e2, e3 = correlation_matrix(rho).eigs.tolist()
+    e3, e2, e1 = _correlation_spectrum(_two_qubit(_mat(rho)))[1].tolist()
     n_qt = math.sqrt(e1 + e2 + e3)
     return {
         "bell_max": 2.0 * math.sqrt(e1 + e2),
@@ -95,36 +111,37 @@ def projective_collapse(rho, direction) -> DensityMatrix:
 
 
 def _collapse_extremes(m):
-    """(value, a) of the minimum, then of the maximum, of ||m - Pi_a(m)||_2^2 over unit a.
-
-    With R = [x | T] the local Bloch vector and correlation matrix of m, the
-    residual is (|x|^2 + ||T||^2 - a^T K a)/4 with K = R R^T = x x^T + T T^T,
-    and |x|^2 + ||T||^2 = tr K. So the minimum sits at K's top eigenvector and
-    is the sum of its other two eigenvalues over 4; the maximum sits at the
-    bottom one. One eigh of K gives both.
-    """
-    r = _bloch_coordinates(m)
-    lam, vec = np.linalg.eigh(r @ r.T)
+    """(value, a) of the minimum, then of the maximum, of ||m - Pi_a(m)||_2^2
+    over unit a, for a checked 4x4 operator m: (low + mid)/4 at K's top
+    eigenvector and (mid + top)/4 at its bottom one. Only the directions
+    need this eigh; the values alone come from eigvalsh of K."""
+    lam, vec = np.linalg.eigh(_k_matrix(m))
     low, mid, top = lam.tolist()
     return ((low + mid) / 4.0, vec[:, 2]), ((mid + top) / 4.0, vec[:, 0])
 
 
 def geometric_discord2(rho) -> float:
-    """Schatten-2 geometric discord D2 = 2 min ||rho - Pi^A(rho)||_2^2."""
-    return 2.0 * _collapse_extremes(_mat(rho))[0][0]
+    """Schatten-2 geometric discord D2 = 2 min ||rho - Pi^A(rho)||_2^2
+    = (lambda_0 + lambda_1)/2, the two smallest eigenvalues of K."""
+    low, mid, _ = np.linalg.eigvalsh(_k_matrix(_two_qubit(_mat(rho)))).tolist()
+    return (low + mid) / 2.0
 
 
 def min2(rho) -> float:
-    """Schatten-2 measurement-induced nonlocality N2 = 2 max ||rho - Pi^A(rho)||_2^2."""
-    return 2.0 * _collapse_extremes(_mat(rho))[1][0]
+    """Schatten-2 measurement-induced nonlocality N2 = 2 max ||rho - Pi^A(rho)||_2^2
+    = (lambda_1 + lambda_2)/2, the two largest eigenvalues of K."""
+    _, mid, top = np.linalg.eigvalsh(_k_matrix(_two_qubit(_mat(rho)))).tolist()
+    return (mid + top) / 2.0
 
 
 def hellinger_discord(rho) -> float:
-    """Hellinger discord D_H = min ||sqrt(rho) - Pi^A(sqrt(rho))||_2^2."""
+    """Hellinger discord D_H = min ||sqrt(rho) - Pi^A(sqrt(rho))||_2^2
+    = (lambda_0 + lambda_1)/4 of the K of sqrt(rho)."""
     w, v = np.linalg.eigh(_two_qubit(_mat(rho)))
     if w[0] < -1e-9:
         raise UnphysicalStateError(
             f"square root undefined: min eigenvalue {w[0]:.3e}", min_eigenvalue=float(w[0])
         )
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return _collapse_extremes(root)[0][0]
+    low, mid, _ = np.linalg.eigvalsh(_k_matrix(root)).tolist()
+    return (low + mid) / 4.0

@@ -438,6 +438,31 @@ def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
                  "--expect-violation"]) == 0
 
 
+def test_verify_records_match_json_dumps(tmp_path, monkeypatch, capsys):
+    """Each record is the text json.dumps writes for its dict, with every
+    float through io.fmt12: non-finite values, a negative zero, exponents,
+    and a label holding a quote, braces and a non-ASCII character."""
+    from cohfact.factorization import FactorizationReport
+
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0, 1e16, 1e-17, 0.1234567890123456])
+    flags = np.arange(len(values)) % 2 == 0
+
+    def reports(measure, t, n, chi):
+        return FactorizationReport(lhs=values, rhs=values[::-1], abs_err=np.roll(values, 3),
+                                   probe_physical=flags, condition_held=~flags)
+
+    monkeypatch.setattr(cli, "verify_families", reports)
+    label = 'say "{x}" \u00e9'
+    ch = write_channel(tmp_path, "id.json", {"label": label, **_identity_kraus(2)})
+    main(["--trials", str(len(values)), "--seed", "3", "verify", "theorem1", "--channel", ch])
+    want = [json.dumps({
+        "trial": i, "seed": 3, "d": 2, "channel": label, "lhs": io.fmt12(values[i]),
+        "rhs": io.fmt12(values[::-1][i]), "abs_err": io.fmt12(np.roll(values, 3)[i]),
+        "probe_physical": bool(flags[i]), "condition_held": not flags[i],
+    }) for i in range(len(values))]
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_qubit_channel_with_other_d_exits_2(tmp_path, capsys):
     ch = write_channel(tmp_path, "pd3.json", {"name": "phase_damping", "d": 3, "params": {"q": 0.4}})
     assert main(["verify", "theorem1", "--channel", ch]) == 2
@@ -559,6 +584,29 @@ def test_saved_kraus_file_declares_its_d_and_loads(tmp_path, capsys):
     assert main(["transfer", "--channel", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 3
     assert main(["--trials", "2", "verify", "theorem1", "--channel", str(path)]) == 0
+
+
+def _mixed_state_file(tmp_path, d):
+    """A state file holding I/d as its matrix, with no "d" entry."""
+    path = tmp_path / f"mixed{d}.json"
+    path.write_text(json.dumps({"matrix": [[[float(i == j) / d, 0.0] for j in range(d)]
+                                           for i in range(d)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["coherence"], ["sweep", "depolarizing", "0:1:0.5", "--state"]])
+def test_state_file_matrix_size_is_bounded(tmp_path, capsys, argv):
+    """A state file's matrix size is a d read from input: at most MAX_D,
+    whether or not the file declares a "d"."""
+    code, out, err = _run([*argv, _mixed_state_file(tmp_path, io.MAX_D + 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'matrix' size must be at most MAX_D = 32, got 33" in err
+
+
+def test_state_file_at_max_d_loads(tmp_path, capsys):
+    assert main(["coherence", _mixed_state_file(tmp_path, io.MAX_D)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["C_l1 = 0.000000000000", "purity = 0.000000000000"]
 
 
 @pytest.mark.parametrize("spec, field", [

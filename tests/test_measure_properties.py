@@ -7,7 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohfact.measures import correlation_measures, geometric_discord2, hellinger_discord, min2
+from cohfact.measures import (
+    _collapse_extremes,
+    correlation_measures,
+    geometric_discord2,
+    hellinger_discord,
+    min2,
+)
 from cohfact.state import random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -86,6 +92,17 @@ def test_measures_match_pauli_reference(m):
     assert abs(geometric_discord2(m) - d2) <= 1e-12
     assert abs(min2(m) - n2) <= 1e-12
     assert abs(hellinger_discord(m) - dh) <= 1e-12
+
+
+@given(m=two_qubit_states())
+@settings(max_examples=60, deadline=None)
+def test_values_agree_with_the_direction_path(m):
+    """coherence prints D2 and N2 from the eigenvalues of K and the optimal
+    directions from its eigh: the two paths give the same values, also
+    where K is fully degenerate (Werner states)."""
+    (low, _), (high, _) = _collapse_extremes(m)
+    for got, value in ((geometric_discord2(m), 2.0 * low), (min2(m), 2.0 * high)):
+        assert abs(got - value) <= 1e-15 * max(1.0, value)
 
 
 @given(m=two_qubit_states())

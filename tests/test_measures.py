@@ -230,6 +230,25 @@ def test_discord_definition_at_returned_direction(measure, operator, scale, larg
             assert (r <= best + 1e-12) if largest else (r >= best - 1e-12)
 
 
+@pytest.mark.parametrize("measure, calls", [
+    (geometric_discord2, 0), (min2, 0), (correlation_measures, 0), (hellinger_discord, 1),
+])
+def test_values_take_no_eigenvectors_of_k(monkeypatch, measure, calls):
+    """D2, N2 and the correlation figures need eigenvalues only; D_H takes
+    one eigh, that of rho for its square root, and none of its K."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for rho in (bell_state(), random_state(4, 5)):
+        shapes.clear()
+        measure(rho)
+        assert shapes == [(4, 4)] * calls
+
+
 @pytest.mark.parametrize("measure", [geometric_discord2, min2, hellinger_discord])
 def test_discord_rejects_non_two_qubit_input(measure):
     with pytest.raises(DimensionMismatchError):
