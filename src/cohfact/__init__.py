@@ -3,7 +3,6 @@ bases, states, Kraus channels, transfer matrices, coherence measures, and
 verification of the coherence factorization laws."""
 
 from .basis import (
-    GeneratorBasis,
     gellmann_basis,
     pair_indices,
     pauli_tensor_basis,

@@ -8,7 +8,6 @@ Positions 2r-1, 2r (1-based) hold the u/v pair of the r-th index pair,
 so the first d^2-d coordinates of a Bloch vector are the coherence part.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -36,27 +35,6 @@ _SIGMA = _read_only(np.array([
 ], dtype=complex))
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """Ordered generator basis of a d-dimensional system: the generalized
-    Gell-Mann basis of gellmann_basis, or the N-qubit Pauli tensor basis of
-    pauli_tensor_basis (d = 2^N).
-
-    ``elements`` is a read-only (d^2-1, d, d) array whose ``elements[i]``
-    is X_{i+1} in the 1-based ordering of its builder; ``identity_element``
-    is X_0 = sqrt(2/d) I.
-    """
-
-    d: int
-    elements: np.ndarray
-    identity_element: np.ndarray
-
-    @property
-    def num_offdiag(self):
-        """Number of off-diagonal (u/v) Gell-Mann generators, d^2 - d."""
-        return self.d * self.d - self.d
-
-
 def pair_indices(d):
     """Return the ordered (j,k) index pairs, 1-based, lexicographic.
 
@@ -75,9 +53,11 @@ def _w_matrix(d, l):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def gellmann_basis(d):
-    """Build the generalized Gell-Mann basis for dimension d >= 2.
+    """The generalized Gell-Mann basis for dimension d >= 2: a read-only
+    (d^2-1, d, d) array whose entry i is X_{i+1} in the 1-based ordering.
 
-    Elements are Hermitian, traceless, and satisfy Tr(X_i X_j) = 2 delta_ij.
+    Elements are Hermitian, traceless, and satisfy Tr(X_i X_j) = 2 delta_ij;
+    X_0 = sqrt(2/d) I is not stored.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
@@ -87,9 +67,7 @@ def gellmann_basis(d):
     elements[u, j, k] = elements[u, k, j] = 1
     elements[v, j, k], elements[v, k, j] = -1j, 1j
     elements[d * d - d:] = [_w_matrix(d, l) for l in range(1, d)]
-    identity = np.sqrt(2.0 / d) * np.eye(d, dtype=complex)
-    return GeneratorBasis(d=int(d), elements=_read_only(elements),
-                          identity_element=_read_only(identity))
+    return _read_only(elements)
 
 
 def _qubits(N, most):
@@ -110,9 +88,10 @@ def qubit_count(d):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
-    """Build the N-qubit Pauli tensor basis, 1 <= N <= 6: the generators
-    Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}, where j_1 ... j_N are
-    the base-4 digits of j, in numeric order (00..1), (00..2), ..., (33..3)."""
+    """The N-qubit Pauli tensor basis, 1 <= N <= 6, as a read-only
+    (4^N-1, 2^N, 2^N) array of the generators Y_j = 2^((1-N)/2) sigma_{j_1}
+    x ... x sigma_{j_N}, where j_1 ... j_N are the base-4 digits of j, in
+    numeric order (00..1), (00..2), ..., (33..3); Y_0 is not stored."""
     N = _qubits(N, 6)
     # products[j] = scale sigma_{j_1} x ... x sigma_{j_N}: each step appends one
     # qubit, with its digit as the least significant one
@@ -120,9 +99,7 @@ def pauli_tensor_basis(N):
     for n in range(N):
         products = (products[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]
                     ).reshape(4 ** (n + 1), 2 ** (n + 1), 2 ** (n + 1))
-    identity = np.sqrt(2.0 ** (1 - N)) * np.eye(2**N, dtype=complex)
-    return GeneratorBasis(d=2**N, elements=_read_only(products[1:]),
-                          identity_element=_read_only(identity))
+    return _read_only(products[1:])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -131,5 +108,5 @@ def y_to_x_transform(N):
     a_ij = Tr(X_i Y_j)/2, from the Pauli tensor to the Gell-Mann basis of
     N <= 3 qubits."""
     N = _qubits(N, 3)
-    a = np.einsum("iab,jba->ij", gellmann_basis(2**N).elements, pauli_tensor_basis(N).elements)
+    a = np.einsum("iab,jba->ij", gellmann_basis(2**N), pauli_tensor_basis(N))
     return _read_only(a.real / 2.0)

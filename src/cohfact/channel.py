@@ -130,9 +130,8 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     (the X_j are Hermitian, so X_j[d,a] = conj(G[j,(a,d)])).
     """
     d = ch.d
-    basis = gellmann_basis(d)
     n = d * d
-    g = np.concatenate(([basis.identity_element], basis.elements)).reshape(n, n)
+    g = np.concatenate(([np.sqrt(2.0 / d) * np.eye(d)], gellmann_basis(d))).reshape(n, n)
     e = _one_channel(ch).reshape(-1, n)  # row mu is vec(E_mu)
     s = (e.conj().T @ e).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
     t = g @ s @ g.conj().T / 2.0
@@ -294,13 +293,12 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
     _require(c1 >= -1e-12, "gell_mann_G requires 1 - q0 >= 0 (got {:.3e})", c1)
     _require(c2 >= -1e-12, "gell_mann_G requires 1 - d q + (d-1) q0 >= 0 (got {:.3e})", c2)
     _require(c3 >= -1e-12, "gell_mann_G requires 1 + (d^2-d) q + (d-1) q0 >= 0 (got {:.3e})", c3)
-    basis = gellmann_basis(d)
-    n_off = basis.num_offdiag
+    n_off = d * d - d
     w = np.empty(c2.shape + (d * d,))  # c2 depends on q and q0, so it has their broadcast shape
     w[..., 0] = np.sqrt(np.maximum(c3, 0.0)) / d
     w[..., 1 : n_off + 1] = np.sqrt(np.maximum(c1, 0.0) / (2 * d))[..., None]
     w[..., n_off + 1 :] = np.sqrt(np.maximum(c2, 0.0) / (2 * d))[..., None]
-    gens = np.concatenate((np.eye(d, dtype=complex)[None], basis.elements))
+    gens = np.concatenate((np.eye(d, dtype=complex)[None], gellmann_basis(d)))
     return kraus_channel(_nonzero(w[..., None, None] * gens, w), tol=1e-12)
 
 
@@ -476,7 +474,7 @@ def aux_weights(rho: DensityMatrix, m, chi):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
     if not np.all(np.isfinite(chi)):
         raise CohfactError(f"chi must be finite, got chi={chi}")
-    y = np.einsum("...ab,iba->...i", rho.m, pauli_tensor_basis(N).elements).real
+    y = np.einsum("...ab,iba->...i", rho.m, pauli_tensor_basis(N)).real
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     unreachable = live & (np.abs(y) <= 1e-10)
     q = np.zeros(m.shape[:-1] + (4**N,))
@@ -535,8 +533,7 @@ def aux_kraus_channel(eps, chi) -> KrausChannel:
     one channel keeps only its nonzero operators."""
     eps = _realizable(eps)
     N = qubit_count(isqrt(eps.shape[-1]))
-    basis = pauli_tensor_basis(N)
-    gens = np.concatenate(([basis.identity_element], basis.elements))
+    gens = np.concatenate(([np.sqrt(2.0 ** (1 - N)) * np.eye(2**N)], pauli_tensor_basis(N)))
     ops = np.sqrt(eps)[..., None, None] * gens
     return kraus_channel(_nonzero(ops, eps), label="aux",
                          params={"chi": np.asarray(chi, dtype=float).tolist(), "N": N})

@@ -64,7 +64,8 @@ def _parser():
     v = sub.add_parser("verify", help="batch-verify a factorization relation")
     v.add_argument("kind", choices=["theorem1", "lemma1", "corollary2", "cascade"])
     v.add_argument("--channel", required=True, help="channel JSON file")
-    v.add_argument("--measure", choices=["l1", "purity"], default="l1")
+    v.add_argument("--measure", choices=["l1", "purity"], default=None,
+                   help="measure of lemma1 (default l1); the other kinds take none")
     v.add_argument("--expect-violation", action="store_true",
                    help="succeed iff at least one trial exceeds the tolerance")
 
@@ -185,7 +186,7 @@ def _cascade(ch, args):
 # Each verify kind yields array reports over consecutive chunks of trials.
 _VERIFY = {
     "theorem1": lambda ch, args: _families("l1", ch, args),
-    "lemma1": lambda ch, args: _families(args.measure, ch, args),
+    "lemma1": lambda ch, args: _families(args.measure or "l1", ch, args),
     "corollary2": _corollary2,
     "cascade": _cascade,
 }
@@ -217,6 +218,8 @@ def cmd_verify(args):
     if args.seed < 0:
         raise CohfactError(f"--seed must be at least 0, got {args.seed}")
     _check_tol(args.tol)
+    if args.measure and args.kind != "lemma1":
+        raise CohfactError(f"--measure applies to lemma1 only, not to {args.kind}")
     ch = io.load_channel(args.channel)
     record = _record_template(args.seed, ch.d, ch.label)
     failures = 0
@@ -267,8 +270,6 @@ def _sample_reachable_target(N, key, rows):
         feasible = floor + _HALVINGS * (eps.min(axis=1) - floor) >= EPS_TOL
         ok = feasible.any(axis=0) & ~unreachable.any(axis=1)
         x = x * 0.5 ** np.argmax(feasible, axis=0)
-        if r == 0 and ok.all():  # the usual case: every row realizable at once
-            return states.m, dirs, x
         rho[todo[ok]], m[todo[ok]], chi[todo[ok]] = states.m[ok], dirs[ok], x[ok]
         todo = todo[~ok]
         if not todo.size:
@@ -317,7 +318,6 @@ def cmd_construct_aux(args):
         print("eps = " + ",".join(f"{v:.12g}" for v in exc.eps), file=sys.stderr)
         return 1
     print("eps = " + ",".join(f"{v:.12g}" for v in eps))
-    print(f"all_nonnegative = {str(bool(np.all(eps >= EPS_TOL))).lower()}")
     if args.out:
         io.save_channel(args.out, ch)
     return 0

@@ -146,9 +146,9 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     scalar on the ones it populates."""
     if rho.m.ndim == 2:
         return _first(verify_corollary2(t, DensityMatrix(d=rho.d, m=rho.m[None])))
-    basis = gellmann_basis(isqrt(len(t)))
-    x = bloch_decompose(rho, basis)
-    populated = np.abs(x[:, : basis.num_offdiag]) > 1e-12
+    d = isqrt(len(t))
+    x = bloch_decompose(rho, gellmann_basis(d))
+    populated = np.abs(x[:, : d * d - d]) > 1e-12
     if not populated.any(axis=1).all():
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     q = scalar_actions(t, populated)
@@ -180,7 +180,7 @@ def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
     pauli = pauli_tensor_basis(qubit_count(rho.d))
     lam = aux_pauli_action(aux_solve(rho, m, chi))
     sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
-    direction = 0.5 * np.tensordot(m, pauli.elements, 1)  # (1/2) m.Y
+    direction = 0.5 * np.tensordot(m, pauli, 1)  # (1/2) m.Y
     g = l1_from_density(direction)
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")

@@ -2,7 +2,6 @@
 and the two-qubit correlation/discord family."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,15 +12,6 @@ from .state import DensityMatrix
 
 def _mat(rho):
     return rho.m if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Two-qubit correlation matrix T_ij = Tr(rho sigma_i x sigma_j) and the
-    descending eigenvalues of T^dag T."""
-
-    t3: np.ndarray
-    eigs: np.ndarray
 
 
 def _per_matrix(values):
@@ -82,10 +72,12 @@ def _correlation_spectrum(m):
     return t3, np.maximum(np.linalg.eigvalsh(t3.T @ t3), 0.0)
 
 
-def correlation_matrix(rho) -> CorrelationMatrix:
-    """Correlation matrix of a two-qubit state (tensor ordering A x B)."""
+def correlation_matrix(rho):
+    """The pair (T, E) of a two-qubit state (tensor ordering A x B): its
+    3x3 correlation matrix T_ij = Tr(rho sigma_i x sigma_j) and the
+    descending eigenvalues E1 >= E2 >= E3 of T^T T, clipped at 0."""
     t3, eigs = _correlation_spectrum(_two_qubit(_mat(rho)))
-    return CorrelationMatrix(t3=t3, eigs=eigs[::-1])
+    return t3, eigs[::-1]
 
 
 def correlation_measures(rho) -> dict:

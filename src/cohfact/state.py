@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GeneratorBasis, gellmann_basis
+from .basis import gellmann_basis
 from .errors import (
     DimensionMismatchError,
     IncoherentDirectionError,
@@ -92,15 +92,15 @@ def is_psd(m):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> np.ndarray:
+def bloch_decompose(rho: DensityMatrix, basis) -> np.ndarray:
     """The real (d^2-1,) array of Bloch coordinates x_i = Tr(rho X_i) in a
-    Gell-Mann or Pauli tensor basis; a state holding an (s, d, d) stack
-    gives (s, d^2-1) coordinates."""
-    if rho.d != basis.d:
-        raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.d}")
+    Gell-Mann or Pauli tensor basis, the (d^2-1, d, d) generator array;
+    a state holding an (s, d, d) stack gives (s, d^2-1) coordinates."""
+    if rho.d != basis.shape[-1]:
+        raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.shape[-1]}")
     # one BLAS product of the flattened matrices: X is Hermitian, so
     # sum_ab conj(rho_ab) X_ab is conj(x_i), whose imaginary part is negated
-    x = rho.m.conj().reshape(rho.m.shape[:-2] + (-1,)) @ basis.elements.reshape(len(basis.elements), -1).T
+    x = rho.m.conj().reshape(rho.m.shape[:-2] + (-1,)) @ basis.reshape(len(basis), -1).T
     if np.max(np.abs(x.imag)) > REAL_TOL:
         raise UnphysicalStateError(
             f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "
@@ -109,15 +109,16 @@ def bloch_decompose(rho: DensityMatrix, basis: GeneratorBasis) -> np.ndarray:
     return x.real
 
 
-def bloch_compose(x, basis: GeneratorBasis) -> DensityMatrix:
+def bloch_compose(x, basis) -> DensityMatrix:
     """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates in a
-    Gell-Mann or Pauli tensor basis, unvalidated. Rows of an (s, d^2-1)
-    array of coordinates give a DensityMatrix holding an (s, d, d) stack."""
+    Gell-Mann or Pauli tensor basis, the (d^2-1, d, d) generator array,
+    unvalidated. Rows of an (s, d^2-1) array of coordinates give a
+    DensityMatrix holding an (s, d, d) stack."""
     x = np.asarray(x, dtype=float)
-    d = basis.d
+    d = basis.shape[-1]
     if x.ndim not in (1, 2) or x.shape[-1] != d * d - 1:
         raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {x.shape}")
-    return DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(x, basis.elements, 1))
+    return DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(x, basis, 1))
 
 
 def family_member(fam: StateFamily) -> DensityMatrix:
@@ -198,7 +199,7 @@ def chi_interval(n, d):
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
-    gens = gellmann_basis(d).elements.reshape(d * d - 1, d * d)
+    gens = gellmann_basis(d).reshape(d * d - 1, d * d)
     lam = np.linalg.eigvalsh((n[..., None, :] @ gens).reshape(n.shape[:-1] + (d, d)))
     c = 2.0 * (1.0 / d - PSD_TOL)
     return -c / lam[..., -1], c / -lam[..., 0]

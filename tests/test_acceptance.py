@@ -158,7 +158,7 @@ def test_criterion_5_auxiliary_channel_and_cascade():
         for i, (rho, m, chi, ch) in enumerate(draws):
             out = apply(ch, rho).m
             target = np.eye(2**N, dtype=complex) / 2**N
-            for mv, yv in zip(m, yb.elements):
+            for mv, yv in zip(m, yb):
                 target += 0.5 * chi * mv * yv
             worst_target = np.maximum(worst_target, float(np.linalg.norm(out - target)))
             if i < 50:

@@ -18,16 +18,16 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def test_d2_is_pauli_set():
     b = gellmann_basis(2)
-    np.testing.assert_allclose(b.elements[0], SX)
-    np.testing.assert_allclose(b.elements[1], SY)
-    np.testing.assert_allclose(b.elements[2], SZ)
-    np.testing.assert_allclose(b.identity_element, np.eye(2))
+    np.testing.assert_allclose(b[0], SX)
+    np.testing.assert_allclose(b[1], SY)
+    np.testing.assert_allclose(b[2], SZ)
+    np.testing.assert_allclose(np.sqrt(2.0 / 2) * np.eye(2), np.eye(2))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_orthonormality(d):
     b = gellmann_basis(d)
-    gens = (b.identity_element, *b.elements)
+    gens = (np.sqrt(2.0 / d) * np.eye(d), *b)
     for i, x in enumerate(gens):
         assert np.max(np.abs(x - x.conj().T)) < 1e-14
         if i > 0:
@@ -39,12 +39,10 @@ def test_orthonormality(d):
 
 @pytest.mark.parametrize("basis, d", [(gellmann_basis(3), 3), (pauli_tensor_basis(2), 4)])
 def test_cached_basis_is_a_read_only_stack(basis, d):
-    assert isinstance(basis.elements, np.ndarray)
-    assert basis.elements.shape == (d * d - 1, d, d)
+    assert isinstance(basis, np.ndarray)
+    assert basis.shape == (d * d - 1, d, d)
     with pytest.raises(ValueError):
-        basis.elements[0, 0, 0] = 5.0
-    with pytest.raises(ValueError):
-        basis.identity_element[0, 0] = 5.0
+        basis[0, 0, 0] = 5.0
 
 
 @pytest.mark.parametrize("cached", [gellmann_basis, pauli_tensor_basis, y_to_x_transform])
@@ -56,9 +54,9 @@ def test_d3_diagonal_generator_textbook_formula():
     # independent oracle: w_l = sqrt(2/(l(l+1))) (sum_{j<=l} |j><j| - l |l+1><l+1|)
     b = gellmann_basis(3)
     w2 = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
-    np.testing.assert_allclose(b.elements[7], w2, atol=1e-15)
+    np.testing.assert_allclose(b[7], w2, atol=1e-15)
     w1 = np.diag([1.0, -1.0, 0.0])
-    np.testing.assert_allclose(b.elements[6], w1, atol=1e-15)
+    np.testing.assert_allclose(b[6], w1, atol=1e-15)
 
 
 def test_ordering_contract():
@@ -68,7 +66,7 @@ def test_ordering_contract():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_completeness_sum(d):
     b = gellmann_basis(d)
-    s = sum(x @ x for x in b.elements)
+    s = sum(x @ x for x in b)
     np.testing.assert_allclose(s, 2.0 * (d * d - 1) / d * np.eye(d), atol=1e-12)
 
 
@@ -79,7 +77,7 @@ def test_hermitian_reconstruction(d):
     h = g + g.conj().T
     b = gellmann_basis(d)
     rec = np.trace(h) / d * np.eye(d, dtype=complex)
-    rec += 0.5 * sum(np.trace(h @ x) * x for x in b.elements)
+    rec += 0.5 * sum(np.trace(h @ x) * x for x in b)
     np.testing.assert_allclose(rec, h, atol=1e-12)
 
 
@@ -96,16 +94,16 @@ def test_invalid_dimension():
 
 def test_pauli_basis_n1():
     b = pauli_tensor_basis(1)
-    np.testing.assert_allclose(b.elements[0], SX)
-    np.testing.assert_allclose(b.elements[1], SY)
-    np.testing.assert_allclose(b.elements[2], SZ)
+    np.testing.assert_allclose(b[0], SX)
+    np.testing.assert_allclose(b[1], SY)
+    np.testing.assert_allclose(b[2], SZ)
 
 
 def test_pauli_basis_n2_prefactor_and_order():
     b = pauli_tensor_basis(2)
-    assert len(b.elements) == 15
-    np.testing.assert_allclose(b.elements[0], np.kron(np.eye(2), SX) / np.sqrt(2))
-    np.testing.assert_allclose(b.elements[11], np.kron(SZ, np.eye(2)) / np.sqrt(2))
+    assert len(b) == 15
+    np.testing.assert_allclose(b[0], np.kron(np.eye(2), SX) / np.sqrt(2))
+    np.testing.assert_allclose(b[11], np.kron(SZ, np.eye(2)) / np.sqrt(2))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -116,15 +114,15 @@ def test_pauli_basis_equals_kron_reference(N):
     digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
     want = np.array([reduce(np.kron, [sigma[int(c)] for c in ds], 2.0 ** ((1 - N) / 2))
                      for ds in digits])
-    got = pauli_tensor_basis(N).elements
+    got = pauli_tensor_basis(N)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
 
 def test_pauli_basis_n2_pairwise_orthogonal():
     b = pauli_tensor_basis(2)
-    for i, x in enumerate(b.elements):
-        for j, y in enumerate(b.elements):
+    for i, x in enumerate(b):
+        for j, y in enumerate(b):
             want = 2.0 if i == j else 0.0
             assert abs(np.trace(x @ y) - want) < 1e-12
 
@@ -158,6 +156,6 @@ def test_transform_reproduces_generators(N):
     a = y_to_x_transform(N)
     xb = gellmann_basis(2**N)
     yb = pauli_tensor_basis(N)
-    for i, xi in enumerate(xb.elements):
-        rec = sum(a[i, j] * yj for j, yj in enumerate(yb.elements))
+    for i, xi in enumerate(xb):
+        rec = sum(a[i, j] * yj for j, yj in enumerate(yb))
         np.testing.assert_allclose(rec, xi, atol=1e-12)

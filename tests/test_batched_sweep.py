@@ -75,9 +75,9 @@ def _ref_gell_mann_G(d, q, q0):
     c3 = 1.0 + (d * d - d) * q + (d - 1) * q0
     basis = gellmann_basis(d)
     w = np.concatenate(([np.sqrt(max(c3, 0.0)) / d],
-                        np.full(basis.num_offdiag, np.sqrt(max(c1, 0.0) / (2 * d))),
+                        np.full(d * d - d, np.sqrt(max(c1, 0.0) / (2 * d))),
                         np.full(d - 1, np.sqrt(max(c2, 0.0) / (2 * d)))))
-    gens = np.concatenate((np.eye(d, dtype=complex)[None], basis.elements))
+    gens = np.concatenate((np.eye(d, dtype=complex)[None], basis))
     return (w[:, None, None] * gens)[w > 0]
 
 

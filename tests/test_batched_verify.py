@@ -72,7 +72,7 @@ def reference_block_family(d, seed, trial):
     u = rng.uniform(size=B)[r]
     v = rng.standard_normal((r + 1, d * d - 1))[r:]
     n = (v / np.linalg.norm(v, axis=-1, keepdims=True))[0]
-    lam = np.linalg.eigvalsh((n @ gellmann_basis(d).elements.reshape(d * d - 1, d * d)).reshape(d, d))
+    lam = np.linalg.eigvalsh((n @ gellmann_basis(d).reshape(d * d - 1, d * d)).reshape(d, d))
     c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
     a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
@@ -375,7 +375,7 @@ def test_transfer_path_matches_kraus_reference(d):
     rho, m, x = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
     rho = DensityMatrix(d=d, m=rho)
     sigma = apply(aux_channel(rho, m, x), rho)
-    direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)).elements, 1)
+    direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)), 1)
     probes = DensityMatrix(d=d, m=np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
     for ch in (dep, *channels):
         rep = verify_cascade(transfer_matrix(ch), rho, m, x)

@@ -7,6 +7,7 @@ from cohfact.channel import (
     apply,
     aux_channel,
     aux_coefficient_matrix,
+    aux_pauli_action,
     aux_solve,
     channel_entry,
     corollary1_check,
@@ -27,6 +28,7 @@ from cohfact.channel import (
 )
 from cohfact.errors import (
     CohfactError,
+    DimensionMismatchError,
     InvalidChannelError,
     NotAChannelError,
     NotApplicableError,
@@ -386,7 +388,7 @@ def test_aux_coefficient_matrix_is_cached_and_read_only():
 def test_aux_identity_target():
     yb = pauli_tensor_basis(1)
     rho = random_state(2, 3)
-    y = np.array([np.trace(rho.m @ e).real for e in yb.elements])
+    y = np.array([np.trace(rho.m @ e).real for e in yb])
     eps = aux_solve(rho, y / np.linalg.norm(y), np.linalg.norm(y))
     np.testing.assert_allclose(eps, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -421,10 +423,10 @@ def test_aux_needs_a_power_of_2_dimension():
 def _aux_q_reference(rho, m, chi, basis):
     """q of c eps = q, one coordinate at a time; returns the first dead
     coordinate's index instead when the target is unreachable."""
-    y = np.einsum("ab,iba->i", rho.m, basis.elements).real
-    q = np.zeros(basis.d**2)
+    y = np.einsum("ab,iba->i", rho.m, basis).real
+    q = np.zeros(basis.shape[-1]**2)
     q[0] = 1.0
-    for nu in range(1, basis.d**2):
+    for nu in range(1, basis.shape[-1]**2):
         if abs(m[nu - 1]) > 0:
             if abs(y[nu - 1]) <= 1e-10:
                 return nu
@@ -479,7 +481,7 @@ def test_aux_n2_frobenius():
         hits += 1
         out = apply(ch, rho).m
         target = np.eye(4, dtype=complex) / 4
-        for mv, yv in zip(m, yb.elements):
+        for mv, yv in zip(m, yb):
             target += 0.5 * chi * mv * yv
         assert np.linalg.norm(out - target) <= 1e-10
 
@@ -510,3 +512,25 @@ def test_kraus_channel_rejects_non_finite(bad):
     e[0, 1] = bad
     with pytest.raises(InvalidChannelError, match="non-finite"):
         kraus_channel([e])
+
+
+# transfer_matrix's imaginary-residue check has no case here: E^dag maps
+# Hermitian generators to Hermitian operators for any Kraus set, so T is
+# real up to rounding and no input reaches that raise.
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kraus_channel([]), InvalidChannelError, "empty"),
+    (lambda: apply(make_named("bit_flip", params={"q": 0.5}), random_state(3, 0)),
+     DimensionMismatchError, "state d=3"),
+    (lambda: dual_apply(make_named("bit_flip", params={"q": 0.5}), np.eye(3)),
+     DimensionMismatchError, "observable shape"),
+    (lambda: make_frozen_qubit("xy", 0.5, sign=2), InvalidChannelError, "sign"),
+    (lambda: validate_frozen_coefficients(np.eye(4)[:3]), InvalidChannelError, "4x4"),
+    (lambda: aux_solve(random_state(2, 0), np.ones(4) / 2, 0.1), DimensionMismatchError, "components"),
+    (lambda: aux_pauli_action([[0.5, 0.5, 1e-9, 0.0]]), InvalidChannelError, "completeness"),
+], ids=["empty-kraus", "apply-d", "dual-shape", "frozen-sign", "frozen-table", "aux-direction",
+        "aux-completeness"])
+def test_channel_input_checks(call, error, match):
+    """Each check raises its own error; the message names the check, so
+    a later check raising the same class does not stand in for it."""
+    with pytest.raises(error, match=match):
+        call()

@@ -648,3 +648,33 @@ def test_integral_float_d_is_accepted(tmp_path, capsys):
     ch = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2.0, "params": {"p": 0.2}})
     assert main(["transfer", "--channel", ch]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 2
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "corollary2", "cascade"])
+@pytest.mark.parametrize("measure", ["l1", "purity"])
+def test_measure_applies_to_lemma1_only(tmp_path, capsys, kind, measure):
+    """--measure on a kind that has no measure exits 2 with nothing
+    written, rather than running that kind's own law."""
+    dep = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.3}})
+    code, out, err = _run(["--trials", "3", "verify", kind, "--measure", measure, "--channel", dep], capsys)
+    assert (code, out) == (2, "")
+    assert "--measure" in err
+
+
+def test_lemma1_measure_defaults_to_l1(tmp_path, capsys):
+    dep = write_channel(tmp_path, "dep.json", {"name": "depolarizing", "d": 2, "params": {"p": 0.3}})
+    argv = ["--trials", "5", "verify", "lemma1", "--channel", dep]
+    assert _run(argv, capsys) == _run(argv + ["--measure", "l1"], capsys)
+    assert _run(argv, capsys)[1] != _run(argv + ["--measure", "purity"], capsys)[1]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]],  # not Hermitian
+    [[[0.6, 0], [0, 0]], [[0, 0], [0.6, 0]]],  # trace 1.2
+], ids=["non-hermitian", "trace"])
+def test_invalid_state_matrix_file_exits_2(tmp_path, capsys, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = _run(["coherence", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "Hermitian" in err or "trace" in err

@@ -12,7 +12,7 @@ from cohfact.channel import (
     random_unital_channel,
     transfer_matrix,
 )
-from cohfact.errors import NotAChannelError, NotApplicableError
+from cohfact.errors import DimensionMismatchError, NotAChannelError, NotApplicableError
 from cohfact.factorization import (
     freeze_trajectory,
     verify_cascade,
@@ -254,3 +254,17 @@ def test_probe_caching_consistency():
     r1 = verify_theorem1(ch, fam)
     r2 = verify_theorem1(ch, fam)
     assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: verify_lemma1("l1", make_named("bit_flip", params={"q": 0.5}), random_family(3, 0)),
+     DimensionMismatchError, "family d=3"),
+    (lambda: verify_corollary2(transfer_matrix(make_named("depolarizing", d=3, params={"p": 0.2})),
+                               density_matrix(np.diag([0.5, 0.3, 0.2]))),
+     NotApplicableError, "no off-diagonal"),
+], ids=["lemma1-d", "corollary2-diagonal"])
+def test_factorization_input_checks(call, error, match):
+    """Each check raises its own error; the message names the check, so
+    a later check raising the same class does not stand in for it."""
+    with pytest.raises(error, match=match):
+        call()

@@ -86,14 +86,14 @@ def test_l1_monotone_under_incoherent_channels():
 def test_correlation_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0  # |00><00|
-    cm = correlation_matrix(rho)
-    np.testing.assert_allclose(cm.t3, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
+    t3, _ = correlation_matrix(rho)
+    np.testing.assert_allclose(t3, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
     assert abs(correlation_measures(rho)["bell_max"] - 2.0) < 1e-12
 
 
 def test_correlation_bell_state():
-    cm = correlation_matrix(bell_state())
-    np.testing.assert_allclose(cm.eigs, [1.0, 1.0, 1.0], atol=1e-12)
+    _, eigs = correlation_matrix(bell_state())
+    np.testing.assert_allclose(eigs, [1.0, 1.0, 1.0], atol=1e-12)
     meas = correlation_measures(bell_state())
     assert abs(meas["bell_max"] - 2.0 * np.sqrt(2.0)) < 1e-10
     assert abs(meas["teleport_fidelity"] - (0.5 + np.sqrt(3.0) / 6.0)) < 1e-10
@@ -157,7 +157,7 @@ def _bloch_closed_form(rho, opt):
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
     a = np.array([np.trace(m @ np.kron(s, np.eye(2))).real for s in sig])
-    t3 = correlation_matrix(m).t3
+    t3, _ = correlation_matrix(m)
     k = np.outer(a, a) + t3 @ t3.T
     total = np.dot(a, a) + np.sum(t3 * t3)
     lam = np.linalg.eigvalsh(k)
@@ -286,3 +286,8 @@ def test_measurement_direction_projectors():
                                np.kron(plus, b), atol=1e-15)
     np.testing.assert_allclose(projective_collapse(np.kron(zero, b), [1.0, 0.0, 0.0]).m,
                                np.kron(np.eye(2) / 2, b), atol=1e-15)
+
+
+def test_hellinger_discord_rejects_a_non_psd_matrix():
+    with pytest.raises(UnphysicalStateError, match="square root undefined"):
+        hellinger_discord(np.diag([1.5, -0.5, 0.0, 0.0]))

@@ -33,7 +33,8 @@ kraus_counts = st.integers(1, 6)
 
 def _transfer_reference(ch, basis):
     """T_ij = Tr[E^dag(X_i) X_j]/2, one dual_apply per generator."""
-    gens = (basis.identity_element, *basis.elements)
+    d = basis.shape[-1]
+    gens = (np.sqrt(2.0 / d) * np.eye(d), *basis)
     duals = [dual_apply(ch, g) for g in gens]
     return np.array([[np.trace(di @ gj).real / 2.0 for gj in gens] for di in duals])
 
@@ -189,8 +190,8 @@ _NAMED_PARAMS = {
 def _choi_from_transfer(t, basis):
     """J = sum_ab |a><b| (x) E(|a><b|) = sum_ij T_ij X_j^T (x) X_i / 2, since
     E(X_j) = sum_i T_ij X_i and |a><b| = sum_j X_j[b, a] X_j / 2."""
-    d = basis.d
-    g = np.concatenate(([basis.identity_element], basis.elements))
+    d = basis.shape[-1]
+    g = np.concatenate(([np.sqrt(2.0 / d) * np.eye(d)], basis))
     return 0.5 * np.einsum("ij,jba,ice->acbe", t, g, g).reshape(d * d, d * d)
 
 

@@ -5,6 +5,7 @@ from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.errors import (
     DimensionMismatchError,
     IncoherentDirectionError,
+    InvalidDimensionError,
     UnphysicalStateError,
 )
 from cohfact.state import (
@@ -47,12 +48,12 @@ def test_decompose_matches_trace_reference(basis):
     """The one-product decomposition against x_i = Tr(rho X_i) as an
     einsum, for one state and a stack; a non-Hermitian matrix still
     raises."""
-    rho = random_state(basis.d, 4, 5)
-    want = np.einsum("...ab,iba->...i", rho.m, basis.elements).real
+    rho = random_state(basis.shape[-1], 4, 5)
+    want = np.einsum("...ab,iba->...i", rho.m, basis).real
     np.testing.assert_allclose(bloch_decompose(rho, basis), want, rtol=0, atol=1e-15)
-    one = DensityMatrix(d=basis.d, m=rho.m[2])
+    one = DensityMatrix(d=basis.shape[-1], m=rho.m[2])
     np.testing.assert_allclose(bloch_decompose(one, basis), want[2], rtol=0, atol=1e-15)
-    skew = DensityMatrix(d=basis.d, m=rho.m[2] + 1e-6j * np.triu(np.ones((basis.d, basis.d)), 1))
+    skew = DensityMatrix(d=basis.shape[-1], m=rho.m[2] + 1e-6j * np.triu(np.ones((basis.shape[-1], basis.shape[-1])), 1))
     with pytest.raises(UnphysicalStateError, match="not Hermitian"):
         bloch_decompose(skew, basis)
 
@@ -215,3 +216,18 @@ def test_random_state_stack_rows_are_states():
     assert rho.m.shape == (7, 3, 3)
     for m in rho.m:
         validate_density(density_matrix(m))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: density_matrix(np.full((2, 3), 0.2)), InvalidDimensionError, "square"),
+    (lambda: validate_density(DensityMatrix(d=2, m=np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))),
+     UnphysicalStateError, "not Hermitian"),
+    (lambda: validate_density(DensityMatrix(d=2, m=np.diag([0.6, 0.6]).astype(complex))),
+     UnphysicalStateError, "trace"),
+    (lambda: probe_state(np.ones(4) / 2, 2), DimensionMismatchError, "components"),
+], ids=["non-square", "non-hermitian", "trace", "probe-direction-length"])
+def test_state_input_checks(call, error, match):
+    """Each check raises its own error; the message names the check, so
+    a later check raising the same class does not stand in for it."""
+    with pytest.raises(error, match=match):
+        call()

@@ -55,7 +55,7 @@ def dephased_states(z):
     d = rho.shape[-1]
     basis = pauli_tensor_basis(d.bit_length() - 1)
     pick = (np.abs(z[:, 0, 0, 0]) * 1e6).astype(int) % (2 * (d * d - 1))  # even: keep
-    p = basis.elements[pick // 2] * np.sqrt(d / 2)  # unitaries
+    p = basis[pick // 2] * np.sqrt(d / 2)  # unitaries
     flip = (pick % 2 == 1)[:, None, None]
     return DensityMatrix(d=d, m=np.where(flip, (rho + p @ rho @ p) / 2, rho))
 
