@@ -3,11 +3,13 @@
 State: {"d": int, "matrix": [[[re, im], ...], ...]} or {"d": int, "bloch": [...]}.
 Channel: {"name": ..., "d": int, "params": {...}} or {"kraus": [[[[re, im], ...]]]}.
 Family: {"d": int, "n": [...], "chi": number (default 1)}.
-Numbers serialize with 12 significant digits.
+Numbers serialize with 12 significant digits. Input files are read as UTF-8.
 """
 
+import gc
 import json
-from itertools import chain
+import re
+from itertools import accumulate, chain
 from math import isqrt
 
 import numpy as np
@@ -51,9 +53,13 @@ def _numbers(entries, what):
         names = sorted(t.__name__ for t in kinds - {int, float})
         raise CohfactError(f"{what} must be a regular array of numbers, got {', '.join(names)}")
     try:
-        return np.array(level, dtype=float).reshape(shape)
+        flat = np.array(level, dtype=float)
     except OverflowError as exc:  # an integer too large for a float
         raise CohfactError(f"{what} has a number out of range: {exc}") from exc
+    try:
+        return flat.reshape(shape)
+    except ValueError as exc:  # more levels than NumPy's largest ndim
+        raise CohfactError(f"{what} is nested {len(shape)} levels deep: {exc}") from exc
 
 
 def _complex_from_json(entries, what):
@@ -96,6 +102,38 @@ def _params(spec):
     return {} if params is None else _object(params, "channel 'params'")
 
 
+def _load(path, convert, *args):
+    """``convert(spec, *args)`` of the JSON document ``spec`` in the file
+    ``path``.
+
+    The decoded tree of lists and dicts holds no cycles and reference
+    counting frees it, so the cyclic collector is paused until it is gone:
+    left running, it re-walks the thousands of lists of a Kraus file several
+    times per load. The collector's state on entry is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:  # no local holds the tree, so it is freed before the collector resumes
+        return convert(_decode(path), *args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(path):
+    """The JSON document in the UTF-8 file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CohfactError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", text)  # brackets in strings do not nest
+        depth = max(accumulate(1 if c in "[{" else -1 for c in bare if c in "[]{}"))
+        raise CohfactError(f"{path} nests JSON {depth} levels deep, past the decoder's recursion limit") from exc
+
+
 def state_to_dict(rho: DensityMatrix) -> dict:
     return {"d": rho.d, "matrix": _matrix_to_json(rho.m)}
 
@@ -125,8 +163,7 @@ def state_from_dict(spec: dict) -> DensityMatrix:
 
 
 def load_state(path) -> DensityMatrix:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return _load(path, state_from_dict)
 
 
 def save_state(path, rho: DensityMatrix):
@@ -163,8 +200,7 @@ def channel_from_dict(spec: dict) -> KrausChannel:
 
 
 def load_channel(path) -> KrausChannel:
-    with open(path) as fh:
-        return channel_from_dict(json.load(fh))
+    return _load(path, channel_from_dict)
 
 
 def save_channel(path, ch: KrausChannel):
@@ -213,5 +249,4 @@ def family_from_dict(spec: dict, d) -> StateFamily:
 
 
 def load_family(path, d) -> StateFamily:
-    with open(path) as fh:
-        return family_from_dict(json.load(fh), d)
+    return _load(path, family_from_dict, d)

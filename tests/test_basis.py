@@ -9,6 +9,7 @@ from cohfact.basis import (
     pauli_tensor_basis,
     y_to_x_transform,
 )
+from cohfact.channel import random_channel, transfer_matrix
 from cohfact.errors import InvalidDimensionError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -21,7 +22,16 @@ def test_d2_is_pauli_set():
     np.testing.assert_allclose(b[0], SX)
     np.testing.assert_allclose(b[1], SY)
     np.testing.assert_allclose(b[2], SZ)
-    np.testing.assert_allclose(np.sqrt(2.0 / 2) * np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_transfer_matrix_builds_the_identity_generator(d):
+    """Row 0 of T is Tr[E^dag(X_0) X_j]/2 with X_0 = sqrt(2/d) I; a
+    trace-preserving E has E^dag(I) = I, so the row is (1, 0, ..., 0) only
+    if transfer_matrix scales X_0 to Tr[X_0 X_0] = 2."""
+    t = transfer_matrix(random_channel(d, seed=d))
+    assert abs(t[0, 0] - 1.0) <= 1e-12
+    assert np.max(np.abs(t[0, 1:])) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -1,7 +1,8 @@
 """Fuzz of the input boundary: whatever JSON a state, channel or family file
-holds, its parser returns a value or raises CohfactError (which the CLI
-turns into exit 2), never another exception."""
+holds, its parser and its file loader return a value or raise CohfactError
+(which the CLI turns into exit 2), never another exception."""
 
+import gc
 import json
 import os
 import tempfile
@@ -86,6 +87,21 @@ def _only_cohfact_errors(parse, spec):
         pass
 
 
+def _load_only_cohfact_errors(load, spec, collecting):
+    """``load`` of a file holding ``spec``, with the cyclic collector on or
+    off, raises only CohfactError and leaves the collector as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        (gc.enable if collecting else gc.disable)()
+        try:
+            _only_cohfact_errors(load, path)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+
 @given(spec=specs)
 @settings(max_examples=200, deadline=None)
 def test_state_parser_raises_only_cohfact_errors(spec):
@@ -98,14 +114,22 @@ def test_channel_parser_raises_only_cohfact_errors(spec):
     _only_cohfact_errors(io.channel_from_dict, spec)
 
 
-@given(spec=specs, d=st.integers(2, 4))
+@given(spec=specs, collecting=st.booleans())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_family_loader_raises_only_cohfact_errors(spec, d):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "family.json")
-        with open(path, "w") as fh:
-            json.dump(spec, fh)
-        _only_cohfact_errors(lambda p: io.load_family(p, d), path)
+def test_state_loader_raises_only_cohfact_errors(spec, collecting):
+    _load_only_cohfact_errors(io.load_state, spec, collecting)
+
+
+@given(spec=specs, collecting=st.booleans())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_channel_loader_raises_only_cohfact_errors(spec, collecting):
+    _load_only_cohfact_errors(io.load_channel, spec, collecting)
+
+
+@given(spec=specs, d=st.integers(2, 4), collecting=st.booleans())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_family_loader_raises_only_cohfact_errors(spec, d, collecting):
+    _load_only_cohfact_errors(lambda p: io.load_family(p, d), spec, collecting)
 
 
 def test_family_loader_rejects_non_finite_and_non_list_entries(tmp_path):
