@@ -49,7 +49,6 @@ from .measures import (
 )
 from .state import (
     DensityMatrix,
-    ProbeState,
     StateFamily,
     bloch_compose,
     bloch_decompose,

@@ -42,10 +42,10 @@ class KrausChannel:
     such a stack, while the other functions take one channel.
     """
 
-    d: int
     kraus: np.ndarray
     label: str = ""
     params: dict = field(default_factory=dict)
+    d = property(lambda self: self.kraus.shape[-1])
 
 
 def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChannel:
@@ -69,7 +69,7 @@ def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChan
         err = np.max(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(d)))
     if not err <= tol:
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")
-    return KrausChannel(d=d, kraus=_read_only(kraus), label=label, params=dict(params or {}))
+    return KrausChannel(_read_only(kraus), label=label, params=dict(params or {}))
 
 
 def _side_by_side(stack):
@@ -91,7 +91,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     e_rho = ch.kraus.reshape(lead + (k * d, d)) @ rho.m
     e_rho = e_rho.reshape(e_rho.shape[:-2] + (k, d, d))
     e_dag = ch.kraus.conj().swapaxes(-2, -1).reshape(lead + (k * d, d))
-    return DensityMatrix(d=d, m=_side_by_side(e_rho) @ e_dag)
+    return DensityMatrix(_side_by_side(e_rho) @ e_dag)
 
 
 def _one_channel(ch: KrausChannel):
@@ -409,7 +409,7 @@ def make_named(name, d=2, params=None) -> KrausChannel:
         raise InvalidChannelError(f"channel {name!r} is a qubit channel, got d={d}")
     args = {k: p[k] for k in entry.keys} | {k: p.get(k, v) for k, v in entry.defaults}
     ch = entry.factory(d, *args.values()) if entry.takes_d else entry.factory(*args.values())
-    return KrausChannel(d=ch.d, kraus=ch.kraus, label=name, params=args)
+    return KrausChannel(ch.kraus, label=name, params=args)
 
 
 def validate_frozen_coefficients(eps) -> bool:

@@ -175,12 +175,12 @@ def _families(measure, ch, args):
 
 def _corollary2(ch, args):
     return _chunks(ch, args, lambda key, rows: [random_state(ch.d, key, rows).m],
-                   lambda t, m: verify_corollary2(t, DensityMatrix(d=ch.d, m=m)))
+                   lambda t, m: verify_corollary2(t, DensityMatrix(m)))
 
 
 def _cascade(ch, args):
     return _chunks(ch, args, lambda key, rows: _sample_reachable_target(qubit_count(ch.d), key, rows),
-                   lambda t, rho, m, chi: verify_cascade(t, DensityMatrix(d=ch.d, m=rho), m, chi))
+                   lambda t, rho, m, chi: verify_cascade(t, DensityMatrix(rho), m, chi))
 
 
 # Each verify kind yields array reports over consecutive chunks of trials.
@@ -341,7 +341,8 @@ def cmd_freeze_check(args):
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 1
-    print(f"frozen = {str(frozen).lower()}")
+    with _output(args.out) as fh:
+        print(f"frozen = {str(frozen).lower()}", file=fh)
     return 0
 
 

@@ -145,7 +145,7 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     populates no off-diagonal coordinate or the channel has no common
     scalar on the ones it populates."""
     if rho.m.ndim == 2:
-        return _first(verify_corollary2(t, DensityMatrix(d=rho.d, m=rho.m[None])))
+        return _first(verify_corollary2(t, DensityMatrix(rho.m[None])))
     d = isqrt(len(t))
     x = bloch_decompose(rho, gellmann_basis(d))
     populated = np.abs(x[:, : d * d - d]) > 1e-12
@@ -176,7 +176,7 @@ def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
     probes through ``t`` in one product."""
     m = np.asarray(m, dtype=float)
     if rho.m.ndim == 2:
-        return _first(verify_cascade(t, DensityMatrix(d=rho.d, m=rho.m[None]), m[None], [chi]))
+        return _first(verify_cascade(t, DensityMatrix(rho.m[None]), m[None], [chi]))
     pauli = pauli_tensor_basis(qubit_count(rho.d))
     lam = aux_pauli_action(aux_solve(rho, m, chi))
     sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
@@ -185,7 +185,7 @@ def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
     probes = np.eye(rho.d) / rho.d + direction / g[:, None, None]
-    x = bloch_decompose(DensityMatrix(d=rho.d, m=np.concatenate((sigma, probes))),
+    x = bloch_decompose(DensityMatrix(np.concatenate((sigma, probes))),
                         gellmann_basis(isqrt(len(t))))
     return _law("l1", t, x, is_psd(probes), theorem1_condition(t))
 
@@ -201,11 +201,11 @@ class Trajectory:
     spread: float
 
 
-def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9) -> Trajectory:
-    """Sweep C_l1(E_q(rho)) and P(E_q(rho)) of the named channel over the
-    values q in ``grid`` of its one required parameter; any other
-    parameter (the sign of frozen_xy and frozen_z) comes from ``params``.
-    Frozen iff the coherence's max - min <= tol.
+def freeze_trajectory(name, grid, rho: DensityMatrix, d=None, params=None, tol=1e-9) -> Trajectory:
+    """Sweep C_l1(E_q(rho)) and P(E_q(rho)) of the named channel, of the
+    state's d unless ``d`` is given, over the values q in ``grid`` of its
+    one required parameter; any other parameter (the sign of frozen_xy and
+    frozen_z) comes from ``params``. Frozen iff the coherence's max - min <= tol.
 
     The grid is evaluated in chunks: one make_named call builds a chunk's
     channels as a (P, k, d, d) stack, and one product maps rho through all
@@ -218,6 +218,7 @@ def freeze_trajectory(name, grid, rho: DensityMatrix, d=2, params=None, tol=1e-9
     if len(keys) != 1:
         raise InvalidChannelError(f"sweep needs a one-parameter channel; {name!r} takes {list(keys)}")
     grid = np.asarray(grid, dtype=float)
+    d = rho.d if d is None else d
     values, purities = np.empty(len(grid)), np.empty(len(grid))
     points = max(1, SWEEP_CHUNK_ENTRIES // max(1, d**4))
     for lo in range(0, len(grid), points):

@@ -245,7 +245,7 @@ def family_from_dict(spec: dict, d) -> StateFamily:
     if chi.ndim != 0 or not np.isfinite(chi):
         raise CohfactError(f"family 'chi' must be a finite number, got {spec['chi']!r}")
     n = unit_direction(_numbers(spec["n"], "family 'n'"), d * d - 1, "family 'n'")
-    return StateFamily(d=d, n=n, chi=float(chi))
+    return StateFamily(n=n, chi=float(chi))
 
 
 def load_family(path, d) -> StateFamily:

@@ -99,7 +99,7 @@ def projective_collapse(rho, direction) -> DensityMatrix:
     (rho + A rho A)/2 with A = (a.sigma) x I."""
     m = _two_qubit(_mat(rho))
     a = np.kron(np.tensordot(np.asarray(direction, dtype=float), _SIGMA[1:], 1), np.eye(2))
-    return DensityMatrix(d=4, m=(m + a @ m @ a) / 2)
+    return DensityMatrix((m + a @ m @ a) / 2)
 
 
 def _collapse_extremes(m):

@@ -2,6 +2,7 @@
 one-parameter state families rho^n and their probe states."""
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -21,32 +22,20 @@ REAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    d: int
+    """A d x d matrix, or an (s, d, d) stack; d is read from the array."""
+
     m: np.ndarray
+    d = property(lambda self: self.m.shape[-1])
 
 
 @dataclass(frozen=True)
 class StateFamily:
     """Unit direction n with multiplicative factor chi; members are
-    rho = I/d + (chi/2) n . X."""
+    rho = I/d + (chi/2) n . X, d read from the d^2 - 1 components of n."""
 
-    d: int
     n: np.ndarray
     chi: float
-
-
-@dataclass(frozen=True)
-class ProbeState:
-    """Family member rescaled so its l1 coherence is exactly 1.
-
-    ``physical`` records the PSD check; formal (non-PSD) probes are allowed
-    since the factorization law is an algebraic identity in chi.
-    """
-
-    n: np.ndarray
-    chi_p: float
-    state: DensityMatrix
-    physical: bool
+    d = property(lambda self: isqrt(len(self.n) + 1))
 
 
 def purity_radius(d):
@@ -59,7 +48,7 @@ def density_matrix(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
-    return validate_density(DensityMatrix(d=m.shape[0], m=m))
+    return validate_density(DensityMatrix(m))
 
 
 def validate_density(rho):
@@ -118,7 +107,7 @@ def bloch_compose(x, basis) -> DensityMatrix:
     d = basis.shape[-1]
     if x.ndim not in (1, 2) or x.shape[-1] != d * d - 1:
         raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {x.shape}")
-    return DensityMatrix(d=d, m=np.eye(d) / d + 0.5 * np.tensordot(x, basis, 1))
+    return DensityMatrix(np.eye(d) / d + 0.5 * np.tensordot(x, basis, 1))
 
 
 def family_member(fam: StateFamily) -> DensityMatrix:
@@ -149,19 +138,15 @@ def probe_factor(n, d):
     return 1.0 / g
 
 
-def probe_state(n, d) -> ProbeState:
-    """Probe state of the family direction n of a d-dimensional system:
-    chi_p = 1/g(n^s), C_l1 = 1.
-
-    Probes with chi_p beyond the purity radius are returned flagged
-    ``physical=False`` rather than rejected.
-    """
+def probe_state(n, d) -> DensityMatrix:
+    """Probe state of the family direction n of a d-dimensional system: the
+    unvalidated member at chi_p = probe_factor(n, d), whose C_l1 is 1. A
+    formal probe, chi_p beyond the purity radius, is returned, not refused,
+    as the factorization law is an algebraic identity in chi; is_psd tells."""
     n = np.asarray(n, dtype=float)
     if n.shape != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
-    chi_p = probe_factor(n, d)
-    state = bloch_compose(chi_p * n, gellmann_basis(d))
-    return ProbeState(n=n, chi_p=chi_p, state=state, physical=is_psd(state.m))
+    return bloch_compose(probe_factor(n, d) * n, gellmann_basis(d))
 
 
 def random_state(d, seed=None, size=None) -> DensityMatrix:
@@ -181,7 +166,7 @@ def ginibre_state(z) -> DensityMatrix:
     stack of states, each computed on its own."""
     g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     m = g @ g.conj().swapaxes(-2, -1)
-    return DensityMatrix(d=z.shape[-1], m=m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+    return DensityMatrix(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def chi_interval(n, d):
@@ -232,4 +217,4 @@ def random_family(d, seed=None) -> StateFamily:
     """Random unit direction with chi uniform on the family's physical
     range: the one-family case of random_families."""
     n, chi = random_families(d, np.random.default_rng(seed), 1)
-    return StateFamily(d=d, n=n[0], chi=float(chi[0]))
+    return StateFamily(n=n[0], chi=float(chi[0]))

@@ -119,9 +119,9 @@ def test_criterion_4_frozen_coherence():
             n[zero_idx] = 0.0
             n /= np.linalg.norm(n)
             chi = rng.uniform(0.05, 0.9)
-            if not is_psd(family_member(StateFamily(d=2, n=n, chi=chi)).m):
+            if not is_psd(family_member(StateFamily(n=n, chi=chi)).m):
                 chi *= 0.5
-            rho = family_member(StateFamily(d=2, n=n, chi=chi))
+            rho = family_member(StateFamily(n=n, chi=chi))
             traj = freeze_trajectory(name, grid, rho)
             worst = np.maximum(worst, traj.spread)
     _report("4 frozen-coherence", worst <= 1e-9, f"max spread = {worst:.3e}")
@@ -271,9 +271,9 @@ def test_criterion_9_probe_contract():
         for _ in range(500):
             v = rng.standard_normal(d * d - 1)
             p = probe_state(v / np.linalg.norm(v), d)
-            worst = np.maximum(worst, abs(l1_from_density(p.state) - 1.0))
-            w_min = float(np.linalg.eigvalsh(p.state.m)[0])
-            flags_consistent = flags_consistent and (p.physical == (w_min >= -1e-9))
-            both_seen.add(p.physical)
+            worst = np.maximum(worst, abs(l1_from_density(p) - 1.0))
+            w_min = float(np.linalg.eigvalsh(p.m)[0])
+            flags_consistent = flags_consistent and (is_psd(p.m) == (w_min >= -1e-9))
+            both_seen.add(is_psd(p.m))
     ok = worst <= 1e-12 and flags_consistent and both_seen == {True, False}
     _report("9 probe-contract", ok, f"max |C-1| = {worst:.3e}, flags = {sorted(both_seen)}")

@@ -290,6 +290,15 @@ def test_out_of_range_value_is_named_whatever_its_chunk(monkeypatch):
         freeze_trajectory("phase_damping", grid, random_state(2, 3))
 
 
+def test_channel_d_defaults_to_the_state_d():
+    rho = random_state(3, seed=1)
+    grid = np.linspace(0.0, 1.0, 5)
+    traj = freeze_trajectory("depolarizing", grid, rho)
+    values, purities, _, _ = reference_trajectory("depolarizing", grid, rho, d=3)
+    np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(traj.purities, purities, rtol=0, atol=1e-15)
+
+
 def test_empty_grid_gives_an_empty_trajectory():
     traj = freeze_trajectory("bit_flip", [], random_state(2, 1))
     assert traj.values.shape == (0,) and traj.frozen and traj.spread == 0.0

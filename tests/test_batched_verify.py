@@ -76,7 +76,7 @@ def reference_block_family(d, seed, trial):
     c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
     a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
-    return StateFamily(d=d, n=n, chi=float(a + u * (b - a)))
+    return StateFamily(n=n, chi=float(a + u * (b - a)))
 
 
 def rejection_chi(d, rng, count):
@@ -102,7 +102,7 @@ def reference_verify(measure, ch, fam):
     member = family_member(fam)
     t = transfer_matrix(ch)
     if measure == "l1":
-        probe, f = probe_state(fam.n, fam.d).state, l1_from_density
+        probe, f = probe_state(fam.n, fam.d), l1_from_density
         condition = theorem1_condition(t)
     else:
         probe, f = bloch_compose(np.sqrt(2.0) * fam.n, basis), purity_measure
@@ -373,10 +373,10 @@ def test_transfer_path_matches_kraus_reference(d):
         rep = verify_corollary2(transfer_matrix(ch), states)
         _assert_close(rep.lhs, l1_from_density(apply(ch, states).m))
     rho, m, x = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
-    rho = DensityMatrix(d=d, m=rho)
+    rho = DensityMatrix(rho)
     sigma = apply(aux_channel(rho, m, x), rho)
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)), 1)
-    probes = DensityMatrix(d=d, m=np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
+    probes = DensityMatrix(np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
     for ch in (dep, *channels):
         rep = verify_cascade(transfer_matrix(ch), rho, m, x)
         _assert_close(rep.lhs, l1_from_density(apply(ch, sigma).m))
@@ -434,11 +434,11 @@ def test_cascade_raises_what_the_kraus_path_raises(N):
     mixed[1] = np.eye(d) / d  # every source coordinate vanishes
     for states, x, want in ((rho, large, NotAChannelError), (mixed, chi, UnreachableTargetError)):
         with pytest.raises(want):
-            aux_channel(DensityMatrix(d=d, m=states[1]), m[1], x[1])
+            aux_channel(DensityMatrix(states[1]), m[1], x[1])
         with pytest.raises(want):
-            verify_cascade(t, DensityMatrix(d=d, m=states[1]), m[1], x[1])
+            verify_cascade(t, DensityMatrix(states[1]), m[1], x[1])
         with pytest.raises(want):
-            verify_cascade(t, DensityMatrix(d=d, m=states), m, x)
+            verify_cascade(t, DensityMatrix(states), m, x)
 
 
 def test_drivers_refuse_coordinates_of_another_dimension():
@@ -452,4 +452,4 @@ def test_drivers_refuse_coordinates_of_another_dimension():
         verify_corollary2(t, random_state(2, 0, 3))
     rho, m, x = cli._sample_reachable_target(1, [0, 0], 3)
     with pytest.raises(DimensionMismatchError):
-        verify_cascade(t, DensityMatrix(d=2, m=rho), m, x)
+        verify_cascade(t, DensityMatrix(rho), m, x)

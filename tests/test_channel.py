@@ -187,9 +187,9 @@ def test_frozen_condition_unitary_xy():
 def test_frozen_condition_bit_flip_relaxed():
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     assert not frozen_condition_check(t)
-    fam = StateFamily(d=2, n=np.array([0.6, 0.0, 0.8]), chi=0.5)
+    fam = StateFamily(n=np.array([0.6, 0.0, 0.8]), chi=0.5)
     assert frozen_condition_check(t, fam)
-    fam_bad = StateFamily(d=2, n=np.array([0.0, 0.6, 0.8]), chi=0.5)
+    fam_bad = StateFamily(n=np.array([0.0, 0.6, 0.8]), chi=0.5)
     assert not frozen_condition_check(t, fam_bad)
 
 

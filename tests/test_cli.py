@@ -349,6 +349,9 @@ def test_freeze_check_not_applicable_exits_1(tmp_path, capsys):
     code, out, err = _run(["freeze-check", "--channel", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("not applicable: frozen-coherence check requires")
+    code, out, err = _run(["--out", str(tmp_path / "f.txt"), "freeze-check", "--channel", str(path)], capsys)
+    assert (code, out) == (1, "") and not (tmp_path / "f.txt").exists()
+    assert err.startswith("not applicable: frozen-coherence check requires")
 
 
 def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
@@ -403,6 +406,14 @@ def test_freeze_check(tmp_path, capsys):
     pd = write_channel(tmp_path, "pd.json", {"name": "phase_damping", "params": {"q": 0.4}})
     assert main(["freeze-check", "--channel", pd]) == 0
     assert capsys.readouterr().out.strip() == "frozen = false"
+
+
+def test_freeze_check_writes_to_out(tmp_path, capsys):
+    ch = write_channel(tmp_path, "fz.json", {"name": "frozen_xy", "params": {"q": 0.4}})
+    out = tmp_path / "frozen.txt"
+    assert main(["--out", str(out), "freeze-check", "--channel", ch]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == "frozen = true\n"
 
 
 def test_freeze_check_with_family(tmp_path, capsys):

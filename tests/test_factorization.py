@@ -42,7 +42,7 @@ def nonunital_offdiag_channel():
 
 
 def test_decompose_family():
-    fam = StateFamily(d=2, n=np.array([0.6, 0.8, 0.0]), chi=0.5)
+    fam = StateFamily(n=np.array([0.6, 0.8, 0.0]), chi=0.5)
     g = coherence_weight(fam.n, 2)
     assert abs(g - 1.0) < 1e-15
     member = family_member(fam)
@@ -209,7 +209,7 @@ def test_cascade_n1_matches_theorem1():
     ch_f = random_unital_channel(2, seed=31)
     rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
     # for N = 1 the generated state is the family member (m, chi) directly
-    rep2 = verify_theorem1(ch_f, StateFamily(d=2, n=m, chi=chi))
+    rep2 = verify_theorem1(ch_f, StateFamily(n=m, chi=chi))
     assert abs(rep.lhs - rep2.lhs) < 1e-11
     assert abs(rep.rhs - rep2.rhs) < 1e-11
 
@@ -232,7 +232,7 @@ def test_freeze_trajectory_frozen_xy():
 
 
 def test_freeze_trajectory_bit_flip_family():
-    fam = StateFamily(d=2, n=np.array([0.6, 0.0, 0.8]), chi=0.5)
+    fam = StateFamily(n=np.array([0.6, 0.0, 0.8]), chi=0.5)
     rho = family_member(fam)
     traj = freeze_trajectory("bit_flip", np.linspace(0, 1, 101), rho)
     assert traj.frozen

@@ -168,7 +168,7 @@ def _family(d, rng):
     n[: 2 * pairs].reshape(pairs, 2)[rng.uniform(size=pairs) < 0.3] = 0.0
     if not n.any():
         n[rng.integers(n.size)] = 1.0
-    return StateFamily(d=d, n=n / np.linalg.norm(n), chi=0.5)
+    return StateFamily(n=n / np.linalg.norm(n), chi=0.5)
 
 
 def _subset(d, rng):
@@ -240,4 +240,4 @@ def test_nan_never_passes():
 def test_family_of_another_dimension():
     T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     with pytest.raises(DimensionMismatchError):
-        frozen_condition_check(T, StateFamily(d=3, n=np.eye(8)[0], chi=0.5))
+        frozen_condition_check(T, StateFamily(n=np.eye(8)[0], chi=0.5))

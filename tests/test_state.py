@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
+from cohfact.channel import KrausChannel, apply, make_named, random_channel
 from cohfact.errors import (
     DimensionMismatchError,
     IncoherentDirectionError,
@@ -17,6 +20,8 @@ from cohfact.state import (
     coherence_weight,
     density_matrix,
     family_member,
+    is_psd,
+    probe_factor,
     probe_state,
     purity_radius,
     random_families,
@@ -51,9 +56,9 @@ def test_decompose_matches_trace_reference(basis):
     rho = random_state(basis.shape[-1], 4, 5)
     want = np.einsum("...ab,iba->...i", rho.m, basis).real
     np.testing.assert_allclose(bloch_decompose(rho, basis), want, rtol=0, atol=1e-15)
-    one = DensityMatrix(d=basis.shape[-1], m=rho.m[2])
+    one = DensityMatrix(rho.m[2])
     np.testing.assert_allclose(bloch_decompose(one, basis), want[2], rtol=0, atol=1e-15)
-    skew = DensityMatrix(d=basis.shape[-1], m=rho.m[2] + 1e-6j * np.triu(np.ones((basis.shape[-1], basis.shape[-1])), 1))
+    skew = DensityMatrix(rho.m[2] + 1e-6j * np.triu(np.ones((basis.shape[-1], basis.shape[-1])), 1))
     with pytest.raises(UnphysicalStateError, match="not Hermitian"):
         bloch_decompose(skew, basis)
 
@@ -106,10 +111,25 @@ def test_dimension_mismatch():
         bloch_compose(np.zeros(5), gellmann_basis(2))
 
 
+def test_d_is_read_from_the_array():
+    """No type stores d: each reads it from its array, so a 2 x 2 state
+    meets a d = 3 channel or basis as a DimensionMismatchError rather than
+    a failed matrix product."""
+    rho = DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(DimensionMismatchError, match="state d=2 vs channel d=3"):
+        apply(make_named("depolarizing", d=3, params={"p": 0.3}), rho)
+    with pytest.raises(DimensionMismatchError, match="state d=2 vs basis d=3"):
+        bloch_decompose(rho, gellmann_basis(3))
+    for cls in (DensityMatrix, KrausChannel, StateFamily):
+        assert "d" not in [f.name for f in fields(cls)]
+    stack, ch, fam = random_state(3, 1, 4), random_channel(4, seed=1), random_family(5, 1)
+    assert (stack.d, ch.d, fam.d, len(fam.n)) == (3, 4, 5, 24)
+
+
 def test_family_member_trivials():
-    fam = StateFamily(d=3, n=np.eye(8)[0], chi=0.0)
+    fam = StateFamily(n=np.eye(8)[0], chi=0.0)
     np.testing.assert_allclose(family_member(fam).m, np.eye(3) / 3)
-    fam2 = StateFamily(d=2, n=np.array([1.0, 0, 0]), chi=1.0)
+    fam2 = StateFamily(n=np.array([1.0, 0, 0]), chi=1.0)
     np.testing.assert_allclose(family_member(fam2).m, plus_state().m, atol=1e-14)
 
 
@@ -122,18 +142,20 @@ def test_family_purity_relation(d):
 
 
 def test_probe_qubit_x_direction():
-    p = probe_state(np.array([1.0, 0.0, 0.0]), 2)
-    assert abs(p.chi_p - 1.0) < 1e-15
-    assert p.physical
-    np.testing.assert_allclose(p.state.m, plus_state().m, atol=1e-14)
+    n = np.array([1.0, 0.0, 0.0])
+    p = probe_state(n, 2)
+    assert abs(probe_factor(n, 2) - 1.0) < 1e-15
+    assert is_psd(p.m)
+    np.testing.assert_allclose(p.m, plus_state().m, atol=1e-14)
 
 
 def test_probe_formal_flag():
     # chi_p = 1/0.6 = 5/3 exceeds the qubit Bloch ball
-    p = probe_state(np.array([0.6, 0.0, 0.8]), 2)
-    assert abs(p.chi_p - 5.0 / 3.0) < 1e-12
-    assert not p.physical
-    assert np.linalg.eigvalsh(p.state.m)[0] < -1e-9
+    n = np.array([0.6, 0.0, 0.8])
+    p = probe_state(n, 2)
+    assert abs(probe_factor(n, 2) - 5.0 / 3.0) < 1e-12
+    assert not is_psd(p.m)
+    assert np.linalg.eigvalsh(p.m)[0] < -1e-9
 
 
 def test_probe_coherence_is_one():
@@ -143,7 +165,7 @@ def test_probe_coherence_is_one():
             v = rng.standard_normal(d * d - 1)
             n = v / np.linalg.norm(v)
             p = probe_state(n, d)
-            assert abs(l1_from_density(p.state) - 1.0) < 1e-12
+            assert abs(l1_from_density(p) - 1.0) < 1e-12
 
 
 def test_probe_incoherent_direction_rejected():
@@ -220,9 +242,9 @@ def test_random_state_stack_rows_are_states():
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: density_matrix(np.full((2, 3), 0.2)), InvalidDimensionError, "square"),
-    (lambda: validate_density(DensityMatrix(d=2, m=np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))),
+    (lambda: validate_density(DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))),
      UnphysicalStateError, "not Hermitian"),
-    (lambda: validate_density(DensityMatrix(d=2, m=np.diag([0.6, 0.6]).astype(complex))),
+    (lambda: validate_density(DensityMatrix(np.diag([0.6, 0.6]).astype(complex))),
      UnphysicalStateError, "trace"),
     (lambda: probe_state(np.ones(4) / 2, 2), DimensionMismatchError, "components"),
 ], ids=["non-square", "non-hermitian", "trace", "probe-direction-length"])

@@ -31,7 +31,7 @@ def reference_target(N, key, row, max_rounds):
         rng = np.random.default_rng([*key, r] if r else key)
         chi = rng.uniform(0.01, 0.3, B)[row]
         z = rng.standard_normal((row + 1, 2 * d * d + 4**N - 1))[row:]
-        rho = DensityMatrix(d=d, m=cli.ginibre_state(z[:, : 2 * d * d].reshape(1, 2, d, d)).m[0])
+        rho = DensityMatrix(cli.ginibre_state(z[:, : 2 * d * d].reshape(1, 2, d, d)).m[0])
         v = z[:, 2 * d * d :]
         m = (v / np.linalg.norm(v, axis=-1, keepdims=True))[0]
         for _ in range(60):
@@ -57,7 +57,7 @@ def dephased_states(z):
     pick = (np.abs(z[:, 0, 0, 0]) * 1e6).astype(int) % (2 * (d * d - 1))  # even: keep
     p = basis[pick // 2] * np.sqrt(d / 2)  # unitaries
     flip = (pick % 2 == 1)[:, None, None]
-    return DensityMatrix(d=d, m=np.where(flip, (rho + p @ rho @ p) / 2, rho))
+    return DensityMatrix(np.where(flip, (rho + p @ rho @ p) / 2, rho))
 
 
 def _outcome(N, seed, rows, max_rounds):
