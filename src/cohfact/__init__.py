@@ -4,9 +4,7 @@ verification of the coherence factorization laws."""
 
 from .basis import (
     gellmann_basis,
-    pair_indices,
     pauli_tensor_basis,
-    y_to_x_transform,
 )
 from .channel import (
     KrausChannel,
@@ -29,12 +27,10 @@ from .channel import (
 )
 from .factorization import (
     FactorizationReport,
-    Trajectory,
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
     verify_families,
-    verify_lemma1,
     verify_theorem1,
 )
 from .measures import (
@@ -49,7 +45,6 @@ from .measures import (
 )
 from .state import (
     DensityMatrix,
-    StateFamily,
     bloch_compose,
     bloch_decompose,
     coherence_weight,

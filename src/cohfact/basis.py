@@ -9,7 +9,6 @@ so the first d^2-d coordinates of a Bloch vector are the coherence part.
 """
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -35,14 +34,6 @@ _SIGMA = _read_only(np.array([
 ], dtype=complex))
 
 
-def pair_indices(d):
-    """Return the ordered (j,k) index pairs, 1-based, lexicographic.
-
-    The r-th pair (r = 1..d_0) owns generator positions 2r-1 and 2r.
-    """
-    return list(combinations(range(1, d + 1), 2))
-
-
 def _w_matrix(d, l):
     # Standard diagonal generator, normalized so Tr(w_l^2) = 2.
     diag = np.zeros(d)
@@ -62,7 +53,7 @@ def gellmann_basis(d):
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
     elements = np.zeros((d * d - 1, d, d), dtype=complex)
-    j, k = (np.array(pair_indices(d)) - 1).T
+    j, k = np.triu_indices(d, 1)  # the 0-based (j, k) pairs, lexicographic
     u, v = np.arange(0, d * d - d, 2), np.arange(1, d * d - d, 2)
     elements[u, j, k] = elements[u, k, j] = 1
     elements[v, j, k], elements[v, k, j] = -1j, 1j

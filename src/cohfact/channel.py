@@ -25,7 +25,7 @@ from .errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
-from .state import DensityMatrix, StateFamily
+from .state import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -113,12 +113,6 @@ def dual_apply(ch: KrausChannel, obs) -> np.ndarray:
     return ch.kraus.reshape(-1, d).conj().T @ o_e.reshape(-1, d)
 
 
-def a_matrix(ch: KrausChannel) -> np.ndarray:
-    """A = sum_mu E_mu E_mu^dag (diagonal iff Corollary-1 condition holds)."""
-    e = _side_by_side(_one_channel(ch))
-    return e @ e.conj().T
-
-
 def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     """Real (d^2, d^2) Heisenberg-picture transfer matrix T_ij =
     Tr[E^dag(X_i) X_j]/2 in the Gell-Mann basis, row and column 0 for X_0,
@@ -151,7 +145,8 @@ def theorem1_condition(T) -> bool:
 
 def corollary1_check(ch: KrausChannel) -> bool:
     """True iff A = sum E E^dag is diagonal."""
-    a = a_matrix(ch)
+    e = _side_by_side(_one_channel(ch))
+    a = e @ e.conj().T
     off = a - np.diag(np.diag(a))
     return bool(np.max(np.abs(off)) <= CONDITION_TOL)
 
@@ -174,32 +169,35 @@ def scalar_actions(T, populated) -> np.ndarray:
     return np.where(ok, q, np.nan)
 
 
-def frozen_condition_check(T, fam: StateFamily = None) -> bool:
+def frozen_condition_check(T, n=None) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
 
     T^S must be block diagonal with orthogonal 2x2 blocks, read on the
-    coordinates the family populates (|n_i| > CONDITION_TOL); without a
-    family every coordinate is populated. A pair with a populated
-    coordinate must not couple into populated coordinates outside its
-    block, and its block's Gram matrix b^T b must be I on the entries whose
-    two columns are both populated: with n_{2r} = 0 (or n_{2r-1} = 0) only
-    one column has to keep unit length.
+    coordinates the family direction ``n`` populates (|n_i| >
+    CONDITION_TOL); without a direction every coordinate is populated. A
+    pair with a populated coordinate must not couple into populated
+    coordinates outside its block, and its block's Gram matrix b^T b must
+    be I on the entries whose two columns are both populated: with n_{2r} =
+    0 (or n_{2r-1} = 0) only one column has to keep unit length.
     """
     d = isqrt(len(T))
-    if fam is not None and fam.d != d:
-        raise DimensionMismatchError(f"family d={fam.d} vs transfer matrix d={d}")
+    k, d0 = d * d - 1, (d * d - d) // 2
+    if n is not None:
+        n = np.asarray(n, dtype=float)
+        if n.shape != (k,):
+            raise DimensionMismatchError(f"family direction has shape {n.shape}, "
+                                         f"expected ({k},) for the transfer matrix's d={d}")
     if not theorem1_condition(T):
         raise NotApplicableError(
             "frozen-coherence check requires the factorization precondition T_k0 = 0"
         )
-    n, d0 = d * d - 1, (d * d - d) // 2
-    populated = np.full(n, True) if fam is None else np.abs(np.asarray(fam.n, dtype=float)) > CONDITION_TOL
+    populated = np.full(k, True) if n is None else np.abs(n) > CONDITION_TOL
     pair = populated[: 2 * d0].reshape(d0, 2)
-    rows = T[1 : 2 * d0 + 1, 1:].reshape(d0, 2, n)  # the two rows of each pair
+    rows = T[1 : 2 * d0 + 1, 1:].reshape(d0, 2, k)  # the two rows of each pair
     r = np.arange(d0)
     blocks = rows[:, :, : 2 * d0].reshape(d0, 2, d0, 2)[r, :, r]
     gram = blocks.swapaxes(1, 2) @ blocks - np.eye(2)
-    coupled = pair.any(axis=1)[:, None] & populated & (np.arange(n) // 2 != r[:, None])
+    coupled = pair.any(axis=1)[:, None] & populated & (np.arange(k) // 2 != r[:, None])
     return bool(np.all(np.abs(rows.swapaxes(0, 1)[:, coupled]) <= CONDITION_TOL)
                 and np.all(np.abs(gram[pair[:, :, None] & pair[:, None, :]]) <= CONDITION_TOL))
 
@@ -428,15 +426,6 @@ def validate_frozen_coefficients(eps) -> bool:
         return frozen_condition_check(transfer_matrix(ch))
     except NotApplicableError:
         return False
-
-
-def pauli_coefficients(ops) -> np.ndarray:
-    """Expand up to four qubit Kraus operators as eps[i, j] with
-    E_i = sum_j eps[i, j] sigma_j."""
-    ops = np.asarray(ops, dtype=complex)
-    eps = np.zeros((4, 4), dtype=complex)
-    eps[: len(ops)] = np.einsum("iab,jba->ij", ops, _SIGMA) / 2.0
-    return eps
 
 
 # ---------------------------------------------------------------------------

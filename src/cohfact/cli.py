@@ -335,9 +335,9 @@ def cmd_transfer(args):
 def cmd_freeze_check(args):
     ch = io.load_channel(args.channel)
     t = transfer_matrix(ch)
-    fam = io.load_family(args.family, ch.d) if args.family else None
+    n = io.load_family(args.family, ch.d)[0] if args.family else None
     try:
-        frozen = frozen_condition_check(t, fam)
+        frozen = frozen_condition_check(t, n)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 1

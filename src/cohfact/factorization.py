@@ -28,7 +28,7 @@ from .errors import (
 from .measures import l1_from_density, purity_measure
 from .state import (
     DensityMatrix,
-    StateFamily,
+    _finite_weights,
     bloch_compose,
     bloch_decompose,
     coherence_weight,
@@ -117,22 +117,14 @@ def _first(rep: FactorizationReport) -> FactorizationReport:
     return FactorizationReport(**{f.name: getattr(rep, f.name)[0].item() for f in fields(rep)})
 
 
-def verify_theorem1(ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
-    """Both sides of C[E(rho)] = C(rho) C[E(rho_p)] for one family: the
-    one-family case of verify_families.
+def verify_theorem1(ch: KrausChannel, n, chi) -> FactorizationReport:
+    """Both sides of C[E(rho)] = C(rho) C[E(rho_p)] for the family with unit
+    direction n and factor chi: the one-family case of verify_families,
+    with the channel's transfer matrix built here.
 
     Never aborts on a failed channel condition: a report with
     ``condition_held=False`` is a counterexample probe."""
-    return verify_lemma1("l1", ch, fam)
-
-
-def verify_lemma1(measure, ch: KrausChannel, fam: StateFamily) -> FactorizationReport:
-    """Factorization check of one family for a named measure ('l1' or
-    'purity'): the one-family case of verify_families, with the channel's
-    transfer matrix built here."""
-    if fam.d != ch.d:
-        raise DimensionMismatchError(f"family d={fam.d} vs channel d={ch.d}")
-    return _first(verify_families(measure, transfer_matrix(ch), [fam.n], [fam.chi]))
+    return _first(verify_families("l1", transfer_matrix(ch), [n], [chi]))
 
 
 def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
@@ -178,12 +170,13 @@ def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
     if rho.m.ndim == 2:
         return _first(verify_cascade(t, DensityMatrix(rho.m[None]), m[None], [chi]))
     pauli = pauli_tensor_basis(qubit_count(rho.d))
-    lam = aux_pauli_action(aux_solve(rho, m, chi))
-    sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
+    eps = aux_solve(rho, m, chi)
     direction = 0.5 * np.tensordot(m, pauli, 1)  # (1/2) m.Y
-    g = l1_from_density(direction)
+    g = _finite_weights(l1_from_density(direction))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
+    lam = aux_pauli_action(eps)
+    sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
     probes = np.eye(rho.d) / rho.d + direction / g[:, None, None]
     x = bloch_decompose(DensityMatrix(np.concatenate((sigma, probes))),
                         gellmann_basis(isqrt(len(t))))

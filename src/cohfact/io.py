@@ -17,7 +17,7 @@ import numpy as np
 from .basis import gellmann_basis
 from .channel import KrausChannel, kraus_channel, make_named
 from .errors import CohfactError
-from .state import DensityMatrix, StateFamily, bloch_compose, density_matrix, validate_density
+from .state import DensityMatrix, bloch_compose, density_matrix, validate_density
 
 
 # Largest d accepted from input. A named channel or Bloch state of
@@ -232,9 +232,9 @@ def unit_direction(values, length, what):
     return n / norm
 
 
-def family_from_dict(spec: dict, d) -> StateFamily:
-    """The family of a spec for a d-dimensional channel, its direction
-    normalised."""
+def family_from_dict(spec: dict, d):
+    """The family of a spec for a d-dimensional channel as the pair (n, chi),
+    its direction n normalised."""
     spec = _object(spec, "family spec")
     for key in ("d", "n"):
         if key not in spec:
@@ -245,8 +245,8 @@ def family_from_dict(spec: dict, d) -> StateFamily:
     if chi.ndim != 0 or not np.isfinite(chi):
         raise CohfactError(f"family 'chi' must be a finite number, got {spec['chi']!r}")
     n = unit_direction(_numbers(spec["n"], "family 'n'"), d * d - 1, "family 'n'")
-    return StateFamily(n=n, chi=float(chi))
+    return n, float(chi)
 
 
-def load_family(path, d) -> StateFamily:
+def load_family(path, d):
     return _load(path, family_from_dict, d)

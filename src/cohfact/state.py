@@ -8,6 +8,7 @@ import numpy as np
 
 from .basis import gellmann_basis
 from .errors import (
+    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     InvalidDimensionError,
@@ -17,7 +18,6 @@ from .errors import (
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9  # accumulated round-off in G G^dag / Tr compositions
-REAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,6 @@ class DensityMatrix:
 
     m: np.ndarray
     d = property(lambda self: self.m.shape[-1])
-
-
-@dataclass(frozen=True)
-class StateFamily:
-    """Unit direction n with multiplicative factor chi; members are
-    rho = I/d + (chi/2) n . X, d read from the d^2 - 1 components of n."""
-
-    n: np.ndarray
-    chi: float
-    d = property(lambda self: isqrt(len(self.n) + 1))
 
 
 def purity_radius(d):
@@ -62,8 +52,7 @@ def validate_density(rho):
     # keeps huge entries from overflowing in the checks below
     if np.max(np.maximum(np.abs(m.real), np.abs(m.imag))) > 2.0:
         raise UnphysicalStateError("matrix has an entry larger than 2 in size")
-    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-        raise UnphysicalStateError("matrix is not Hermitian")
+    _require_hermitian(m)
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         raise UnphysicalStateError(f"trace is {np.trace(m)}, expected 1")
     w = np.linalg.eigvalsh(m)
@@ -75,6 +64,14 @@ def validate_density(rho):
     return rho
 
 
+def _require_hermitian(m):
+    """Raise UnphysicalStateError unless max |m - m^dag| <= HERM_TOL for the
+    d x d matrix ``m``, or for each matrix of an (s, d, d) stack; NaN fails."""
+    err = np.max(np.abs(m - m.conj().swapaxes(-2, -1)))
+    if not err <= HERM_TOL:
+        raise UnphysicalStateError(f"matrix is not Hermitian (max |m - m^dag| = {err:.3e})")
+
+
 def is_psd(m):
     """PSD flag of a d x d matrix, or the flags of a (s, d, d) stack."""
     ok = np.linalg.eigvalsh(np.asarray(m))[..., 0] >= PSD_TOL
@@ -84,17 +81,15 @@ def is_psd(m):
 def bloch_decompose(rho: DensityMatrix, basis) -> np.ndarray:
     """The real (d^2-1,) array of Bloch coordinates x_i = Tr(rho X_i) in a
     Gell-Mann or Pauli tensor basis, the (d^2-1, d, d) generator array;
-    a state holding an (s, d, d) stack gives (s, d^2-1) coordinates."""
+    a state holding an (s, d, d) stack gives (s, d^2-1) coordinates. The
+    state must be Hermitian to HERM_TOL, as validate_density requires; the
+    imaginary part its residue leaves in x is dropped."""
     if rho.d != basis.shape[-1]:
         raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.shape[-1]}")
+    _require_hermitian(rho.m)
     # one BLAS product of the flattened matrices: X is Hermitian, so
-    # sum_ab conj(rho_ab) X_ab is conj(x_i), whose imaginary part is negated
+    # sum_ab conj(rho_ab) X_ab is conj(x_i), whose real part is x_i's
     x = rho.m.conj().reshape(rho.m.shape[:-2] + (-1,)) @ basis.reshape(len(basis), -1).T
-    if np.max(np.abs(x.imag)) > REAL_TOL:
-        raise UnphysicalStateError(
-            f"Bloch coordinates have imaginary residue {np.max(np.abs(x.imag)):.3e}; "
-            "input is not Hermitian"
-        )
     return x.real
 
 
@@ -110,9 +105,11 @@ def bloch_compose(x, basis) -> DensityMatrix:
     return DensityMatrix(np.eye(d) / d + 0.5 * np.tensordot(x, basis, 1))
 
 
-def family_member(fam: StateFamily) -> DensityMatrix:
-    """Density matrix of rho^n at the family's chi."""
-    return bloch_compose(fam.chi * fam.n, gellmann_basis(fam.d))
+def family_member(n, chi) -> DensityMatrix:
+    """Density matrix of rho^n = I/d + (chi/2) n . X, unvalidated, d read
+    from the d^2 - 1 components of the direction n."""
+    n = np.asarray(n, dtype=float)
+    return bloch_compose(chi * n, gellmann_basis(isqrt(n.shape[-1] + 1)))
 
 
 def coherence_weight(n, d):
@@ -126,11 +123,22 @@ def coherence_weight(n, d):
     return float(g) if g.ndim == 0 else g
 
 
+def _finite_weights(g):
+    """The coherence weights ``g``, raising CohfactError, which names the
+    first, if one is NaN or infinite: NaN fails every comparison, so it
+    would pass a check of g <= 1e-12."""
+    bad = np.ravel(~np.isfinite(g))
+    if bad.any():
+        raise CohfactError(f"direction has a non-finite coherence weight g = {np.ravel(g)[np.argmax(bad)]}")
+    return g
+
+
 def probe_factor(n, d):
     """chi_p = 1/g(n^s), the factor that gives the direction n (each row of
     a 2-D ``n``) a probe of l1 coherence 1; raises IncoherentDirectionError
-    when a direction has no coherent part."""
-    g = coherence_weight(n, d)
+    when a direction has no coherent part, CohfactError when its weight is
+    not finite."""
+    g = _finite_weights(coherence_weight(n, d))
     if np.any(g <= 1e-12):
         raise IncoherentDirectionError(
             "direction has no coherent part (g = 0); probe state undefined"
@@ -213,8 +221,9 @@ def random_families(d, rng, count, block=None):
     return n, a + u * (b - a)
 
 
-def random_family(d, seed=None) -> StateFamily:
-    """Random unit direction with chi uniform on the family's physical
-    range: the one-family case of random_families."""
+def random_family(d, seed=None):
+    """Random unit direction n and factor chi uniform on the family's
+    physical range, as the pair (n, chi): the one-family case of
+    random_families."""
     n, chi = random_families(d, np.random.default_rng(seed), 1)
-    return StateFamily(n=n[0], chi=float(chi[0]))
+    return n[0], float(chi[0])

@@ -19,7 +19,7 @@ from cohfact.errors import NotAChannelError
 from cohfact.factorization import (
     freeze_trajectory,
     verify_cascade,
-    verify_lemma1,
+    verify_families,
     verify_theorem1,
 )
 from cohfact.measures import (
@@ -31,7 +31,6 @@ from cohfact.measures import (
     projective_collapse,
 )
 from cohfact.state import (
-    StateFamily,
     bloch_decompose,
     coherence_weight,
     density_matrix,
@@ -55,7 +54,7 @@ def test_criterion_1_factorization_law():
     for d in (2, 3, 4):
         rng = np.random.default_rng(1000 + d)
         for _ in range(500):
-            rep = verify_theorem1(random_unital_channel(d, k=d, seed=rng), random_family(d, rng))
+            rep = verify_theorem1(random_unital_channel(d, k=d, seed=rng), *random_family(d, rng))
             worst = np.maximum(worst, rep.abs_err)
     _report("1 factorization-law", worst <= 1e-9, f"max |lhs-rhs| = {worst:.3e}")
 
@@ -119,9 +118,9 @@ def test_criterion_4_frozen_coherence():
             n[zero_idx] = 0.0
             n /= np.linalg.norm(n)
             chi = rng.uniform(0.05, 0.9)
-            if not is_psd(family_member(StateFamily(n=n, chi=chi)).m):
+            if not is_psd(family_member(n, chi).m):
                 chi *= 0.5
-            rho = family_member(StateFamily(n=n, chi=chi))
+            rho = family_member(n, chi)
             traj = freeze_trajectory(name, grid, rho)
             worst = np.maximum(worst, traj.spread)
     _report("4 frozen-coherence", worst <= 1e-9, f"max spread = {worst:.3e}")
@@ -198,19 +197,23 @@ def test_criterion_6_dual_picture_and_transfer():
     _report("6 dual-picture", ok, f"l1 err = {worst_l1:.3e}, transfer err = {worst_t:.3e}")
 
 
+def _purity_err(ch, rng):
+    """abs_err of the purity law (Lemma 1) under ``ch`` for one random
+    family of the channel's d."""
+    n, chi = random_family(ch.d, rng)
+    return verify_families("purity", transfer_matrix(ch), [n], [chi]).abs_err[0]
+
+
 def test_criterion_7_purity_factorization():
     """Purity factorizes under unital channels; amplitude damping breaks it."""
     worst = 0.0
     for d in (2, 3):
         rng = np.random.default_rng(7000 + d)
         for _ in range(100):
-            rep = verify_lemma1("purity", random_unital_channel(d, seed=rng), random_family(d, rng))
-            worst = np.maximum(worst, rep.abs_err)
+            worst = np.maximum(worst, _purity_err(random_unital_channel(d, seed=rng), rng))
     ad = make_named("amplitude_damping", params={"gamma": 0.5})
     rng = np.random.default_rng(7100)
-    violation = np.max(
-        [verify_lemma1("purity", ad, random_family(2, rng)).abs_err for _ in range(50)]
-    )
+    violation = np.max([_purity_err(ad, rng) for _ in range(50)])
     ok = worst <= 1e-9 and violation > 1e-6
     _report("7 purity-factorization", ok, f"unital err = {worst:.3e}, AD violation = {violation:.3e}")
 

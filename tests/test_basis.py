@@ -5,7 +5,6 @@ import pytest
 
 from cohfact.basis import (
     gellmann_basis,
-    pair_indices,
     pauli_tensor_basis,
     y_to_x_transform,
 )
@@ -70,7 +69,15 @@ def test_d3_diagonal_generator_textbook_formula():
 
 
 def test_ordering_contract():
-    assert pair_indices(3) == [(1, 2), (1, 3), (2, 3)]
+    """Positions 2r-1, 2r (1-based) hold u_jk and v_jk of the r-th index
+    pair (j, k), the pairs in lexicographic order: (1,2), (1,3), (2,3)."""
+    b = gellmann_basis(3)
+    for r, (j, k) in enumerate([(1, 2), (1, 3), (2, 3)]):
+        u, v = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+        u[j - 1, k - 1] = u[k - 1, j - 1] = 1
+        v[j - 1, k - 1], v[k - 1, j - 1] = -1j, 1j
+        np.testing.assert_array_equal(b[2 * r], u)
+        np.testing.assert_array_equal(b[2 * r + 1], v)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from cohfact import cli, factorization, io
 from cohfact.basis import _SIGMA, gellmann_basis
 from cohfact.channel import (
-    a_matrix,
     apply,
     channel_entry,
+    corollary1_check,
     dual_apply,
     kraus_channel,
     make_named,
@@ -188,7 +188,7 @@ def test_stack_validates_every_channel():
 
 def test_functions_of_one_channel_reject_a_stack():
     stack = make_named("phase_flip", params={"q": np.array([0.2, 0.5])})
-    for fn in (transfer_matrix, a_matrix, lambda ch: dual_apply(ch, np.eye(2))):
+    for fn in (transfer_matrix, corollary1_check, lambda ch: dual_apply(ch, np.eye(2))):
         with pytest.raises(InvalidChannelError, match="stack of shape"):
             fn(stack)
 

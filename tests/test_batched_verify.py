@@ -1,8 +1,8 @@
 """The batched verify path against the per-trial reference it replaced.
 
 ``reference_block_family`` draws one trial's family on its own from its
-block's generator, and ``reference_verify`` is the per-trial body of the
-earlier ``verify_theorem1`` and ``verify_lemma1``: one channel application
+block's generator, and ``reference_verify`` is the earlier per-trial body
+of the one-family check of the l1 and purity laws: one channel application
 per state and one transfer matrix per trial. ``rejection_chi`` is the chi
 sampler the closed form replaced.
 """
@@ -36,14 +36,12 @@ from cohfact.factorization import (
     verify_cascade,
     verify_corollary2,
     verify_families,
-    verify_lemma1,
     verify_theorem1,
 )
 from cohfact.measures import l1_from_density, purity_measure
 from cohfact.state import (
     PSD_TOL,
     DensityMatrix,
-    StateFamily,
     bloch_compose,
     chi_interval,
     coherence_weight,
@@ -62,7 +60,7 @@ B = cli.BLOCK_TRIALS
 
 
 def reference_block_family(d, seed, trial):
-    """The family of one trial of a verify run: row r = trial % B of the
+    """The family (n, chi) of one trial of a verify run: row r = trial % B of the
     block drawn by generator (seed, B * (trial // B)), which draws the
     uniforms of all B rows, then the directions of rows 0..r. chi is
     uniform on the physical part of [-R, R], found from the eigenvalues of
@@ -76,7 +74,7 @@ def reference_block_family(d, seed, trial):
     c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
     a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
-    return StateFamily(n=n, chi=float(a + u * (b - a)))
+    return n, float(a + u * (b - a))
 
 
 def rejection_chi(d, rng, count):
@@ -96,16 +94,16 @@ def rejection_chi(d, rng, count):
     return chi
 
 
-def reference_verify(measure, ch, fam):
+def reference_verify(measure, ch, n, chi):
     """(lhs, rhs, probe_physical, condition_held) of one family."""
-    basis = gellmann_basis(fam.d)
-    member = family_member(fam)
+    basis = gellmann_basis(ch.d)
+    member = family_member(n, chi)
     t = transfer_matrix(ch)
     if measure == "l1":
-        probe, f = probe_state(fam.n, fam.d), l1_from_density
+        probe, f = probe_state(n, ch.d), l1_from_density
         condition = theorem1_condition(t)
     else:
-        probe, f = bloch_compose(np.sqrt(2.0) * fam.n, basis), purity_measure
+        probe, f = bloch_compose(np.sqrt(2.0) * n, basis), purity_measure
         condition = bool(np.max(np.abs(t[1:, 0])) <= 1e-10)
     lhs = f(apply(ch, member))
     rhs = f(member) * f(apply(ch, probe))
@@ -143,7 +141,7 @@ def test_verify_jsonl_matches_reference_loop(tmp_path, monkeypatch, capsys, d, c
     failures = 0
     for r in records:
         fam = reference_block_family(d, seed, r["trial"])
-        lhs, rhs, physical, held = reference_verify(measure, ch, fam)
+        lhs, rhs, physical, held = reference_verify(measure, ch, *fam)
         assert (r["probe_physical"], r["condition_held"]) == (physical, held)
         assert abs(r["lhs"] - lhs) <= 1e-15 and abs(r["rhs"] - rhs) <= 1e-15
         assert abs(r["abs_err"] - abs(lhs - rhs)) <= 1e-15
@@ -156,13 +154,18 @@ def test_one_family_functions_match_reference(d):
     rng = np.random.default_rng(d)
     for ch in (random_unital_channel(d, seed=rng), random_channel(d, seed=rng)):
         for _ in range(5):
-            fam = random_family(d, rng)
-            for measure, rep in (("l1", verify_theorem1(ch, fam)),
-                                 ("purity", verify_lemma1("purity", ch, fam))):
-                lhs, rhs, physical, held = reference_verify(measure, ch, fam)
-                assert type(rep.lhs) is float and type(rep.probe_physical) is bool
-                assert (rep.probe_physical, rep.condition_held) == (physical, held)
-                assert abs(rep.lhs - lhs) <= 1e-15 and abs(rep.rhs - rhs) <= 1e-15
+            n, chi = random_family(d, rng)
+            t = transfer_matrix(ch)
+            one = verify_theorem1(ch, n, chi)
+            assert type(one.lhs) is float and type(one.probe_physical) is bool
+            for measure in ("l1", "purity"):
+                rep = verify_families(measure, t, [n], [chi])
+                lhs, rhs, physical, held = reference_verify(measure, ch, n, chi)
+                assert (rep.probe_physical.item(), rep.condition_held.item()) == (physical, held)
+                assert abs(rep.lhs.item() - lhs) <= 1e-15 and abs(rep.rhs.item() - rhs) <= 1e-15
+                if measure == "l1":
+                    assert (one.probe_physical, one.condition_held) == (physical, held)
+                    assert abs(one.lhs - lhs) <= 1e-15 and abs(one.rhs - rhs) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -173,9 +176,9 @@ def test_random_families_match_block_reference(d):
         for rows in (1, 7, B):
             n, chi = random_families(d, np.random.default_rng([seed, 0]), rows, B)
             for i in range(rows):
-                ref = reference_block_family(d, seed, i)
-                assert chi[i] == ref.chi
-                assert np.array_equal(n[i], ref.n)
+                ref_n, ref_chi = reference_block_family(d, seed, i)
+                assert chi[i] == ref_chi
+                assert np.array_equal(n[i], ref_n)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -231,10 +234,10 @@ def test_layer_functions_map_a_stack_state_by_state():
 def test_verify_families_takes_a_stack(capsys):
     ch = random_unital_channel(3, seed=4)
     fams = [random_family(3, s) for s in range(6)]
-    rep = verify_families("l1", transfer_matrix(ch), [f.n for f in fams], [f.chi for f in fams])
+    rep = verify_families("l1", transfer_matrix(ch), [n for n, _ in fams], [chi for _, chi in fams])
     assert rep.lhs.shape == rep.probe_physical.shape == rep.condition_held.shape == (6,)
     for i, fam in enumerate(fams):
-        one = verify_theorem1(ch, fam)
+        one = verify_theorem1(ch, *fam)
         assert abs(rep.lhs[i] - one.lhs) <= 1e-15 and rep.probe_physical[i] == one.probe_physical
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (
-    a_matrix,
     apply,
     aux_channel,
     aux_coefficient_matrix,
@@ -18,7 +17,6 @@ from cohfact.channel import (
     make_frozen_qubit,
     make_named,
     named_channels,
-    pauli_coefficients,
     random_channel,
     random_unital_channel,
     scalar_actions,
@@ -35,7 +33,7 @@ from cohfact.errors import (
     UnreachableTargetError,
 )
 from cohfact.io import channel_from_dict
-from cohfact.state import StateFamily, bloch_compose, bloch_decompose, density_matrix, random_state
+from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, density_matrix, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,6 +41,15 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 def identity_channel(d):
     return kraus_channel([np.eye(d, dtype=complex)], label="identity")
+
+
+def _pauli_coefficients(ops):
+    """Up to four qubit Kraus operators as eps[i, j] with
+    E_i = sum_j eps[i, j] sigma_j, sigma_0 = I."""
+    sigma = np.array([np.eye(2), SX, SY, np.diag([1.0, -1.0])], dtype=complex)
+    eps = np.zeros((4, 4), dtype=complex)
+    eps[: len(ops)] = np.einsum("iab,jba->ij", np.asarray(ops, dtype=complex), sigma) / 2.0
+    return eps
 
 
 def nondiagonal_a_channel():
@@ -187,10 +194,8 @@ def test_frozen_condition_unitary_xy():
 def test_frozen_condition_bit_flip_relaxed():
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     assert not frozen_condition_check(t)
-    fam = StateFamily(n=np.array([0.6, 0.0, 0.8]), chi=0.5)
-    assert frozen_condition_check(t, fam)
-    fam_bad = StateFamily(n=np.array([0.0, 0.6, 0.8]), chi=0.5)
-    assert not frozen_condition_check(t, fam_bad)
+    assert frozen_condition_check(t, np.array([0.6, 0.0, 0.8]))
+    assert not frozen_condition_check(t, np.array([0.0, 0.6, 0.8]))
 
 
 def test_frozen_condition_phase_damping_false():
@@ -303,7 +308,7 @@ def test_make_named_label_and_params():
 
 def test_pauli_channel():
     ch = make_named("pauli", params={"p0": 0.4, "p1": 0.3, "p2": 0.2, "p3": 0.1})
-    np.testing.assert_allclose(a_matrix(ch), np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(apply(ch, DensityMatrix(np.eye(2))).m, np.eye(2), atol=1e-10)  # A = E(I)
     t = transfer_matrix(ch)
     # dual scales sigma_k by p0 + p_k - (sum of the other two)
     np.testing.assert_allclose(np.diag(t), [1.0, 0.4, 0.2, 0.0], atol=1e-12)
@@ -326,7 +331,7 @@ def test_frozen_qubit_passes_corollary4(variant, sign):
     for q in (0.0, 0.3, 0.8, 1.0):
         ch = make_frozen_qubit(variant, q, sign=sign)
         assert frozen_condition_check(transfer_matrix(ch))
-        assert validate_frozen_coefficients(pauli_coefficients(ch.kraus))
+        assert validate_frozen_coefficients(_pauli_coefficients(ch.kraus))
 
 
 def test_validate_frozen_coefficients_simplest_case():
@@ -338,9 +343,9 @@ def test_validate_frozen_coefficients_simplest_case():
 def test_validate_frozen_coefficients_phase_damping_false():
     q = 0.5
     ch = make_named("phase_damping", params={"q": q})
-    assert not validate_frozen_coefficients(pauli_coefficients(ch.kraus))
+    assert not validate_frozen_coefficients(_pauli_coefficients(ch.kraus))
     # A = sum E E^dag is not diagonal, so the factorization precondition fails
-    assert not validate_frozen_coefficients(pauli_coefficients(nondiagonal_a_channel().kraus))
+    assert not validate_frozen_coefficients(_pauli_coefficients(nondiagonal_a_channel().kraus))
 
 
 def test_validate_frozen_coefficients_diagonal_unitary():
@@ -498,7 +503,7 @@ def test_random_channel_completeness_and_seeding():
 def test_random_unital_channel_is_unital():
     for d in (2, 3):
         ch = random_unital_channel(d, seed=4)
-        np.testing.assert_allclose(a_matrix(ch), np.eye(d), atol=1e-10)
+        np.testing.assert_allclose(apply(ch, DensityMatrix(np.eye(d))).m, np.eye(d), atol=1e-10)  # A = E(I)
 
 
 def test_kraus_channel_rejects_incomplete_set():

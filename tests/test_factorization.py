@@ -12,17 +12,16 @@ from cohfact.channel import (
     random_unital_channel,
     transfer_matrix,
 )
-from cohfact.errors import DimensionMismatchError, NotAChannelError, NotApplicableError
+from cohfact.errors import CohfactError, DimensionMismatchError, NotAChannelError, NotApplicableError
 from cohfact.factorization import (
     freeze_trajectory,
     verify_cascade,
     verify_corollary2,
-    verify_lemma1,
+    verify_families,
     verify_theorem1,
 )
 from cohfact.measures import l1_from_density
 from cohfact.state import (
-    StateFamily,
     bloch_compose,
     bloch_decompose,
     coherence_weight,
@@ -42,20 +41,20 @@ def nonunital_offdiag_channel():
 
 
 def test_decompose_family():
-    fam = StateFamily(n=np.array([0.6, 0.8, 0.0]), chi=0.5)
-    g = coherence_weight(fam.n, 2)
+    n, chi = np.array([0.6, 0.8, 0.0]), 0.5
+    g = coherence_weight(n, 2)
     assert abs(g - 1.0) < 1e-15
-    member = family_member(fam)
-    assert abs(l1_from_density(member) - fam.chi * g) < 1e-12
+    member = family_member(n, chi)
+    assert abs(l1_from_density(member) - chi * g) < 1e-12
 
 
 def test_theorem1_identity_channel():
-    fam = random_family(3, 2)
+    n, chi = random_family(3, 2)
     ident = kraus_channel([np.eye(3, dtype=complex)])
-    rep = verify_theorem1(ident, fam)
+    rep = verify_theorem1(ident, n, chi)
     assert rep.condition_held
     assert rep.abs_err < 1e-12
-    member = family_member(fam)
+    member = family_member(n, chi)
     assert abs(rep.lhs - l1_from_density(member)) < 1e-12
 
 
@@ -63,7 +62,7 @@ def test_theorem1_identity_channel():
 def test_theorem1_random_unital(d):
     rng = np.random.default_rng(d * 7)
     for _ in range(20):
-        rep = verify_theorem1(random_unital_channel(d, seed=rng), random_family(d, rng))
+        rep = verify_theorem1(random_unital_channel(d, seed=rng), *random_family(d, rng))
         assert rep.condition_held
         assert rep.abs_err <= 1e-9
 
@@ -73,7 +72,7 @@ def test_theorem1_counterexample_mode():
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(50):
-        rep = verify_theorem1(ch, random_family(2, rng))
+        rep = verify_theorem1(ch, *random_family(2, rng))
         assert not rep.condition_held
         worst = max(worst, rep.abs_err)
     assert worst > 1e-3  # the relation genuinely fails without the condition
@@ -99,27 +98,29 @@ def test_channel_linearity_on_coherence_coordinates(d):
     n_off = d * d - d
     for _ in range(10):
         ch = random_unital_channel(d, seed=rng)
-        fam = random_family(d, rng)
-        out_n = bloch_decompose(apply(ch, bloch_compose(fam.n, b)), b)
-        out_chi = bloch_decompose(apply(ch, family_member(fam)), b)
-        np.testing.assert_allclose(out_chi[:n_off], fam.chi * out_n[:n_off], atol=1e-11)
+        n, chi = random_family(d, rng)
+        out_n = bloch_decompose(apply(ch, bloch_compose(n, b)), b)
+        out_chi = bloch_decompose(apply(ch, family_member(n, chi)), b)
+        np.testing.assert_allclose(out_chi[:n_off], chi * out_n[:n_off], atol=1e-11)
 
 
 def test_lemma1_l1_agrees_with_theorem1():
     ch = random_unital_channel(3, seed=5)
-    fam = random_family(3, 5)
-    a = verify_lemma1("l1", ch, fam)
-    b = verify_theorem1(ch, fam)
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+    n, chi = random_family(3, 5)
+    a = verify_families("l1", transfer_matrix(ch), [n], [chi])
+    b = verify_theorem1(ch, n, chi)
+    assert a.lhs[0] == b.lhs and a.rhs[0] == b.rhs
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_lemma1_purity_unital(d):
     rng = np.random.default_rng(d + 50)
     for _ in range(20):
-        rep = verify_lemma1("purity", random_unital_channel(d, seed=rng), random_family(d, rng))
-        assert rep.condition_held
-        assert rep.abs_err <= 1e-9
+        ch = random_unital_channel(d, seed=rng)
+        n, chi = random_family(d, rng)
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi])
+        assert rep.condition_held[0]
+        assert rep.abs_err[0] <= 1e-9
 
 
 def test_lemma1_purity_amplitude_damping_violation():
@@ -127,15 +128,17 @@ def test_lemma1_purity_amplitude_damping_violation():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(30):
-        rep = verify_lemma1("purity", ch, random_family(2, rng))
-        assert not rep.condition_held
-        worst = max(worst, rep.abs_err)
+        n, chi = random_family(2, rng)
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi])
+        assert not rep.condition_held[0]
+        worst = max(worst, rep.abs_err[0])
     assert worst > 1e-3
 
 
 def test_lemma1_unknown_measure():
     with pytest.raises(NotApplicableError):
-        verify_lemma1("entropy", random_unital_channel(2, seed=0), random_family(2, 0))
+        n, chi = random_family(2, 0)
+        verify_families("entropy", transfer_matrix(random_unital_channel(2, seed=0)), [n], [chi])
 
 
 def test_corollary2_phase_damping():
@@ -209,7 +212,7 @@ def test_cascade_n1_matches_theorem1():
     ch_f = random_unital_channel(2, seed=31)
     rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
     # for N = 1 the generated state is the family member (m, chi) directly
-    rep2 = verify_theorem1(ch_f, StateFamily(n=m, chi=chi))
+    rep2 = verify_theorem1(ch_f, m, chi)
     assert abs(rep.lhs - rep2.lhs) < 1e-11
     assert abs(rep.rhs - rep2.rhs) < 1e-11
 
@@ -224,6 +227,26 @@ def test_cascade_target_without_coherent_part():
         verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), rho, m, 0.1)
 
 
+def test_cascade_refuses_a_nan_direction():
+    """A NaN target direction has a NaN coherence weight, which fails the
+    probe check rather than passing g <= 1e-12 and reaching the probes."""
+    rho = density_matrix(np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))  # y = (0.3, 0.4, 0.5)
+    t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
+    with pytest.raises(CohfactError, match="non-finite coherence weight g = nan"):
+        verify_cascade(t, rho, np.array([np.nan, 0.0, 1.0]), 0.1)
+
+
+def test_one_hermiticity_rule():
+    """A state with an anti-Hermitian part of 2e-11 per entry, within
+    HERM_TOL, loads through density_matrix and is taken by bloch_decompose
+    and verify_corollary2 as well; its coordinates are the real parts."""
+    rho = density_matrix(np.array([[0.6, 0.2 + 2e-11j], [0.2 + 2e-11j, 0.4]]))
+    np.testing.assert_allclose(bloch_decompose(rho, gellmann_basis(2)), [0.4, 0.0, 0.2], rtol=0, atol=1e-15)
+    rep = verify_corollary2(transfer_matrix(make_named("depolarizing", params={"p": 0.3})), rho)
+    assert rep.abs_err <= 1e-12
+    assert abs(rep.lhs - 0.7 * 0.4) <= 1e-12
+
+
 def test_freeze_trajectory_frozen_xy():
     rho = random_state(2, 41)
     traj = freeze_trajectory("frozen_xy", np.linspace(0, 1, 101), rho)
@@ -232,8 +255,7 @@ def test_freeze_trajectory_frozen_xy():
 
 
 def test_freeze_trajectory_bit_flip_family():
-    fam = StateFamily(n=np.array([0.6, 0.0, 0.8]), chi=0.5)
-    rho = family_member(fam)
+    rho = family_member(np.array([0.6, 0.0, 0.8]), 0.5)
     traj = freeze_trajectory("bit_flip", np.linspace(0, 1, 101), rho)
     assert traj.frozen
 
@@ -249,16 +271,16 @@ def test_freeze_trajectory_phase_damping_decay():
 
 
 def test_probe_caching_consistency():
-    fam = random_family(3, 61)
+    n, chi = random_family(3, 61)
     ch = random_unital_channel(3, seed=62)
-    r1 = verify_theorem1(ch, fam)
-    r2 = verify_theorem1(ch, fam)
+    r1 = verify_theorem1(ch, n, chi)
+    r2 = verify_theorem1(ch, n, chi)
     assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: verify_lemma1("l1", make_named("bit_flip", params={"q": 0.5}), random_family(3, 0)),
-     DimensionMismatchError, "family d=3"),
+    (lambda: verify_theorem1(make_named("bit_flip", params={"q": 0.5}), *random_family(3, 0)),
+     DimensionMismatchError, r"expected 3 components, got \(1, 8\)"),
     (lambda: verify_corollary2(transfer_matrix(make_named("depolarizing", d=3, params={"p": 0.2})),
                                density_matrix(np.diag([0.5, 0.3, 0.2]))),
      NotApplicableError, "no off-diagonal"),

@@ -7,6 +7,7 @@ import gc
 import io as _io
 import json
 
+import numpy as np
 import pytest
 
 import cohfact
@@ -127,7 +128,10 @@ def test_load_restores_the_collector_state(tmp_path, enabled, kind, text, raises
 
 
 def _arrays(value):
-    return [a for a in (getattr(value, name, None) for name in ("m", "kraus", "n")) if a is not None]
+    """A state's matrix, a channel's Kraus stack, or a family's (n, chi)."""
+    if isinstance(value, tuple):
+        return [np.asarray(a) for a in value]
+    return [a for a in (getattr(value, name, None) for name in ("m", "kraus")) if a is not None]
 
 
 @pytest.mark.parametrize("kind, spec", [

@@ -29,7 +29,6 @@ from cohfact.channel import (
     transfer_matrix,
 )
 from cohfact.errors import DimensionMismatchError, NotApplicableError
-from cohfact.state import StateFamily
 
 
 def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
@@ -49,7 +48,7 @@ def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
     return float(q)
 
 
-def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
+def reference_frozen_condition_check(T, n=None, tol=CONDITION_TOL):
     if not theorem1_condition(T):
         raise NotApplicableError("factorization precondition fails")
     d = isqrt(len(T))
@@ -60,7 +59,7 @@ def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
         i = 2 * r - 1
         return T[i : i + 2, i : i + 2]
 
-    if fam is None:
+    if n is None:
         for r in range(1, d0 + 1):
             rows = slice(2 * r - 2, 2 * r)
             off = s[rows].copy()
@@ -72,7 +71,7 @@ def reference_frozen_condition_check(T, fam=None, tol=CONDITION_TOL):
                 return False
         return True
 
-    n = np.asarray(fam.n, dtype=float)
+    n = np.asarray(n, dtype=float)
     populated = np.abs(n) > tol
     for r in range(1, d0 + 1):
         i, j = 2 * r - 2, 2 * r - 1
@@ -160,15 +159,15 @@ def _random_transfer(d, rng):
 
 
 def _family(d, rng):
-    """A unit direction with each component, and sometimes each whole
-    u/v pair, zeroed at random; at least one component stays."""
+    """A family's unit direction with each component, and sometimes each
+    whole u/v pair, zeroed at random; at least one component stays."""
     n = rng.standard_normal(d * d - 1)
     n[rng.uniform(size=n.size) < rng.uniform()] = 0.0
     pairs = (d * d - d) // 2
     n[: 2 * pairs].reshape(pairs, 2)[rng.uniform(size=pairs) < 0.3] = 0.0
     if not n.any():
         n[rng.integers(n.size)] = 1.0
-    return StateFamily(n=n / np.linalg.norm(n), chi=0.5)
+    return n / np.linalg.norm(n)
 
 
 def _subset(d, rng):
@@ -186,9 +185,9 @@ def _scalar_action(T, subset):
 
 def _check(T, rng):
     d = isqrt(len(T))
-    for fam in (None, _family(d, rng), _family(d, rng), _family(d, rng)):
-        assert (_outcome(frozen_condition_check, T, fam)
-                == _outcome(reference_frozen_condition_check, T, fam))
+    for n in (None, _family(d, rng), _family(d, rng), _family(d, rng)):
+        assert (_outcome(frozen_condition_check, T, n)
+                == _outcome(reference_frozen_condition_check, T, n))
     for _ in range(3):
         subset = _subset(d, rng)
         assert _scalar_action(T, subset) == reference_scalar_action_detect(T, subset)
@@ -217,14 +216,14 @@ def test_channel_cases_reach_every_answer():
     comparison above is not only on one answer."""
     rng = np.random.default_rng(5)
     ts = [transfer_matrix(_channel(kind, d, rng)) for kind in KINDS for d in (2, 3)]
-    seen = {_outcome(frozen_condition_check, T, fam) for T in ts for fam in (None, _family(isqrt(len(T)), rng))}
+    seen = {_outcome(frozen_condition_check, T, n) for T in ts for n in (None, _family(isqrt(len(T)), rng))}
     assert {True, False, NotApplicableError} <= seen
 
 
 def test_built_matrices_reach_both_answers():
     rng = np.random.default_rng(7)
-    seen = [_outcome(frozen_condition_check, _random_transfer(3, rng), fam)
-            for _ in range(200) for fam in (None, _family(3, rng))]
+    seen = [_outcome(frozen_condition_check, _random_transfer(3, rng), n)
+            for _ in range(200) for n in (None, _family(3, rng))]
     assert {True, False, NotApplicableError} <= set(seen)
 
 
@@ -240,4 +239,13 @@ def test_nan_never_passes():
 def test_family_of_another_dimension():
     T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     with pytest.raises(DimensionMismatchError):
-        frozen_condition_check(T, StateFamily(n=np.eye(8)[0], chi=0.5))
+        frozen_condition_check(T, np.eye(8)[0])
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_direction_of_the_wrong_length(size):
+    """A qubit transfer matrix takes a 3-component direction; 4 or 5 raise
+    DimensionMismatchError, not NumPy's broadcasting ValueError."""
+    T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
+    with pytest.raises(DimensionMismatchError, match=rf"shape \({size},\), expected \(3,\)"):
+        frozen_condition_check(T, np.ones(size) / np.sqrt(size))

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from cohfact import cli, io
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (
-    a_matrix,
+    CONDITION_TOL,
     apply,
     aux_channel,
+    corollary1_check,
     dual_apply,
     kraus_channel,
     make_named,
@@ -112,8 +113,9 @@ def test_stack_products_match_kraus_sums(d, k, seed):
     np.testing.assert_allclose(apply(ch, rho).m, want, rtol=0, atol=1e-12)
     want = sum(e.conj().T @ obs @ e for e in ch.kraus)
     np.testing.assert_allclose(dual_apply(ch, obs), want, rtol=0, atol=1e-12)
-    want = sum(e @ e.conj().T for e in ch.kraus)
-    np.testing.assert_allclose(a_matrix(ch), want, rtol=0, atol=1e-12)
+    want = sum(e @ e.conj().T for e in ch.kraus)  # A, which is E(I)
+    np.testing.assert_allclose(apply(ch, DensityMatrix(np.eye(d))).m, want, rtol=0, atol=1e-12)
+    assert corollary1_check(ch) == bool(np.max(np.abs(want - np.diag(np.diag(want)))) <= CONDITION_TOL)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)

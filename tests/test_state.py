@@ -6,6 +6,7 @@ import pytest
 from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import KrausChannel, apply, make_named, random_channel
 from cohfact.errors import (
+    CohfactError,
     DimensionMismatchError,
     IncoherentDirectionError,
     InvalidDimensionError,
@@ -13,7 +14,6 @@ from cohfact.errors import (
 )
 from cohfact.state import (
     DensityMatrix,
-    StateFamily,
     bloch_compose,
     bloch_decompose,
     chi_interval,
@@ -61,6 +61,17 @@ def test_decompose_matches_trace_reference(basis):
     skew = DensityMatrix(rho.m[2] + 1e-6j * np.triu(np.ones((basis.shape[-1], basis.shape[-1])), 1))
     with pytest.raises(UnphysicalStateError, match="not Hermitian"):
         bloch_decompose(skew, basis)
+
+
+def test_decompose_checks_every_state_of_a_stack():
+    """The Hermiticity rule holds for each matrix of a stack: one skew
+    matrix among Hermitian ones raises."""
+    rho = random_state(3, 4, 5)
+    m = rho.m.copy()
+    m[3, 0, 1] += 1e-9j
+    bloch_decompose(DensityMatrix(m[:3]), gellmann_basis(3))
+    with pytest.raises(UnphysicalStateError, match="not Hermitian"):
+        bloch_decompose(DensityMatrix(m), gellmann_basis(3))
 
 
 def test_compose_trivials():
@@ -120,25 +131,23 @@ def test_d_is_read_from_the_array():
         apply(make_named("depolarizing", d=3, params={"p": 0.3}), rho)
     with pytest.raises(DimensionMismatchError, match="state d=2 vs basis d=3"):
         bloch_decompose(rho, gellmann_basis(3))
-    for cls in (DensityMatrix, KrausChannel, StateFamily):
+    for cls in (DensityMatrix, KrausChannel):
         assert "d" not in [f.name for f in fields(cls)]
-    stack, ch, fam = random_state(3, 1, 4), random_channel(4, seed=1), random_family(5, 1)
-    assert (stack.d, ch.d, fam.d, len(fam.n)) == (3, 4, 5, 24)
+    stack, ch, (n, chi) = random_state(3, 1, 4), random_channel(4, seed=1), random_family(5, 1)
+    assert (stack.d, ch.d, family_member(n, chi).d, len(n)) == (3, 4, 5, 24)
 
 
 def test_family_member_trivials():
-    fam = StateFamily(n=np.eye(8)[0], chi=0.0)
-    np.testing.assert_allclose(family_member(fam).m, np.eye(3) / 3)
-    fam2 = StateFamily(n=np.array([1.0, 0, 0]), chi=1.0)
-    np.testing.assert_allclose(family_member(fam2).m, plus_state().m, atol=1e-14)
+    np.testing.assert_allclose(family_member(np.eye(8)[0], 0.0).m, np.eye(3) / 3)
+    np.testing.assert_allclose(family_member(np.array([1.0, 0, 0]), 1.0).m, plus_state().m, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_family_purity_relation(d):
     for seed in range(5):
-        fam = random_family(d, seed)
-        rho = family_member(fam)
-        assert abs(np.trace(rho.m @ rho.m).real - (fam.chi**2 / 2 + 1 / d)) < 1e-12
+        n, chi = random_family(d, seed)
+        rho = family_member(n, chi)
+        assert abs(np.trace(rho.m @ rho.m).real - (chi**2 / 2 + 1 / d)) < 1e-12
 
 
 def test_probe_qubit_x_direction():
@@ -175,6 +184,19 @@ def test_probe_incoherent_direction_rejected():
         probe_state(n, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probe_refuses_a_non_finite_direction(bad):
+    """A NaN fails every comparison, so it must fail the probe check rather
+    than pass g <= 1e-12 and give a NaN factor and an all-NaN probe."""
+    n = np.array([bad, 0.0, 1.0])
+    for call in (lambda: probe_factor(n, 2), lambda: probe_state(n, 2)):
+        with pytest.raises(CohfactError, match=f"non-finite coherence weight g = {bad}"):
+            call()
+    rows = np.array([[0.0, 1.0, 0.0], n])
+    with pytest.raises(CohfactError, match=f"non-finite coherence weight g = {bad}"):
+        probe_factor(rows, 2)
+
+
 def test_coherence_weight_uses_offdiagonal_pairs_only():
     n = np.array([0.6, 0.8, 0.0])
     assert abs(coherence_weight(n, 2) - 1.0) < 1e-15
@@ -187,10 +209,10 @@ def test_random_state_deterministic():
     a = random_state(3, 123)
     b = random_state(3, 123)
     np.testing.assert_array_equal(a.m, b.m)
-    fam_a = random_family(3, 7)
-    fam_b = random_family(3, 7)
-    np.testing.assert_array_equal(fam_a.n, fam_b.n)
-    assert fam_a.chi == fam_b.chi
+    n_a, chi_a = random_family(3, 7)
+    n_b, chi_b = random_family(3, 7)
+    np.testing.assert_array_equal(n_a, n_b)
+    assert chi_a == chi_b
 
 
 def test_random_state_batch_validity():
@@ -207,10 +229,10 @@ def test_random_state_batch_validity():
 
 def test_random_family_members_physical():
     for seed in range(20):
-        fam = random_family(3, seed)
-        validate_density(family_member(fam))
-        assert abs(np.linalg.norm(fam.n) - 1.0) < 1e-12
-        assert abs(fam.chi) <= purity_radius(3)
+        n, chi = random_family(3, seed)
+        validate_density(family_member(n, chi))
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
+        assert abs(chi) <= purity_radius(3)
 
 
 def test_random_family_chi_lies_in_its_interval():
@@ -221,9 +243,9 @@ def test_random_family_chi_lies_in_its_interval():
         lo, hi = chi_interval(n, d)
         assert np.all((lo <= chi) & (chi <= hi) & (np.abs(chi) <= purity_radius(d)))
         for seed in range(20):
-            fam = random_family(d, seed)
-            lo, hi = chi_interval(fam.n, d)
-            assert lo <= fam.chi <= hi
+            n, chi = random_family(d, seed)
+            lo, hi = chi_interval(n, d)
+            assert lo <= chi <= hi
 
 
 def test_chi_interval_rejects_a_direction_of_the_wrong_length():
