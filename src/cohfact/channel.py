@@ -178,7 +178,10 @@ def frozen_condition_check(T, n=None) -> bool:
     pair with a populated coordinate must not couple into populated
     coordinates outside its block, and its block's Gram matrix b^T b must
     be I on the entries whose two columns are both populated: with n_{2r} =
-    0 (or n_{2r-1} = 0) only one column has to keep unit length.
+    0 (or n_{2r-1} = 0) only one column has to keep unit length. A
+    direction with a NaN or infinite component raises CohfactError before
+    anything is decided: NaN fails every comparison, so it would read as
+    unpopulated.
     """
     d = isqrt(len(T))
     k, d0 = d * d - 1, (d * d - d) // 2
@@ -187,6 +190,10 @@ def frozen_condition_check(T, n=None) -> bool:
         if n.shape != (k,):
             raise DimensionMismatchError(f"family direction has shape {n.shape}, "
                                          f"expected ({k},) for the transfer matrix's d={d}")
+        bad = ~np.isfinite(n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CohfactError(f"family direction has a non-finite component n[{i}] = {n[i]}")
     if not theorem1_condition(T):
         raise NotApplicableError(
             "frozen-coherence check requires the factorization precondition T_k0 = 0"

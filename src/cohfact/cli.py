@@ -170,7 +170,7 @@ def _chunks(ch, args, draw, verify):
 def _families(measure, ch, args):
     return _chunks(ch, args,
                    lambda key, rows: random_families(ch.d, np.random.default_rng(key), rows, BLOCK_TRIALS),
-                   lambda t, n, chi: verify_families(measure, t, n, chi))
+                   lambda t, n, chi, hi: verify_families(measure, t, n, chi, hi))
 
 
 def _corollary2(ch, args):

@@ -21,6 +21,7 @@ from .channel import (
     transfer_matrix,
 )
 from .errors import (
+    CohfactError,
     DimensionMismatchError,
     InvalidChannelError,
     NotApplicableError,
@@ -31,6 +32,7 @@ from .state import (
     _finite_weights,
     bloch_compose,
     bloch_decompose,
+    chi_interval,
     coherence_weight,
     is_psd,
     probe_factor,
@@ -67,6 +69,12 @@ def _measure(measure, x, d):
     return 0.5 * np.sum(x * x, axis=-1) - 1.0 / d
 
 
+def _with_x0(x, d):
+    """The rows of ``x`` with x_0 = sqrt(2/d) put first: one concatenate,
+    where np.insert spends more on its argument handling than on the copy."""
+    return np.concatenate((np.full((len(x), 1), np.sqrt(2.0 / d)), x), axis=1)
+
+
 def _law(measure, t, x, probe_physical, condition) -> FactorizationReport:
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags for the
     (2s, d^2 - 1) Bloch coordinates ``x`` of s states rho, then their s
@@ -75,14 +83,14 @@ def _law(measure, t, x, probe_physical, condition) -> FactorizationReport:
     too, since a channel read from a file is trace preserving only to its
     printed digits. ``condition`` is the channel condition's outcome."""
     d, s = isqrt(len(t)), len(x) // 2
-    x = np.insert(x, 0, np.sqrt(2.0 / d), axis=-1)
+    x = _with_x0(x, d)
     after = _measure(measure, x @ t.T, d)
     lhs, rhs = after[:s], _measure(measure, x[:s], d) * after[s:]
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
                                probe_physical=probe_physical, condition_held=np.full(s, condition))
 
 
-def verify_families(measure, t, n, chi) -> FactorizationReport:
+def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] for the s families with
     the unit directions in the rows of n and the factors in chi, for the
     measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1), under the channel
@@ -91,25 +99,34 @@ def verify_families(measure, t, n, chi) -> FactorizationReport:
     The coordinates of the s members and s probes go through ``t`` in one
     product. The l1 probe has chi_p = 1/g(n^s); the purity probe solves
     chi_p^2 / 2 = 1 (chi_p = sqrt(2)). Probes outside the physical range
-    are kept and flagged. The channel condition (T_k0 = 0 on the
-    off-diagonal rows for l1, full unitality for purity) is read from
+    are kept and flagged: ``hi`` holds the upper ends of the families'
+    physical ranges (chi_interval), and as chi_p > 0 the probe rho_p =
+    I/d + (chi_p/2) n.X passes the PSD check iff chi_p <= hi, so its
+    spectrum is never computed again. The channel condition (T_k0 = 0 on
+    the off-diagonal rows for l1, full unitality for purity) is read from
     ``t``; a failed one never aborts, its reports are counterexample
-    probes. Returns a report whose fields are arrays of s entries.
+    probes. Returns a report whose fields are arrays of s entries. chi and
+    hi must hold one entry per row of n (DimensionMismatchError), and hi
+    must be finite (CohfactError).
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
     d = isqrt(len(t))
-    n, chi = np.asarray(n, dtype=float), np.asarray(chi, dtype=float)
-    if n.shape[-1:] != (d * d - 1,):
+    n, chi, hi = (np.asarray(a, dtype=float) for a in (n, chi, hi))
+    if n.ndim != 2 or n.shape[1] != d * d - 1:
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
+    if chi.shape != (len(n),) or hi.shape != (len(n),):
+        raise DimensionMismatchError(f"expected one chi and one hi per row of n, got "
+                                     f"{chi.shape} and {hi.shape} for {len(n)} rows")
+    if not np.isfinite(hi).all():
+        raise CohfactError("the upper ends hi of the physical ranges must be finite")
     if measure == "l1":
         chi_p, condition = probe_factor(n, d), theorem1_condition(t)
     else:  # all T_k0 = 0: unital
         chi_p = np.full(len(chi), np.sqrt(2.0))
         condition = bool(np.max(np.abs(t[1:, 0])) <= CONDITION_TOL)
-    probes = chi_p[:, None] * n
-    return _law(measure, t, np.concatenate((chi[:, None] * n, probes)),
-                is_psd(bloch_compose(probes, gellmann_basis(d)).m), condition)
+    return _law(measure, t, np.concatenate((chi[:, None] * n, chi_p[:, None] * n)),
+                chi_p <= hi, condition)
 
 
 def _first(rep: FactorizationReport) -> FactorizationReport:
@@ -124,7 +141,8 @@ def verify_theorem1(ch: KrausChannel, n, chi) -> FactorizationReport:
 
     Never aborts on a failed channel condition: a report with
     ``condition_held=False`` is a counterexample probe."""
-    return _first(verify_families("l1", transfer_matrix(ch), [n], [chi]))
+    n = np.asarray(n, dtype=float)[None]
+    return _first(verify_families("l1", transfer_matrix(ch), n, [chi], chi_interval(n, ch.d)[1]))
 
 
 def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
@@ -146,7 +164,7 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     q = scalar_actions(t, populated)
     if np.isnan(q).any():
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
-    lhs = _measure("l1", np.insert(x, 0, np.sqrt(2.0 / rho.d), axis=-1) @ t.T, rho.d)  # x' = T x
+    lhs = _measure("l1", _with_x0(x, rho.d) @ t.T, rho.d)  # x' = T x
     rhs = np.abs(q) * l1_from_density(rho.m)
     s = len(q)
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),

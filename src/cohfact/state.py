@@ -187,11 +187,15 @@ def chi_interval(n, d):
     (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
     J. Phys. A 41, 235303 (2008)). Each row's n.X is its own product, so a
     row's interval does not depend on the rows beside it. Returns the
-    arrays (lo, hi).
+    arrays (lo, hi); a direction with a NaN or infinite component raises
+    CohfactError, which names the first such row.
     """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
+    if not np.isfinite(n).all():
+        row = np.argmin(np.ravel(np.isfinite(n).all(axis=-1)))
+        raise CohfactError(f"direction in row {row} has a non-finite component")
     gens = gellmann_basis(d).reshape(d * d - 1, d * d)
     lam = np.linalg.eigvalsh((n[..., None, :] @ gens).reshape(n.shape[:-1] + (d, d)))
     c = 2.0 * (1.0 / d - PSD_TOL)
@@ -199,8 +203,10 @@ def chi_interval(n, d):
 
 
 def random_families(d, rng, count, block=None):
-    """Unit directions (rows of n) and factors chi of ``count`` random
-    families drawn from the generator ``rng``.
+    """Unit directions (rows of n), factors chi and upper ends hi of the
+    physical ranges (chi_interval, not clipped to the purity radius) of
+    ``count`` random families drawn from the generator ``rng``, as the
+    arrays (n, chi, hi).
 
     One uniform draw u of ``block`` rows (at least ``count``), then one
     stacked normal draw of the ``count`` directions, row by row; chi = a +
@@ -218,12 +224,12 @@ def random_families(d, rng, count, block=None):
     lo, hi = chi_interval(n, d)
     bound = purity_radius(d)
     a, b = np.maximum(lo, -bound), np.minimum(hi, bound)
-    return n, a + u * (b - a)
+    return n, a + u * (b - a), hi
 
 
 def random_family(d, seed=None):
     """Random unit direction n and factor chi uniform on the family's
     physical range, as the pair (n, chi): the one-family case of
     random_families."""
-    n, chi = random_families(d, np.random.default_rng(seed), 1)
+    n, chi, _ = random_families(d, np.random.default_rng(seed), 1)
     return n[0], float(chi[0])

@@ -32,6 +32,7 @@ from cohfact.measures import (
 )
 from cohfact.state import (
     bloch_decompose,
+    chi_interval,
     coherence_weight,
     density_matrix,
     family_member,
@@ -201,7 +202,7 @@ def _purity_err(ch, rng):
     """abs_err of the purity law (Lemma 1) under ``ch`` for one random
     family of the channel's d."""
     n, chi = random_family(ch.d, rng)
-    return verify_families("purity", transfer_matrix(ch), [n], [chi]).abs_err[0]
+    return verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], ch.d)[1]).abs_err[0]
 
 
 def test_criterion_7_purity_factorization():

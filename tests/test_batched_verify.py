@@ -27,6 +27,7 @@ from cohfact.channel import (
     transfer_matrix,
 )
 from cohfact.errors import (
+    CohfactError,
     DimensionMismatchError,
     InvalidDimensionError,
     NotAChannelError,
@@ -159,7 +160,7 @@ def test_one_family_functions_match_reference(d):
             one = verify_theorem1(ch, n, chi)
             assert type(one.lhs) is float and type(one.probe_physical) is bool
             for measure in ("l1", "purity"):
-                rep = verify_families(measure, t, [n], [chi])
+                rep = verify_families(measure, t, [n], [chi], chi_interval([n], d)[1])
                 lhs, rhs, physical, held = reference_verify(measure, ch, n, chi)
                 assert (rep.probe_physical.item(), rep.condition_held.item()) == (physical, held)
                 assert abs(rep.lhs.item() - lhs) <= 1e-15 and abs(rep.rhs.item() - rhs) <= 1e-15
@@ -174,7 +175,7 @@ def test_random_families_match_block_reference(d):
     is drawn for all its rows or for a prefix of them."""
     for seed in range(3):
         for rows in (1, 7, B):
-            n, chi = random_families(d, np.random.default_rng([seed, 0]), rows, B)
+            n, chi, _ = random_families(d, np.random.default_rng([seed, 0]), rows, B)
             for i in range(rows):
                 ref_n, ref_chi = reference_block_family(d, seed, i)
                 assert chi[i] == ref_chi
@@ -186,7 +187,7 @@ def test_random_families_match_rejection_sampler(d):
     """The closed-form chi has the law of the rejection sampler: a two-sample
     Kolmogorov-Smirnov test at level 0.001 on 4000 draws each, fixed seeds."""
     size = 4000
-    _, chi = random_families(d, np.random.default_rng([d, 1]), size)
+    _, chi, _ = random_families(d, np.random.default_rng([d, 1]), size)
     ref = rejection_chi(d, np.random.default_rng([d, 2]), size)
     both = np.sort(np.concatenate((chi, ref)))
     gap = np.searchsorted(np.sort(chi), both, side="right") - np.searchsorted(np.sort(ref), both, side="right")
@@ -210,11 +211,55 @@ def test_chi_interval_agrees_with_psd_check(d, seed):
         assert (lo[0] <= chi <= hi[0]) == is_psd(bloch_compose(chi * n, basis).m), chi
 
 
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_random_families_return_the_unclipped_upper_end(d, seed, count):
+    """The third array of random_families is chi_interval's hi of its
+    directions, bit for bit: the sampler's interval, not clipped to the
+    purity radius."""
+    n, _, hi = random_families(d, np.random.default_rng(seed), count)
+    assert np.array_equal(hi, chi_interval(n, d)[1])
+
+
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_probe_physical_agrees_with_the_composed_probe(d, seed):
+    """chi_p <= hi, the flag verify_families reports, is the PSD check of
+    the composed l1 and purity probes, wherever the probe's smallest
+    eigenvalue is not within round-off of PSD_TOL."""
+    n, chi, hi = random_families(d, np.random.default_rng(seed), 32)
+    t = transfer_matrix(random_unital_channel(d, seed=seed))
+    basis = gellmann_basis(d)
+    for measure, chi_p in (("l1", 1.0 / coherence_weight(n, d)), ("purity", np.full(32, np.sqrt(2.0)))):
+        probes = bloch_compose(chi_p[:, None] * n, basis).m
+        clear = np.abs(np.linalg.eigvalsh(probes)[:, 0] - PSD_TOL) > 1e-12
+        flags = verify_families(measure, t, n, chi, hi).probe_physical
+        assert np.array_equal(flags[clear], is_psd(probes)[clear])
+        assert np.array_equal(flags, chi_p <= hi)
+
+
+def test_verify_families_refuses_arrays_that_do_not_match_n():
+    """chi and hi hold one finite entry per row of n: another length raises
+    DimensionMismatchError, not NumPy's broadcasting ValueError, and a
+    non-finite hi raises CohfactError."""
+    t = transfer_matrix(make_named("depolarizing", d=3, params={"p": 0.3}))
+    n, chi, hi = random_families(3, np.random.default_rng(0), 4)
+    for args in ((n, chi[:3], hi), (n, chi, hi[:3]), (n, np.append(chi, 0.1), hi), (n, chi, hi[:, None]),
+                 (n[0], chi[:1], hi[:1])):
+        for measure in ("l1", "purity"):
+            with pytest.raises(DimensionMismatchError):
+                verify_families(measure, t, *args)
+    bad = hi.copy()
+    bad[2] = np.nan
+    with pytest.raises(CohfactError, match="finite"):
+        verify_families("l1", t, n, chi, bad)
+
+
 def test_layer_functions_map_a_stack_state_by_state():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
         basis = gellmann_basis(d)
-        n, chi = random_families(d, np.random.default_rng(d), 4)
+        n, chi, _ = random_families(d, np.random.default_rng(d), 4)
         stack = bloch_compose(chi[:, None] * n, basis)
         assert stack.m.shape == (4, d, d)
         ch = random_channel(d, seed=rng)
@@ -234,7 +279,8 @@ def test_layer_functions_map_a_stack_state_by_state():
 def test_verify_families_takes_a_stack(capsys):
     ch = random_unital_channel(3, seed=4)
     fams = [random_family(3, s) for s in range(6)]
-    rep = verify_families("l1", transfer_matrix(ch), [n for n, _ in fams], [chi for _, chi in fams])
+    n = [n for n, _ in fams]
+    rep = verify_families("l1", transfer_matrix(ch), n, [chi for _, chi in fams], chi_interval(n, 3)[1])
     assert rep.lhs.shape == rep.probe_physical.shape == rep.condition_held.shape == (6,)
     for i, fam in enumerate(fams):
         one = verify_theorem1(ch, *fam)
@@ -359,14 +405,14 @@ def test_transfer_path_matches_kraus_reference(d):
     unital = random_unital_channel(d, seed=rng)
     channels = [unital, _round_trip(unital), _round_trip(random_channel(d, k=d, seed=rng))]
     assert np.max(np.abs(transfer_matrix(channels[1])[0] - np.eye(d * d)[0])) > 1e-14  # not exactly TP
-    n, chi = random_families(d, rng, 6)
+    n, chi, hi = random_families(d, rng, 6)
     for ch in channels:
         t = transfer_matrix(ch)
         for measure, chi_p, f in (("l1", 1.0 / coherence_weight(n, d), l1_from_density),
                                   ("purity", np.full(6, np.sqrt(2.0)), purity_measure)):
             members = bloch_compose(chi[:, None] * n, basis)
             probes = bloch_compose(chi_p[:, None] * n, basis)
-            rep = verify_families(measure, t, n, chi)
+            rep = verify_families(measure, t, n, chi, hi)
             _assert_close(rep.lhs, f(apply(ch, members).m))
             _assert_close(rep.rhs, f(members.m) * f(apply(ch, probes).m))
             assert np.array_equal(rep.probe_physical, is_psd(probes.m))
@@ -448,9 +494,9 @@ def test_drivers_refuse_coordinates_of_another_dimension():
     """d is read from T's shape; directions or states of another d raise
     DimensionMismatchError before any product."""
     t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.3}))
-    n, chi = random_families(2, np.random.default_rng(0), 3)
+    n, chi, hi = random_families(2, np.random.default_rng(0), 3)
     with pytest.raises(DimensionMismatchError):
-        verify_families("l1", t, n, chi)
+        verify_families("l1", t, n, chi, hi)
     with pytest.raises(DimensionMismatchError):
         verify_corollary2(t, random_state(2, 0, 3))
     rho, m, x = cli._sample_reachable_target(1, [0, 0], 3)

@@ -436,7 +436,7 @@ def test_verify_nan_error_counts_as_failure(tmp_path, monkeypatch):
     from cohfact import cli
     from cohfact.factorization import FactorizationReport
 
-    def nan_reports(measure, t, n, chi):
+    def nan_reports(measure, t, n, chi, hi):
         nan, ones = np.full(len(chi), np.nan), np.ones(len(chi), dtype=bool)
         return FactorizationReport(lhs=nan, rhs=np.zeros(len(chi)), abs_err=nan,
                                    probe_physical=ones, condition_held=ones)
@@ -458,7 +458,7 @@ def test_verify_records_match_json_dumps(tmp_path, monkeypatch, capsys):
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0, 1e16, 1e-17, 0.1234567890123456])
     flags = np.arange(len(values)) % 2 == 0
 
-    def reports(measure, t, n, chi):
+    def reports(measure, t, n, chi, hi):
         return FactorizationReport(lhs=values, rhs=values[::-1], abs_err=np.roll(values, 3),
                                    probe_physical=flags, condition_held=~flags)
 

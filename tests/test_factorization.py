@@ -24,6 +24,7 @@ from cohfact.measures import l1_from_density
 from cohfact.state import (
     bloch_compose,
     bloch_decompose,
+    chi_interval,
     coherence_weight,
     density_matrix,
     family_member,
@@ -107,7 +108,7 @@ def test_channel_linearity_on_coherence_coordinates(d):
 def test_lemma1_l1_agrees_with_theorem1():
     ch = random_unital_channel(3, seed=5)
     n, chi = random_family(3, 5)
-    a = verify_families("l1", transfer_matrix(ch), [n], [chi])
+    a = verify_families("l1", transfer_matrix(ch), [n], [chi], chi_interval([n], 3)[1])
     b = verify_theorem1(ch, n, chi)
     assert a.lhs[0] == b.lhs and a.rhs[0] == b.rhs
 
@@ -118,7 +119,7 @@ def test_lemma1_purity_unital(d):
     for _ in range(20):
         ch = random_unital_channel(d, seed=rng)
         n, chi = random_family(d, rng)
-        rep = verify_families("purity", transfer_matrix(ch), [n], [chi])
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], d)[1])
         assert rep.condition_held[0]
         assert rep.abs_err[0] <= 1e-9
 
@@ -129,7 +130,7 @@ def test_lemma1_purity_amplitude_damping_violation():
     worst = 0.0
     for _ in range(30):
         n, chi = random_family(2, rng)
-        rep = verify_families("purity", transfer_matrix(ch), [n], [chi])
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], 2)[1])
         assert not rep.condition_held[0]
         worst = max(worst, rep.abs_err[0])
     assert worst > 1e-3
@@ -138,7 +139,8 @@ def test_lemma1_purity_amplitude_damping_violation():
 def test_lemma1_unknown_measure():
     with pytest.raises(NotApplicableError):
         n, chi = random_family(2, 0)
-        verify_families("entropy", transfer_matrix(random_unital_channel(2, seed=0)), [n], [chi])
+        verify_families("entropy", transfer_matrix(random_unital_channel(2, seed=0)), [n], [chi],
+                        chi_interval([n], 2)[1])
 
 
 def test_corollary2_phase_damping():

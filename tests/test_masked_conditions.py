@@ -28,7 +28,7 @@ from cohfact.channel import (
     theorem1_condition,
     transfer_matrix,
 )
-from cohfact.errors import DimensionMismatchError, NotApplicableError
+from cohfact.errors import CohfactError, DimensionMismatchError, NotApplicableError
 
 
 def reference_scalar_action_detect(T, subset, tol=CONDITION_TOL):
@@ -240,6 +240,16 @@ def test_family_of_another_dimension():
     T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     with pytest.raises(DimensionMismatchError):
         frozen_condition_check(T, np.eye(8)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_direction_is_refused(bad):
+    """NaN fails |n_i| > CONDITION_TOL, so it would read as an unpopulated
+    coordinate: bit_flip q = 0.5 freezes [0.6, 0, 0.8], yet [0.6, NaN, 0.8]
+    is no direction and is refused before any decision."""
+    T = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
+    with pytest.raises(CohfactError, match=r"n\[1\] = "):
+        frozen_condition_check(T, np.array([0.6, bad, 0.8]))
 
 
 @pytest.mark.parametrize("size", [4, 5])

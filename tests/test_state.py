@@ -239,7 +239,7 @@ def test_random_family_chi_lies_in_its_interval():
     """chi is uniform on the family's physical range, so every draw lies in
     its chi_interval and within the purity radius."""
     for d in (2, 3, 4, 8):
-        n, chi = random_families(d, np.random.default_rng(d), 200)
+        n, chi, _ = random_families(d, np.random.default_rng(d), 200)
         lo, hi = chi_interval(n, d)
         assert np.all((lo <= chi) & (chi <= hi) & (np.abs(chi) <= purity_radius(d)))
         for seed in range(20):
@@ -253,6 +253,18 @@ def test_chi_interval_rejects_a_direction_of_the_wrong_length():
         chi_interval(np.ones((1, 3)), 3)
     with pytest.raises(DimensionMismatchError):
         chi_interval(np.ones(15), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chi_interval_refuses_a_non_finite_direction(bad):
+    """n.X of a non-finite direction has no spectrum; the first bad row is
+    named in a CohfactError, not left to the eigensolver."""
+    n = np.tile(np.eye(8)[0], (4, 1))
+    n[2, 5] = n[3, 0] = bad
+    with pytest.raises(CohfactError, match="row 2"):
+        chi_interval(n, 3)
+    with pytest.raises(CohfactError, match="row 0"):
+        chi_interval(n[2], 3)
 
 
 def test_random_state_stack_rows_are_states():
