@@ -84,13 +84,20 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]. Leading axes
     broadcast: a state holding an (s, d, d) stack maps to the stack of the
     s images, and a (P, k, d, d) stack of channels maps one state to its P
-    images."""
+    images, all P k products E_mu rho in one 2-D product. Leading shapes
+    that do not broadcast raise DimensionMismatchError."""
     if rho.d != ch.d:
         raise DimensionMismatchError(f"state d={rho.d} vs channel d={ch.d}")
     lead, (k, d) = ch.kraus.shape[:-3], ch.kraus.shape[-3:-1]
-    e_rho = ch.kraus.reshape(lead + (k * d, d)) @ rho.m
-    e_rho = e_rho.reshape(e_rho.shape[:-2] + (k, d, d))
-    e_dag = ch.kraus.conj().swapaxes(-2, -1).reshape(lead + (k * d, d))
+    try:
+        out = lead if rho.m.ndim == 2 else np.broadcast_shapes(lead, rho.m.shape[:-2])
+    except ValueError:
+        raise DimensionMismatchError(f"channel stack of shape {lead} vs state stack of shape "
+                                     f"{rho.m.shape[:-2]}") from None
+    e = ch.kraus.reshape((-1, d) if rho.m.ndim == 2 else lead + (k * d, d))
+    e_rho = (e @ rho.m).reshape(out + (k, d, d))
+    # [E_0^dag; ...] written in one pass; the reshape of it copies nothing
+    e_dag = np.conj(ch.kraus.swapaxes(-2, -1), order="C").reshape(lead + (k * d, d))
     return DensityMatrix(_side_by_side(e_rho) @ e_dag)
 
 

@@ -293,12 +293,12 @@ def cmd_sweep(args):
     grid = np.arange(a, b + step / 2, step)
     d = rho.d if args.d is None else io.bounded_dimension(args.d, "--d")
     traj = freeze_trajectory(args.channel_name, grid, rho, d=d, tol=args.tol)
-    # 12 significant digits, the same text as formatting io.fmt12 of each value
-    rows = map("{:.12g},{:.12g},{:.12g}\n".format,
-               traj.params.tolist(), traj.values.tolist(), traj.purities.tolist())
+    # 12 significant digits, the same text as formatting io.fmt12 of each
+    # value (% and str.format share one formatter), in one operation
+    table = np.column_stack((traj.params, traj.values, traj.purities))
     with _output(args.out) as fh:
         print("param,c_l1,purity", file=fh)
-        fh.write("".join(rows))
+        fh.write("%.12g,%.12g,%.12g\n" * len(table) % tuple(table.ravel().tolist()))
         print(f"# frozen={str(traj.frozen).lower()} spread={traj.spread:.12g}", file=fh)
     return 0
 

@@ -106,8 +106,9 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     the off-diagonal rows for l1, full unitality for purity) is read from
     ``t``; a failed one never aborts, its reports are counterexample
     probes. Returns a report whose fields are arrays of s entries. chi and
-    hi must hold one entry per row of n (DimensionMismatchError), and hi
-    must be finite (CohfactError).
+    hi must hold one entry per row of n (DimensionMismatchError); n, chi
+    and hi must be finite (CohfactError, naming the first row with a
+    non-finite direction or factor).
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
@@ -118,6 +119,11 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     if chi.shape != (len(n),) or hi.shape != (len(n),):
         raise DimensionMismatchError(f"expected one chi and one hi per row of n, got "
                                      f"{chi.shape} and {hi.shape} for {len(n)} rows")
+    finite = np.isfinite(n).all(axis=1) & np.isfinite(chi)
+    if not finite.all():  # refused before any product: NaN fails every comparison
+        row = int(np.argmin(finite))
+        what = f"a non-finite factor chi = {chi[row]}" if np.isfinite(n[row]).all() else "a non-finite component"
+        raise CohfactError(f"family in row {row} has {what}")
     if not np.isfinite(hi).all():
         raise CohfactError("the upper ends hi of the physical ranges must be finite")
     if measure == "l1":

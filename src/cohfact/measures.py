@@ -28,10 +28,11 @@ def l1_from_density(rho) -> float:
 
 def purity_measure(rho) -> float:
     """P(rho) = Tr(rho^2) - 1/d = |x|^2 / 2, in [0, (d-1)/d] (of each
-    matrix of an (s, d, d) stack)."""
+    matrix of an (s, d, d) stack). Tr(rho^2) is the one contraction
+    sum_ab rho_ab rho_ba, so rho^2 is never formed."""
     m = _mat(rho)
     d = m.shape[-1]
-    return _per_matrix(np.trace(m @ m, axis1=-2, axis2=-1).real - 1.0 / d)
+    return _per_matrix(np.einsum("...ab,...ba->...", m, m).real - 1.0 / d)
 
 
 # Row 4(i-1)+j is vec((s_i x s_j)^T), i = 1..3, j = 0..3, with s_0 = I, so

@@ -27,7 +27,7 @@ from cohfact.channel import (
     named_channels,
     transfer_matrix,
 )
-from cohfact.errors import InvalidChannelError
+from cohfact.errors import DimensionMismatchError, InvalidChannelError
 from cohfact.factorization import freeze_trajectory
 from cohfact.measures import l1_from_density, purity_measure
 from cohfact.state import density_matrix, random_state
@@ -191,6 +191,16 @@ def test_functions_of_one_channel_reject_a_stack():
     for fn in (transfer_matrix, corollary1_check, lambda ch: dual_apply(ch, np.eye(2))):
         with pytest.raises(InvalidChannelError, match="stack of shape"):
             fn(stack)
+
+
+def test_apply_refuses_stacks_that_do_not_broadcast():
+    """A stack of 3 channels and a stack of 2 states have no common leading
+    shape: apply names both instead of ending in NumPy's broadcasting error."""
+    stack = make_named("phase_flip", params={"q": np.array([0.2, 0.5, 0.9])})
+    states = random_state(2, 0, size=2)
+    with pytest.raises(DimensionMismatchError, match=r"channel stack of shape \(3,\) vs state stack of shape \(2,\)"):
+        apply(stack, states)
+    assert apply(stack, random_state(2, 0, size=1)).m.shape == (3, 2, 2)  # a stack of one broadcasts
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,32 @@ def test_verify_families_refuses_arrays_that_do_not_match_n():
         verify_families("l1", t, n, chi, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("measure", ["l1", "purity"])
+def test_verify_families_refuses_a_non_finite_direction_or_factor(monkeypatch, measure, bad):
+    """A NaN or infinite component of n or chi is refused for both measures
+    with a CohfactError naming its row, before any product is formed; the
+    purity law, which needs no probe factor, returned an all-NaN report."""
+    t = transfer_matrix(make_named("depolarizing", d=3, params={"p": 0.3}))
+    n, chi, hi = random_families(3, np.random.default_rng(0), 4)
+
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(factorization, "_law", no_product)
+    monkeypatch.setattr(factorization, "probe_factor", no_product)
+    bad_n = n.copy()
+    bad_n[2, 5] = bad
+    with pytest.raises(CohfactError, match="family in row 2 has a non-finite component"):
+        verify_families(measure, t, bad_n, chi, hi)
+    bad_chi = chi.copy()
+    bad_chi[1] = bad
+    with pytest.raises(CohfactError, match=f"family in row 1 has a non-finite factor chi = {bad}"):
+        verify_families(measure, t, n, bad_chi, hi)
+    with pytest.raises(CohfactError, match="family in row 1 "):  # the first bad row is named
+        verify_families(measure, t, bad_n, bad_chi, hi)
+
+
 def test_layer_functions_map_a_stack_state_by_state():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):

@@ -2,8 +2,8 @@
 transfer matrix against its dual-map definition and against apply, apply
 against the Kraus sum, duality, composition, trace preservation, complete
 positivity of every named channel, the Kraus stack's validation, and the
-Bloch and JSON round trips, and the auxiliary channel of reachable
-targets."""
+Bloch and JSON round trips, the auxiliary channel of reachable targets,
+and stacked apply and purity against their item-by-item values."""
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from cohfact.channel import (
     transfer_matrix,
 )
 from cohfact.errors import InvalidChannelError
+from cohfact.measures import purity_measure
 from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, random_state
 
 dims = st.integers(2, 5)
@@ -254,3 +255,26 @@ def test_channel_and_state_json_round_trip(d, k, seed):
     rho = random_state(d, rng)
     back = io.state_from_dict(io.state_to_dict(rho))
     np.testing.assert_allclose(back.m, rho.m, rtol=0, atol=1e-12)
+
+
+@given(d=dims, k=kraus_counts, P=st.integers(1, 12), s=st.integers(1, 6), seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_stacks_map_item_by_item(d, k, P, s, seed):
+    """A (P, k, d, d) stack of channels maps one state to the P images of
+    its channels, and one channel maps an (s, d, d) stack of states to
+    their s images, byte for byte; the purity of a stack is its per-matrix
+    values bit for bit and |x|^2 / 2 of the Gell-Mann coordinates."""
+    rng = np.random.default_rng(seed)
+    chans = [random_channel(d, k=k, seed=rng) for _ in range(P)]
+    rho = random_state(d, rng)
+    images = apply(kraus_channel(np.stack([ch.kraus for ch in chans])), rho).m
+    assert images.shape == (P, d, d)
+    for ch, image in zip(chans, images):
+        assert image.tobytes() == apply(ch, rho).m.tobytes()
+    states = random_state(d, rng, size=s)
+    for state, image in zip(states.m, apply(chans[0], states).m):
+        assert image.tobytes() == apply(chans[0], DensityMatrix(state)).m.tobytes()
+    purity = purity_measure(images)
+    assert purity.tobytes() == np.array([purity_measure(m) for m in images]).tobytes()
+    x = bloch_decompose(DensityMatrix(images), gellmann_basis(d))
+    np.testing.assert_allclose(purity, 0.5 * np.sum(x * x, axis=-1), rtol=0, atol=1e-15)
