@@ -25,7 +25,7 @@ from .errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
-from .state import DensityMatrix
+from .state import DensityMatrix, bloch_decompose
 
 COMPLETENESS_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -465,11 +465,11 @@ def aux_weights(rho: DensityMatrix, m, chi):
     and the mask of the target coordinates they cannot reach.
 
     eps = c q / 4 solves c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu
-    for the source coordinates y. A target coordinate m_nu != 0 over a
-    vanishing source coordinate (|y_nu| <= 1e-10) is unreachable, whatever
-    chi; its row's weights are meaningless. Rows of an (s, d, d) stack of
-    states, (s, 4^N - 1) directions and s factors are solved together, each
-    by its own product c q; weights that overflow are non-finite."""
+    for the source coordinates y (bloch_decompose). A target coordinate
+    m_nu != 0 over a vanishing y_nu (|y_nu| <= 1e-10) is unreachable,
+    whatever chi; its row's weights are meaningless. Rows of stacked states,
+    directions and factors are solved together, each by its own c q. A
+    non-finite chi or m_nu raises CohfactError; overflowing weights are inf."""
     N = qubit_count(rho.d)
     m = np.asarray(m, dtype=float)
     chi = np.asarray(chi, dtype=float)
@@ -477,7 +477,10 @@ def aux_weights(rho: DensityMatrix, m, chi):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
     if not np.all(np.isfinite(chi)):
         raise CohfactError(f"chi must be finite, got chi={chi}")
-    y = np.einsum("...ab,iba->...i", rho.m, pauli_tensor_basis(N)).real
+    if not np.isfinite(m).all():
+        i = np.unravel_index(np.argmin(np.isfinite(m)), m.shape)
+        raise CohfactError(f"target direction has a non-finite component m{[int(k) for k in i]} = {m[i]}")
+    y = bloch_decompose(rho, pauli_tensor_basis(N))
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     unreachable = live & (np.abs(y) <= 1e-10)
     q = np.zeros(m.shape[:-1] + (4**N,))
@@ -494,10 +497,8 @@ def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
     eps, unreachable = aux_weights(rho, m, chi)
     if unreachable.any():
         nu = int(np.argmax(unreachable.reshape(-1, unreachable.shape[-1]).any(axis=0))) + 1
-        raise UnreachableTargetError(
-            f"target coordinate {nu} is nonzero but the source coordinate vanishes",
-            index=nu,
-        )
+        raise UnreachableTargetError(f"target coordinate {nu} is nonzero but the source coordinate vanishes",
+                                     index=nu)
     return eps
 
 

@@ -180,7 +180,7 @@ def _corollary2(ch, args):
 
 def _cascade(ch, args):
     return _chunks(ch, args, lambda key, rows: _sample_reachable_target(qubit_count(ch.d), key, rows),
-                   lambda t, rho, m, chi: verify_cascade(t, DensityMatrix(rho), m, chi))
+                   lambda t, rho, m, chi, eps: verify_cascade(t, DensityMatrix(rho), m, eps))
 
 
 # Each verify kind yields array reports over consecutive chunks of trials.
@@ -241,24 +241,22 @@ _HALVINGS = 0.5 ** np.arange(60)[:, None]  # chi halved 0..59 times
 
 
 def _sample_reachable_target(N, key, rows):
-    """(rho, m, chi) stacks of the first ``rows`` cascade trials of the
-    block with generator key ``key``: every source coordinate under a
-    nonzero target one is live, and every weight eps is >= EPS_TOL once chi
-    is halved at most 59 times.
+    """(rho, m, chi, eps) stacks of the first ``rows`` cascade trials of the
+    block with generator key ``key``: every target is reachable, and its
+    weights eps, at chi halved at most 59 times, are all >= EPS_TOL.
 
     Each round draws chi for the whole block, then each row's state and
     unit direction, and each row still open takes its draw of the round if
     that draw is realizable, else waits for the next round (an unreachable
     coordinate does not depend on chi). A row's result so depends only on
     its own draws. One aux_weights call per round gives every halving: q_0
-    = 1 and c[:, 0] = 2^(1-N), so the weights are affine in chi, eps(chi
-    2^-k) = 2^(-1-N) + 2^-k (eps(chi) - 2^(-1-N)), chi 2^-k is exactly chi
-    halved k times, and a row's smallest weight decides. No channel is
-    built here; verify_cascade's aux_solve and aux_pauli_action calls
-    confirm the choice, and should the two ever disagree at a rounding
-    boundary they raise NotAChannelError rather than pass."""
+    = 1 and c[:, 0] = 2^(1-N), so eps(chi 2^-k) = 2^(-1-N) + 2^-k (eps(chi)
+    - 2^(-1-N)), the weights returned, whose smallest decides. Rounding is
+    monotone, so their minimum is the value decided, and verify_cascade
+    needs no second solve; chi 2^-k is exactly chi halved k times."""
     d, floor = 2**N, 2.0 ** (-1 - N)
     rho, m, chi = np.empty((rows, d, d), dtype=complex), np.empty((rows, 4**N - 1)), np.empty(rows)
+    eps = np.empty((rows, 4**N))
     todo = np.arange(rows)
     for r in range(MAX_TARGET_ROUNDS):
         rng = np.random.default_rng([*key, r] if r else key)
@@ -266,14 +264,15 @@ def _sample_reachable_target(N, key, rows):
         z = rng.standard_normal((todo[-1] + 1, 2 * d * d + 4**N - 1))[todo]
         states = ginibre_state(z[:, : 2 * d * d].reshape(-1, 2, d, d))
         dirs = z[:, 2 * d * d :] / np.linalg.norm(z[:, 2 * d * d :], axis=-1, keepdims=True)
-        eps, unreachable = aux_weights(states, dirs, x)
-        feasible = floor + _HALVINGS * (eps.min(axis=1) - floor) >= EPS_TOL
+        w, unreachable = aux_weights(states, dirs, x)
+        feasible = floor + _HALVINGS * (w.min(axis=1) - floor) >= EPS_TOL
         ok = feasible.any(axis=0) & ~unreachable.any(axis=1)
-        x = x * 0.5 ** np.argmax(feasible, axis=0)
-        rho[todo[ok]], m[todo[ok]], chi[todo[ok]] = states.m[ok], dirs[ok], x[ok]
+        halving = _HALVINGS[np.argmax(feasible, axis=0)]
+        rho[todo[ok]], m[todo[ok]], chi[todo[ok]] = states.m[ok], dirs[ok], (x * halving[:, 0])[ok]
+        eps[todo[ok]] = (floor + halving * (w - floor))[ok]
         todo = todo[~ok]
         if not todo.size:
-            return rho, m, chi
+            return rho, m, chi, eps
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
 

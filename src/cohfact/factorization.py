@@ -13,7 +13,6 @@ from .channel import (
     KrausChannel,
     apply,
     aux_pauli_action,
-    aux_solve,
     channel_entry,
     make_named,
     scalar_actions,
@@ -34,7 +33,6 @@ from .state import (
     bloch_decompose,
     chi_interval,
     coherence_weight,
-    is_psd,
     probe_factor,
 )
 
@@ -177,34 +175,33 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
                                probe_physical=np.full(s, True), condition_held=np.full(s, True))
 
 
-def verify_cascade(t, rho: DensityMatrix, m, chi) -> FactorizationReport:
+def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)]
-    for the channel E_F with transfer matrix ``t``.
+    for the channel E_F with transfer matrix ``t`` and the auxiliary channel
+    with the Kraus weights ``eps`` (aux_solve) for the target direction m.
 
-    E_aux scales the Pauli coordinates of rho by its aux_pauli_action, with
-    no Kraus operators; its image is not replaced by the target member, so
-    the check covers whether the solved weights reach it. The probe factor
-    chi_p = 1/g(m) makes the probe's l1 coherence 1; g(m) is the l1
-    coherence of (1/2) m.Y, the direction in any basis, so it is read off
-    the composed direction, which chi_p then rescales. An (s, d, d) stack
-    of states with (s, 4^N - 1) directions and s factors gives a report of
-    arrays: E_F maps the Gell-Mann coordinates of the s images and the s
-    probes through ``t`` in one product."""
-    m = np.asarray(m, dtype=float)
+    E_aux scales the Pauli coordinates of rho by its aux_pauli_action, so
+    the check covers whether the weights reach the target. The probe is the
+    l1 family probe of the target's Gell-Mann direction n, read off (1/2)
+    m.Y: chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval, as in
+    verify_families. A stack of s states, with s rows of m and eps, gives a
+    report of arrays: E_F maps the s images and s probes in one product."""
+    m, eps = np.asarray(m, dtype=float), np.asarray(eps, dtype=float)
     if rho.m.ndim == 2:
-        return _first(verify_cascade(t, DensityMatrix(rho.m[None]), m[None], [chi]))
-    pauli = pauli_tensor_basis(qubit_count(rho.d))
-    eps = aux_solve(rho, m, chi)
-    direction = 0.5 * np.tensordot(m, pauli, 1)  # (1/2) m.Y
-    g = _finite_weights(l1_from_density(direction))
+        return _first(verify_cascade(t, DensityMatrix(rho.m[None]), m[None], eps[None]))
+    s, d = rho.m.shape[:2]
+    if m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
+        raise DimensionMismatchError(f"expected ({s}, {d * d - 1}) directions, ({s}, {d * d}) weights, "
+                                     f"got {m.shape}, {eps.shape}")
+    pauli = pauli_tensor_basis(qubit_count(d))
+    target = bloch_compose(m, pauli).m  # I/d + (1/2) m.Y
+    g = _finite_weights(l1_from_density(target))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    lam = aux_pauli_action(eps)
-    sigma = bloch_compose(lam[:, 1:] * bloch_decompose(rho, pauli), pauli).m
-    probes = np.eye(rho.d) / rho.d + direction / g[:, None, None]
-    x = bloch_decompose(DensityMatrix(np.concatenate((sigma, probes))),
-                        gellmann_basis(isqrt(len(t))))
-    return _law("l1", t, x, is_psd(probes), theorem1_condition(t))
+    sigma = bloch_compose(aux_pauli_action(eps)[:, 1:] * bloch_decompose(rho, pauli), pauli).m
+    x = bloch_decompose(DensityMatrix(np.concatenate((sigma, target))), gellmann_basis(isqrt(len(t))))
+    return _law("l1", t, np.concatenate((x[:s], x[s:] / g[:, None])),  # probes at chi_p = 1/g
+                1.0 / g <= chi_interval(x[s:], d)[1], theorem1_condition(t))
 
 
 @dataclass(frozen=True)

@@ -187,8 +187,8 @@ def chi_interval(n, d):
     (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
     J. Phys. A 41, 235303 (2008)). Each row's n.X is its own product, so a
     row's interval does not depend on the rows beside it. Returns the
-    arrays (lo, hi); a direction with a NaN or infinite component raises
-    CohfactError, which names the first such row.
+    arrays (lo, hi); a direction with a NaN or infinite component, or with
+    n.X = 0, raises CohfactError, which names the first such row.
     """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (d * d - 1,):
@@ -198,6 +198,8 @@ def chi_interval(n, d):
         raise CohfactError(f"direction in row {row} has a non-finite component")
     gens = gellmann_basis(d).reshape(d * d - 1, d * d)
     lam = np.linalg.eigvalsh((n[..., None, :] @ gens).reshape(n.shape[:-1] + (d, d)))
+    if not np.all(lam[..., -1] > 0):  # traceless: n.X has a positive eigenvalue unless it is 0
+        raise CohfactError(f"direction in row {np.argmin(np.ravel(lam[..., -1] > 0))} has n.X = 0")
     c = 2.0 * (1.0 / d - PSD_TOL)
     return -c / lam[..., -1], c / -lam[..., 0]
 

@@ -7,6 +7,7 @@ from cohfact.basis import gellmann_basis, pauli_tensor_basis
 from cohfact.channel import (
     apply,
     aux_channel,
+    aux_solve,
     corollary1_check,
     gell_mann_G,
     make_named,
@@ -163,7 +164,7 @@ def test_criterion_5_auxiliary_channel_and_cascade():
             worst_target = np.maximum(worst_target, float(np.linalg.norm(out - target)))
             if i < 50:
                 for ch_f in (dep, uni):
-                    rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
+                    rep = verify_cascade(transfer_matrix(ch_f), rho, m, aux_solve(rho, m, chi))
                     worst_cascade = np.maximum(worst_cascade, rep.abs_err)
     ok = worst_target <= 1e-10 and worst_cascade <= 1e-9
     _report(

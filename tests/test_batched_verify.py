@@ -19,6 +19,7 @@ from cohfact.basis import gellmann_basis, pauli_tensor_basis, qubit_count
 from cohfact.channel import (
     apply,
     aux_channel,
+    aux_solve,
     aux_weights,
     make_named,
     random_channel,
@@ -374,7 +375,7 @@ def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
         return eps, unreachable
 
     monkeypatch.setattr(cli, "aux_weights", weights)
-    rho, m, chi = cli._sample_reachable_target(2, [7, 0], 3)
+    rho, m, chi, _ = cli._sample_reachable_target(2, [7, 0], 3)
     assert calls == [3, 1]
     first, second = _target_round(2, [7, 0], 3), _target_round(2, [7, 0, 1], 1)
     assert np.array_equal(rho[0], second[0][0]) and np.array_equal(m[0], second[1][0])
@@ -421,7 +422,7 @@ def _assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
 
 
-@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_transfer_path_matches_kraus_reference(d):
     """verify_families (l1 and purity), verify_corollary2 and verify_cascade
     map coordinates through T; the reference maps the composed states
@@ -447,15 +448,16 @@ def test_transfer_path_matches_kraus_reference(d):
     for ch in (dep, _round_trip(dep)):
         rep = verify_corollary2(transfer_matrix(ch), states)
         _assert_close(rep.lhs, l1_from_density(apply(ch, states).m))
-    rho, m, x = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
+    rho, m, x, eps = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
     rho = DensityMatrix(rho)
     sigma = apply(aux_channel(rho, m, x), rho)
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)), 1)
     probes = DensityMatrix(np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
     for ch in (dep, *channels):
-        rep = verify_cascade(transfer_matrix(ch), rho, m, x)
+        rep = verify_cascade(transfer_matrix(ch), rho, m, eps)
         _assert_close(rep.lhs, l1_from_density(apply(ch, sigma).m))
         _assert_close(rep.rhs, l1_from_density(sigma.m) * l1_from_density(apply(ch, probes).m))
+        assert np.array_equal(rep.probe_physical, is_psd(probes.m))
 
 
 def test_theorem1_draws_only_the_trials_it_runs(tmp_path, monkeypatch, capsys):
@@ -498,22 +500,28 @@ def test_cascade_draws_only_the_trials_it_runs(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_cascade_raises_what_the_kraus_path_raises(N):
     """Where aux_channel finds no channel, a negative weight at a large chi
-    or a target coordinate over a vanishing source one, verify_cascade
-    raises the same class, for one trial and for a stack holding it."""
+    or a target coordinate over a vanishing source one, verify_cascade on
+    the solved weights, or aux_solve, raises the same class, for one trial
+    and for a stack holding it."""
     d = 2**N
     t = transfer_matrix(make_named("depolarizing", d=d, params={"p": 0.3}))
-    rho, m, chi = cli._sample_reachable_target(N, [N, 0], 3)
+    rho, m, chi, _ = cli._sample_reachable_target(N, [N, 0], 3)
     large = chi.copy()
     large[1] = 1e3
     mixed = rho.copy()
     mixed[1] = np.eye(d) / d  # every source coordinate vanishes
-    for states, x, want in ((rho, large, NotAChannelError), (mixed, chi, UnreachableTargetError)):
+
+    def cascade(states, m, x):
+        return verify_cascade(t, states, m, aux_solve(states, m, x))
+
+    for states, x, want, call in ((rho, large, NotAChannelError, cascade),
+                                  (mixed, chi, UnreachableTargetError, aux_solve)):
         with pytest.raises(want):
             aux_channel(DensityMatrix(states[1]), m[1], x[1])
         with pytest.raises(want):
-            verify_cascade(t, DensityMatrix(states[1]), m[1], x[1])
+            call(DensityMatrix(states[1]), m[1], x[1])
         with pytest.raises(want):
-            verify_cascade(t, DensityMatrix(states), m, x)
+            call(DensityMatrix(states), m, x)
 
 
 def test_drivers_refuse_coordinates_of_another_dimension():
@@ -525,6 +533,6 @@ def test_drivers_refuse_coordinates_of_another_dimension():
         verify_families("l1", t, n, chi, hi)
     with pytest.raises(DimensionMismatchError):
         verify_corollary2(t, random_state(2, 0, 3))
-    rho, m, x = cli._sample_reachable_target(1, [0, 0], 3)
+    rho, m, x, eps = cli._sample_reachable_target(1, [0, 0], 3)
     with pytest.raises(DimensionMismatchError):
-        verify_cascade(t, DensityMatrix(rho), m, x)
+        verify_cascade(t, DensityMatrix(rho), m, eps)

@@ -425,10 +425,25 @@ def test_aux_needs_a_power_of_2_dimension():
             fn(rho, np.eye(8)[0], 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_aux_refuses_a_non_finite_direction(bad):
+    """A non-finite target component is refused before any weight is
+    solved, naming that component, as a non-finite chi is; it would
+    otherwise give NaN weights, reported as a negative one."""
+    rho = density_matrix(np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))  # y = (0.3, 0.4, 0.5)
+    for fn in (aux_solve, aux_channel):
+        with pytest.raises(CohfactError, match=rf"non-finite component m\[0\] = {bad}"):
+            fn(rho, np.array([bad, 0.0, 1.0]), 0.1)
+    stack = DensityMatrix(np.stack([rho.m, rho.m]))
+    m = np.array([[0.6, 0.0, 0.8], [0.0, bad, 1.0]])
+    with pytest.raises(CohfactError, match=rf"non-finite component m\[1, 1\] = {bad}"):
+        aux_solve(stack, m, [0.1, 0.1])
+
+
 def _aux_q_reference(rho, m, chi, basis):
     """q of c eps = q, one coordinate at a time; returns the first dead
     coordinate's index instead when the target is unreachable."""
-    y = np.einsum("ab,iba->i", rho.m, basis).real
+    y = bloch_decompose(rho, basis)
     q = np.zeros(basis.shape[-1]**2)
     q[0] = 1.0
     for nu in range(1, basis.shape[-1]**2):

@@ -7,6 +7,7 @@ from cohfact.basis import gellmann_basis
 from cohfact.channel import (
     apply,
     aux_channel,
+    aux_solve,
     kraus_channel,
     make_named,
     random_unital_channel,
@@ -193,7 +194,7 @@ def test_cascade_depolarizing_n2():
     for _ in range(10):
         rho, m, chi = _reachable_target(2, rng)
         t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.4}))
-        rep = verify_cascade(t, rho, m, chi)
+        rep = verify_cascade(t, rho, m, aux_solve(rho, m, chi))
         assert rep.condition_held
         assert rep.abs_err <= 1e-9
 
@@ -202,7 +203,7 @@ def test_cascade_identity_reduces_to_aux_coherence():
     rng = np.random.default_rng(13)
     rho, m, chi = _reachable_target(2, rng)
     ident = kraus_channel([np.eye(4, dtype=complex)])
-    rep = verify_cascade(transfer_matrix(ident), rho, m, chi)
+    rep = verify_cascade(transfer_matrix(ident), rho, m, aux_solve(rho, m, chi))
     aux = aux_channel(rho, m, chi)
     assert abs(rep.lhs - l1_from_density(apply(aux, rho))) < 1e-12
     assert rep.abs_err <= 1e-9
@@ -212,7 +213,7 @@ def test_cascade_n1_matches_theorem1():
     rng = np.random.default_rng(29)
     rho, m, chi = _reachable_target(1, rng)
     ch_f = random_unital_channel(2, seed=31)
-    rep = verify_cascade(transfer_matrix(ch_f), rho, m, chi)
+    rep = verify_cascade(transfer_matrix(ch_f), rho, m, aux_solve(rho, m, chi))
     # for N = 1 the generated state is the family member (m, chi) directly
     rep2 = verify_theorem1(ch_f, m, chi)
     assert abs(rep.lhs - rep2.lhs) < 1e-11
@@ -226,16 +227,18 @@ def test_cascade_target_without_coherent_part():
     m = np.array([0.0, 0.0, 1.0])
     aux_channel(rho, m, 0.1)  # realizable
     with pytest.raises(NotApplicableError, match="target direction has no coherent part"):
-        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), rho, m, 0.1)
+        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), rho, m, aux_solve(rho, m, 0.1))
 
 
 def test_cascade_refuses_a_nan_direction():
     """A NaN target direction has a NaN coherence weight, which fails the
-    probe check rather than passing g <= 1e-12 and reaching the probes."""
+    probe check rather than passing g <= 1e-12 and reaching the probes,
+    even with the weights of a finite target."""
     rho = density_matrix(np.array([[0.75, 0.15 - 0.2j], [0.15 + 0.2j, 0.25]]))  # y = (0.3, 0.4, 0.5)
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
+    eps = aux_solve(rho, np.array([0.0, 0.0, 1.0]), 0.1)
     with pytest.raises(CohfactError, match="non-finite coherence weight g = nan"):
-        verify_cascade(t, rho, np.array([np.nan, 0.0, 1.0]), 0.1)
+        verify_cascade(t, rho, np.array([np.nan, 0.0, 1.0]), eps)
 
 
 def test_one_hermiticity_rule():

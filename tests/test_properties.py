@@ -215,7 +215,7 @@ def test_named_channel_choi_matrix_is_psd(name, data):
 def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     """The auxiliary channel of a random reachable target is trace
     preserving, has a PSD Choi matrix, and maps its source onto the target."""
-    rhos, ms, chis = cli._sample_reachable_target(N, [seed, 0], 1)
+    rhos, ms, chis, _ = cli._sample_reachable_target(N, [seed, 0], 1)
     rho, m, chi = DensityMatrix(rhos[0]), ms[0], chis[0]
     ybasis = pauli_tensor_basis(N)
     ch = aux_channel(rho, m, chi)

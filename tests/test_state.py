@@ -267,6 +267,20 @@ def test_chi_interval_refuses_a_non_finite_direction(bad):
         chi_interval(n[2], 3)
 
 
+def test_chi_interval_refuses_a_zero_direction():
+    """n.X = 0 has no negative and no positive eigenvalue, so no bound
+    2c/lam exists; the first zero row is named in a CohfactError, where
+    the division would give -inf with a divide-by-zero warning."""
+    with pytest.raises(CohfactError, match="row 0 has n.X = 0"):
+        chi_interval(np.zeros((2, 3)), 2)
+    n = np.tile(np.eye(8)[0], (3, 1))
+    n[1] = 0.0
+    with pytest.raises(CohfactError, match="row 1 has n.X = 0"):
+        chi_interval(n, 3)
+    with pytest.raises(CohfactError, match="row 0 has n.X = 0"):
+        chi_interval(n[1], 3)
+
+
 def test_random_state_stack_rows_are_states():
     rho = random_state(3, np.random.default_rng(5), size=7)
     assert rho.m.shape == (7, 3, 3)

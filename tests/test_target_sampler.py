@@ -10,15 +10,17 @@ chi) for every row. Half of the runs dephase some of their states, so that
 source coordinates vanish and the unreachable-draw path is compared too.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohfact import cli
+from cohfact import channel, cli, factorization
 from cohfact.basis import pauli_tensor_basis
-from cohfact.channel import EPS_TOL, aux_channel, aux_weights
+from cohfact.channel import EPS_TOL, aux_channel, aux_pauli_action, aux_weights
 from cohfact.errors import CohfactError, NotAChannelError, UnreachableTargetError
 from cohfact.state import DensityMatrix, ginibre_state
 
@@ -63,7 +65,7 @@ def dephased_states(z):
 def _outcome(N, seed, rows, max_rounds):
     with mock.patch.object(cli, "MAX_TARGET_ROUNDS", max_rounds):
         try:
-            rho, m, chi = cli._sample_reachable_target(N, [seed, 0], rows)
+            rho, m, chi, _ = cli._sample_reachable_target(N, [seed, 0], rows)
         except CohfactError as exc:
             return type(exc), str(exc)
     return [(rho[i].tobytes(), m[i].tobytes(), chi[i].hex()) for i in range(rows)]
@@ -111,3 +113,42 @@ def test_compared_draws_reach_every_path():
                     for seed in range(12) for N in (1, 2, 3)]
     assert seen == {"unreachable", "halved", "feasible"}
     assert any(got[0] is CohfactError for got in outcomes)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_sampler_returns_the_weights_it_tested(N):
+    """The weights returned with each target are the affine expression
+    whose minimum decided it, so aux_pauli_action accepts every row, and
+    they are the weights aux_weights solves at the returned chi."""
+    worst = 0.0
+    for seed in range(4):
+        rho, m, chi, eps = cli._sample_reachable_target(N, [seed, 0], B)
+        aux_pauli_action(eps)  # raises unless every weight is >= EPS_TOL
+        want, unreachable = aux_weights(DensityMatrix(rho), m, chi)
+        assert not unreachable.any()
+        worst = max(worst, np.max(np.abs(eps - want)))
+    assert worst <= 1e-15
+
+
+def test_cascade_solves_each_trial_once(tmp_path, capsys):
+    """verify cascade calls aux_weights once per sampler round, the call
+    that chose the weights, and verify_cascade solves nothing again: the
+    factorization layer imports neither aux_solve nor is_psd."""
+    path = tmp_path / "dep4.json"
+    path.write_text(json.dumps({"name": "depolarizing", "d": 4, "params": {"p": 0.3}}))
+    rounds, sampler, elsewhere = [], [], []
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    with mock.patch.object(cli, "ginibre_state", counted(rounds, ginibre_state)), \
+            mock.patch.object(cli, "aux_weights", counted(sampler, aux_weights)), \
+            mock.patch.object(channel, "aux_weights", counted(elsewhere, aux_weights)):
+        assert cli.main(["--trials", "40", "verify", "cascade", "--channel", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 40
+    assert len(sampler) == len(rounds) >= 3  # 3 blocks, one round or more each
+    assert elsewhere == []
+    assert not hasattr(factorization, "aux_solve") and not hasattr(factorization, "is_psd")
