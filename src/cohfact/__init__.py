@@ -34,7 +34,6 @@ from .factorization import (
     verify_theorem1,
 )
 from .measures import (
-    correlation_matrix,
     correlation_measures,
     geometric_discord2,
     hellinger_discord,

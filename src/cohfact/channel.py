@@ -241,10 +241,13 @@ def _in_unit_interval(q):
 
 
 def _nonzero(ops, w):
-    """The operators of nonzero weight ``w`` of one (k, d, d) channel. A
-    stack of channels keeps them all, so that every channel has the same k;
-    a zero operator adds nothing to the channel's action."""
-    return ops[w > 0] if ops.ndim == 3 else ops
+    """The operators of a (..., k, d, d) stack whose weight ``w`` is nonzero
+    at some parameter value: one channel keeps its nonzero operators, and a
+    stack keeps an operator unless it is zero in every channel, so that every
+    channel has the same k. A zero operator adds nothing to a channel's action.
+    The stack is copied only when an operator goes."""
+    keep = np.reshape(w > 0, (-1, w.shape[-1])).any(axis=0)
+    return ops if keep.all() else ops[..., keep, :, :]
 
 
 def _pauli_flip(name, k):
@@ -533,8 +536,8 @@ def aux_kraus_channel(eps, chi) -> KrausChannel:
     """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
     of the Pauli tensor basis, from the weights eps of aux_solve at factor
     chi; raises NotAChannelError unless every weight is >= EPS_TOL. The rows
-    of (s, 4^N) weights give the (s, 4^N, d, d) stack of their channels;
-    one channel keeps only its nonzero operators."""
+    of (s, 4^N) weights give the (s, k, d, d) stack of their channels, each
+    keeping the operators whose weight is nonzero in some row."""
     eps = _realizable(eps)
     N = qubit_count(isqrt(eps.shape[-1]))
     gens = np.concatenate(([np.sqrt(2.0 ** (1 - N)) * np.eye(2**N)], pauli_tensor_basis(N)))
@@ -555,21 +558,25 @@ def aux_channel(rho: DensityMatrix, m, chi) -> KrausChannel:
 # random channels
 
 
-def _haar_unitaries(count, n, rng):
-    """(count, n, n) stack of Haar unitaries; each draws its real, then its
-    imaginary n x n Gaussian block."""
-    z = rng.standard_normal((count, 2, n, n))
+def _haar_isometries(count, n, m, rng):
+    """(count, n, m) stack of Haar isometries, the first m columns of Haar
+    unitaries on n dimensions: the thin QR of a complex Gaussian, with R's
+    diagonal phases divided out (Mezzadri, Notices AMS 54, 592 (2007)).
+    Each draws its real, then its imaginary n x m Gaussian block."""
+    z = rng.standard_normal((count, 2, n, m))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     phases = np.diagonal(r, axis1=1, axis2=2)
     return q * (phases / np.abs(phases))[:, None, :]
 
 
 def random_channel(d, k=None, seed=None) -> KrausChannel:
-    """Random CPTP map from a Haar isometry on d*k dimensions (k Kraus
-    operators via the stacked-block construction); default k = d^2."""
+    """Random CPTP map from a Haar isometry from d into d*k dimensions (k
+    Kraus operators via the stacked-block construction); default k = d^2.
+    The isometry costs O(d^3 k) time and O(d^2 k) memory, so d = 32 with
+    its default k = 1024 takes a 16 MiB draw."""
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     k = d * d if k is None else int(k)
-    v = _haar_unitaries(1, d * k, rng)[0, :, :d]  # isometry; row block mu is E_mu
+    v = _haar_isometries(1, d * k, d, rng)[0]  # row block mu is E_mu
     return kraus_channel(v.reshape(k, d, d), label="random", params={"k": k})
 
 
@@ -579,5 +586,5 @@ def random_unital_channel(d, k=None, seed=None) -> KrausChannel:
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     k = d * d if k is None else int(k)
     p = rng.dirichlet(np.ones(k))
-    ops = np.sqrt(p)[:, None, None] * _haar_unitaries(k, d, rng)
+    ops = np.sqrt(p)[:, None, None] * _haar_isometries(k, d, d, rng)
     return kraus_channel(ops, label="random_unital", params={"k": k})

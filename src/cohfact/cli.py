@@ -37,10 +37,8 @@ from .factorization import (
 from .measures import (
     _collapse_extremes,
     correlation_measures,
-    geometric_discord2,
     hellinger_discord,
     l1_from_density,
-    min2,
     purity_measure,
 )
 from .state import DensityMatrix, ginibre_state, random_families, random_state
@@ -115,10 +113,12 @@ def cmd_coherence(args):
         if rho.d == 4:
             for k, v in correlation_measures(rho).items():
                 print(f"{k} = {v:.12f}", file=fh)
-            print(f"D2 = {geometric_discord2(rho):.12f}", file=fh)
-            print(f"N2 = {min2(rho):.12f}", file=fh)
+            # D2 and N2 are twice the extremes, which one eigensolve gives with their directions
+            extremes = dict(zip(("D2", "N2"), _collapse_extremes(rho.m)))
+            for name, (value, _) in extremes.items():
+                print(f"{name} = {2.0 * value:.12f}", file=fh)
             print(f"D_H = {hellinger_discord(rho):.12f}", file=fh)
-            for name, (_, a) in zip(("D2", "N2"), _collapse_extremes(rho.m)):
+            for name, (_, a) in extremes.items():
                 # a and -a give the same measurement: print the one whose
                 # largest entry is positive, and no negative zeros
                 a = (a if a[np.argmax(np.abs(a))] > 0 else -a) + 0.0

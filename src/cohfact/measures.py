@@ -66,25 +66,13 @@ def _k_matrix(m):
     return r @ r.T
 
 
-def _correlation_spectrum(m):
-    """T and the ascending eigenvalues of T^T T, clipped at 0, of a checked
-    4x4 operator m."""
-    t3 = _bloch_coordinates(m)[:, 1:]
-    return t3, np.maximum(np.linalg.eigvalsh(t3.T @ t3), 0.0)
-
-
-def correlation_matrix(rho):
-    """The pair (T, E) of a two-qubit state (tensor ordering A x B): its
-    3x3 correlation matrix T_ij = Tr(rho sigma_i x sigma_j) and the
-    descending eigenvalues E1 >= E2 >= E3 of T^T T, clipped at 0."""
-    t3, eigs = _correlation_spectrum(_two_qubit(_mat(rho)))
-    return t3, eigs[::-1]
-
-
 def correlation_measures(rho) -> dict:
-    """Bell-max, RSP fidelity, and teleportation figures from the
-    correlation-matrix eigenvalues E1 >= E2 >= E3."""
-    e3, e2, e1 = _correlation_spectrum(_two_qubit(_mat(rho)))[1].tolist()
+    """Bell-max, RSP fidelity, and teleportation figures of a two-qubit
+    state (tensor ordering A x B) from the descending eigenvalues E1 >= E2
+    >= E3, clipped at 0, of T^T T, T_ij = Tr(rho sigma_i x sigma_j) its
+    3x3 correlation matrix."""
+    t3 = _bloch_coordinates(_two_qubit(_mat(rho)))[:, 1:]
+    e3, e2, e1 = np.maximum(np.linalg.eigvalsh(t3.T @ t3), 0.0).tolist()
     n_qt = math.sqrt(e1 + e2 + e3)
     return {
         "bell_max": 2.0 * math.sqrt(e1 + e2),
@@ -106,8 +94,9 @@ def projective_collapse(rho, direction) -> DensityMatrix:
 def _collapse_extremes(m):
     """(value, a) of the minimum, then of the maximum, of ||m - Pi_a(m)||_2^2
     over unit a, for a checked 4x4 operator m: (low + mid)/4 at K's top
-    eigenvector and (mid + top)/4 at its bottom one. Only the directions
-    need this eigh; the values alone come from eigvalsh of K."""
+    eigenvector and (mid + top)/4 at its bottom one. The values alone come
+    from eigvalsh of K; `cohfact coherence` reads values and directions from
+    this one eigh."""
     lam, vec = np.linalg.eigh(_k_matrix(m))
     low, mid, top = lam.tolist()
     return ((low + mid) / 4.0, vec[:, 2]), ((mid + top) / 4.0, vec[:, 0])

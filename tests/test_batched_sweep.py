@@ -164,8 +164,9 @@ def test_make_named_is_bit_identical_to_the_scalar_factories(name, t):
 
 @pytest.mark.parametrize("name, d", CASES)
 def test_array_parameter_builds_the_stack_of_channels(name, d):
-    """make_named over an array holds every point's channel, its zero-weight
-    operators kept so that all share one k."""
+    """make_named over an array holds every point's channel; an operator
+    zero at some points but not at all of them is kept, so that all share
+    one k."""
     key = channel_entry(name).keys[0]
     grid = np.linspace(0.0, _top(name, d), 9)
     stack = make_named(name, d=d, params={key: grid})
@@ -177,6 +178,26 @@ def test_array_parameter_builds_the_stack_of_channels(name, d):
             np.testing.assert_array_equal(nonzero, one[np.abs(one).max(axis=(1, 2)) > 0])
         else:
             np.testing.assert_array_equal(ops, one)
+
+
+_INTERIOR = np.linspace(0.05, 0.95, 7)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("amplitude_damping", {"gamma": _INTERIOR}),
+    ("generalized_amplitude_damping", {"gamma": _INTERIOR, "pbar": 0.0}),
+    ("generalized_amplitude_damping", {"gamma": _INTERIOR, "pbar": 1.0}),
+    ("pauli", {"p0": 1.0 - _INTERIOR, "p1": _INTERIOR / 2, "p2": 0.0, "p3": _INTERIOR / 2}),
+])
+def test_stack_drops_operators_zero_at_every_point(name, params):
+    """An operator that is zero at every grid point is dropped from the
+    stack, as one channel drops it: each point's Kraus set is bitwise the
+    scalar channel's, with the same k."""
+    stack = make_named(name, params=params).kraus
+    for i in range(len(_INTERIOR)):
+        one = make_named(name, params={key: v[i] if np.ndim(v) else v for key, v in params.items()}).kraus
+        assert stack.shape[1:] == one.shape, (name, i)
+        assert stack[i].tobytes() == one.tobytes(), (name, i)
 
 
 def test_stack_validates_every_channel():

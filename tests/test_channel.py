@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from cohfact.errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
-from cohfact.io import channel_from_dict
+from cohfact.io import MAX_D, channel_from_dict
 from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, density_matrix, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -513,6 +515,20 @@ def test_random_channel_completeness_and_seeding():
         np.testing.assert_allclose(s, np.eye(d), atol=1e-10)
         ch2 = random_channel(d, seed=9)
         np.testing.assert_array_equal(ch.kraus[0], ch2.kraus[0])
+
+
+@pytest.mark.parametrize("k", [1, 32, 1024])
+def test_random_channel_at_max_d_has_a_bounded_allocation(k):
+    """The isometry is drawn by a thin QR, so d = MAX_D with k up to the
+    default d^2 = 1024 stays within 128 MiB of traced allocation."""
+    tracemalloc.start()
+    try:
+        ch = random_channel(MAX_D, k=k, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.kraus.shape == (k, MAX_D, MAX_D)
+    assert peak < 128 * 2**20, peak
 
 
 def test_random_unital_channel_is_unital():

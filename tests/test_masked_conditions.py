@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cohfact.channel import (
     CONDITION_TOL,
-    _haar_unitaries,
+    _haar_isometries,
     frozen_condition_check,
     gell_mann_G,
     kraus_channel,
@@ -106,7 +106,7 @@ def _channel(kind, d, rng):
     """A channel of the given kind; the qubit-only kinds ignore ``d``."""
     q = rng.choice([0.0, 1.0, rng.uniform()])
     if kind == "haar_unitary":
-        return kraus_channel(_haar_unitaries(1, d, rng))
+        return kraus_channel(_haar_isometries(1, d, d, rng))
     if kind == "phase_unitary":  # diagonal phases freeze every pair
         return kraus_channel(np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))[None])
     if kind == "permutation":  # pairs map onto pairs, with phases

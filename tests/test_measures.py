@@ -11,7 +11,6 @@ from cohfact.channel import apply, make_named
 from cohfact.errors import DimensionMismatchError, UnphysicalStateError
 from cohfact.measures import (
     _collapse_extremes,
-    correlation_matrix,
     correlation_measures,
     geometric_discord2,
     hellinger_discord,
@@ -21,6 +20,19 @@ from cohfact.measures import (
     purity_measure,
 )
 from cohfact.state import bloch_decompose, coherence_weight, density_matrix, random_state
+
+
+# sigma_x, sigma_y, sigma_z
+_SIG = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _correlation_tensor(m):
+    """Independent oracle: T_ij = Tr(m sigma_i x sigma_j), one trace per entry."""
+    return np.array([[np.trace(m @ np.kron(a, b)).real for b in _SIG] for a in _SIG])
 
 
 def bell_state():
@@ -86,14 +98,14 @@ def test_l1_monotone_under_incoherent_channels():
 def test_correlation_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0  # |00><00|
-    t3, _ = correlation_matrix(rho)
+    t3 = _correlation_tensor(rho)
     np.testing.assert_allclose(t3, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
     assert abs(correlation_measures(rho)["bell_max"] - 2.0) < 1e-12
 
 
 def test_correlation_bell_state():
-    _, eigs = correlation_matrix(bell_state())
-    np.testing.assert_allclose(eigs, [1.0, 1.0, 1.0], atol=1e-12)
+    t3 = _correlation_tensor(bell_state().m)
+    np.testing.assert_allclose(np.linalg.eigvalsh(t3.T @ t3), [1.0, 1.0, 1.0], atol=1e-12)
     meas = correlation_measures(bell_state())
     assert abs(meas["bell_max"] - 2.0 * np.sqrt(2.0)) < 1e-10
     assert abs(meas["teleport_fidelity"] - (0.5 + np.sqrt(3.0) / 6.0)) < 1e-10
@@ -151,13 +163,8 @@ def _bloch_closed_form(rho, opt):
     decomposition; the objective is quadratic in the direction, so the
     optimum is an eigenvalue of a a^T + T T^T."""
     m = rho.m if hasattr(rho, "m") else np.asarray(rho)
-    sig = [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    a = np.array([np.trace(m @ np.kron(s, np.eye(2))).real for s in sig])
-    t3, _ = correlation_matrix(m)
+    a = np.array([np.trace(m @ np.kron(s, np.eye(2))).real for s in _SIG])
+    t3 = _correlation_tensor(m)
     k = np.outer(a, a) + t3 @ t3.T
     total = np.dot(a, a) + np.sum(t3 * t3)
     lam = np.linalg.eigvalsh(k)

@@ -210,6 +210,19 @@ def test_named_channel_choi_matrix_is_psd(name, data):
     assert abs(np.trace(choi).real - d) <= 1e-10
 
 
+@given(d=dims, k=kraus_counts, seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_random_channel_is_cptp(d, k, seed):
+    """The Choi matrix of a random channel is PSD, and tracing out its output
+    leaves I, so its trace is d."""
+    ch = random_channel(d, k=k, seed=seed)
+    choi = _choi_from_transfer(transfer_matrix(ch), gellmann_basis(d))
+    np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-10
+    assert abs(np.trace(choi).real - d) <= 1e-10
+    np.testing.assert_allclose(np.einsum("acbc->ab", choi.reshape(d, d, d, d)), np.eye(d), rtol=0, atol=1e-10)
+
+
 @given(N=st.integers(1, 2), seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):

@@ -23,8 +23,8 @@ EXPORTS = {
     "FactorizationReport", "freeze_trajectory", "verify_cascade", "verify_corollary2",
     "verify_families", "verify_theorem1",
     # measures
-    "correlation_matrix", "correlation_measures", "geometric_discord2", "hellinger_discord",
-    "l1_from_density", "min2", "projective_collapse", "purity_measure",
+    "correlation_measures", "geometric_discord2", "hellinger_discord", "l1_from_density", "min2",
+    "projective_collapse", "purity_measure",
     # state
     "DensityMatrix", "bloch_compose", "bloch_decompose", "coherence_weight", "density_matrix",
     "family_member", "probe_state", "random_families", "random_family", "random_state",
@@ -44,7 +44,7 @@ def _traced_layers():
 def test_exports_are_pinned():
     names = {name for name, value in vars(cohfact).items()
              if not isinstance(value, types.ModuleType) and (not name.startswith("_") or name == "__version__")}
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 44
     assert names == EXPORTS
 
 
