@@ -93,11 +93,17 @@ def pauli_tensor_basis(N):
     return _read_only(products[1:])
 
 
+def _by_rows(x, a):
+    """x @ a, one product per row of x: BLAS picks a product's kernel by its
+    row count, so one product would make a row depend on the rows beside it."""
+    return (x[..., None, :] @ a)[..., 0, :]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def y_to_x_transform(N):
-    """Read-only orthogonal matrix a with X_i = sum_j a_ij Y_j,
-    a_ij = Tr(X_i Y_j)/2, from the Pauli tensor to the Gell-Mann basis of
-    N <= 3 qubits."""
-    N = _qubits(N, 3)
-    a = np.einsum("iab,jba->ij", gellmann_basis(2**N), pauli_tensor_basis(N))
-    return _read_only(a.real / 2.0)
+    """Read-only orthogonal a of N <= 5 qubits: X_i = sum_j a_ij Y_j, so x = a y.
+    a_ij = Tr(X_i Y_j)/2 is one real product of the (re, im) pairs of the
+    flattened X_i and Y_j, as Y_j is Hermitian."""
+    N = _qubits(N, 5)
+    x, y = (b.reshape(len(b), -1).view(float) for b in (gellmann_basis(2**N), pauli_tensor_basis(N)))
+    return _read_only(x @ y.T / 2.0)

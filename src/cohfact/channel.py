@@ -12,10 +12,12 @@ import numpy as np
 from .basis import (
     CACHE_SIZE,
     _SIGMA,
+    _by_rows,
     _read_only,
     gellmann_basis,
     pauli_tensor_basis,
     qubit_count,
+    y_to_x_transform,
 )
 from .errors import (
     CohfactError,
@@ -293,7 +295,8 @@ def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
     ops[..., 0, 1, 1] = ops[..., 2, 0, 0] = np.sqrt(1 - gamma)
     ops[..., 1, 0, 1] = ops[..., 3, 1, 0] = np.sqrt(gamma)
     ops *= np.sqrt(np.stack(np.broadcast_arrays(pbar, pbar, 1 - pbar, 1 - pbar), axis=-1))[..., None, None]
-    return kraus_channel(_nonzero(ops, np.abs(ops).max(axis=(-2, -1))))
+    # E_mu holds its scalar factor, sqrt(pbar) or sqrt(1 - pbar) times 1 or sqrt(gamma), as one entry
+    return kraus_channel(_nonzero(ops, ops[..., range(4), [0, 0, 1, 1], [0, 1, 1, 0]].real))
 
 
 def gell_mann_G(d, q, q0) -> KrausChannel:
@@ -468,14 +471,14 @@ def aux_weights(rho: DensityMatrix, m, chi):
     and the mask of the target coordinates they cannot reach.
 
     eps = c q / 4 solves c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu
-    for the source coordinates y (bloch_decompose). A target coordinate
-    m_nu != 0 over a vanishing y_nu (|y_nu| <= 1e-10) is unreachable,
-    whatever chi; its row's weights are meaningless. Rows of stacked states,
-    directions and factors are solved together, each by its own c q. A
-    non-finite chi or m_nu raises CohfactError; overflowing weights are inf."""
+    for the sources' Pauli coordinates y = bloch_decompose(rho) @ a, with a =
+    y_to_x_transform(N). A target coordinate m_nu != 0 over a vanishing y_nu
+    (|y_nu| <= 1e-10) is unreachable, whatever chi; its row's weights are
+    meaningless. Rows of stacked states, directions and factors are solved
+    together, each by its own c q. A non-finite chi or m_nu raises
+    CohfactError; overflowing weights are inf."""
     N = qubit_count(rho.d)
-    m = np.asarray(m, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    m, chi = np.asarray(m, dtype=float), np.asarray(chi, dtype=float)
     if m.shape[-1:] != (4**N - 1,):
         raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
     if not np.all(np.isfinite(chi)):
@@ -483,7 +486,7 @@ def aux_weights(rho: DensityMatrix, m, chi):
     if not np.isfinite(m).all():
         i = np.unravel_index(np.argmin(np.isfinite(m)), m.shape)
         raise CohfactError(f"target direction has a non-finite component m{[int(k) for k in i]} = {m[i]}")
-    y = bloch_decompose(rho, pauli_tensor_basis(N))
+    y = _by_rows(bloch_decompose(rho), y_to_x_transform(N))
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     unreachable = live & (np.abs(y) <= 1e-10)
     q = np.zeros(m.shape[:-1] + (4**N,))

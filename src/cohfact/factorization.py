@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 
-from .basis import gellmann_basis, pauli_tensor_basis, qubit_count
+from .basis import _by_rows, qubit_count, y_to_x_transform
 from .channel import (
     CONDITION_TOL,
     KrausChannel,
@@ -29,7 +29,6 @@ from .measures import l1_from_density, purity_measure
 from .state import (
     DensityMatrix,
     _finite_weights,
-    bloch_compose,
     bloch_decompose,
     chi_interval,
     coherence_weight,
@@ -46,8 +45,8 @@ SWEEP_CHUNK_ENTRIES = 1 << 13
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Both sides of a factorization law and its flags for one trial, or,
-    from verify_families, arrays with one entry per family."""
+    """Both sides of a factorization law and its flags for one trial
+    (verify_theorem1), or arrays with one entry per trial."""
 
     lhs: float
     rhs: float
@@ -150,25 +149,22 @@ def verify_theorem1(ch: KrausChannel, n, chi) -> FactorizationReport:
 
 
 def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
-    """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates rho
-    populates, under the channel with transfer matrix ``t``.
-
-    A state holding an (s, d, d) stack gives a report of arrays: one masked
-    read of ``t`` gives every state's q, and the coordinates of the stack
-    go through ``t`` in one product. Raises NotApplicableError if a state
-    populates no off-diagonal coordinate or the channel has no common
-    scalar on the ones it populates."""
-    if rho.m.ndim == 2:
-        return _first(verify_corollary2(t, DensityMatrix(rho.m[None])))
+    """Scalar-action law C[E(rho)] = |q| C(rho) on the coordinates each state
+    of the (s, d, d) stack rho populates, under the channel with transfer
+    matrix ``t``, as a report of arrays from one masked read of ``t`` and one
+    product. Raises NotApplicableError if a state populates no off-diagonal
+    coordinate or the channel has no common scalar on the ones it does."""
     d = isqrt(len(t))
-    x = bloch_decompose(rho, gellmann_basis(d))
+    if rho.m.shape != (len(rho.m), d, d):
+        raise DimensionMismatchError(f"expected an (s, {d}, {d}) stack of states, got shape {rho.m.shape}")
+    x = bloch_decompose(rho)
     populated = np.abs(x[:, : d * d - d]) > 1e-12
     if not populated.any(axis=1).all():
         raise NotApplicableError("state has no off-diagonal coordinates; nothing to rescale")
     q = scalar_actions(t, populated)
     if np.isnan(q).any():
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
-    lhs = _measure("l1", _with_x0(x, rho.d) @ t.T, rho.d)  # x' = T x
+    lhs = _measure("l1", _with_x0(x, d) @ t.T, d)  # x' = T x
     rhs = np.abs(q) * l1_from_density(rho.m)
     s = len(q)
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
@@ -177,31 +173,25 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
 
 def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)]
-    for the channel E_F with transfer matrix ``t`` and the auxiliary channel
-    with the Kraus weights ``eps`` (aux_solve) for the target direction m.
-
-    E_aux scales the Pauli coordinates of rho by its aux_pauli_action, so
-    the check covers whether the weights reach the target. The probe is the
-    l1 family probe of the target's Gell-Mann direction n, read off (1/2)
-    m.Y: chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval, as in
-    verify_families. A stack of s states, with s rows of m and eps, gives a
-    report of arrays: E_F maps the s images and s probes in one product."""
+    under the channel E_F with transfer matrix ``t``, as a report of arrays
+    over the (s, d, d) stack rho, d = 2^N, target directions m and their
+    auxiliary Kraus weights eps (aux_solve), row by row. In coordinates only:
+    E_aux scales rho's Pauli ones y = x a, a = y_to_x_transform(N), by
+    aux_pauli_action. The probe of a target's Gell-Mann direction n = a m
+    has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
     m, eps = np.asarray(m, dtype=float), np.asarray(eps, dtype=float)
-    if rho.m.ndim == 2:
-        return _first(verify_cascade(t, DensityMatrix(rho.m[None]), m[None], eps[None]))
-    s, d = rho.m.shape[:2]
-    if m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
-        raise DimensionMismatchError(f"expected ({s}, {d * d - 1}) directions, ({s}, {d * d}) weights, "
-                                     f"got {m.shape}, {eps.shape}")
-    pauli = pauli_tensor_basis(qubit_count(d))
-    target = bloch_compose(m, pauli).m  # I/d + (1/2) m.Y
-    g = _finite_weights(l1_from_density(target))
+    d, s = isqrt(len(t)), len(rho.m)
+    if rho.m.shape != (s, d, d) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
+        raise DimensionMismatchError(f"expected an (s, {d}, {d}) stack of states, (s, {d * d - 1}) directions "
+                                     f"and (s, {d * d}) weights, got {rho.m.shape}, {m.shape}, {eps.shape}")
+    a = y_to_x_transform(qubit_count(d))
+    target = _by_rows(m, a.T)  # Gell-Mann coordinates of I/d + (1/2) m.Y
+    g = _finite_weights(coherence_weight(target, d))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    sigma = bloch_compose(aux_pauli_action(eps)[:, 1:] * bloch_decompose(rho, pauli), pauli).m
-    x = bloch_decompose(DensityMatrix(np.concatenate((sigma, target))), gellmann_basis(isqrt(len(t))))
-    return _law("l1", t, np.concatenate((x[:s], x[s:] / g[:, None])),  # probes at chi_p = 1/g
-                1.0 / g <= chi_interval(x[s:], d)[1], theorem1_condition(t))
+    image = _by_rows(aux_pauli_action(eps)[:, 1:] * _by_rows(bloch_decompose(rho), a), a.T)
+    return _law("l1", t, np.concatenate((image, target / g[:, None])),  # probes at chi_p = 1/g
+                1.0 / g <= chi_interval(target, d)[1], theorem1_condition(t))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ from math import isqrt
 
 import numpy as np
 
-from .basis import gellmann_basis
 from .channel import KrausChannel, kraus_channel, make_named
-from .errors import CohfactError
+from .errors import CohfactError, DimensionMismatchError, InvalidDimensionError
 from .state import DensityMatrix, bloch_compose, density_matrix, validate_density
 
 
@@ -154,7 +153,11 @@ def state_from_dict(spec: dict) -> DensityMatrix:
         if not np.all(np.abs(x) <= np.sqrt(2.0)):  # NaN fails too
             raise CohfactError("state 'bloch' entries must be finite and at most sqrt(2) in size, "
                                "as every state's coordinates are")
-        rho = validate_density(bloch_compose(x, gellmann_basis(d)))
+        if d < 2:
+            raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
+        if x.shape != (d * d - 1,):
+            raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {x.shape}")
+        rho = validate_density(bloch_compose(x))
     else:
         raise CohfactError("state spec needs a 'matrix' or 'bloch' entry")
     if d is not None and d != rho.d:

@@ -78,38 +78,35 @@ def is_psd(m):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def bloch_decompose(rho: DensityMatrix, basis) -> np.ndarray:
-    """The real (d^2-1,) array of Bloch coordinates x_i = Tr(rho X_i) in a
-    Gell-Mann or Pauli tensor basis, the (d^2-1, d, d) generator array;
-    a state holding an (s, d, d) stack gives (s, d^2-1) coordinates. The
-    state must be Hermitian to HERM_TOL, as validate_density requires; the
-    imaginary part its residue leaves in x is dropped."""
-    if rho.d != basis.shape[-1]:
-        raise DimensionMismatchError(f"state d={rho.d} vs basis d={basis.shape[-1]}")
+def bloch_decompose(rho: DensityMatrix) -> np.ndarray:
+    """The real (d^2-1,) array of Gell-Mann Bloch coordinates x_i = Tr(rho X_i)
+    (x @ y_to_x_transform(N) are the Pauli tensor ones of d = 2^N); an
+    (s, d, d) stack gives (s, d^2-1) coordinates. The state must be Hermitian
+    to HERM_TOL, as validate_density requires; the imaginary part its
+    residue leaves in x is dropped."""
     _require_hermitian(rho.m)
+    basis = gellmann_basis(rho.d)
     # one BLAS product of the flattened matrices: X is Hermitian, so
     # sum_ab conj(rho_ab) X_ab is conj(x_i), whose real part is x_i's
     x = rho.m.conj().reshape(rho.m.shape[:-2] + (-1,)) @ basis.reshape(len(basis), -1).T
     return x.real
 
 
-def bloch_compose(x, basis) -> DensityMatrix:
-    """Compose rho = I/d + (1/2) sum_i x_i X_i from Bloch coordinates in a
-    Gell-Mann or Pauli tensor basis, the (d^2-1, d, d) generator array,
-    unvalidated. Rows of an (s, d^2-1) array of coordinates give a
-    DensityMatrix holding an (s, d, d) stack."""
+def bloch_compose(x) -> DensityMatrix:
+    """Compose rho = I/d + (1/2) sum_i x_i X_i, unvalidated, from Gell-Mann
+    Bloch coordinates, d read from their d^2-1 components; the rows of an
+    (s, d^2-1) array give a DensityMatrix holding an (s, d, d) stack."""
     x = np.asarray(x, dtype=float)
-    d = basis.shape[-1]
-    if x.ndim not in (1, 2) or x.shape[-1] != d * d - 1:
-        raise DimensionMismatchError(f"expected {d * d - 1} coordinates, got {x.shape}")
-    return DensityMatrix(np.eye(d) / d + 0.5 * np.tensordot(x, basis, 1))
+    d = isqrt(x.shape[-1] + 1) if x.ndim in (1, 2) else 0
+    if d < 2 or x.shape[-1] != d * d - 1:
+        raise DimensionMismatchError(f"expected d^2 - 1 coordinates for a d >= 2, got {x.shape}")
+    return DensityMatrix(np.eye(d) / d + 0.5 * np.tensordot(x, gellmann_basis(d), 1))
 
 
 def family_member(n, chi) -> DensityMatrix:
     """Density matrix of rho^n = I/d + (chi/2) n . X, unvalidated, d read
     from the d^2 - 1 components of the direction n."""
-    n = np.asarray(n, dtype=float)
-    return bloch_compose(chi * n, gellmann_basis(isqrt(n.shape[-1] + 1)))
+    return bloch_compose(chi * np.asarray(n, dtype=float))
 
 
 def coherence_weight(n, d):
@@ -154,7 +151,7 @@ def probe_state(n, d) -> DensityMatrix:
     n = np.asarray(n, dtype=float)
     if n.shape != (d * d - 1,):
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
-    return bloch_compose(probe_factor(n, d) * n, gellmann_basis(d))
+    return bloch_compose(probe_factor(n, d) * n)
 
 
 def random_state(d, seed=None, size=None) -> DensityMatrix:

@@ -83,7 +83,6 @@ def rejection_chi(d, rng, count):
     """chi of ``count`` random families by the rejection sampler the closed
     form replaced: chi uniform in [-r, r], drawn again until the member is
     PSD (each round redraws every family still open)."""
-    basis = gellmann_basis(d)
     v = rng.standard_normal((count, d * d - 1))
     n = v / np.linalg.norm(v, axis=1)[:, None]
     chi = np.full(count, np.nan)
@@ -91,21 +90,20 @@ def rejection_chi(d, rng, count):
     while np.isnan(chi).any():
         todo = np.flatnonzero(np.isnan(chi))
         x = rng.uniform(-bound, bound, len(todo))
-        ok = is_psd(bloch_compose(x[:, None] * n[todo], basis).m)
+        ok = is_psd(bloch_compose(x[:, None] * n[todo]).m)
         chi[todo[ok]] = x[ok]
     return chi
 
 
 def reference_verify(measure, ch, n, chi):
     """(lhs, rhs, probe_physical, condition_held) of one family."""
-    basis = gellmann_basis(ch.d)
     member = family_member(n, chi)
     t = transfer_matrix(ch)
     if measure == "l1":
         probe, f = probe_state(n, ch.d), l1_from_density
         condition = theorem1_condition(t)
     else:
-        probe, f = bloch_compose(np.sqrt(2.0) * n, basis), purity_measure
+        probe, f = bloch_compose(np.sqrt(2.0) * n), purity_measure
         condition = bool(np.max(np.abs(t[1:, 0])) <= 1e-10)
     lhs = f(apply(ch, member))
     rhs = f(member) * f(apply(ch, probe))
@@ -199,7 +197,6 @@ def test_random_families_match_rejection_sampler(d):
 @settings(max_examples=60, deadline=None)
 def test_chi_interval_agrees_with_psd_check(d, seed):
     rng = np.random.default_rng(seed)
-    basis = gellmann_basis(d)
     v = rng.standard_normal(d * d - 1)
     n = v / np.linalg.norm(v)
     lo, hi = chi_interval(n[None], d)
@@ -209,7 +206,7 @@ def test_chi_interval_agrees_with_psd_check(d, seed):
     for chi in np.concatenate((rng.uniform(-bound, bound, 40), edges - 1e-8, edges + 1e-8)):
         if min(abs(chi - lo[0]), abs(chi - hi[0])) <= 1e-9:
             continue
-        assert (lo[0] <= chi <= hi[0]) == is_psd(bloch_compose(chi * n, basis).m), chi
+        assert (lo[0] <= chi <= hi[0]) == is_psd(bloch_compose(chi * n).m), chi
 
 
 @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
@@ -230,9 +227,8 @@ def test_probe_physical_agrees_with_the_composed_probe(d, seed):
     eigenvalue is not within round-off of PSD_TOL."""
     n, chi, hi = random_families(d, np.random.default_rng(seed), 32)
     t = transfer_matrix(random_unital_channel(d, seed=seed))
-    basis = gellmann_basis(d)
     for measure, chi_p in (("l1", 1.0 / coherence_weight(n, d)), ("purity", np.full(32, np.sqrt(2.0)))):
-        probes = bloch_compose(chi_p[:, None] * n, basis).m
+        probes = bloch_compose(chi_p[:, None] * n).m
         clear = np.abs(np.linalg.eigvalsh(probes)[:, 0] - PSD_TOL) > 1e-12
         flags = verify_families(measure, t, n, chi, hi).probe_physical
         assert np.array_equal(flags[clear], is_psd(probes)[clear])
@@ -285,14 +281,13 @@ def test_verify_families_refuses_a_non_finite_direction_or_factor(monkeypatch, m
 def test_layer_functions_map_a_stack_state_by_state():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
-        basis = gellmann_basis(d)
         n, chi, _ = random_families(d, np.random.default_rng(d), 4)
-        stack = bloch_compose(chi[:, None] * n, basis)
+        stack = bloch_compose(chi[:, None] * n)
         assert stack.m.shape == (4, d, d)
         ch = random_channel(d, seed=rng)
         out = apply(ch, stack)
         for i in range(4):
-            one = bloch_compose(chi[i] * n[i], basis)
+            one = bloch_compose(chi[i] * n[i])
             assert np.array_equal(stack.m[i], one.m)
             np.testing.assert_allclose(out.m[i], apply(ch, one).m, rtol=0, atol=1e-15)
             assert l1_from_density(stack.m)[i] == l1_from_density(one)
@@ -300,7 +295,7 @@ def test_layer_functions_map_a_stack_state_by_state():
             assert is_psd(stack.m)[i] == is_psd(one.m)
             assert coherence_weight(n, d)[i] == coherence_weight(n[i], d)
         with pytest.raises(InvalidDimensionError):
-            validate_density(bloch_compose(chi[:, None] * n, basis))
+            validate_density(bloch_compose(chi[:, None] * n))
 
 
 def test_verify_families_takes_a_stack(capsys):
@@ -428,7 +423,6 @@ def test_transfer_path_matches_kraus_reference(d):
     map coordinates through T; the reference maps the composed states
     through the Kraus operators with apply, as the drivers did before."""
     rng = np.random.default_rng(d)
-    basis = gellmann_basis(d)
     unital = random_unital_channel(d, seed=rng)
     channels = [unital, _round_trip(unital), _round_trip(random_channel(d, k=d, seed=rng))]
     assert np.max(np.abs(transfer_matrix(channels[1])[0] - np.eye(d * d)[0])) > 1e-14  # not exactly TP
@@ -437,8 +431,8 @@ def test_transfer_path_matches_kraus_reference(d):
         t = transfer_matrix(ch)
         for measure, chi_p, f in (("l1", 1.0 / coherence_weight(n, d), l1_from_density),
                                   ("purity", np.full(6, np.sqrt(2.0)), purity_measure)):
-            members = bloch_compose(chi[:, None] * n, basis)
-            probes = bloch_compose(chi_p[:, None] * n, basis)
+            members = bloch_compose(chi[:, None] * n)
+            probes = bloch_compose(chi_p[:, None] * n)
             rep = verify_families(measure, t, n, chi, hi)
             _assert_close(rep.lhs, f(apply(ch, members).m))
             _assert_close(rep.rhs, f(members.m) * f(apply(ch, probes).m))
@@ -519,7 +513,7 @@ def test_cascade_raises_what_the_kraus_path_raises(N):
         with pytest.raises(want):
             aux_channel(DensityMatrix(states[1]), m[1], x[1])
         with pytest.raises(want):
-            call(DensityMatrix(states[1]), m[1], x[1])
+            call(DensityMatrix(states[1:2]), m[1:2], x[1:2])
         with pytest.raises(want):
             call(DensityMatrix(states), m, x)
 
@@ -536,3 +530,25 @@ def test_drivers_refuse_coordinates_of_another_dimension():
     rho, m, x, eps = cli._sample_reachable_target(1, [0, 0], 3)
     with pytest.raises(DimensionMismatchError):
         verify_cascade(t, DensityMatrix(rho), m, eps)
+
+
+@pytest.mark.parametrize("state_d, t_d", [(4, 4), (4, 2), (2, 4)])
+def test_corollary2_and_cascade_take_only_stacks_of_the_transfer_matrix_d(state_d, t_d, monkeypatch):
+    """verify_corollary2 and verify_cascade take an (s, d, d) stack of T's
+    d: a single d x d state, or a stack of another d, raises
+    DimensionMismatchError before the states' coordinates are read."""
+    t = transfer_matrix(make_named("depolarizing", d=t_d, params={"p": 0.3}))
+    rho, m, x, eps = cli._sample_reachable_target(qubit_count(state_d), [0, 0], 3)
+
+    def unread(rho):
+        raise AssertionError("coordinates read before the dimension check")
+
+    monkeypatch.setattr(factorization, "bloch_decompose", unread)
+    cases = [(DensityMatrix(rho[0]), m[0], eps[0])]
+    if state_d != t_d:
+        cases.append((DensityMatrix(rho), m, eps))
+    for states, dirs, weights in cases:
+        with pytest.raises(DimensionMismatchError, match="stack of states"):
+            verify_corollary2(t, states)
+        with pytest.raises(DimensionMismatchError, match="stack of states"):
+            verify_cascade(t, states, dirs, weights)

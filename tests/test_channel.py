@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohfact.basis import gellmann_basis, pauli_tensor_basis
+from cohfact.basis import pauli_tensor_basis
 from cohfact.channel import (
     apply,
     aux_channel,
@@ -35,7 +35,7 @@ from cohfact.errors import (
     UnreachableTargetError,
 )
 from cohfact.io import MAX_D, channel_from_dict
-from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, density_matrix, random_state
+from cohfact.state import DensityMatrix, bloch_decompose, density_matrix, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -132,13 +132,12 @@ def test_transfer_row0_is_trace_preservation():
 @pytest.mark.parametrize("d", [2, 3])
 def test_transfer_consistency_with_apply(d):
     rng = np.random.default_rng(d)
-    b = gellmann_basis(d)
     for _ in range(50):
         ch = random_channel(d, seed=rng)
         rho = random_state(d, rng)
         t = transfer_matrix(ch)
-        xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho, b)])
-        got = bloch_decompose(apply(ch, rho), b)
+        xa = np.concatenate([[np.sqrt(2.0 / d)], bloch_decompose(rho)])
+        got = bloch_decompose(apply(ch, rho))
         np.testing.assert_allclose(t @ xa, np.concatenate([[np.sqrt(2.0 / d)], got]), atol=1e-11)
 
 
@@ -402,14 +401,13 @@ def test_aux_identity_target():
 
 def test_aux_shrink_example():
     # hand-solved 4x4 system: q = (1, 0.5, 0, 0), eps = c q / 4
-    b = gellmann_basis(2)
     rho = density_matrix(np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex))  # y = (0.8, 0, 0)
     eps = aux_solve(rho, np.array([1.0, 0.0, 0.0]), 0.4)
     q = np.array([1.0, 0.5, 0.0, 0.0])
     np.testing.assert_allclose(eps, aux_coefficient_matrix(1) @ q / 4, atol=1e-14)
     np.testing.assert_allclose(eps, [0.375, 0.375, 0.125, 0.125], atol=1e-14)
     ch = aux_channel(rho, np.array([1.0, 0.0, 0.0]), 0.4)
-    out = bloch_decompose(apply(ch, rho), b)
+    out = bloch_decompose(apply(ch, rho))
     np.testing.assert_allclose(out, [0.4, 0.0, 0.0], atol=1e-12)
 
 
@@ -444,8 +442,9 @@ def test_aux_refuses_a_non_finite_direction(bad):
 
 def _aux_q_reference(rho, m, chi, basis):
     """q of c eps = q, one coordinate at a time; returns the first dead
-    coordinate's index instead when the target is unreachable."""
-    y = bloch_decompose(rho, basis)
+    coordinate's index instead when the target is unreachable; y_nu =
+    Tr(rho Y_nu) is an einsum over the Pauli tensor ``basis``."""
+    y = np.einsum("ab,jba->j", rho.m, basis).real
     q = np.zeros(basis.shape[-1]**2)
     q[0] = 1.0
     for nu in range(1, basis.shape[-1]**2):
@@ -465,7 +464,8 @@ def test_aux_solve_matches_coordinate_loop(N):
     for trial in range(60):
         # odd trials zero a few source coordinates; targets have zero entries
         live_source = rng.random(n) < (0.9 if trial % 2 else 1.0)
-        rho = bloch_compose(0.1 * rng.standard_normal(n) * live_source, yb)
+        y = 0.1 * rng.standard_normal(n) * live_source
+        rho = DensityMatrix(np.eye(2**N) / 2**N + 0.5 * np.tensordot(y, yb, 1))  # I/d + (1/2) y.Y
         m = rng.standard_normal(n) * (rng.random(n) < 0.7)
         chi = rng.uniform(0.01, 0.3)
         want = _aux_q_reference(rho, m, chi, yb)
@@ -475,8 +475,13 @@ def test_aux_solve_matches_coordinate_loop(N):
                 aux_solve(rho, m, chi)
             assert exc.value.index == want
         else:
-            np.testing.assert_array_equal(aux_solve(rho, m, chi),
-                                          aux_coefficient_matrix(N) @ want / 4)
+            # the Pauli coordinates of aux_solve agree with the einsum to 1e-15
+            # (test_pauli_coordinates_match_trace_reference), so q_nu = chi m_nu / y_nu
+            # to q_nu^2 1e-15 / |chi m_nu|, and eps = c q / 4, |c| = 2^(1-N), to the sum
+            live = m != 0
+            tol = 2.0 ** (-1 - N) * 1e-15 * np.sum(want[1:][live] ** 2 / np.abs(chi * m[live]))
+            np.testing.assert_allclose(aux_solve(rho, m, chi), aux_coefficient_matrix(N) @ want / 4,
+                                       rtol=0, atol=tol)
     assert 0 < dead_seen < 60
 
 

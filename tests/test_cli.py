@@ -141,8 +141,9 @@ def test_verify_cascade(tmp_path):
 
 
 def test_verify_cascade_at_four_qubits(tmp_path, capsys):
-    """d = 16: the probe factor is read off the composed direction, so the
-    cascade runs for every N up to the qubit cap."""
+    """d = 16: the probe factor is read off the target's Gell-Mann
+    coordinates m @ y_to_x_transform(4).T, so the cascade runs for every N
+    up to the qubit cap."""
     ch = write_channel(tmp_path, "dep16.json", {"name": "depolarizing", "d": 16, "params": {"p": 0.3}})
     assert main(["--trials", "3", "verify", "cascade", "--channel", ch]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -192,9 +193,17 @@ def test_sweep_frozen_flag_uses_the_global_tol(plus_file, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == f"# frozen={frozen} spread=1", tol
 
 
-def test_sweep_bad_range(tmp_path, plus_file):
-    for bad in ("nonsense", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
+def test_sweep_bad_range(tmp_path, plus_file, capsys):
+    """A range that is not a:b:step, is not finite, has a step that is not
+    positive or ends before it starts exits 2; a range of one point, a = b,
+    gives one row."""
+    for bad in ("nonsense", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:0", "0:1:-0.1", "1:0:0.1"):
         assert main(["sweep", "phase_damping", bad, "--state", plus_file]) == 2, bad
+    capsys.readouterr()
+    assert main(["sweep", "phase_damping", "0.5:0.5:0.1", "--state", plus_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "param,c_l1,purity" and lines[-1].startswith("# frozen=")
+    assert [row.split(",")[0] for row in lines[1:-1]] == ["0.5"]
 
 
 @pytest.mark.parametrize("name", ["gell_mann_G", "generalized_amplitude_damping", "pauli"])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohfact.basis import gellmann_basis
 from cohfact.channel import (
     apply,
     aux_channel,
@@ -23,6 +22,7 @@ from cohfact.factorization import (
 )
 from cohfact.measures import l1_from_density
 from cohfact.state import (
+    DensityMatrix,
     bloch_compose,
     bloch_decompose,
     chi_interval,
@@ -32,6 +32,12 @@ from cohfact.state import (
     random_family,
     random_state,
 )
+
+
+def _stack(rho):
+    """The one state rho as a stack of one, the shape verify_corollary2 and
+    verify_cascade take."""
+    return DensityMatrix(rho.m[None])
 
 
 def nonunital_offdiag_channel():
@@ -86,9 +92,8 @@ def test_coherence_homogeneous_in_chi(chi, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(8)
     n = v / np.linalg.norm(v)
-    b = gellmann_basis(3)
-    c1 = l1_from_density(bloch_compose(n, b))
-    c = l1_from_density(bloch_compose(chi * n, b))
+    c1 = l1_from_density(bloch_compose(n))
+    c = l1_from_density(bloch_compose(chi * n))
     assert abs(c - abs(chi) * c1) < 1e-12
 
 
@@ -96,13 +101,12 @@ def test_coherence_homogeneous_in_chi(chi, seed):
 def test_channel_linearity_on_coherence_coordinates(d):
     # x'_k = chi * sum_j T_kj n_j on the off-diagonal rows when T_k0 = 0
     rng = np.random.default_rng(d)
-    b = gellmann_basis(d)
     n_off = d * d - d
     for _ in range(10):
         ch = random_unital_channel(d, seed=rng)
         n, chi = random_family(d, rng)
-        out_n = bloch_decompose(apply(ch, bloch_compose(n, b)), b)
-        out_chi = bloch_decompose(apply(ch, family_member(n, chi)), b)
+        out_n = bloch_decompose(apply(ch, bloch_compose(n)))
+        out_chi = bloch_decompose(apply(ch, family_member(n, chi)))
         np.testing.assert_allclose(out_chi[:n_off], chi * out_n[:n_off], atol=1e-11)
 
 
@@ -148,7 +152,7 @@ def test_corollary2_phase_damping():
     q = 0.65
     ch = make_named("phase_damping", params={"q": q})
     rho = random_state(2, 12)
-    rep = verify_corollary2(transfer_matrix(ch), rho)
+    rep = verify_corollary2(transfer_matrix(ch), _stack(rho))
     assert rep.abs_err <= 1e-10
     assert abs(rep.lhs - q * l1_from_density(rho)) < 1e-10
 
@@ -157,14 +161,14 @@ def test_corollary2_gell_mann_G_arbitrary_state():
     ch = make_named("gell_mann_G", d=3, params={"q": 0.3, "q0": 0.7})
     rng = np.random.default_rng(6)
     for _ in range(20):
-        rep = verify_corollary2(transfer_matrix(ch), random_state(3, rng))
+        rep = verify_corollary2(transfer_matrix(ch), _stack(random_state(3, rng)))
         assert rep.abs_err <= 1e-10
 
 
 def test_corollary2_identity_preserves_coherence():
     ch = make_named("phase_damping", params={"q": 1.0})
     rho = random_state(2, 1)
-    rep = verify_corollary2(transfer_matrix(ch), rho)
+    rep = verify_corollary2(transfer_matrix(ch), _stack(rho))
     assert abs(rep.lhs - rep.rhs) < 1e-12
     assert abs(rep.lhs - l1_from_density(rho)) < 1e-12
 
@@ -172,7 +176,7 @@ def test_corollary2_identity_preserves_coherence():
 def test_corollary2_not_applicable_without_scalar_action():
     ch = make_named("bit_flip", params={"q": 0.5})
     with pytest.raises(NotApplicableError):
-        verify_corollary2(transfer_matrix(ch), random_state(2, 3))
+        verify_corollary2(transfer_matrix(ch), _stack(random_state(2, 3)))
 
 
 def _reachable_target(N, rng):
@@ -194,7 +198,7 @@ def test_cascade_depolarizing_n2():
     for _ in range(10):
         rho, m, chi = _reachable_target(2, rng)
         t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.4}))
-        rep = verify_cascade(t, rho, m, aux_solve(rho, m, chi))
+        rep = verify_cascade(t, _stack(rho), m[None], aux_solve(rho, m, chi)[None])
         assert rep.condition_held
         assert rep.abs_err <= 1e-9
 
@@ -203,7 +207,7 @@ def test_cascade_identity_reduces_to_aux_coherence():
     rng = np.random.default_rng(13)
     rho, m, chi = _reachable_target(2, rng)
     ident = kraus_channel([np.eye(4, dtype=complex)])
-    rep = verify_cascade(transfer_matrix(ident), rho, m, aux_solve(rho, m, chi))
+    rep = verify_cascade(transfer_matrix(ident), _stack(rho), m[None], aux_solve(rho, m, chi)[None])
     aux = aux_channel(rho, m, chi)
     assert abs(rep.lhs - l1_from_density(apply(aux, rho))) < 1e-12
     assert rep.abs_err <= 1e-9
@@ -213,7 +217,7 @@ def test_cascade_n1_matches_theorem1():
     rng = np.random.default_rng(29)
     rho, m, chi = _reachable_target(1, rng)
     ch_f = random_unital_channel(2, seed=31)
-    rep = verify_cascade(transfer_matrix(ch_f), rho, m, aux_solve(rho, m, chi))
+    rep = verify_cascade(transfer_matrix(ch_f), _stack(rho), m[None], aux_solve(rho, m, chi)[None])
     # for N = 1 the generated state is the family member (m, chi) directly
     rep2 = verify_theorem1(ch_f, m, chi)
     assert abs(rep.lhs - rep2.lhs) < 1e-11
@@ -227,7 +231,8 @@ def test_cascade_target_without_coherent_part():
     m = np.array([0.0, 0.0, 1.0])
     aux_channel(rho, m, 0.1)  # realizable
     with pytest.raises(NotApplicableError, match="target direction has no coherent part"):
-        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), rho, m, aux_solve(rho, m, 0.1))
+        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), _stack(rho), m[None],
+                       aux_solve(rho, m, 0.1)[None])
 
 
 def test_cascade_refuses_a_nan_direction():
@@ -238,7 +243,7 @@ def test_cascade_refuses_a_nan_direction():
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     eps = aux_solve(rho, np.array([0.0, 0.0, 1.0]), 0.1)
     with pytest.raises(CohfactError, match="non-finite coherence weight g = nan"):
-        verify_cascade(t, rho, np.array([np.nan, 0.0, 1.0]), eps)
+        verify_cascade(t, _stack(rho), np.array([[np.nan, 0.0, 1.0]]), eps[None])
 
 
 def test_one_hermiticity_rule():
@@ -246,8 +251,8 @@ def test_one_hermiticity_rule():
     HERM_TOL, loads through density_matrix and is taken by bloch_decompose
     and verify_corollary2 as well; its coordinates are the real parts."""
     rho = density_matrix(np.array([[0.6, 0.2 + 2e-11j], [0.2 + 2e-11j, 0.4]]))
-    np.testing.assert_allclose(bloch_decompose(rho, gellmann_basis(2)), [0.4, 0.0, 0.2], rtol=0, atol=1e-15)
-    rep = verify_corollary2(transfer_matrix(make_named("depolarizing", params={"p": 0.3})), rho)
+    np.testing.assert_allclose(bloch_decompose(rho), [0.4, 0.0, 0.2], rtol=0, atol=1e-15)
+    rep = verify_corollary2(transfer_matrix(make_named("depolarizing", params={"p": 0.3})), _stack(rho))
     assert rep.abs_err <= 1e-12
     assert abs(rep.lhs - 0.7 * 0.4) <= 1e-12
 
@@ -287,7 +292,7 @@ def test_probe_caching_consistency():
     (lambda: verify_theorem1(make_named("bit_flip", params={"q": 0.5}), *random_family(3, 0)),
      DimensionMismatchError, r"expected 3 components, got \(1, 8\)"),
     (lambda: verify_corollary2(transfer_matrix(make_named("depolarizing", d=3, params={"p": 0.2})),
-                               density_matrix(np.diag([0.5, 0.3, 0.2]))),
+                               _stack(density_matrix(np.diag([0.5, 0.3, 0.2])))),
      NotApplicableError, "no off-diagonal"),
 ], ids=["lemma1-d", "corollary2-diagonal"])
 def test_factorization_input_checks(call, error, match):

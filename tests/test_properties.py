@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, io
-from cohfact.basis import gellmann_basis, pauli_tensor_basis
+from cohfact.basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
 from cohfact.channel import (
     CONDITION_TOL,
     apply,
@@ -74,16 +74,30 @@ def test_trace_preserving_channel_has_unit_first_row(d, k, seed):
 @settings(max_examples=30, deadline=None)
 def test_bloch_round_trip_gellmann(d, seed):
     x = np.random.default_rng(seed).standard_normal(d * d - 1)
-    b = gellmann_basis(d)
-    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b), x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bloch_decompose(bloch_compose(x)), x, rtol=0, atol=1e-12)
 
 
 @given(N=st.integers(1, 3), seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_bloch_round_trip_pauli_tensor(N, seed):
-    x = np.random.default_rng(seed).standard_normal(4**N - 1)
-    b = pauli_tensor_basis(N)
-    np.testing.assert_allclose(bloch_decompose(bloch_compose(x, b), b), x, rtol=0, atol=1e-12)
+    """Pauli tensor coordinates y go to Gell-Mann ones as a y and back as
+    x a, a = y_to_x_transform(N), through the Bloch maps."""
+    y = np.random.default_rng(seed).standard_normal(4**N - 1)
+    a = y_to_x_transform(N)
+    np.testing.assert_allclose(bloch_decompose(bloch_compose(y @ a.T)) @ a, y, rtol=0, atol=1e-12)
+
+
+@given(N=st.integers(1, 4), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_pauli_coordinates_match_trace_reference(N, seed):
+    """Pauli tensor coordinates read as bloch_decompose(rho) @ a, a =
+    y_to_x_transform(N), are y_j = Tr(rho Y_j) as an einsum over the Pauli
+    tensor basis, for one state and a stack."""
+    rho = random_state(2**N, seed, 3)
+    want = np.einsum("...ab,jba->...j", rho.m, pauli_tensor_basis(N)).real
+    np.testing.assert_allclose(bloch_decompose(rho) @ y_to_x_transform(N), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bloch_decompose(DensityMatrix(rho.m[1])) @ y_to_x_transform(N), want[1],
+                               rtol=0, atol=1e-15)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)
@@ -93,9 +107,8 @@ def test_apply_matches_transfer_matrix_action(d, k, seed):
     rng = np.random.default_rng(seed)
     ch = random_channel(d, k=k, seed=rng)
     rho = random_state(d, rng)
-    b = gellmann_basis(d)
-    x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho, b)))
-    got = bloch_decompose(apply(ch, rho), b)
+    x = np.concatenate(([np.sqrt(2.0 / d)], bloch_decompose(rho)))
+    got = bloch_decompose(apply(ch, rho))
     np.testing.assert_allclose(got, (transfer_matrix(ch) @ x)[1:], rtol=0, atol=1e-12)
 
 
@@ -240,7 +253,8 @@ def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     choi = _choi_from_transfer(t, gellmann_basis(d))
     np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(choi).min() >= -1e-10
-    np.testing.assert_allclose(apply(ch, rho).m, bloch_compose(chi * m, ybasis).m, rtol=0, atol=1e-12)
+    target = np.eye(d) / d + 0.5 * np.tensordot(chi * m, ybasis, 1)  # I/d + (chi/2) m.Y
+    np.testing.assert_allclose(apply(ch, rho).m, target, rtol=0, atol=1e-12)
 
 
 def _assert_json_round_trip(ch):
@@ -276,7 +290,9 @@ def test_stacks_map_item_by_item(d, k, P, s, seed):
     """A (P, k, d, d) stack of channels maps one state to the P images of
     its channels, and one channel maps an (s, d, d) stack of states to
     their s images, byte for byte; the purity of a stack is its per-matrix
-    values bit for bit and |x|^2 / 2 of the Gell-Mann coordinates."""
+    values bit for bit and |x|^2 / 2 of the Gell-Mann coordinates. Both
+    sides of the last are sums of d^2 terms of a Tr rho^2 <= 1, so they
+    agree to a few d^2 units of roundoff, not to a fixed 1e-15."""
     rng = np.random.default_rng(seed)
     chans = [random_channel(d, k=k, seed=rng) for _ in range(P)]
     rho = random_state(d, rng)
@@ -289,5 +305,5 @@ def test_stacks_map_item_by_item(d, k, P, s, seed):
         assert image.tobytes() == apply(chans[0], DensityMatrix(state)).m.tobytes()
     purity = purity_measure(images)
     assert purity.tobytes() == np.array([purity_measure(m) for m in images]).tobytes()
-    x = bloch_decompose(DensityMatrix(images), gellmann_basis(d))
-    np.testing.assert_allclose(purity, 0.5 * np.sum(x * x, axis=-1), rtol=0, atol=1e-15)
+    x = bloch_decompose(DensityMatrix(images))
+    np.testing.assert_allclose(purity, 0.5 * np.sum(x * x, axis=-1), rtol=0, atol=4 * d * d * np.finfo(float).eps)

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cohfact.basis import gellmann_basis, pauli_tensor_basis
+from cohfact.basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
 from cohfact.channel import KrausChannel, apply, make_named, random_channel
 from cohfact.errors import (
     CohfactError,
@@ -37,30 +37,33 @@ def plus_state():
 
 
 def test_decompose_maximally_mixed_is_zero():
-    b = gellmann_basis(3)
     rho = density_matrix(np.eye(3, dtype=complex) / 3)
-    assert np.max(np.abs(bloch_decompose(rho, b))) < 1e-14
+    assert np.max(np.abs(bloch_decompose(rho))) < 1e-14
 
 
 def test_decompose_plus_state():
-    x = bloch_decompose(plus_state(), gellmann_basis(2))
+    x = bloch_decompose(plus_state())
     np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("basis", [gellmann_basis(3), gellmann_basis(8), pauli_tensor_basis(1),
-                                   pauli_tensor_basis(3)], ids=["gm3", "gm8", "pauli1", "pauli3"])
-def test_decompose_matches_trace_reference(basis):
-    """The one-product decomposition against x_i = Tr(rho X_i) as an
-    einsum, for one state and a stack; a non-Hermitian matrix still
-    raises."""
+@pytest.mark.parametrize("basis, read", [
+    (gellmann_basis(3), lambda x: x), (gellmann_basis(8), lambda x: x),
+    (pauli_tensor_basis(1), lambda x: x @ y_to_x_transform(1)),
+    (pauli_tensor_basis(3), lambda x: x @ y_to_x_transform(3)),
+], ids=["gm3", "gm8", "pauli1", "pauli3"])
+def test_decompose_matches_trace_reference(basis, read):
+    """The one-product decomposition, read in the Pauli tensor basis
+    through y_to_x_transform for the pauli cases, against x_i = Tr(rho X_i)
+    as an einsum over ``basis``, for one state and a stack; a non-Hermitian
+    matrix still raises."""
     rho = random_state(basis.shape[-1], 4, 5)
     want = np.einsum("...ab,iba->...i", rho.m, basis).real
-    np.testing.assert_allclose(bloch_decompose(rho, basis), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(read(bloch_decompose(rho)), want, rtol=0, atol=1e-15)
     one = DensityMatrix(rho.m[2])
-    np.testing.assert_allclose(bloch_decompose(one, basis), want[2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(read(bloch_decompose(one)), want[2], rtol=0, atol=1e-15)
     skew = DensityMatrix(rho.m[2] + 1e-6j * np.triu(np.ones((basis.shape[-1], basis.shape[-1])), 1))
     with pytest.raises(UnphysicalStateError, match="not Hermitian"):
-        bloch_decompose(skew, basis)
+        bloch_decompose(skew)
 
 
 def test_decompose_checks_every_state_of_a_stack():
@@ -69,41 +72,37 @@ def test_decompose_checks_every_state_of_a_stack():
     rho = random_state(3, 4, 5)
     m = rho.m.copy()
     m[3, 0, 1] += 1e-9j
-    bloch_decompose(DensityMatrix(m[:3]), gellmann_basis(3))
+    bloch_decompose(DensityMatrix(m[:3]))
     with pytest.raises(UnphysicalStateError, match="not Hermitian"):
-        bloch_decompose(DensityMatrix(m), gellmann_basis(3))
+        bloch_decompose(DensityMatrix(m))
 
 
 def test_compose_trivials():
-    b = gellmann_basis(2)
-    np.testing.assert_allclose(bloch_compose(np.zeros(3), b).m, np.eye(2) / 2)
-    np.testing.assert_allclose(bloch_compose(np.array([0.0, 0.0, 1.0]), b).m, np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(bloch_compose(np.zeros(3)).m, np.eye(2) / 2)
+    np.testing.assert_allclose(bloch_compose(np.array([0.0, 0.0, 1.0])).m, np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_round_trip(d):
-    b = gellmann_basis(d)
     for seed in range(5):
         rho = random_state(d, seed)
-        back = bloch_compose(bloch_decompose(rho, b), b)
+        back = bloch_compose(bloch_decompose(rho))
         np.testing.assert_allclose(back.m, rho.m, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_purity_identity(d):
-    b = gellmann_basis(d)
     for seed in range(5):
         rho = random_state(d, seed)
-        x = bloch_decompose(rho, b)
+        x = bloch_decompose(rho)
         assert abs(np.trace(rho.m @ rho.m).real - (np.dot(x, x) / 2 + 1 / d)) < 1e-12
 
 
 def test_compose_rejects_unphysical():
-    b = gellmann_basis(3)
     x = np.zeros(8)
     x[0] = purity_radius(3) * 1.05
     with pytest.raises(UnphysicalStateError) as exc:
-        validate_density(bloch_compose(x, b))
+        validate_density(bloch_compose(x))
     assert exc.value.min_eigenvalue < 0
 
 
@@ -112,25 +111,24 @@ def test_density_matrix_rejects_non_finite(bad):
     with pytest.raises(UnphysicalStateError, match="non-finite"):
         density_matrix(np.diag([bad, bad]))
     with pytest.raises(UnphysicalStateError, match="non-finite"), np.errstate(invalid="ignore"):
-        validate_density(bloch_compose(np.array([0.0, bad, 0.0]), gellmann_basis(2)))
+        validate_density(bloch_compose(np.array([0.0, bad, 0.0])))
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        bloch_decompose(plus_state(), gellmann_basis(3))
-    with pytest.raises(DimensionMismatchError):
-        bloch_compose(np.zeros(5), gellmann_basis(2))
+    """bloch_compose reads d from the d^2 - 1 coordinates: a length that is
+    not d^2 - 1 for a d >= 2 is refused."""
+    for x in (np.zeros(5), np.zeros(0), np.zeros((2, 2, 3))):
+        with pytest.raises(DimensionMismatchError):
+            bloch_compose(x)
 
 
 def test_d_is_read_from_the_array():
     """No type stores d: each reads it from its array, so a 2 x 2 state
-    meets a d = 3 channel or basis as a DimensionMismatchError rather than
-    a failed matrix product."""
+    meets a d = 3 channel as a DimensionMismatchError rather than a failed
+    matrix product."""
     rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(DimensionMismatchError, match="state d=2 vs channel d=3"):
         apply(make_named("depolarizing", d=3, params={"p": 0.3}), rho)
-    with pytest.raises(DimensionMismatchError, match="state d=2 vs basis d=3"):
-        bloch_decompose(rho, gellmann_basis(3))
     for cls in (DensityMatrix, KrausChannel):
         assert "d" not in [f.name for f in fields(cls)]
     stack, ch, (n, chi) = random_state(3, 1, 4), random_channel(4, seed=1), random_family(5, 1)
@@ -218,11 +216,10 @@ def test_random_state_deterministic():
 def test_random_state_batch_validity():
     rng = np.random.default_rng(42)
     xs = []
-    b = gellmann_basis(3)
     for _ in range(1000):
         rho = random_state(3, rng)
         validate_density(rho)
-        xs.append(bloch_decompose(rho, b))
+        xs.append(bloch_decompose(rho))
     mean = np.mean(xs, axis=0)
     assert np.linalg.norm(mean) < 5.0 / np.sqrt(1000)
 
