@@ -63,13 +63,15 @@ def kraus_channel(ops, label="", params=None, tol=COMPLETENESS_TOL) -> KrausChan
         raise InvalidChannelError("empty Kraus set")
     if kraus.ndim < 3 or kraus.shape[-2] != kraus.shape[-1]:
         raise InvalidChannelError(f"Kraus operators must be square d x d matrices, got shape {kraus.shape}")
-    if not np.all(np.isfinite(kraus)):
-        raise InvalidChannelError("Kraus operators have non-finite entries")
     d = kraus.shape[-1]
     v = kraus.reshape(kraus.shape[:-3] + (-1, d))  # [E_0; E_1; ...], so V^dag V = sum E^dag E
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN error
         err = np.max(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(d)))
     if not err <= tol:
+        # a NaN or inf entry makes its column's diagonal entry sum |E_ij|^2
+        # non-finite, so only a refused set needs the scan
+        if not np.all(np.isfinite(kraus)):
+            raise InvalidChannelError("Kraus operators have non-finite entries")
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")
     return KrausChannel(_read_only(kraus), label=label, params=dict(params or {}))
 
@@ -82,25 +84,25 @@ def _side_by_side(stack):
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Schroedinger-picture action sum_mu E_mu rho E_mu^dag, computed as
-    [E_0 rho ... E_{k-1} rho] [E_0^dag; ...; E_{k-1}^dag]. Leading axes
-    broadcast: a state holding an (s, d, d) stack maps to the stack of the
-    s images, and a (P, k, d, d) stack of channels maps one state to its P
-    images, all P k products E_mu rho in one 2-D product. Leading shapes
-    that do not broadcast raise DimensionMismatchError."""
+    """Schroedinger-picture action sum_mu E_mu rho E_mu^dag. With the Kraus
+    set side by side, S = [E_0 ... E_{k-1}], and A = [E_0 rho ... E_{k-1}
+    rho], the image is A S^dag: each entry one dot product over the k d
+    columns. Leading axes broadcast: a state holding an (s, d, d) stack maps
+    to the stack of the s images, and a (P, k, d, d) stack of channels maps
+    one state to its P images, all P k products E_mu rho in one 2-D product.
+    Leading shapes that do not broadcast raise DimensionMismatchError."""
     if rho.d != ch.d:
         raise DimensionMismatchError(f"state d={rho.d} vs channel d={ch.d}")
-    lead, (k, d) = ch.kraus.shape[:-3], ch.kraus.shape[-3:-1]
+    lead, d = ch.kraus.shape[:-3], ch.d
     try:
         out = lead if rho.m.ndim == 2 else np.broadcast_shapes(lead, rho.m.shape[:-2])
     except ValueError:
         raise DimensionMismatchError(f"channel stack of shape {lead} vs state stack of shape "
                                      f"{rho.m.shape[:-2]}") from None
-    e = ch.kraus.reshape((-1, d) if rho.m.ndim == 2 else lead + (k * d, d))
-    e_rho = (e @ rho.m).reshape(out + (k, d, d))
-    # [E_0^dag; ...] written in one pass; the reshape of it copies nothing
-    e_dag = np.conj(ch.kraus.swapaxes(-2, -1), order="C").reshape(lead + (k * d, d))
-    return DensityMatrix(_side_by_side(e_rho) @ e_dag)
+    s = _side_by_side(ch.kraus)  # the one copy of the set; its rows of d entries are the E_mu[i]
+    rows = s.reshape((-1, d) if rho.m.ndim == 2 else lead + (-1, d))
+    a = (rows @ rho.m).reshape(out + s.shape[-2:])  # row i of E_mu rho lands beside E_mu[i] in S
+    return DensityMatrix(np.vecdot(s[..., None, :, :], a[..., :, None, :]))  # sum conj(S_jc) A_ic
 
 
 def _one_channel(ch: KrausChannel):

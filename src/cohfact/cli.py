@@ -276,20 +276,34 @@ def _sample_reachable_target(N, key, rows):
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
 
+def _grid_points(a, b, step):
+    """Number of points a + i step, i = 0, 1, ..., of the range a:b:step
+    that do not pass b. A point past b by at most 1e-9 of b - a counts, so
+    that a step dividing b - a reaches b whatever the round-off."""
+    return np.floor((b - a) / step * (1 + 1e-9)) + 1
+
+
+def _sweep_grid(text):
+    """The _grid_points(a, b, step) points a + i step of the range
+    "a:b:step", the last clipped to b. MAX_SWEEP_POINTS bounds their number
+    before the grid is built."""
+    try:
+        a, b, step = (float(v) for v in text.split(":"))
+    except ValueError as exc:
+        raise CohfactError(f"invalid range {text!r}, expected a:b:step") from exc
+    if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
+        raise CohfactError(f"invalid range {text!r}")
+    points = _grid_points(a, b, step)
+    if points > MAX_SWEEP_POINTS:
+        raise CohfactError(f"range {text!r} has {points:.0f} points, "
+                           f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
+    return np.minimum(a + step * np.arange(int(points)), b)
+
+
 def cmd_sweep(args):
     _check_tol(args.tol)
     rho = io.load_state(args.state)
-    try:
-        a, b, step = (float(v) for v in args.range.split(":"))
-    except ValueError as exc:
-        raise CohfactError(f"invalid range {args.range!r}, expected a:b:step") from exc
-    if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
-        raise CohfactError(f"invalid range {args.range!r}")
-    points = np.ceil((b + step / 2 - a) / step)  # the length of the arange below
-    if points > MAX_SWEEP_POINTS:
-        raise CohfactError(f"range {args.range!r} has {points:.0f} points, "
-                           f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
-    grid = np.arange(a, b + step / 2, step)
+    grid = _sweep_grid(args.range)
     d = rho.d if args.d is None else io.bounded_dimension(args.d, "--d")
     traj = freeze_trajectory(args.channel_name, grid, rho, d=d, tol=args.tol)
     # 12 significant digits, the same text as formatting io.fmt12 of each

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, factorization, io
@@ -432,11 +432,34 @@ def test_point_count_is_capped_before_the_grid_is_built(qubit_file, capsys, monk
 
 
 @given(a=st.floats(-10, 10), span=st.floats(0, 10), step=st.floats(1e-3, 10))
+@example(a=0.0, span=0.3, step=0.1)  # 3 * 0.1 is 0.30000000000000004
 @settings(max_examples=200, deadline=None)
 def test_point_count_is_the_length_of_the_grid(a, span, step):
+    """The count the cap reads is the number of points the grid holds: a
+    + i step from a, rising, none past b, and the next one would pass b."""
     b = a + span
-    points = np.ceil((b + step / 2 - a) / step)
-    assert points == len(np.arange(a, b + step / 2, step)) and math.isfinite(points)
+    points = cli._grid_points(a, b, step)
+    grid = cli._sweep_grid(f"{a!r}:{b!r}:{step!r}")
+    assert len(grid) == points and math.isfinite(points)
+    assert grid[0] == a and grid[-1] <= b and np.all(np.diff(grid) > 0)
+    assert points * step > b - a
+
+
+@pytest.mark.parametrize("name, grid, rows, last", [
+    ("phase_damping", "0.3:1:0.1", 8, "1"),
+    ("phase_damping", "0.2:1:0.1", 9, "1"),
+    ("phase_damping", "0.1:1:0.05", 19, "1"),
+    ("phase_damping", "0.1:1:0.001", 901, "1"),
+    ("phase_damping", "0.09:1:0.07", 14, "1"),  # 0.09 + 13 * 0.07 is 1.0000000000000002
+    ("phase_damping", "0:1:0.15", 7, "0.9"),
+    ("depolarizing", "0:1:0.15", 7, "0.9"),
+])
+def test_grid_ends_at_b_and_never_passes_it(qubit_file, capsys, name, grid, rows, last):
+    """A step that divides b - a only up to round-off still ends on b
+    itself, and one that does not divide it stops short of b."""
+    assert cli.main(["sweep", name, grid, "--state", qubit_file]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(lines) == rows and lines[-1].split(",")[0] == last
 
 
 def test_sweep_of_a_matrix_state(tmp_path, capsys):

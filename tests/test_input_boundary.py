@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cohfact import io
 from cohfact.channel import channel_entry, named_channels
@@ -32,6 +33,28 @@ def _pairs(d, k=None):
     return matrix if k is None else st.lists(matrix, min_size=k, max_size=k)
 
 
+@st.composite
+def kraus_sets(draw):
+    """A regular (k, d, d) Kraus set of [re, im] pairs that reaches
+    kraus_channel: a complete set, sqrt(w_mu) times a permutation matrix
+    with phases +-1, +-i, or an incomplete one of any entries; either with
+    one entry made huge (1e200) or non-finite (NaN, Infinity in the file)."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        ops = np.zeros((k, d, d), dtype=complex)
+        for mu in range(k):
+            phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=d, max_size=d))
+            ops[mu, range(d), draw(st.permutations(range(d)))] = np.sqrt(w[mu] / w.sum()) * np.array(phases)
+        pairs = np.stack((ops.real, ops.imag), axis=-1)
+    else:
+        pairs = draw(hnp.arrays(float, (k, d, d, 2), elements=st.floats(-1.5, 1.5)))
+    bad = draw(st.sampled_from([None, None, 1e200, -1e200, float("nan"), float("inf"), -float("inf")]))
+    if bad is not None:
+        pairs[tuple(draw(st.integers(0, n - 1)) for n in pairs.shape)] = bad
+    return pairs.tolist()
+
+
 json_values = st.recursive(
     scalars,
     lambda children: st.lists(children, max_size=4)
@@ -45,7 +68,7 @@ structured = {
     "name": st.sampled_from(named_channels()) | scalars,
     "params": st.none() | st.dictionaries(st.sampled_from(PARAM_KEYS), numbers | scalars, max_size=5),
     "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a))
-    | st.integers(1, 3).flatmap(_pairs),
+    | st.integers(1, 3).flatmap(_pairs) | kraus_sets(),
     "label": scalars,
     "n": st.lists(numbers, max_size=9) | scalars,
     "chi": numbers | scalars,
@@ -70,8 +93,8 @@ bloch_specs = small_d.flatmap(lambda d: st.fixed_dictionaries({
     "bloch": st.sampled_from([st.floats(-0.6, 0.6), numbers]).flatmap(lambda x: st.lists(
         x, min_size=max(int(d) ** 2 - 2, 0), max_size=int(d) ** 2)) if d <= 5 else st.just([0.0]),
 }))
-kraus_specs = st.fixed_dictionaries({"kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
-    lambda a: _pairs(*a))}, optional={"label": scalars, "params": json_values})
+kraus_specs = st.fixed_dictionaries({"kraus": kraus_sets()}, optional={
+    "label": scalars, "params": st.none() | st.dictionaries(st.text(max_size=3), scalars, max_size=3) | json_values})
 family_specs = st.integers(2, 4).flatmap(lambda d: st.fixed_dictionaries(
     {"d": st.sampled_from([d, 2, 2.0, "2"]), "n": st.lists(unit | numbers, min_size=d * d - 2, max_size=d * d)},
     optional={"chi": unit | numbers | scalars}))
