@@ -27,7 +27,8 @@ from .errors import (
     NotApplicableError,
     UnreachableTargetError,
 )
-from .state import DensityMatrix, bloch_decompose
+from .measures import l1_from_density
+from .state import DensityMatrix, bloch_compose, bloch_decompose, coherence_weight
 
 COMPLETENESS_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -147,19 +148,32 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     return t.real
 
 
-def theorem1_condition(T) -> bool:
-    """True iff T_k0 = 0 for every off-diagonal generator row k of the
-    (d^2, d^2) transfer matrix T."""
+def _maximally_mixed_image(T):
+    """Gell-Mann coordinates of E(I/d), and d, read off column 0 of the
+    transfer matrix T: I/d has x_0 = sqrt(2/d) alone, so x_i = sqrt(2/d) T_i0."""
     d = isqrt(len(T))
-    return bool(np.max(np.abs(T[1 : d * d - d + 1, 0])) <= CONDITION_TOL)
+    return np.sqrt(2.0 / d) * T[1:, 0], d
+
+
+def theorem1_condition(T) -> bool:
+    """Theorem 1's T_k0 = 0 on the off-diagonal rows of T, read as E(I/d)
+    incoherent: c0 = C_l1[E(I/d)] = sqrt(2/d) g(T_coh,0) <= CONDITION_TOL."""
+    x, d = _maximally_mixed_image(T)
+    return bool(coherence_weight(x, d) <= CONDITION_TOL)
+
+
+def _lemma1_condition(T) -> bool:
+    """Lemma 1's unitality E(I/d) = I/d, read as sum_jk |E(I/d) - I/d|_jk <=
+    CONDITION_TOL; the off-diagonal part of that sum is c0."""
+    x, d = _maximally_mixed_image(T)
+    return bool(np.sum(np.abs(bloch_compose(x).m - np.eye(d) / d)) <= CONDITION_TOL)
 
 
 def corollary1_check(ch: KrausChannel) -> bool:
-    """True iff A = sum E E^dag is diagonal."""
-    e = _side_by_side(_one_channel(ch))
-    a = e @ e.conj().T
-    off = a - np.diag(np.diag(a))
-    return bool(np.max(np.abs(off)) <= CONDITION_TOL)
+    """Corollary 1's A = sum E E^dag diagonal, read as c0 = C_l1(A)/d <= CONDITION_TOL
+    with A/d = E(I/d) from apply on one channel's Kraus set, not through T."""
+    d = _one_channel(ch).shape[-1]
+    return bool(l1_from_density(apply(ch, DensityMatrix(np.eye(d) / d)).m) <= CONDITION_TOL)
 
 
 def scalar_actions(T, populated) -> np.ndarray:
@@ -182,18 +196,14 @@ def scalar_actions(T, populated) -> np.ndarray:
 
 def frozen_condition_check(T, n=None) -> bool:
     """Corollary-4 decision: does this transfer matrix freeze coherence?
-
-    T^S must be block diagonal with orthogonal 2x2 blocks, read on the
-    coordinates the family direction ``n`` populates (|n_i| >
-    CONDITION_TOL); without a direction every coordinate is populated. A
-    pair with a populated coordinate must not couple into populated
-    coordinates outside its block, and its block's Gram matrix b^T b must
-    be I on the entries whose two columns are both populated: with n_{2r} =
-    0 (or n_{2r-1} = 0) only one column has to keep unit length. A
-    direction with a NaN or infinite component raises CohfactError before
-    anything is decided: NaN fails every comparison, so it would read as
-    unpopulated.
-    """
+    NotApplicableError unless theorem1_condition holds, c0 = C_l1[E(I/d)] <=
+    CONDITION_TOL. T^S must then be block diagonal with orthogonal 2x2 blocks,
+    read on the coordinates the family direction ``n`` populates (|n_i| >
+    CONDITION_TOL; all without ``n``): a pair with a populated coordinate must
+    not couple into populated coordinates outside its block, and its block's
+    Gram matrix b^T b must be I on the entries whose two columns are both
+    populated. A direction with a NaN or infinite component raises
+    CohfactError first: NaN fails every comparison, so reads as unpopulated."""
     d = isqrt(len(T))
     k, d0 = d * d - 1, (d * d - d) // 2
     if n is not None:

@@ -9,8 +9,8 @@ import numpy as np
 
 from .basis import _by_rows, qubit_count, y_to_x_transform
 from .channel import (
-    CONDITION_TOL,
     KrausChannel,
+    _lemma1_condition,
     apply,
     aux_pauli_action,
     channel_entry,
@@ -62,27 +62,31 @@ def _measure(measure, x, d):
     """C_l1 = g of the generator coordinates 1..d^2-1, or the purity
     |x|^2 / 2 - 1/d over all d^2 coordinates, of each row of ``x``."""
     if measure == "l1":
-        return coherence_weight(x[:, 1:], d)
+        return coherence_weight(x[..., 1:], d)
     return 0.5 * np.sum(x * x, axis=-1) - 1.0 / d
 
 
-def _with_x0(x, d):
-    """The rows of ``x`` with x_0 = sqrt(2/d) put first: one concatenate,
-    where np.insert spends more on its argument handling than on the copy."""
-    return np.concatenate((np.full((len(x), 1), np.sqrt(2.0 / d)), x), axis=1)
+def _through(t, *parts):
+    """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d)
+    put first, and their images x' = T x, as two (len(parts), s, d^2) arrays. BLAS
+    picks a kernel by the row count, so the rows go in zero-padded blocks of 32 rows,
+    one shape for all: a row's bits do not depend on s or on the rows beside it."""
+    n, s = len(t), len(parts[0])
+    x = np.zeros((len(parts), -(-s // 32) * 32, n))
+    x[..., 0] = np.sqrt(2.0 / isqrt(n))
+    x[:, :s, 1:] = parts
+    after = x.reshape(-1, 32, n) @ np.ascontiguousarray(t.T)  # each block packs T^T; a copy packs faster
+    return x[:, :s], after.reshape(x.shape)[:, :s]
 
 
-def _law(measure, t, x, probe_physical, condition) -> FactorizationReport:
-    """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags for the
-    (2s, d^2 - 1) Bloch coordinates ``x`` of s states rho, then their s
-    probes rho_p. With x_0 = sqrt(2/d) put first, the channel maps them as
-    x' = T x in one product with its transfer matrix ``t``; row 0 is used
-    too, since a channel read from a file is trace preserving only to its
-    printed digits. ``condition`` is the channel condition's outcome."""
-    d, s = isqrt(len(t)), len(x) // 2
-    x = _with_x0(x, d)
-    after = _measure(measure, x @ t.T, d)
-    lhs, rhs = after[:s], _measure(measure, x[:s], d) * after[s:]
+def _law(measure, t, members, probes, probe_physical, condition) -> FactorizationReport:
+    """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags, for the
+    Bloch coordinates of s states rho and of their probes rho_p mapped by
+    ``t`` with its row 0, as a file's channel preserves trace only to 12 digits."""
+    d, s = isqrt(len(t)), len(members)
+    x, after = _through(t, members, probes)
+    after = _measure(measure, after, d)
+    lhs, rhs = after[0], _measure(measure, x[0], d) * after[1]
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
                                probe_physical=probe_physical, condition_held=np.full(s, condition))
 
@@ -93,19 +97,15 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     measure M = 'l1' (Theorem 1) or 'purity' (Lemma 1), under the channel
     with transfer matrix ``t``; d is read from its shape.
 
-    The coordinates of the s members and s probes go through ``t`` in one
-    product. The l1 probe has chi_p = 1/g(n^s); the purity probe solves
-    chi_p^2 / 2 = 1 (chi_p = sqrt(2)). Probes outside the physical range
-    are kept and flagged: ``hi`` holds the upper ends of the families'
-    physical ranges (chi_interval), and as chi_p > 0 the probe rho_p =
-    I/d + (chi_p/2) n.X passes the PSD check iff chi_p <= hi, so its
-    spectrum is never computed again. The channel condition (T_k0 = 0 on
-    the off-diagonal rows for l1, full unitality for purity) is read from
-    ``t``; a failed one never aborts, its reports are counterexample
-    probes. Returns a report whose fields are arrays of s entries. chi and
-    hi must hold one entry per row of n (DimensionMismatchError); n, chi
-    and hi must be finite (CohfactError, naming the first row with a
-    non-finite direction or factor).
+    The members and probes go through ``t`` together (_through). The l1 probe has
+    chi_p = 1/g(n^s), the purity probe chi_p = sqrt(2). Probes outside the physical
+    range are kept and flagged: as chi_p > 0, rho_p is PSD iff chi_p <= hi, the
+    upper end of its family's range (chi_interval). The channel condition, never a
+    cause to abort, is c0 = C_l1[E(I/d)] <= CONDITION_TOL for l1 (theorem1_condition)
+    and sum_jk |E(I/d) - I/d|_jk <= CONDITION_TOL for purity (Lemma 1's unitality).
+    Returns a report of arrays of s entries. chi and hi must hold one entry per row
+    of n (DimensionMismatchError); n, chi and hi must be finite (CohfactError,
+    naming the first row with a non-finite direction or factor).
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
@@ -125,11 +125,9 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
         raise CohfactError("the upper ends hi of the physical ranges must be finite")
     if measure == "l1":
         chi_p, condition = probe_factor(n, d), theorem1_condition(t)
-    else:  # all T_k0 = 0: unital
-        chi_p = np.full(len(chi), np.sqrt(2.0))
-        condition = bool(np.max(np.abs(t[1:, 0])) <= CONDITION_TOL)
-    return _law(measure, t, np.concatenate((chi[:, None] * n, chi_p[:, None] * n)),
-                chi_p <= hi, condition)
+    else:
+        chi_p, condition = np.full(len(chi), np.sqrt(2.0)), _lemma1_condition(t)
+    return _law(measure, t, chi[:, None] * n, chi_p[:, None] * n, chi_p <= hi, condition)
 
 
 def _first(rep: FactorizationReport) -> FactorizationReport:
@@ -164,11 +162,10 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     q = scalar_actions(t, populated)
     if np.isnan(q).any():
         raise NotApplicableError("channel has no common scalar action on the populated coordinates")
-    lhs = _measure("l1", _with_x0(x, d) @ t.T, d)  # x' = T x
+    lhs = _measure("l1", _through(t, x)[1][0], d)  # x' = T x
     rhs = np.abs(q) * l1_from_density(rho.m)
-    s = len(q)
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_err=np.abs(lhs - rhs),
-                               probe_physical=np.full(s, True), condition_held=np.full(s, True))
+                               probe_physical=np.full(len(q), True), condition_held=np.full(len(q), True))
 
 
 def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
@@ -190,7 +187,7 @@ def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
     image = _by_rows(aux_pauli_action(eps)[:, 1:] * _by_rows(bloch_decompose(rho), a), a.T)
-    return _law("l1", t, np.concatenate((image, target / g[:, None])),  # probes at chi_p = 1/g
+    return _law("l1", t, image, target / g[:, None],  # probes at chi_p = 1/g
                 1.0 / g <= chi_interval(target, d)[1], theorem1_condition(t))
 
 

@@ -20,10 +20,11 @@ def _per_matrix(values):
 
 
 def l1_from_density(rho) -> float:
-    """C_l1: sum of absolute values of the off-diagonal elements (of each
-    matrix of an (s, d, d) stack)."""
+    """C_l1: sum of |rho_jk| over j != k (of each matrix of an (s, d, d)
+    stack), as the sum over all entries less the diagonal's, clipped at 0,
+    below which round-off could take it."""
     a = np.abs(_mat(rho))
-    return _per_matrix(a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1))
+    return _per_matrix(np.maximum(a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1), 0.0))
 
 
 def purity_measure(rho) -> float:

@@ -404,6 +404,26 @@ def test_first_records_match_a_shorter_run(tmp_path, monkeypatch, capsys, kind, 
         assert whole[:t] == lines
 
 
+@pytest.mark.parametrize("kind, extra", [("theorem1", []), ("lemma1", ["--measure", "purity"]), ("cascade", [])])
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_first_records_match_a_shorter_run_on_a_dense_transfer_matrix(tmp_path, monkeypatch, capsys,
+                                                                     kind, extra, chunk):
+    """The prefix rule where T is dense, so that every image coordinate is
+    a sum over the whole row: a row's bits must not depend on how many rows
+    are mapped with it. depolarizing's T is diagonal and cannot show this."""
+    path = tmp_path / "unital8.json"
+    io.save_channel(path, random_unital_channel(8, k=8, seed=8))
+
+    def run(trials):
+        assert cli.main(["--trials", str(trials), "verify", kind, "--channel", str(path), *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    short = run(7)
+    if chunk:
+        monkeypatch.setattr(cli, "CHUNK_TRIALS", chunk)
+    assert run(50)[:7] == short
+
+
 def _round_trip(ch):
     """The channel as read back from its 12-digit file form: trace
     preserving only to about 1e-12."""

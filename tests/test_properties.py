@@ -7,13 +7,14 @@ and stacked apply and purity against their item-by-item values."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, io
 from cohfact.basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
 from cohfact.channel import (
     CONDITION_TOL,
+    _lemma1_condition,
     apply,
     aux_channel,
     corollary1_check,
@@ -22,10 +23,11 @@ from cohfact.channel import (
     make_named,
     named_channels,
     random_channel,
+    theorem1_condition,
     transfer_matrix,
 )
 from cohfact.errors import InvalidChannelError
-from cohfact.measures import purity_measure
+from cohfact.measures import l1_from_density, purity_measure
 from cohfact.state import DensityMatrix, bloch_compose, bloch_decompose, random_state
 
 dims = st.integers(2, 5)
@@ -129,7 +131,40 @@ def test_stack_products_match_kraus_sums(d, k, seed):
     np.testing.assert_allclose(dual_apply(ch, obs), want, rtol=0, atol=1e-12)
     want = sum(e @ e.conj().T for e in ch.kraus)  # A, which is E(I)
     np.testing.assert_allclose(apply(ch, DensityMatrix(np.eye(d))).m, want, rtol=0, atol=1e-12)
-    assert corollary1_check(ch) == bool(np.max(np.abs(want - np.diag(np.diag(want)))) <= CONDITION_TOL)
+    # Corollary 1 reads C_l1(A)/d, the sum of the off-diagonal |A_jk| over d
+    assert corollary1_check(ch) == bool(np.sum(np.abs(want - np.diag(np.diag(want)))) / d <= CONDITION_TOL)
+
+
+def _sigma_channel(d, c):
+    """E(rho) = rho/2 + Tr(rho) sigma/2 with sigma = I/d + c (|0><1| + |1><0|),
+    from the Kraus operators I/sqrt(2) and sqrt(sigma)|i><j|/sqrt(2).
+    E(I/d) = I/d + (c/2)(|0><1| + |1><0|), so c0 = C_l1[E(I/d)] = c, and
+    E(I/d) - I/d has no diagonal part. sqrt(sigma) is I/sqrt(d) but for its
+    0-1 block [[p, q], [q, p]], with p, q = (r+ +- r-)/2 and r+- = sqrt(1/d
+    +- c); q is written c/(r+ + r-), where r+ - r- would cancel."""
+    r_plus, r_minus = np.sqrt(1.0 / d + c), np.sqrt(1.0 / d - c)
+    root = np.eye(d) / np.sqrt(d)
+    root[:2, :2] = [[(r_plus + r_minus) / 2, c / (r_plus + r_minus)],
+                    [c / (r_plus + r_minus), (r_plus + r_minus) / 2]]
+    ops = np.einsum("ai,jb->ijab", root, np.eye(d)).reshape(d * d, d, d)  # sqrt(sigma)|i><j|
+    return kraus_channel(np.concatenate(([np.eye(d)], ops)) / np.sqrt(2.0))
+
+
+@given(d=st.integers(2, 32), above=st.booleans())
+@example(d=32, above=False)
+@example(d=32, above=True)
+@settings(max_examples=10, deadline=None)
+def test_condition_checks_read_c0_against_the_threshold(d, above):
+    """theorem1_condition (from T), corollary1_check (from the Kraus set)
+    and Lemma 1's unitality read c0 = C_l1[E(I/d)] against CONDITION_TOL,
+    so a channel whose c0 lies 1e-3 of the threshold to one side is on
+    that side in all three, at every d. Max-entry readings, |T_k0| =
+    sqrt(d/2) c0 or |A_jk| = d c0 / 2, would fail a c0 under the threshold."""
+    ch = _sigma_channel(d, CONDITION_TOL * (1.001 if above else 0.999))
+    t = transfer_matrix(ch)
+    assert theorem1_condition(t) is (not above)
+    assert corollary1_check(ch) is (not above)
+    assert _lemma1_condition(t) is (not above)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)
@@ -292,7 +327,9 @@ def test_stacks_map_item_by_item(d, k, P, s, seed):
     their s images, byte for byte; the purity of a stack is its per-matrix
     values bit for bit and |x|^2 / 2 of the Gell-Mann coordinates. Both
     sides of the last are sums of d^2 terms of a Tr rho^2 <= 1, so they
-    agree to a few d^2 units of roundoff, not to a fixed 1e-15."""
+    agree to a few d^2 units of roundoff, not to a fixed 1e-15. C_l1 is
+    never below 0, not even of an image I/d whose off-diagonal entries are
+    round-off."""
     rng = np.random.default_rng(seed)
     chans = [random_channel(d, k=k, seed=rng) for _ in range(P)]
     rho = random_state(d, rng)
@@ -307,3 +344,5 @@ def test_stacks_map_item_by_item(d, k, P, s, seed):
     assert purity.tobytes() == np.array([purity_measure(m) for m in images]).tobytes()
     x = bloch_decompose(DensityMatrix(images))
     np.testing.assert_allclose(purity, 0.5 * np.sum(x * x, axis=-1), rtol=0, atol=4 * d * d * np.finfo(float).eps)
+    mixed = apply(make_named("depolarizing", d=d, params={"p": 1.0}), states).m
+    assert np.all(l1_from_density(np.concatenate((images, mixed))) >= 0.0)
