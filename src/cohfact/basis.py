@@ -15,9 +15,9 @@ import numpy as np
 from .errors import InvalidDimensionError
 
 
-# Entries kept per basis cache; enough for every d and N of a typical run
-# (d <= 16, N <= 4) while bounding the memory a long process can hold.
+# Entries kept per basis cache: every d <= 32 and N <= 5 fit, in bounded memory.
 CACHE_SIZE = 16
+ROW_BLOCK = 32  # rows per product of _by_row_blocks
 
 
 def _read_only(a):
@@ -61,29 +61,28 @@ def gellmann_basis(d):
     return _read_only(elements)
 
 
-def _qubits(N, most):
-    """``N`` as an int if it is an integer qubit count in 1..most."""
-    if not isinstance(N, (int, np.integer)) or N < 1 or N > most:
-        raise InvalidDimensionError(f"qubit count must be in 1..{most}, got {N}")
+def _qubits(N):
+    """``N`` as an int if it is an integer qubit count in 1..5 (io.MAX_D = 2^5)."""
+    if not isinstance(N, (int, np.integer)) or N < 1 or N > 5:
+        raise InvalidDimensionError(f"qubit count must be in 1..5, got {N}")
     return int(N)
 
 
 def qubit_count(d):
-    """Qubit count N of a d = 2^N dimensional system, 1 <= N <= 5: the
-    largest input dimension, io.MAX_D = 32, is 5 qubits."""
+    """Qubit count N of a d = 2^N dimensional system, 1 <= N <= 5."""
     N = int(d).bit_length() - 1
     if d < 1 or 2**N != d:
         raise InvalidDimensionError(f"dimension must be a power of 2, got d={d}")
-    return _qubits(N, 5)
+    return _qubits(N)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
-    """The N-qubit Pauli tensor basis, 1 <= N <= 6, as a read-only
+    """The N-qubit Pauli tensor basis, 1 <= N <= 5, as a read-only
     (4^N-1, 2^N, 2^N) array of the generators Y_j = 2^((1-N)/2) sigma_{j_1}
     x ... x sigma_{j_N}, where j_1 ... j_N are the base-4 digits of j, in
     numeric order (00..1), (00..2), ..., (33..3); Y_0 is not stored."""
-    N = _qubits(N, 6)
+    N = _qubits(N)
     # products[j] = scale sigma_{j_1} x ... x sigma_{j_N}: each step appends one
     # qubit, with its digit as the least significant one
     products = np.full((1, 1, 1), 2.0 ** ((1 - N) / 2), dtype=complex)
@@ -93,10 +92,15 @@ def pauli_tensor_basis(N):
     return _read_only(products[1:])
 
 
-def _by_rows(x, a):
-    """x @ a, one product per row of x: BLAS picks a product's kernel by its
-    row count, so one product would make a row depend on the rows beside it."""
-    return (x[..., None, :] @ a)[..., 0, :]
+def _by_row_blocks(x, a):
+    """x @ a for real arrays, the rows of ``x`` (a vector or (..., s, k)) taken in zero-padded
+    blocks of ROW_BLOCK, each its own product of one shape: BLAS picks a product's kernel by
+    its row count, so a row's bits depend neither on s nor on the rows beside it."""
+    s = x.shape[-2] if x.ndim > 1 else 1
+    blocks = np.zeros(x.shape[:-2] + (-(-s // ROW_BLOCK) * ROW_BLOCK, x.shape[-1]))
+    blocks[..., :s, :] = x
+    out = (blocks.reshape(-1, ROW_BLOCK, x.shape[-1]) @ a).reshape(blocks.shape[:-1] + a.shape[-1:])
+    return out[..., :s, :].reshape(x.shape[:-1] + a.shape[-1:])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -104,6 +108,6 @@ def y_to_x_transform(N):
     """Read-only orthogonal a of N <= 5 qubits: X_i = sum_j a_ij Y_j, so x = a y.
     a_ij = Tr(X_i Y_j)/2 is one real product of the (re, im) pairs of the
     flattened X_i and Y_j, as Y_j is Hermitian."""
-    N = _qubits(N, 5)
+    N = _qubits(N)
     x, y = (b.reshape(len(b), -1).view(float) for b in (gellmann_basis(2**N), pauli_tensor_basis(N)))
     return _read_only(x @ y.T / 2.0)

@@ -12,7 +12,7 @@ import numpy as np
 from .basis import (
     CACHE_SIZE,
     _SIGMA,
-    _by_rows,
+    _by_row_blocks,
     _read_only,
     gellmann_basis,
     pauli_tensor_basis,
@@ -486,9 +486,8 @@ def aux_weights(rho: DensityMatrix, m, chi):
     for the sources' Pauli coordinates y = bloch_decompose(rho) @ a, with a =
     y_to_x_transform(N). A target coordinate m_nu != 0 over a vanishing y_nu
     (|y_nu| <= 1e-10) is unreachable, whatever chi; its row's weights are
-    meaningless. Rows of stacked states, directions and factors are solved
-    together, each by its own c q. A non-finite chi or m_nu raises
-    CohfactError; overflowing weights are inf."""
+    meaningless. Stacked rows are solved together (_by_row_blocks). A
+    non-finite chi or m_nu raises CohfactError; overflowing weights are inf."""
     N = qubit_count(rho.d)
     m, chi = np.asarray(m, dtype=float), np.asarray(chi, dtype=float)
     if m.shape[-1:] != (4**N - 1,):
@@ -498,14 +497,14 @@ def aux_weights(rho: DensityMatrix, m, chi):
     if not np.isfinite(m).all():
         i = np.unravel_index(np.argmin(np.isfinite(m)), m.shape)
         raise CohfactError(f"target direction has a non-finite component m{[int(k) for k in i]} = {m[i]}")
-    y = _by_rows(bloch_decompose(rho), y_to_x_transform(N))
+    y = _by_row_blocks(bloch_decompose(rho), y_to_x_transform(N))
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     unreachable = live & (np.abs(y) <= 1e-10)
     q = np.zeros(m.shape[:-1] + (4**N,))
     q[..., 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite weights fail later
         q[..., 1:] = np.where(live & ~unreachable, chi[..., None] * m / y, 0.0)
-        eps = (aux_coefficient_matrix(N) @ q[..., None])[..., 0] / 4.0
+        eps = _by_row_blocks(q, aux_coefficient_matrix(N)) / 4.0  # c is symmetric
     return eps, unreachable
 
 
@@ -540,7 +539,7 @@ def aux_pauli_action(eps) -> np.ndarray:
     InvalidChannelError if |lambda_0 - 1| = |sum E^dag E - I| exceeds
     COMPLETENESS_TOL for the clipped weights."""
     eps = _realizable(eps)
-    lam = eps @ aux_coefficient_matrix(qubit_count(isqrt(eps.shape[-1])))  # c is symmetric
+    lam = _by_row_blocks(eps, aux_coefficient_matrix(qubit_count(isqrt(eps.shape[-1]))))  # c is symmetric
     err = np.max(np.abs(lam[..., 0] - 1.0))
     if not err <= COMPLETENESS_TOL:
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")

@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 
-from .basis import _by_rows, qubit_count, y_to_x_transform
+from .basis import _by_row_blocks, qubit_count, y_to_x_transform
 from .channel import (
     KrausChannel,
     _lemma1_condition,
@@ -67,16 +67,12 @@ def _measure(measure, x, d):
 
 
 def _through(t, *parts):
-    """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d)
-    put first, and their images x' = T x, as two (len(parts), s, d^2) arrays. BLAS
-    picks a kernel by the row count, so the rows go in zero-padded blocks of 32 rows,
-    one shape for all: a row's bits do not depend on s or on the rows beside it."""
-    n, s = len(t), len(parts[0])
-    x = np.zeros((len(parts), -(-s // 32) * 32, n))
-    x[..., 0] = np.sqrt(2.0 / isqrt(n))
-    x[:, :s, 1:] = parts
-    after = x.reshape(-1, 32, n) @ np.ascontiguousarray(t.T)  # each block packs T^T; a copy packs faster
-    return x[:, :s], after.reshape(x.shape)[:, :s]
+    """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d) put
+    first, and their images x' = T x (_by_row_blocks), as two (len(parts), s, d^2) arrays."""
+    x = np.empty((len(parts), len(parts[0]), len(t)))
+    x[..., 0] = np.sqrt(2.0 / isqrt(len(t)))
+    x[..., 1:] = parts
+    return x, _by_row_blocks(x, np.ascontiguousarray(t.T))  # each block packs T^T; a copy packs faster
 
 
 def _law(measure, t, members, probes, probe_physical, condition) -> FactorizationReport:
@@ -169,24 +165,23 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
 
 
 def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
-    """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)]
-    under the channel E_F with transfer matrix ``t``, as a report of arrays
-    over the (s, d, d) stack rho, d = 2^N, target directions m and their
-    auxiliary Kraus weights eps (aux_solve), row by row. In coordinates only:
-    E_aux scales rho's Pauli ones y = x a, a = y_to_x_transform(N), by
-    aux_pauli_action. The probe of a target's Gell-Mann direction n = a m
-    has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
+    """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)] under the
+    channel E_F with transfer matrix ``t``, as a report of arrays over the (s, d, d)
+    stack rho, d = 2^N, target directions m and their auxiliary Kraus weights eps
+    (aux_solve). In coordinates only, in row blocks: E_aux scales rho's Pauli ones
+    y = x a, a = y_to_x_transform(N), by aux_pauli_action. The probe of a target's
+    Gell-Mann direction n = a m has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
     m, eps = np.asarray(m, dtype=float), np.asarray(eps, dtype=float)
     d, s = isqrt(len(t)), len(rho.m)
     if rho.m.shape != (s, d, d) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
         raise DimensionMismatchError(f"expected an (s, {d}, {d}) stack of states, (s, {d * d - 1}) directions "
                                      f"and (s, {d * d}) weights, got {rho.m.shape}, {m.shape}, {eps.shape}")
     a = y_to_x_transform(qubit_count(d))
-    target = _by_rows(m, a.T)  # Gell-Mann coordinates of I/d + (1/2) m.Y
+    target = _by_row_blocks(m, a.T)  # Gell-Mann coordinates of I/d + (1/2) m.Y
     g = _finite_weights(coherence_weight(target, d))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    image = _by_rows(aux_pauli_action(eps)[:, 1:] * _by_rows(bloch_decompose(rho), a), a.T)
+    image = _by_row_blocks(aux_pauli_action(eps)[:, 1:] * _by_row_blocks(bloch_decompose(rho), a), a.T)
     return _law("l1", t, image, target / g[:, None],  # probes at chi_p = 1/g
                 1.0 / g <= chi_interval(target, d)[1], theorem1_condition(t))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, factorization, io
-from cohfact.basis import gellmann_basis, pauli_tensor_basis, qubit_count
+from cohfact.basis import ROW_BLOCK, _by_row_blocks, gellmann_basis, pauli_tensor_basis, qubit_count
 from cohfact.channel import (
     apply,
     aux_channel,
@@ -45,6 +45,7 @@ from cohfact.state import (
     PSD_TOL,
     DensityMatrix,
     bloch_compose,
+    bloch_decompose,
     chi_interval,
     coherence_weight,
     family_member,
@@ -66,13 +67,18 @@ def reference_block_family(d, seed, trial):
     block drawn by generator (seed, B * (trial // B)), which draws the
     uniforms of all B rows, then the directions of rows 0..r. chi is
     uniform on the physical part of [-R, R], found from the eigenvalues of
-    n.X."""
+    n.X. n.X is taken as every row of coordinates is: as row 0 of a
+    zero-padded block of ROW_BLOCK rows, times the (re, im) pairs of the
+    flattened generators."""
     rng = np.random.default_rng([seed, B * (trial // B)])
     r = trial % B
     u = rng.uniform(size=B)[r]
     v = rng.standard_normal((r + 1, d * d - 1))[r:]
     n = (v / np.linalg.norm(v, axis=-1, keepdims=True))[0]
-    lam = np.linalg.eigvalsh((n @ gellmann_basis(d).reshape(d * d - 1, d * d)).reshape(d, d))
+    block = np.zeros((ROW_BLOCK, d * d - 1))
+    block[0] = n
+    gens = gellmann_basis(d).reshape(d * d - 1, -1).view(float)
+    lam = np.linalg.eigvalsh((block @ gens)[0].view(complex).reshape(d, d))
     c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
     a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
@@ -422,6 +428,59 @@ def test_first_records_match_a_shorter_run_on_a_dense_transfer_matrix(tmp_path, 
     if chunk:
         monkeypatch.setattr(cli, "CHUNK_TRIALS", chunk)
     assert run(50)[:7] == short
+
+
+_PREFIX_KINDS = [("theorem1", []), ("lemma1", ["--measure", "l1"]), ("lemma1", ["--measure", "purity"]),
+                 ("corollary2", []), ("cascade", [])]
+
+
+@pytest.mark.parametrize("channel, kind, extra", [
+    pytest.param(channel, kind, extra, id="-".join([channel, kind, *extra[1:]]))
+    for channel in ("dep4", "dep8", "dense8") for kind, extra in _PREFIX_KINDS
+    if (channel, kind) != ("dense8", "corollary2")  # a dense T has no common scalars
+])
+def test_one_and_33_trial_runs_are_prefixes_of_a_50_trial_run(tmp_path, capsys, channel, kind, extra):
+    """The first t records of a 50-trial run are the text of a t-trial run,
+    byte for byte, at t = 1 and 33: a block of one row, and a last block of
+    one row, where a product of one row would take another kernel."""
+    path = tmp_path / f"{channel}.json"
+    if channel == "dense8":
+        io.save_channel(path, random_unital_channel(8, k=8, seed=8))
+    else:
+        path.write_text(json.dumps({"name": "depolarizing", "d": int(channel[3:]), "params": {"p": 0.3}}))
+
+    def run(trials):
+        assert cli.main(["--trials", str(trials), "verify", kind, "--channel", str(path), *extra]) == 0
+        return capsys.readouterr().out
+
+    whole = run(50).splitlines(keepends=True)
+    assert len(whole) == 50
+    for t in (1, 33):
+        assert run(t) == "".join(whole[:t])
+
+
+@given(d=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]), s=st.integers(1, 80), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_first_rows_of_a_call_are_those_of_a_shorter_call(d, s, data, seed):
+    """Bitwise, the first t rows of an s-row call are a t-row call, and row 0
+    is the call on that row alone, for the blocked product and the maps
+    built on it: a row's bits do not depend on the rows mapped with it."""
+    t = data.draw(st.integers(1, s), label="t")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((s, d * d - 1))
+    n = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    a, states = rng.standard_normal((d * d - 1, d * d)), random_state(d, rng, s).m
+    maps = [
+        (lambda x: _by_row_blocks(x, a), n),
+        (lambda x: bloch_compose(x).m, n),
+        (lambda x: bloch_decompose(DensityMatrix(x)), states),
+        (lambda x: np.stack(chi_interval(x, d), axis=-1), n),
+    ]
+    for f, rows in maps:
+        whole = f(rows)
+        assert np.array_equal(whole[:t], f(rows[:t]))
+        assert np.array_equal(whole[0], f(rows[0]))
 
 
 def _round_trip(ch):
