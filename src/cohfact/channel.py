@@ -134,6 +134,10 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     With G the rows vec(X_i) (X_0 first) and the superoperator
     S[(b,c),(a,d)] = sum_mu conj(E_mu[b,a]) E_mu[c,d], T = G S G^dag / 2
     (the X_j are Hermitian, so X_j[d,a] = conj(G[j,(a,d)])).
+
+    T is returned in column-major (Fortran) order, so that T^T, which the
+    row-block products of factorization take, is C-contiguous: one copy per
+    transfer matrix rather than one per product.
     """
     d = ch.d
     n = d * d
@@ -145,7 +149,7 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
         raise InvalidChannelError(
             f"transfer matrix has imaginary residue {np.max(np.abs(t.imag)):.3e}"
         )
-    return t.real
+    return np.asfortranarray(t.real)
 
 
 def _maximally_mixed_image(T):

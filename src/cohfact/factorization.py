@@ -72,7 +72,8 @@ def _through(t, *parts):
     x = np.empty((len(parts), len(parts[0]), len(t)))
     x[..., 0] = np.sqrt(2.0 / isqrt(len(t)))
     x[..., 1:] = parts
-    return x, _by_row_blocks(x, np.ascontiguousarray(t.T))  # each block packs T^T; a copy packs faster
+    # each block packs T^T, faster from a C-contiguous array: a view of transfer_matrix's T, not a copy
+    return x, _by_row_blocks(x, np.ascontiguousarray(t.T))
 
 
 def _law(measure, t, members, probes, probe_physical, condition) -> FactorizationReport:

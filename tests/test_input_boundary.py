@@ -33,9 +33,20 @@ def _pairs(d, k=None):
     return matrix if k is None else st.lists(matrix, min_size=k, max_size=k)
 
 
+def _planes(d, k=None):
+    """A d x d matrix (or a stack of k) as an object of its real and
+    imaginary planes: sometimes ragged, of two shapes, nested one level too
+    deep or too shallow, or with a key missing, added or not a plane."""
+    row = st.lists(numbers, min_size=d, max_size=d) | st.lists(numbers, max_size=d + 1)
+    matrix = st.lists(row, min_size=d, max_size=d)
+    plane = (matrix if k is None else st.lists(matrix, min_size=k, max_size=k)) | matrix.map(lambda m: [m]) | row
+    return (st.fixed_dictionaries({"re": plane, "im": plane}, optional={"x": json_values})
+            | st.dictionaries(st.sampled_from(["re", "im", "x"]), plane | scalars, max_size=3))
+
+
 @st.composite
 def kraus_sets(draw):
-    """A regular (k, d, d) Kraus set of [re, im] pairs that reaches
+    """A regular (k, d, d) Kraus set, of [re, im] pairs or planes, that reaches
     kraus_channel: a complete set, sqrt(w_mu) times a permutation matrix
     with phases +-1, +-i, or an incomplete one of any entries; either with
     one entry made huge (1e200) or non-finite (NaN, Infinity in the file)."""
@@ -52,6 +63,8 @@ def kraus_sets(draw):
     bad = draw(st.sampled_from([None, None, 1e200, -1e200, float("nan"), float("inf"), -float("inf")]))
     if bad is not None:
         pairs[tuple(draw(st.integers(0, n - 1)) for n in pairs.shape)] = bad
+    if draw(st.booleans()):  # the same set as real and imaginary planes
+        return {"re": pairs[..., 0].tolist(), "im": pairs[..., 1].tolist()}
     return pairs.tolist()
 
 
@@ -63,12 +76,12 @@ json_values = st.recursive(
 )
 structured = {
     "d": dims,
-    "matrix": st.integers(1, 3).flatmap(_pairs),
+    "matrix": st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d)),
     "bloch": st.lists(numbers, max_size=9) | st.lists(st.lists(numbers, max_size=3), max_size=3),
     "name": st.sampled_from(named_channels()) | scalars,
     "params": st.none() | st.dictionaries(st.sampled_from(PARAM_KEYS), numbers | scalars, max_size=5),
-    "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a))
-    | st.integers(1, 3).flatmap(_pairs) | kraus_sets(),
+    "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a) | _planes(*a))
+    | st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d)) | kraus_sets(),
     "label": scalars,
     "n": st.lists(numbers, max_size=9) | scalars,
     "chi": numbers | scalars,

@@ -1,6 +1,8 @@
 """Reading state, channel and family files: the decoded JSON is converted
 with the cyclic collector paused, the collector's state is restored however
-the load ends, and bad bytes or over-deep nesting are usage errors."""
+the load ends, and bad bytes or over-deep nesting are usage errors. Kraus
+files are checked in both layouts, real and imaginary planes ("planes", as
+save_channel writes them) and [re, im] pairs."""
 
 import contextlib
 import gc
@@ -17,11 +19,13 @@ from cohfact.errors import CohfactError
 LOADERS = {
     "state": (io.load_state, io.state_from_dict),
     "channel": (io.load_channel, io.channel_from_dict),
+    "planes": (io.load_channel, io.channel_from_dict),
     "family": (lambda path: io.load_family(path, 2), lambda spec: io.family_from_dict(spec, 2)),
 }
 VALID = {
     "state": {"d": 2, "bloch": [0.3, 0.4, 0.5]},
     "channel": {"name": "depolarizing", "d": 2, "params": {"p": 0.3}},
+    "planes": io.channel_to_dict(cohfact.random_channel(2, k=2, seed=6)),
     "family": {"d": 2, "n": [0.6, 0.0, 0.8], "chi": 0.5},
 }
 
@@ -33,11 +37,18 @@ def _nested(depth):
     return v
 
 
+def _pairs(spec):
+    """A Kraus spec with its planes written as [re, im] pairs."""
+    planes = spec["kraus"]
+    return {**spec, "kraus": np.stack((planes["re"], planes["im"]), axis=-1).tolist()}
+
+
 # A numeric field 70 levels deep, past NumPy's 64 dimensions, and JSON
 # nested far past any interpreter's recursion limit for the decoder.
 DEEP_FIELD = {
     "state": {"d": 2, "bloch": _nested(70)},
     "channel": {"kraus": _nested(70)},
+    "planes": {"kraus": {"re": _nested(69), "im": _nested(69)}},  # one level more for [re, im]
     "family": {"d": 2, "n": _nested(70)},
 }
 JSON_DEPTH = 50_000
@@ -83,6 +94,18 @@ def test_loading_a_kraus_file_starts_no_collection(tmp_path):
     assert seen.count == 0
     # the decoded lists are freed before the collector resumes, so the load
     # leaves no collection due at the next allocation either
+    assert pending < gc.get_threshold()[0]
+
+
+def test_loading_a_pair_kraus_file_starts_no_collection(tmp_path):
+    """The same for the d = 8, k = 64 file as [re, im] pairs, 4,096 lists more."""
+    path = tmp_path / "unital_d8.json"
+    path.write_text(json.dumps(_pairs(io.channel_to_dict(cohfact.random_unital_channel(8, k=64, seed=3)))))
+    with Collections() as seen:
+        ch = io.load_channel(path)
+        pending = gc.get_count()[0]
+    assert ch.kraus.shape == (64, 8, 8)
+    assert seen.count == 0
     assert pending < gc.get_threshold()[0]
 
 
@@ -140,6 +163,8 @@ def _arrays(value):
     ("channel", io.channel_to_dict(cohfact.random_channel(3, seed=5))),
     ("channel", {"name": "amplitude_damping", "params": {"gamma": 0.25}}),
     ("family", {"d": 2, "n": [0.3, -0.1, 0.7], "chi": 0.25}),
+    ("channel", _pairs(io.channel_to_dict(cohfact.random_channel(3, seed=5)))),
+    ("state", {"matrix": {"re": [[0.6, 0.1], [0.1, 0.4]], "im": [[0, -0.2], [0.2, 0]]}}),
 ])
 def test_loaded_arrays_are_bit_identical_to_the_dict_parser(tmp_path, kind, spec):
     path = tmp_path / f"{kind}.json"
@@ -171,6 +196,9 @@ def test_bad_bytes_and_deep_nesting_are_cohfact_errors(tmp_path, kind, data, mes
     ("channel", ["transfer", "--channel", "{path}"]),
     ("channel", ["--trials", "2", "verify", "theorem1", "--expect-violation", "--channel", "{path}"]),
     ("family", ["freeze-check", "--channel", "{channel}", "--family", "{path}"]),
+    ("planes", ["transfer", "--channel", "{path}"]),
+    ("planes", ["--trials", "2", "verify", "theorem1", "--expect-violation", "--channel", "{path}"]),
+    ("planes", ["freeze-check", "--channel", "{path}"]),
 ])
 @pytest.mark.parametrize("data", [
     lambda kind: json.dumps(VALID[kind]).encode() + b"\xff",
