@@ -93,9 +93,9 @@ def pauli_tensor_basis(N):
 
 
 def _by_row_blocks(x, a):
-    """x @ a for real arrays, the rows of ``x`` (a vector or (..., s, k)) taken in zero-padded
-    blocks of ROW_BLOCK, each its own product of one shape: BLAS picks a product's kernel by
-    its row count, so a row's bits depend neither on s nor on the rows beside it."""
+    """x @ a for real arrays, the rows of ``x`` (a vector or (..., s, k)) in zero-padded blocks of ROW_BLOCK,
+    each its own product of one shape, as BLAS picks a kernel by row count: a row's bits depend on neither s nor
+    the other rows, at most on its offset in its block (with one OpenBLAS thread, offsets 24-31 at d = 16, 32)."""
     s = x.shape[-2] if x.ndim > 1 else 1
     blocks = np.zeros(x.shape[:-2] + (-(-s // ROW_BLOCK) * ROW_BLOCK, x.shape[-1]))
     blocks[..., :s, :] = x

@@ -3,14 +3,12 @@ channel families, the frozen-coherence qubit constructions, and the
 N-qubit auxiliary channel."""
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
 from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import (
-    CACHE_SIZE,
     _SIGMA,
     _by_row_blocks,
     _read_only,
@@ -472,50 +470,51 @@ _AUX_SIGNS = _read_only(np.array(
     [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def aux_coefficient_matrix(N) -> np.ndarray:
-    """c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits
-    nu_k, mu_k are nonzero and differ: the N-fold Kronecker power of the
-    one-qubit sign table, scaled by 2^(1-N). Since c c = 4 I, c^-1 = c / 4.
-    Cached per N and read-only."""
-    return _read_only(reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N)))
+def _aux_signs(v):
+    """c v for rows v of 4^N entries, c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits nu_k,
+    mu_k are nonzero and differ: c = 2^(1-N) S x ... x S for the symmetric S = _AUX_SIGNS, and c c = 4 I. Each of N
+    passes moves the leading digit last and multiplies it by S (arXiv:2310.13421), every entry a sum of 4 terms."""
+    N = qubit_count(isqrt(v.shape[-1]))
+    for _ in range(N):
+        v = (np.swapaxes(v.reshape(-1, 4, 4 ** (N - 1)), 1, 2).reshape(-1, 4) @ _AUX_SIGNS).reshape(v.shape)
+    return 2.0 ** (1 - N) * v
 
 
-def aux_weights(rho: DensityMatrix, m, chi):
-    """Weights eps of the auxiliary channels steering d = 2^N states rho
-    onto the family members chi * m, in the N-qubit Pauli tensor basis,
-    and the mask of the target coordinates they cannot reach.
+def _pauli_coordinates(rho: DensityMatrix) -> np.ndarray:
+    """Pauli tensor coordinates y = x a of d = 2^N states: x = bloch_decompose(rho), a = y_to_x_transform(N)."""
+    return _by_row_blocks(bloch_decompose(rho), y_to_x_transform(qubit_count(rho.d)))
 
-    eps = c q / 4 solves c eps = q, with q_0 = 1 and q_nu = chi m_nu / y_nu
-    for the sources' Pauli coordinates y = bloch_decompose(rho) @ a, with a =
-    y_to_x_transform(N). A target coordinate m_nu != 0 over a vanishing y_nu
-    (|y_nu| <= 1e-10) is unreachable, whatever chi; its row's weights are
-    meaningless. Stacked rows are solved together (_by_row_blocks). A
-    non-finite chi or m_nu raises CohfactError; overflowing weights are inf."""
-    N = qubit_count(rho.d)
-    m, chi = np.asarray(m, dtype=float), np.asarray(chi, dtype=float)
-    if m.shape[-1:] != (4**N - 1,):
-        raise DimensionMismatchError(f"target direction needs {4**N - 1} components")
+
+def aux_weights(y, m, chi):
+    """Weights eps of the auxiliary channels steering d = 2^N states with Pauli
+    coordinates y (_pauli_coordinates) onto the family members chi * m, in the
+    N-qubit Pauli tensor basis, and the mask of the target coordinates they cannot reach.
+
+    eps = c q / 4 solves c eps = q (_aux_signs), with q_0 = 1 and q_nu = chi
+    m_nu / y_nu. A target coordinate m_nu != 0 over a vanishing y_nu (|y_nu|
+    <= 1e-10) is unreachable, whatever chi; its row's weights are meaningless.
+    A non-finite chi or m_nu raises CohfactError; overflowing weights are inf."""
+    y, m, chi = (np.asarray(a, dtype=float) for a in (y, m, chi))
+    if m.shape[-1:] != y.shape[-1:]:
+        raise DimensionMismatchError(f"target direction needs {y.shape[-1]} components")
     if not np.all(np.isfinite(chi)):
         raise CohfactError(f"chi must be finite, got chi={chi}")
     if not np.isfinite(m).all():
         i = np.unravel_index(np.argmin(np.isfinite(m)), m.shape)
         raise CohfactError(f"target direction has a non-finite component m{[int(k) for k in i]} = {m[i]}")
-    y = _by_row_blocks(bloch_decompose(rho), y_to_x_transform(N))
     live = m != 0  # m_nu = 0: annihilate the coordinate (q_nu = 0)
     unreachable = live & (np.abs(y) <= 1e-10)
-    q = np.zeros(m.shape[:-1] + (4**N,))
-    q[..., 0] = 1.0
+    q = np.ones(m.shape[:-1] + (m.shape[-1] + 1,))  # q_0 = 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite weights fail later
         q[..., 1:] = np.where(live & ~unreachable, chi[..., None] * m / y, 0.0)
-        eps = _by_row_blocks(q, aux_coefficient_matrix(N)) / 4.0  # c is symmetric
+        eps = _aux_signs(q) / 4.0
     return eps, unreachable
 
 
 def aux_solve(rho: DensityMatrix, m, chi) -> np.ndarray:
     """Weights eps of aux_weights, raising UnreachableTargetError, which
     names the first unreachable coordinate, when a row has one."""
-    eps, unreachable = aux_weights(rho, m, chi)
+    eps, unreachable = aux_weights(_pauli_coordinates(rho), m, chi)
     if unreachable.any():
         nu = int(np.argmax(unreachable.reshape(-1, unreachable.shape[-1]).any(axis=0))) + 1
         raise UnreachableTargetError(f"target coordinate {nu} is nonzero but the source coordinate vanishes",
@@ -536,14 +535,13 @@ def _realizable(eps):
 
 
 def aux_pauli_action(eps) -> np.ndarray:
-    """The factors lambda = c eps, one row per row of weights eps of
+    """The factors lambda = c eps (_aux_signs), one row per row of weights eps of
     aux_solve, by which their auxiliary channel scales each Pauli tensor
     coordinate, lambda_0 (the trace) first: Y_mu Y_nu Y_mu = c_{nu mu} Y_nu.
     Raises NotAChannelError as aux_kraus_channel does, and
     InvalidChannelError if |lambda_0 - 1| = |sum E^dag E - I| exceeds
     COMPLETENESS_TOL for the clipped weights."""
-    eps = _realizable(eps)
-    lam = _by_row_blocks(eps, aux_coefficient_matrix(qubit_count(isqrt(eps.shape[-1]))))  # c is symmetric
+    lam = _aux_signs(_realizable(eps))
     err = np.max(np.abs(lam[..., 0] - 1.0))
     if not err <= COMPLETENESS_TOL:
         raise InvalidChannelError(f"completeness violated: |sum E^dag E - I| = {err:.3e}")

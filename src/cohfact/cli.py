@@ -16,6 +16,7 @@ from . import io
 from .basis import qubit_count
 from .channel import (
     EPS_TOL,
+    _pauli_coordinates,
     aux_kraus_channel,
     aux_solve,
     aux_weights,
@@ -128,8 +129,8 @@ def cmd_coherence(args):
 
 # The trials of a verify run are checked together in chunks of
 # CHUNK_TRIALS, whole blocks each drawn once. A chunk's stacks hold at most
-# two d x d matrices per trial (states, images or probes), so with d <=
-# io.MAX_D = 32 none holds more than 2^21 complex entries (32 MiB).
+# one d x d state (corollary2) or two sets of d^2 coordinates per trial, the
+# cascade's included, so with d <= io.MAX_D = 32 none takes more than 16 MiB.
 CHUNK_TRIALS = 1024
 # Trials are drawn in blocks: trial i comes from the generator
 # default_rng([seed, start]) of its block, start = BLOCK_TRIALS * (i //
@@ -180,7 +181,7 @@ def _corollary2(ch, args):
 
 def _cascade(ch, args):
     return _chunks(ch, args, lambda key, rows: _sample_reachable_target(qubit_count(ch.d), key, rows),
-                   lambda t, rho, m, chi, eps: verify_cascade(t, DensityMatrix(rho), m, eps))
+                   lambda t, y, m, chi, eps: verify_cascade(t, y, m, eps))
 
 
 # Each verify kind yields array reports over consecutive chunks of trials.
@@ -241,9 +242,10 @@ _HALVINGS = 0.5 ** np.arange(60)[:, None]  # chi halved 0..59 times
 
 
 def _sample_reachable_target(N, key, rows):
-    """(rho, m, chi, eps) stacks of the first ``rows`` cascade trials of the
-    block with generator key ``key``: every target is reachable, and its
-    weights eps, at chi halved at most 59 times, are all >= EPS_TOL.
+    """(y, m, chi, eps) stacks of the first ``rows`` cascade trials of the
+    block with generator key ``key``: each state's Pauli coordinates y, read
+    once per round (_pauli_coordinates), and every target reachable, its
+    weights eps, at chi halved at most 59 times, all >= EPS_TOL.
 
     Each round draws chi for the whole block, then each row's state and
     unit direction, and each row still open takes its draw of the round if
@@ -255,24 +257,23 @@ def _sample_reachable_target(N, key, rows):
     monotone, so their minimum is the value decided, and verify_cascade
     needs no second solve; chi 2^-k is exactly chi halved k times."""
     d, floor = 2**N, 2.0 ** (-1 - N)
-    rho, m, chi = np.empty((rows, d, d), dtype=complex), np.empty((rows, 4**N - 1)), np.empty(rows)
-    eps = np.empty((rows, 4**N))
+    y, m, chi, eps = np.empty((rows, 4**N - 1)), np.empty((rows, 4**N - 1)), np.empty(rows), np.empty((rows, 4**N))
     todo = np.arange(rows)
     for r in range(MAX_TARGET_ROUNDS):
         rng = np.random.default_rng([*key, r] if r else key)
         x = rng.uniform(0.01, 0.3, BLOCK_TRIALS)[todo]
         z = rng.standard_normal((todo[-1] + 1, 2 * d * d + 4**N - 1))[todo]
-        states = ginibre_state(z[:, : 2 * d * d].reshape(-1, 2, d, d))
+        coords = _pauli_coordinates(ginibre_state(z[:, : 2 * d * d].reshape(-1, 2, d, d)))
         dirs = z[:, 2 * d * d :] / np.linalg.norm(z[:, 2 * d * d :], axis=-1, keepdims=True)
-        w, unreachable = aux_weights(states, dirs, x)
+        w, unreachable = aux_weights(coords, dirs, x)
         feasible = floor + _HALVINGS * (w.min(axis=1) - floor) >= EPS_TOL
         ok = feasible.any(axis=0) & ~unreachable.any(axis=1)
         halving = _HALVINGS[np.argmax(feasible, axis=0)]
-        rho[todo[ok]], m[todo[ok]], chi[todo[ok]] = states.m[ok], dirs[ok], (x * halving[:, 0])[ok]
+        y[todo[ok]], m[todo[ok]], chi[todo[ok]] = coords[ok], dirs[ok], (x * halving[:, 0])[ok]
         eps[todo[ok]] = (floor + halving * (w - floor))[ok]
         todo = todo[~ok]
         if not todo.size:
-            return rho, m, chi, eps
+            return y, m, chi, eps
     raise CohfactError("could not sample a realizable auxiliary-channel target")
 
 

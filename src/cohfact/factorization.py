@@ -165,24 +165,24 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
                                probe_physical=np.full(len(q), True), condition_held=np.full(len(q), True))
 
 
-def verify_cascade(t, rho: DensityMatrix, m, eps) -> FactorizationReport:
+def verify_cascade(t, y, m, eps) -> FactorizationReport:
     """Cascaded relation C[E_F E_aux(rho)] = C[E_aux(rho)] C[E_F(rho_p^m)] under the
-    channel E_F with transfer matrix ``t``, as a report of arrays over the (s, d, d)
-    stack rho, d = 2^N, target directions m and their auxiliary Kraus weights eps
-    (aux_solve). In coordinates only, in row blocks: E_aux scales rho's Pauli ones
-    y = x a, a = y_to_x_transform(N), by aux_pauli_action. The probe of a target's
-    Gell-Mann direction n = a m has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
-    m, eps = np.asarray(m, dtype=float), np.asarray(eps, dtype=float)
-    d, s = isqrt(len(t)), len(rho.m)
-    if rho.m.shape != (s, d, d) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
-        raise DimensionMismatchError(f"expected an (s, {d}, {d}) stack of states, (s, {d * d - 1}) directions "
-                                     f"and (s, {d * d}) weights, got {rho.m.shape}, {m.shape}, {eps.shape}")
+    channel E_F with transfer matrix ``t``, as a report of arrays over s states rho, d =
+    2^N, given by their Pauli coordinates y (channel._pauli_coordinates), target directions
+    m and their auxiliary Kraus weights eps (aux_solve). In coordinates only: E_aux scales y
+    by aux_pauli_action, and one _by_row_blocks product by a^T, a = y_to_x_transform(N), maps
+    targets and images to Gell-Mann ones. The probe of a target's Gell-Mann direction n = a m
+    has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
+    y, m, eps = (np.asarray(a, dtype=float) for a in (y, m, eps))
+    d, s = isqrt(len(t)), len(y)
+    if y.shape != (s, d * d - 1) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
+        raise DimensionMismatchError(f"expected an (s, {d * d - 1}) stack of states' coordinates, (s, {d * d - 1}) "
+                                     f"directions and (s, {d * d}) weights, got {y.shape}, {m.shape}, {eps.shape}")
     a = y_to_x_transform(qubit_count(d))
-    target = _by_row_blocks(m, a.T)  # Gell-Mann coordinates of I/d + (1/2) m.Y
+    target, image = _by_row_blocks(np.stack((m, aux_pauli_action(eps)[:, 1:] * y)), a.T)  # I/d + m.Y/2, E_aux(rho)
     g = _finite_weights(coherence_weight(target, d))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
-    image = _by_row_blocks(aux_pauli_action(eps)[:, 1:] * _by_row_blocks(bloch_decompose(rho), a), a.T)
     return _law("l1", t, image, target / g[:, None],  # probes at chi_p = 1/g
                 1.0 / g <= chi_interval(target, d)[1], theorem1_condition(t))
 

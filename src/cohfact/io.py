@@ -39,10 +39,6 @@ def fmt12(x):
     return float(f"{float(x):.12g}")
 
 
-def _matrix_to_json(m):
-    return [[[fmt12(z.real), fmt12(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _real_to_json(a):
     """Nested lists of the fmt12 values of the real array ``a``."""
     return np.array(list(map(fmt12, a.ravel().tolist()))).reshape(a.shape).tolist()
@@ -158,7 +154,8 @@ def _decode(path):
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
-    return {"d": rho.d, "matrix": _matrix_to_json(rho.m)}
+    pairs = np.stack((rho.m.real, rho.m.imag), axis=-1).reshape(rho.d, rho.d, 2)  # a stack does not fit
+    return {"d": rho.d, "matrix": _real_to_json(pairs)}
 
 
 def state_from_dict(spec: dict) -> DensityMatrix:
@@ -273,9 +270,13 @@ def unit_direction(values, length, what):
         raise CohfactError(f"{what} needs {length} components, got {n.size if n.ndim == 1 else f'shape {n.shape}'}")
     if not np.all(np.isfinite(n)):
         raise CohfactError(f"{what} has non-finite components")
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
+    if not n.any():
         raise CohfactError(f"{what} is zero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(n)
+    if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:  # the sum of squares is not a normal float
+        n = n / np.max(np.abs(n))
+        norm = np.linalg.norm(n)
     return n / norm
 
 

@@ -5,6 +5,7 @@ import numpy as np
 
 from cohfact.basis import pauli_tensor_basis
 from cohfact.channel import (
+    _pauli_coordinates,
     apply,
     aux_channel,
     aux_solve,
@@ -165,8 +166,8 @@ def test_criterion_5_auxiliary_channel_and_cascade():
             worst_target = np.maximum(worst_target, float(np.linalg.norm(out - target)))
             if i < 50:
                 for ch_f in (dep, uni):
-                    rep = verify_cascade(transfer_matrix(ch_f), DensityMatrix(rho.m[None]), m[None],
-                                         aux_solve(rho, m, chi)[None])
+                    y = _pauli_coordinates(DensityMatrix(rho.m[None]))
+                    rep = verify_cascade(transfer_matrix(ch_f), y, m[None], aux_solve(rho, m, chi)[None])
                     worst_cascade = np.maximum(worst_cascade, rep.abs_err[0])
     ok = worst_target <= 1e-10 and worst_cascade <= 1e-9
     _report(

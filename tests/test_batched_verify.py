@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cohfact import cli, factorization, io
 from cohfact.basis import ROW_BLOCK, _by_row_blocks, gellmann_basis, pauli_tensor_basis, qubit_count
 from cohfact.channel import (
+    _pauli_coordinates,
     apply,
     aux_channel,
     aux_solve,
@@ -361,14 +362,20 @@ def _target_round(N, key, rows):
     return rho, v / np.linalg.norm(v, axis=-1, keepdims=True), chi
 
 
+def _states(y, N):
+    """The N-qubit states I/d + (1/2) y.Y of the Pauli coordinates y that
+    the target sampler returns."""
+    return DensityMatrix(np.eye(2**N) / 2**N + 0.5 * np.tensordot(y, pauli_tensor_basis(N), 1))
+
+
 def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
     """An unreachable coordinate does not depend on chi: the row takes its
     draw of the next round instead of halving chi, and the other rows keep
     their draws of the first round."""
     calls = []
 
-    def weights(rho, m, chi):
-        eps, unreachable = aux_weights(rho, m, chi)
+    def weights(y, m, chi):
+        eps, unreachable = aux_weights(y, m, chi)
         calls.append(len(chi))
         if len(calls) == 1:
             unreachable = unreachable.copy()
@@ -376,11 +383,13 @@ def test_target_sampler_skips_an_unreachable_draw(monkeypatch):
         return eps, unreachable
 
     monkeypatch.setattr(cli, "aux_weights", weights)
-    rho, m, chi, _ = cli._sample_reachable_target(2, [7, 0], 3)
+    y, m, chi, _ = cli._sample_reachable_target(2, [7, 0], 3)
     assert calls == [3, 1]
     first, second = _target_round(2, [7, 0], 3), _target_round(2, [7, 0, 1], 1)
-    assert np.array_equal(rho[0], second[0][0]) and np.array_equal(m[0], second[1][0])
-    assert np.array_equal(rho[1:], first[0][1:3]) and np.array_equal(m[1:], first[1][1:3])
+    # the coordinates of each round's states, read as the sampler reads them
+    first_y, second_y = (_pauli_coordinates(DensityMatrix(r[0])) for r in (first, second))
+    assert np.array_equal(y[0], second_y[0]) and np.array_equal(m[0], second[1][0])
+    assert np.array_equal(y[1:], first_y[1:3]) and np.array_equal(m[1:], first[1][1:3])
     for i, x in ((0, second[2][0]), (1, first[2][1]), (2, first[2][2])):
         assert np.log2(x / chi[i]) == int(np.log2(x / chi[i]))  # chi halved k >= 0 times
 
@@ -521,13 +530,13 @@ def test_transfer_path_matches_kraus_reference(d):
     for ch in (dep, _round_trip(dep)):
         rep = verify_corollary2(transfer_matrix(ch), states)
         _assert_close(rep.lhs, l1_from_density(apply(ch, states).m))
-    rho, m, x, eps = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
-    rho = DensityMatrix(rho)
+    y, m, x, eps = cli._sample_reachable_target(qubit_count(d), [d, 0], 4)
+    rho = _states(y, qubit_count(d))
     sigma = apply(aux_channel(rho, m, x), rho)
     direction = 0.5 * np.tensordot(m, pauli_tensor_basis(qubit_count(d)), 1)
     probes = DensityMatrix(np.eye(d) / d + direction / l1_from_density(direction)[:, None, None])
     for ch in (dep, *channels):
-        rep = verify_cascade(transfer_matrix(ch), rho, m, eps)
+        rep = verify_cascade(transfer_matrix(ch), y, m, eps)
         _assert_close(rep.lhs, l1_from_density(apply(ch, sigma).m))
         _assert_close(rep.rhs, l1_from_density(sigma.m) * l1_from_density(apply(ch, probes).m))
         assert np.array_equal(rep.probe_physical, is_psd(probes.m))
@@ -578,14 +587,15 @@ def test_cascade_raises_what_the_kraus_path_raises(N):
     and for a stack holding it."""
     d = 2**N
     t = transfer_matrix(make_named("depolarizing", d=d, params={"p": 0.3}))
-    rho, m, chi, _ = cli._sample_reachable_target(N, [N, 0], 3)
+    y, m, chi, _ = cli._sample_reachable_target(N, [N, 0], 3)
+    rho = _states(y, N).m
     large = chi.copy()
     large[1] = 1e3
     mixed = rho.copy()
     mixed[1] = np.eye(d) / d  # every source coordinate vanishes
 
     def cascade(states, m, x):
-        return verify_cascade(t, states, m, aux_solve(states, m, x))
+        return verify_cascade(t, _pauli_coordinates(states), m, aux_solve(states, m, x))
 
     for states, x, want, call in ((rho, large, NotAChannelError, cascade),
                                   (mixed, chi, UnreachableTargetError, aux_solve)):
@@ -606,28 +616,30 @@ def test_drivers_refuse_coordinates_of_another_dimension():
         verify_families("l1", t, n, chi, hi)
     with pytest.raises(DimensionMismatchError):
         verify_corollary2(t, random_state(2, 0, 3))
-    rho, m, x, eps = cli._sample_reachable_target(1, [0, 0], 3)
+    y, m, x, eps = cli._sample_reachable_target(1, [0, 0], 3)
     with pytest.raises(DimensionMismatchError):
-        verify_cascade(t, DensityMatrix(rho), m, eps)
+        verify_cascade(t, y, m, eps)
 
 
 @pytest.mark.parametrize("state_d, t_d", [(4, 4), (4, 2), (2, 4)])
 def test_corollary2_and_cascade_take_only_stacks_of_the_transfer_matrix_d(state_d, t_d, monkeypatch):
-    """verify_corollary2 and verify_cascade take an (s, d, d) stack of T's
-    d: a single d x d state, or a stack of another d, raises
-    DimensionMismatchError before the states' coordinates are read."""
+    """verify_corollary2 takes an (s, d, d) stack of T's d, and
+    verify_cascade the (s, d^2-1) Pauli coordinates of one: a single state,
+    or a stack of another d, raises DimensionMismatchError before the
+    states' coordinates are read."""
     t = transfer_matrix(make_named("depolarizing", d=t_d, params={"p": 0.3}))
-    rho, m, x, eps = cli._sample_reachable_target(qubit_count(state_d), [0, 0], 3)
+    y, m, x, eps = cli._sample_reachable_target(qubit_count(state_d), [0, 0], 3)
+    rho = _states(y, qubit_count(state_d)).m
 
     def unread(rho):
         raise AssertionError("coordinates read before the dimension check")
 
     monkeypatch.setattr(factorization, "bloch_decompose", unread)
-    cases = [(DensityMatrix(rho[0]), m[0], eps[0])]
+    cases = [(DensityMatrix(rho[0]), y[0], m[0], eps[0])]
     if state_d != t_d:
-        cases.append((DensityMatrix(rho), m, eps))
-    for states, dirs, weights in cases:
+        cases.append((DensityMatrix(rho), y, m, eps))
+    for states, coords, dirs, weights in cases:
         with pytest.raises(DimensionMismatchError, match="stack of states"):
             verify_corollary2(t, states)
         with pytest.raises(DimensionMismatchError, match="stack of states"):
-            verify_cascade(t, states, dirs, weights)
+            verify_cascade(t, coords, dirs, weights)

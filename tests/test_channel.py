@@ -1,13 +1,17 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohfact.basis import pauli_tensor_basis
 from cohfact.channel import (
+    _AUX_SIGNS,
+    _aux_signs,
     apply,
     aux_channel,
-    aux_coefficient_matrix,
     aux_pauli_action,
     aux_solve,
     channel_entry,
@@ -363,6 +367,12 @@ def test_validate_frozen_coefficients_requires_completeness():
         validate_frozen_coefficients(eps)
 
 
+def aux_coefficient_matrix(N):
+    """The dense c = 2^(1-N) S x ... x S of N qubits, S = _AUX_SIGNS: the
+    oracle of _aux_signs, which applies it one qubit at a time."""
+    return reduce(np.kron, [_AUX_SIGNS] * N, 2.0 ** (1 - N))
+
+
 def test_aux_coefficient_matrix_n1():
     want = np.array(
         [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
@@ -385,10 +395,20 @@ def test_aux_coefficient_matrix_digit_rule(N):
     np.testing.assert_array_equal(c @ c, 4.0 * np.eye(size))
 
 
-def test_aux_coefficient_matrix_is_cached_and_read_only():
-    c = aux_coefficient_matrix(3)
-    assert aux_coefficient_matrix(3) is c
-    assert not c.flags.writeable
+@given(N=st.integers(1, 5), s=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_per_qubit_signs_are_the_dense_product(N, s, data, seed):
+    """_aux_signs(q) is c q to 1e-14 max(1, |q|) for each row q, rows of
+    scales 1e-3 to 1e3; bitwise, the first t rows of an s-row call are a
+    t-row call, and row 0 is the call on that row alone."""
+    t = data.draw(st.integers(1, s), label="t")
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((s, 4**N)) * 10.0 ** rng.integers(-3, 4, (s, 1))
+    got = _aux_signs(q)
+    bound = 1e-14 * np.maximum(1.0, np.linalg.norm(q, axis=-1, keepdims=True))
+    assert np.all(np.abs(got - q @ aux_coefficient_matrix(N).T) <= bound)
+    assert np.array_equal(got[:t], _aux_signs(q[:t]))
+    assert np.array_equal(got[0], _aux_signs(q[0]))
 
 
 def test_aux_identity_target():

@@ -433,6 +433,35 @@ def test_freeze_check_with_family(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "frozen = true"
 
 
+@pytest.mark.parametrize("n", [[0, 1e308, 0], [0, 1e-320, 0]])
+def test_freeze_check_family_whose_squared_norm_overflows_or_underflows(tmp_path, capsys, n):
+    """A finite family direction whose sum of squares is inf or 0 is the
+    direction [0, 1, 0], which bit_flip does not freeze, with no NumPy
+    RuntimeWarning (the suite turns one into an error)."""
+    bf = write_channel(tmp_path, "bf.json", {"name": "bit_flip", "params": {"q": 0.5}})
+    outputs = []
+    for direction in ([0, 1, 0], n):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"d": 2, "n": direction}))
+        assert main(["freeze-check", "--channel", bf, "--family", str(fam)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == ("frozen = false\n", "")
+
+
+@pytest.mark.parametrize("target", ["1e308,1e308,1e308", "1e-320,1e-320,1e-320"])
+def test_construct_aux_target_whose_squared_norm_overflows_or_underflows(tmp_path, capsys, target):
+    """A finite --target whose sum of squares is inf or 0 gets the weights
+    of the target 1,1,1."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"d": 2, "bloch": [0.3, 0.4, 0.5]}))
+    outputs = []
+    for direction in ("1,1,1", target):
+        assert main(["construct-aux", "--state", str(path), "--target", direction, "--chi", "0.1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("eps = ") and outputs[0].err == ""
+
+
 def test_verify_nan_kraus_exits_2(tmp_path, capsys):
     nan = float("nan")
     spec = {"kraus": [[[[1.0, 0.0], [nan, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}

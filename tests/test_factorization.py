@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact.channel import (
+    _pauli_coordinates,
     apply,
     aux_channel,
     aux_solve,
@@ -35,9 +36,14 @@ from cohfact.state import (
 
 
 def _stack(rho):
-    """The one state rho as a stack of one, the shape verify_corollary2 and
-    verify_cascade take."""
+    """The one state rho as a stack of one, the shape verify_corollary2 takes."""
     return DensityMatrix(rho.m[None])
+
+
+def _coordinates(rho):
+    """The Pauli coordinates of the one state rho as a stack of one, the
+    shape verify_cascade takes."""
+    return _pauli_coordinates(_stack(rho))
 
 
 def nonunital_offdiag_channel():
@@ -198,7 +204,7 @@ def test_cascade_depolarizing_n2():
     for _ in range(10):
         rho, m, chi = _reachable_target(2, rng)
         t = transfer_matrix(make_named("depolarizing", d=4, params={"p": 0.4}))
-        rep = verify_cascade(t, _stack(rho), m[None], aux_solve(rho, m, chi)[None])
+        rep = verify_cascade(t, _coordinates(rho), m[None], aux_solve(rho, m, chi)[None])
         assert rep.condition_held
         assert rep.abs_err <= 1e-9
 
@@ -207,7 +213,7 @@ def test_cascade_identity_reduces_to_aux_coherence():
     rng = np.random.default_rng(13)
     rho, m, chi = _reachable_target(2, rng)
     ident = kraus_channel([np.eye(4, dtype=complex)])
-    rep = verify_cascade(transfer_matrix(ident), _stack(rho), m[None], aux_solve(rho, m, chi)[None])
+    rep = verify_cascade(transfer_matrix(ident), _coordinates(rho), m[None], aux_solve(rho, m, chi)[None])
     aux = aux_channel(rho, m, chi)
     assert abs(rep.lhs - l1_from_density(apply(aux, rho))) < 1e-12
     assert rep.abs_err <= 1e-9
@@ -217,7 +223,7 @@ def test_cascade_n1_matches_theorem1():
     rng = np.random.default_rng(29)
     rho, m, chi = _reachable_target(1, rng)
     ch_f = random_unital_channel(2, seed=31)
-    rep = verify_cascade(transfer_matrix(ch_f), _stack(rho), m[None], aux_solve(rho, m, chi)[None])
+    rep = verify_cascade(transfer_matrix(ch_f), _coordinates(rho), m[None], aux_solve(rho, m, chi)[None])
     # for N = 1 the generated state is the family member (m, chi) directly
     rep2 = verify_theorem1(ch_f, m, chi)
     assert abs(rep.lhs - rep2.lhs) < 1e-11
@@ -231,7 +237,7 @@ def test_cascade_target_without_coherent_part():
     m = np.array([0.0, 0.0, 1.0])
     aux_channel(rho, m, 0.1)  # realizable
     with pytest.raises(NotApplicableError, match="target direction has no coherent part"):
-        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), _stack(rho), m[None],
+        verify_cascade(transfer_matrix(make_named("bit_flip", params={"q": 0.5})), _coordinates(rho), m[None],
                        aux_solve(rho, m, 0.1)[None])
 
 
@@ -243,7 +249,7 @@ def test_cascade_refuses_a_nan_direction():
     t = transfer_matrix(make_named("bit_flip", params={"q": 0.5}))
     eps = aux_solve(rho, np.array([0.0, 0.0, 1.0]), 0.1)
     with pytest.raises(CohfactError, match="non-finite coherence weight g = nan"):
-        verify_cascade(t, _stack(rho), np.array([[np.nan, 0.0, 1.0]]), eps[None])
+        verify_cascade(t, _coordinates(rho), np.array([[np.nan, 0.0, 1.0]]), eps[None])
 
 
 def test_one_hermiticity_rule():

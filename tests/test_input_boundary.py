@@ -182,6 +182,23 @@ def test_family_loader_rejects_non_finite_and_non_list_entries(tmp_path):
         raise AssertionError(f"accepted {spec}")
 
 
+@pytest.mark.parametrize("values, want", [
+    ([0, 1e308, 0], [0, 1, 0]),
+    ([1e200, -1e200, 1e200], [1, -1, 1]),
+    ([0, 1e-320, 0], [0, 1, 0]),
+    ([1e-160, 0, 0], [1, 0, 0]),  # the norm is normal, but not its square
+    ([3e-160, 4e-160, 0], [0.75, 1, 0]),
+])
+def test_unit_direction_rescales_a_squared_norm_out_of_range(values, want):
+    """A finite direction whose sum of squares over- or underflows is
+    rescaled by its largest component before it is normalised, with no
+    NumPy warning; an ordinary direction keeps the bits of n / |n|."""
+    want = np.array(want, dtype=float)
+    np.testing.assert_allclose(io.unit_direction(values, 3, "n"), want / np.linalg.norm(want), rtol=1e-15, atol=0)
+    n = np.array([0.3, 0.4, 0.5])
+    assert np.array_equal(io.unit_direction(n, 3, "n"), n / np.linalg.norm(n))
+
+
 def test_kraus_file_must_hold_one_channel():
     """A stack of channels is a library value; a channel file holds one."""
     one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]

@@ -276,11 +276,12 @@ def test_random_channel_is_cptp(d, k, seed):
 def test_aux_channel_of_a_reachable_target_is_a_channel(N, seed):
     """The auxiliary channel of a random reachable target is trace
     preserving, has a PSD Choi matrix, and maps its source onto the target."""
-    rhos, ms, chis, _ = cli._sample_reachable_target(N, [seed, 0], 1)
-    rho, m, chi = DensityMatrix(rhos[0]), ms[0], chis[0]
+    ys, ms, chis, _ = cli._sample_reachable_target(N, [seed, 0], 1)
     ybasis = pauli_tensor_basis(N)
-    ch = aux_channel(rho, m, chi)
     d = 2**N
+    rho = DensityMatrix(np.eye(d) / d + 0.5 * np.tensordot(ys[0], ybasis, 1))  # I/d + (1/2) y.Y
+    m, chi = ms[0], chis[0]
+    ch = aux_channel(rho, m, chi)
     v = ch.kraus.reshape(-1, d)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)
     t = transfer_matrix(ch)

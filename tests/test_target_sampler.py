@@ -5,9 +5,10 @@ draws its block's chi values and the normals of the rows up to its own, and
 builds the auxiliary channel at chi, chi/2, chi/4, ... until one is a
 channel, moving on to the next round when a coordinate is unreachable or no
 halving works. The closed-form sampler makes one ``aux_weights`` call per
-round for the rows still open and must return the bitwise same (rho, m,
-chi) for every row. Half of the runs dephase some of their states, so that
-source coordinates vanish and the unreachable-draw path is compared too.
+round for the rows still open and must return the bitwise same (y, m,
+chi) for every row, y the Pauli coordinates of the reference's state. Half
+of the runs dephase some of their states, so that source coordinates
+vanish and the unreachable-draw path is compared too.
 """
 
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from cohfact import channel, cli, factorization
 from cohfact.basis import pauli_tensor_basis
-from cohfact.channel import EPS_TOL, aux_channel, aux_pauli_action, aux_weights
+from cohfact.channel import EPS_TOL, _pauli_coordinates, aux_channel, aux_pauli_action, aux_weights
 from cohfact.errors import CohfactError, NotAChannelError, UnreachableTargetError
 from cohfact.state import DensityMatrix, ginibre_state
 
@@ -65,10 +66,10 @@ def dephased_states(z):
 def _outcome(N, seed, rows, max_rounds):
     with mock.patch.object(cli, "MAX_TARGET_ROUNDS", max_rounds):
         try:
-            rho, m, chi, _ = cli._sample_reachable_target(N, [seed, 0], rows)
+            y, m, chi, _ = cli._sample_reachable_target(N, [seed, 0], rows)
         except CohfactError as exc:
             return type(exc), str(exc)
-    return [(rho[i].tobytes(), m[i].tobytes(), chi[i].hex()) for i in range(rows)]
+    return [(y[i].tobytes(), m[i].tobytes(), chi[i].hex()) for i in range(rows)]
 
 
 def _reference_outcome(N, seed, rows, max_rounds):
@@ -76,7 +77,8 @@ def _reference_outcome(N, seed, rows, max_rounds):
         targets = [reference_target(N, [seed, 0], i, max_rounds) for i in range(rows)]
     except CohfactError as exc:
         return type(exc), str(exc)
-    return [(rho.tobytes(), m.tobytes(), chi.hex()) for rho, m, chi in targets]
+    return [(_pauli_coordinates(DensityMatrix(rho[None]))[0].tobytes(), m.tobytes(), chi.hex())
+            for rho, m, chi in targets]
 
 
 def _compare(N, seed, rows, max_rounds, dephase):
@@ -99,8 +101,8 @@ def test_compared_draws_reach_every_path():
     not only on one path."""
     seen = set()
 
-    def spy(rho, m, chi):
-        eps, unreachable = aux_weights(rho, m, chi)
+    def spy(y, m, chi):
+        eps, unreachable = aux_weights(y, m, chi)
         dead = unreachable.any(axis=1)
         seen.update(["unreachable"] * bool(dead.any()))
         live = eps[~dead]
@@ -122,9 +124,9 @@ def test_sampler_returns_the_weights_it_tested(N):
     they are the weights aux_weights solves at the returned chi."""
     worst = 0.0
     for seed in range(4):
-        rho, m, chi, eps = cli._sample_reachable_target(N, [seed, 0], B)
+        y, m, chi, eps = cli._sample_reachable_target(N, [seed, 0], B)
         aux_pauli_action(eps)  # raises unless every weight is >= EPS_TOL
-        want, unreachable = aux_weights(DensityMatrix(rho), m, chi)
+        want, unreachable = aux_weights(y, m, chi)
         assert not unreachable.any()
         worst = max(worst, np.max(np.abs(eps - want)))
     assert worst <= 1e-15
@@ -133,10 +135,12 @@ def test_sampler_returns_the_weights_it_tested(N):
 def test_cascade_solves_each_trial_once(tmp_path, capsys):
     """verify cascade calls aux_weights once per sampler round, the call
     that chose the weights, and verify_cascade solves nothing again: the
-    factorization layer imports neither aux_solve nor is_psd."""
+    factorization layer imports neither aux_solve nor is_psd. The states'
+    Pauli coordinates are read once per round too, and verify_cascade
+    decomposes no state."""
     path = tmp_path / "dep4.json"
     path.write_text(json.dumps({"name": "depolarizing", "d": 4, "params": {"p": 0.3}}))
-    rounds, sampler, elsewhere = [], [], []
+    rounds, sampler, elsewhere, read, decomposed = [], [], [], [], []
 
     def counted(calls, fn):
         def wrapper(*args):
@@ -146,9 +150,11 @@ def test_cascade_solves_each_trial_once(tmp_path, capsys):
 
     with mock.patch.object(cli, "ginibre_state", counted(rounds, ginibre_state)), \
             mock.patch.object(cli, "aux_weights", counted(sampler, aux_weights)), \
-            mock.patch.object(channel, "aux_weights", counted(elsewhere, aux_weights)):
+            mock.patch.object(channel, "aux_weights", counted(elsewhere, aux_weights)), \
+            mock.patch.object(cli, "_pauli_coordinates", counted(read, _pauli_coordinates)), \
+            mock.patch.object(factorization, "bloch_decompose", counted(decomposed, factorization.bloch_decompose)):
         assert cli.main(["--trials", "40", "verify", "cascade", "--channel", str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 40
-    assert len(sampler) == len(rounds) >= 3  # 3 blocks, one round or more each
-    assert elsewhere == []
+    assert len(sampler) == len(read) == len(rounds) >= 3  # 3 blocks, one round or more each
+    assert elsewhere == [] and decomposed == []
     assert not hasattr(factorization, "aux_solve") and not hasattr(factorization, "is_psd")
