@@ -9,15 +9,17 @@ so the first d^2-d coordinates of a Bloch vector are the coherence part.
 """
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import DimensionMismatchError, InvalidDimensionError
 
 
 # Entries kept per basis cache: every d <= 32 and N <= 5 fit, in bounded memory.
 CACHE_SIZE = 16
 ROW_BLOCK = 32  # rows per product of _by_row_blocks
+_EXPECTED = {"transfer": "a d^2 x d^2 transfer matrix", "weights": "4^N weights", "components": "d^2 - 1 components"}
 
 
 def _read_only(a):
@@ -66,6 +68,17 @@ def _qubits(N):
     if not isinstance(N, (int, np.integer)) or N < 1 or N > 5:
         raise InvalidDimensionError(f"qubit count must be in 1..5, got {N}")
     return int(N)
+
+
+def _dimension_of(a, kind):
+    """The d >= 2 that the last axis of ``a`` fixes, the one place d is read from a shape: d^2 entries of a square
+    'transfer' matrix or of the 'weights' of d = 2^N, d^2 - 1 Bloch 'components'; else DimensionMismatchError."""
+    shape = np.shape(a)
+    n = shape[-1] + (kind == "components") if shape else 0
+    d = isqrt(n)
+    if d < 2 or d * d != n or (kind == "transfer" and shape != (n, n)) or (kind == "weights" and d & (d - 1)):
+        raise DimensionMismatchError(f"expected {_EXPECTED[kind]} for a d >= 2, got shape {shape}")
+    return d
 
 
 def qubit_count(d):

@@ -3,7 +3,6 @@ channel families, the frozen-coherence qubit constructions, and the
 N-qubit auxiliary channel."""
 
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -11,6 +10,7 @@ import numpy as np
 from .basis import (
     _SIGMA,
     _by_row_blocks,
+    _dimension_of,
     _read_only,
     gellmann_basis,
     pauli_tensor_basis,
@@ -153,7 +153,7 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
 def _maximally_mixed_image(T):
     """Gell-Mann coordinates of E(I/d), and d, read off column 0 of the
     transfer matrix T: I/d has x_0 = sqrt(2/d) alone, so x_i = sqrt(2/d) T_i0."""
-    d = isqrt(len(T))
+    d = _dimension_of(T, "transfer")
     return np.sqrt(2.0 / d) * T[1:, 0], d
 
 
@@ -161,7 +161,7 @@ def theorem1_condition(T) -> bool:
     """Theorem 1's T_k0 = 0 on the off-diagonal rows of T, read as E(I/d)
     incoherent: c0 = C_l1[E(I/d)] = sqrt(2/d) g(T_coh,0) <= CONDITION_TOL."""
     x, d = _maximally_mixed_image(T)
-    return bool(coherence_weight(x, d) <= CONDITION_TOL)
+    return bool(coherence_weight(x) <= CONDITION_TOL)
 
 
 def _lemma1_condition(T) -> bool:
@@ -184,7 +184,7 @@ def scalar_actions(T, populated) -> np.ndarray:
     ``populated``: every populated row k must be q on its own diagonal
     entry T_kk and 0 elsewhere. NaN where the rows are no common rescaling
     or none is populated; one masked read of T serves every set."""
-    k_max = len(T) - isqrt(len(T))
+    k_max = len(T) - _dimension_of(T, "transfer")
     rows = T[1 : k_max + 1]
     diag = np.diagonal(rows, offset=1)  # T_kk of the rows k = 1..k_max
     own = np.arange(len(T)) == np.arange(1, k_max + 1)[:, None]
@@ -206,7 +206,7 @@ def frozen_condition_check(T, n=None) -> bool:
     Gram matrix b^T b must be I on the entries whose two columns are both
     populated. A direction with a NaN or infinite component raises
     CohfactError first: NaN fails every comparison, so reads as unpopulated."""
-    d = isqrt(len(T))
+    d = _dimension_of(T, "transfer")
     k, d0 = d * d - 1, (d * d - d) // 2
     if n is not None:
         n = np.asarray(n, dtype=float)
@@ -474,7 +474,7 @@ def _aux_signs(v):
     """c v for rows v of 4^N entries, c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits nu_k,
     mu_k are nonzero and differ: c = 2^(1-N) S x ... x S for the symmetric S = _AUX_SIGNS, and c c = 4 I. Each of N
     passes moves the leading digit last and multiplies it by S (arXiv:2310.13421), every entry a sum of 4 terms."""
-    N = qubit_count(isqrt(v.shape[-1]))
+    N = qubit_count(_dimension_of(v, "weights"))
     for _ in range(N):
         v = (np.swapaxes(v.reshape(-1, 4, 4 ** (N - 1)), 1, 2).reshape(-1, 4) @ _AUX_SIGNS).reshape(v.shape)
     return 2.0 ** (1 - N) * v
@@ -555,7 +555,7 @@ def aux_kraus_channel(eps, chi) -> KrausChannel:
     of (s, 4^N) weights give the (s, k, d, d) stack of their channels, each
     keeping the operators whose weight is nonzero in some row."""
     eps = _realizable(eps)
-    N = qubit_count(isqrt(eps.shape[-1]))
+    N = qubit_count(_dimension_of(eps, "weights"))
     gens = np.concatenate(([np.sqrt(2.0 ** (1 - N)) * np.eye(2**N)], pauli_tensor_basis(N)))
     ops = np.sqrt(eps)[..., None, None] * gens
     return kraus_channel(_nonzero(ops, eps), label="aux",

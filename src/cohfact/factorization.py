@@ -3,11 +3,10 @@ factorization relation, its scalar and purity variants, the cascaded
 N-qubit generalization, and frozen-coherence sweeps."""
 
 from dataclasses import dataclass, fields
-from math import isqrt
 
 import numpy as np
 
-from .basis import _by_row_blocks, qubit_count, y_to_x_transform
+from .basis import _by_row_blocks, _dimension_of, qubit_count, y_to_x_transform
 from .channel import (
     KrausChannel,
     _lemma1_condition,
@@ -62,7 +61,7 @@ def _measure(measure, x, d):
     """C_l1 = g of the generator coordinates 1..d^2-1, or the purity
     |x|^2 / 2 - 1/d over all d^2 coordinates, of each row of ``x``."""
     if measure == "l1":
-        return coherence_weight(x[..., 1:], d)
+        return coherence_weight(x[..., 1:])
     return 0.5 * np.sum(x * x, axis=-1) - 1.0 / d
 
 
@@ -70,7 +69,7 @@ def _through(t, *parts):
     """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d) put
     first, and their images x' = T x (_by_row_blocks), as two (len(parts), s, d^2) arrays."""
     x = np.empty((len(parts), len(parts[0]), len(t)))
-    x[..., 0] = np.sqrt(2.0 / isqrt(len(t)))
+    x[..., 0] = np.sqrt(2.0 / _dimension_of(t, "transfer"))
     x[..., 1:] = parts
     # each block packs T^T, faster from a C-contiguous array: a view of transfer_matrix's T, not a copy
     return x, _by_row_blocks(x, np.ascontiguousarray(t.T))
@@ -80,7 +79,7 @@ def _law(measure, t, members, probes, probe_physical, condition) -> Factorizatio
     """Both sides of M[E(rho)] = M(rho) M[E(rho_p)] and their flags, for the
     Bloch coordinates of s states rho and of their probes rho_p mapped by
     ``t`` with its row 0, as a file's channel preserves trace only to 12 digits."""
-    d, s = isqrt(len(t)), len(members)
+    d, s = _dimension_of(t, "transfer"), len(members)
     x, after = _through(t, members, probes)
     after = _measure(measure, after, d)
     lhs, rhs = after[0], _measure(measure, x[0], d) * after[1]
@@ -106,7 +105,7 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     """
     if measure not in ("l1", "purity"):
         raise NotApplicableError(f"no factorization decomposition for measure {measure!r}")
-    d = isqrt(len(t))
+    d = _dimension_of(t, "transfer")
     n, chi, hi = (np.asarray(a, dtype=float) for a in (n, chi, hi))
     if n.ndim != 2 or n.shape[1] != d * d - 1:
         raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
@@ -121,7 +120,7 @@ def verify_families(measure, t, n, chi, hi) -> FactorizationReport:
     if not np.isfinite(hi).all():
         raise CohfactError("the upper ends hi of the physical ranges must be finite")
     if measure == "l1":
-        chi_p, condition = probe_factor(n, d), theorem1_condition(t)
+        chi_p, condition = probe_factor(n), theorem1_condition(t)
     else:
         chi_p, condition = np.full(len(chi), np.sqrt(2.0)), _lemma1_condition(t)
     return _law(measure, t, chi[:, None] * n, chi_p[:, None] * n, chi_p <= hi, condition)
@@ -140,7 +139,7 @@ def verify_theorem1(ch: KrausChannel, n, chi) -> FactorizationReport:
     Never aborts on a failed channel condition: a report with
     ``condition_held=False`` is a counterexample probe."""
     n = np.asarray(n, dtype=float)[None]
-    return _first(verify_families("l1", transfer_matrix(ch), n, [chi], chi_interval(n, ch.d)[1]))
+    return _first(verify_families("l1", transfer_matrix(ch), n, [chi], chi_interval(n)[1]))
 
 
 def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
@@ -149,7 +148,7 @@ def verify_corollary2(t, rho: DensityMatrix) -> FactorizationReport:
     matrix ``t``, as a report of arrays from one masked read of ``t`` and one
     product. Raises NotApplicableError if a state populates no off-diagonal
     coordinate or the channel has no common scalar on the ones it does."""
-    d = isqrt(len(t))
+    d = _dimension_of(t, "transfer")
     if rho.m.shape != (len(rho.m), d, d):
         raise DimensionMismatchError(f"expected an (s, {d}, {d}) stack of states, got shape {rho.m.shape}")
     x = bloch_decompose(rho)
@@ -174,17 +173,17 @@ def verify_cascade(t, y, m, eps) -> FactorizationReport:
     targets and images to Gell-Mann ones. The probe of a target's Gell-Mann direction n = a m
     has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
     y, m, eps = (np.asarray(a, dtype=float) for a in (y, m, eps))
-    d, s = isqrt(len(t)), len(y)
+    d, s = _dimension_of(t, "transfer"), len(y)
     if y.shape != (s, d * d - 1) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
         raise DimensionMismatchError(f"expected an (s, {d * d - 1}) stack of states' coordinates, (s, {d * d - 1}) "
                                      f"directions and (s, {d * d}) weights, got {y.shape}, {m.shape}, {eps.shape}")
     a = y_to_x_transform(qubit_count(d))
     target, image = _by_row_blocks(np.stack((m, aux_pauli_action(eps)[:, 1:] * y)), a.T)  # I/d + m.Y/2, E_aux(rho)
-    g = _finite_weights(coherence_weight(target, d))
+    g = _finite_weights(coherence_weight(target))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")
     return _law("l1", t, image, target / g[:, None],  # probes at chi_p = 1/g
-                1.0 / g <= chi_interval(target, d)[1], theorem1_condition(t))
+                1.0 / g <= chi_interval(target)[1], theorem1_condition(t))
 
 
 @dataclass(frozen=True)

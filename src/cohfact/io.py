@@ -19,10 +19,10 @@ import gc
 import json
 import re
 from itertools import accumulate, chain
-from math import isqrt
 
 import numpy as np
 
+from .basis import _dimension_of
 from .channel import KrausChannel, _one_channel, kraus_channel, make_named
 from .errors import CohfactError, DimensionMismatchError, InvalidDimensionError
 from .state import DensityMatrix, bloch_compose, density_matrix, validate_density
@@ -256,7 +256,7 @@ def save_channel(path, ch: KrausChannel):
 def transfer_to_dict(t) -> dict:
     """Row-major real entries of a (d^2, d^2) transfer matrix, index-0
     (identity) row first."""
-    return {"d": isqrt(len(t)), "t": _real_to_json(np.asarray(t))}
+    return {"d": _dimension_of(t, "transfer"), "t": _real_to_json(np.asarray(t))}
 
 
 def unit_direction(values, length, what):

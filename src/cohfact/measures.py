@@ -11,7 +11,10 @@ from .state import DensityMatrix
 
 
 def _mat(rho):
-    return rho.m if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = rho.m if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
 
 
 def _per_matrix(values):

@@ -2,11 +2,10 @@
 one-parameter state families rho^n and their probe states."""
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .basis import _by_row_blocks, gellmann_basis
+from .basis import _by_row_blocks, _dimension_of, gellmann_basis
 from .errors import (
     CohfactError,
     DimensionMismatchError,
@@ -100,9 +99,9 @@ def bloch_compose(x) -> DensityMatrix:
     Bloch coordinates, d read from their d^2-1 components; the rows of an
     (s, d^2-1) array give a DensityMatrix holding an (s, d, d) stack."""
     x = np.asarray(x, dtype=float)
-    d = isqrt(x.shape[-1] + 1) if x.ndim in (1, 2) else 0
-    if d < 2 or x.shape[-1] != d * d - 1:
-        raise DimensionMismatchError(f"expected d^2 - 1 coordinates for a d >= 2, got {x.shape}")
+    if x.ndim > 2:
+        raise DimensionMismatchError(f"expected one row or an (s, d^2 - 1) array of coordinates, got {x.shape}")
+    d = _dimension_of(x, "components")
     return DensityMatrix(np.eye(d) / d + 0.5 * _by_row_blocks(x, _pairs(d)).view(complex).reshape(*x.shape[:-1], d, d))
 
 
@@ -112,12 +111,13 @@ def family_member(n, chi) -> DensityMatrix:
     return bloch_compose(chi * np.asarray(n, dtype=float))
 
 
-def coherence_weight(n, d):
-    """g(n^s) = sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal pairs;
-    an array of weights for the rows of a 2-D ``n``. Of Gell-Mann Bloch
-    coordinates x it is C_l1 in the Bloch picture; the diagonal (w_l)
-    coordinates do not contribute."""
+def coherence_weight(n):
+    """g(n^s) = sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal pairs,
+    d read from the d^2 - 1 components of ``n``; an array of weights for the
+    rows of a 2-D ``n``. Of Gell-Mann Bloch coordinates x it is C_l1 in the
+    Bloch picture; the diagonal (w_l) coordinates do not contribute."""
     n = np.asarray(n, dtype=float)
+    d = _dimension_of(n, "components")
     d0 = (d * d - d) // 2
     g = np.sum(np.hypot(n[..., 0 : 2 * d0 : 2], n[..., 1 : 2 * d0 : 2]), axis=-1)
     return float(g) if g.ndim == 0 else g
@@ -133,12 +133,12 @@ def _finite_weights(g):
     return g
 
 
-def probe_factor(n, d):
+def probe_factor(n):
     """chi_p = 1/g(n^s), the factor that gives the direction n (each row of
     a 2-D ``n``) a probe of l1 coherence 1; raises IncoherentDirectionError
     when a direction has no coherent part, CohfactError when its weight is
     not finite."""
-    g = _finite_weights(coherence_weight(n, d))
+    g = _finite_weights(coherence_weight(n))
     if np.any(g <= 1e-12):
         raise IncoherentDirectionError(
             "direction has no coherent part (g = 0); probe state undefined"
@@ -146,15 +146,11 @@ def probe_factor(n, d):
     return 1.0 / g
 
 
-def probe_state(n, d) -> DensityMatrix:
-    """Probe state of the family direction n of a d-dimensional system: the
-    unvalidated member at chi_p = probe_factor(n, d), whose C_l1 is 1. A
-    formal probe, chi_p beyond the purity radius, is returned, not refused,
+def probe_state(n) -> DensityMatrix:
+    """Probe state of the direction n (a stack for the rows of a 2-D ``n``): the unvalidated member at chi_p =
+    probe_factor(n), whose C_l1 is 1. A formal probe, chi_p beyond the purity radius, is returned, not refused,
     as the factorization law is an algebraic identity in chi; is_psd tells."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (d * d - 1,):
-        raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
-    return bloch_compose(probe_factor(n, d) * n)
+    return bloch_compose(np.asarray(probe_factor(n))[..., None] * n)
 
 
 def random_state(d, seed=None, size=None) -> DensityMatrix:
@@ -177,9 +173,9 @@ def ginibre_state(z) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
 
-def chi_interval(n, d):
+def chi_interval(n):
     """Closed-form range lo <= chi <= hi of the physical members of the
-    d-dimensional families with the unit directions in the rows of ``n``.
+    families with the unit directions (d^2 - 1 components) in the rows of ``n``.
 
     I/d + (chi/2) n.X has eigenvalues 1/d + (chi/2) lam, with lam those of
     n.X (lam_min < 0 < lam_max for a traceless n.X != 0), so it passes the
@@ -191,8 +187,7 @@ def chi_interval(n, d):
     CohfactError, which names the first such row.
     """
     n = np.asarray(n, dtype=float)
-    if n.shape[-1:] != (d * d - 1,):
-        raise DimensionMismatchError(f"expected {d * d - 1} components, got {n.shape}")
+    d = _dimension_of(n, "components")
     if not np.isfinite(n).all():
         row = np.argmin(np.ravel(np.isfinite(n).all(axis=-1)))
         raise CohfactError(f"direction in row {row} has a non-finite component")
@@ -222,7 +217,7 @@ def random_families(d, rng, count, block=None):
     u = rng.uniform(size=max(count, block or 0))[:count]
     v = rng.standard_normal((count, d * d - 1))
     n = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    lo, hi = chi_interval(n, d)
+    lo, hi = chi_interval(n)
     bound = purity_radius(d)
     a, b = np.maximum(lo, -bound), np.minimum(hi, bound)
     return n, a + u * (b - a), hi

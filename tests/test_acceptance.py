@@ -184,7 +184,7 @@ def test_criterion_6_dual_picture_and_transfer():
         rng = np.random.default_rng(6000 + d)
         for _ in range(500):
             rho = random_state(d, rng)
-            err = abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho), d))
+            err = abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho)))
             worst_l1 = np.maximum(worst_l1, err)
     worst_t = 0.0
     for d in (2, 3, 4):
@@ -204,7 +204,7 @@ def _purity_err(ch, rng):
     """abs_err of the purity law (Lemma 1) under ``ch`` for one random
     family of the channel's d."""
     n, chi = random_family(ch.d, rng)
-    return verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], ch.d)[1]).abs_err[0]
+    return verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n])[1]).abs_err[0]
 
 
 def test_criterion_7_purity_factorization():
@@ -276,7 +276,7 @@ def test_criterion_9_probe_contract():
         rng = np.random.default_rng(9000 + d)
         for _ in range(500):
             v = rng.standard_normal(d * d - 1)
-            p = probe_state(v / np.linalg.norm(v), d)
+            p = probe_state(v / np.linalg.norm(v))
             worst = np.maximum(worst, abs(l1_from_density(p) - 1.0))
             w_min = float(np.linalg.eigvalsh(p.m)[0])
             flags_consistent = flags_consistent and (is_psd(p.m) == (w_min >= -1e-9))

@@ -107,7 +107,7 @@ def reference_verify(measure, ch, n, chi):
     member = family_member(n, chi)
     t = transfer_matrix(ch)
     if measure == "l1":
-        probe, f = probe_state(n, ch.d), l1_from_density
+        probe, f = probe_state(n), l1_from_density
         condition = theorem1_condition(t)
     else:
         probe, f = bloch_compose(np.sqrt(2.0) * n), purity_measure
@@ -166,7 +166,7 @@ def test_one_family_functions_match_reference(d):
             one = verify_theorem1(ch, n, chi)
             assert type(one.lhs) is float and type(one.probe_physical) is bool
             for measure in ("l1", "purity"):
-                rep = verify_families(measure, t, [n], [chi], chi_interval([n], d)[1])
+                rep = verify_families(measure, t, [n], [chi], chi_interval([n])[1])
                 lhs, rhs, physical, held = reference_verify(measure, ch, n, chi)
                 assert (rep.probe_physical.item(), rep.condition_held.item()) == (physical, held)
                 assert abs(rep.lhs.item() - lhs) <= 1e-15 and abs(rep.rhs.item() - rhs) <= 1e-15
@@ -206,7 +206,7 @@ def test_chi_interval_agrees_with_psd_check(d, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d * d - 1)
     n = v / np.linalg.norm(v)
-    lo, hi = chi_interval(n[None], d)
+    lo, hi = chi_interval(n[None])
     assert lo[0] < 0 < hi[0]
     bound = purity_radius(d)
     edges = np.array([lo[0], hi[0]])
@@ -223,7 +223,7 @@ def test_random_families_return_the_unclipped_upper_end(d, seed, count):
     directions, bit for bit: the sampler's interval, not clipped to the
     purity radius."""
     n, _, hi = random_families(d, np.random.default_rng(seed), count)
-    assert np.array_equal(hi, chi_interval(n, d)[1])
+    assert np.array_equal(hi, chi_interval(n)[1])
 
 
 @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
@@ -234,7 +234,7 @@ def test_probe_physical_agrees_with_the_composed_probe(d, seed):
     eigenvalue is not within round-off of PSD_TOL."""
     n, chi, hi = random_families(d, np.random.default_rng(seed), 32)
     t = transfer_matrix(random_unital_channel(d, seed=seed))
-    for measure, chi_p in (("l1", 1.0 / coherence_weight(n, d)), ("purity", np.full(32, np.sqrt(2.0)))):
+    for measure, chi_p in (("l1", 1.0 / coherence_weight(n)), ("purity", np.full(32, np.sqrt(2.0)))):
         probes = bloch_compose(chi_p[:, None] * n).m
         clear = np.abs(np.linalg.eigvalsh(probes)[:, 0] - PSD_TOL) > 1e-12
         flags = verify_families(measure, t, n, chi, hi).probe_physical
@@ -300,7 +300,7 @@ def test_layer_functions_map_a_stack_state_by_state():
             assert l1_from_density(stack.m)[i] == l1_from_density(one)
             assert abs(purity_measure(stack.m)[i] - purity_measure(one)) <= 1e-15
             assert is_psd(stack.m)[i] == is_psd(one.m)
-            assert coherence_weight(n, d)[i] == coherence_weight(n[i], d)
+            assert coherence_weight(n)[i] == coherence_weight(n[i])
         with pytest.raises(InvalidDimensionError):
             validate_density(bloch_compose(chi[:, None] * n))
 
@@ -309,7 +309,7 @@ def test_verify_families_takes_a_stack(capsys):
     ch = random_unital_channel(3, seed=4)
     fams = [random_family(3, s) for s in range(6)]
     n = [n for n, _ in fams]
-    rep = verify_families("l1", transfer_matrix(ch), n, [chi for _, chi in fams], chi_interval(n, 3)[1])
+    rep = verify_families("l1", transfer_matrix(ch), n, [chi for _, chi in fams], chi_interval(n)[1])
     assert rep.lhs.shape == rep.probe_physical.shape == rep.condition_held.shape == (6,)
     for i, fam in enumerate(fams):
         one = verify_theorem1(ch, *fam)
@@ -484,7 +484,7 @@ def test_first_rows_of_a_call_are_those_of_a_shorter_call(d, s, data, seed):
         (lambda x: _by_row_blocks(x, a), n),
         (lambda x: bloch_compose(x).m, n),
         (lambda x: bloch_decompose(DensityMatrix(x)), states),
-        (lambda x: np.stack(chi_interval(x, d), axis=-1), n),
+        (lambda x: np.stack(chi_interval(x), axis=-1), n),
     ]
     for f, rows in maps:
         whole = f(rows)
@@ -517,7 +517,7 @@ def test_transfer_path_matches_kraus_reference(d):
     n, chi, hi = random_families(d, rng, 6)
     for ch in channels:
         t = transfer_matrix(ch)
-        for measure, chi_p, f in (("l1", 1.0 / coherence_weight(n, d), l1_from_density),
+        for measure, chi_p, f in (("l1", 1.0 / coherence_weight(n), l1_from_density),
                                   ("purity", np.full(6, np.sqrt(2.0)), purity_measure)):
             members = bloch_compose(chi[:, None] * n)
             probes = bloch_compose(chi_p[:, None] * n)

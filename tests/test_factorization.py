@@ -56,7 +56,7 @@ def nonunital_offdiag_channel():
 
 def test_decompose_family():
     n, chi = np.array([0.6, 0.8, 0.0]), 0.5
-    g = coherence_weight(n, 2)
+    g = coherence_weight(n)
     assert abs(g - 1.0) < 1e-15
     member = family_member(n, chi)
     assert abs(l1_from_density(member) - chi * g) < 1e-12
@@ -119,7 +119,7 @@ def test_channel_linearity_on_coherence_coordinates(d):
 def test_lemma1_l1_agrees_with_theorem1():
     ch = random_unital_channel(3, seed=5)
     n, chi = random_family(3, 5)
-    a = verify_families("l1", transfer_matrix(ch), [n], [chi], chi_interval([n], 3)[1])
+    a = verify_families("l1", transfer_matrix(ch), [n], [chi], chi_interval([n])[1])
     b = verify_theorem1(ch, n, chi)
     assert a.lhs[0] == b.lhs and a.rhs[0] == b.rhs
 
@@ -130,7 +130,7 @@ def test_lemma1_purity_unital(d):
     for _ in range(20):
         ch = random_unital_channel(d, seed=rng)
         n, chi = random_family(d, rng)
-        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], d)[1])
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n])[1])
         assert rep.condition_held[0]
         assert rep.abs_err[0] <= 1e-9
 
@@ -141,7 +141,7 @@ def test_lemma1_purity_amplitude_damping_violation():
     worst = 0.0
     for _ in range(30):
         n, chi = random_family(2, rng)
-        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n], 2)[1])
+        rep = verify_families("purity", transfer_matrix(ch), [n], [chi], chi_interval([n])[1])
         assert not rep.condition_held[0]
         worst = max(worst, rep.abs_err[0])
     assert worst > 1e-3
@@ -151,7 +151,7 @@ def test_lemma1_unknown_measure():
     with pytest.raises(NotApplicableError):
         n, chi = random_family(2, 0)
         verify_families("entropy", transfer_matrix(random_unital_channel(2, seed=0)), [n], [chi],
-                        chi_interval([n], 2)[1])
+                        chi_interval([n])[1])
 
 
 def test_corollary2_phase_damping():

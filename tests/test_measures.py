@@ -52,8 +52,8 @@ def test_l1_maximally_coherent(d):
 
 
 def test_l1_bloch_trivials():
-    assert coherence_weight(np.zeros(3), 2) == 0.0
-    assert abs(coherence_weight(np.array([0.6, 0.8, 0.3]), 2) - 1.0) < 1e-15
+    assert coherence_weight(np.zeros(3)) == 0.0
+    assert abs(coherence_weight(np.array([0.6, 0.8, 0.3])) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -61,7 +61,7 @@ def test_dual_picture_agreement(d):
     rng = np.random.default_rng(d)
     for _ in range(50):
         rho = random_state(d, rng)
-        assert abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho), d)) < 1e-12
+        assert abs(l1_from_density(rho) - coherence_weight(bloch_decompose(rho))) < 1e-12
 
 
 def test_purity_trivials():

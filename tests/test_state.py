@@ -150,8 +150,8 @@ def test_family_purity_relation(d):
 
 def test_probe_qubit_x_direction():
     n = np.array([1.0, 0.0, 0.0])
-    p = probe_state(n, 2)
-    assert abs(probe_factor(n, 2) - 1.0) < 1e-15
+    p = probe_state(n)
+    assert abs(probe_factor(n) - 1.0) < 1e-15
     assert is_psd(p.m)
     np.testing.assert_allclose(p.m, plus_state().m, atol=1e-14)
 
@@ -159,8 +159,8 @@ def test_probe_qubit_x_direction():
 def test_probe_formal_flag():
     # chi_p = 1/0.6 = 5/3 exceeds the qubit Bloch ball
     n = np.array([0.6, 0.0, 0.8])
-    p = probe_state(n, 2)
-    assert abs(probe_factor(n, 2) - 5.0 / 3.0) < 1e-12
+    p = probe_state(n)
+    assert abs(probe_factor(n) - 5.0 / 3.0) < 1e-12
     assert not is_psd(p.m)
     assert np.linalg.eigvalsh(p.m)[0] < -1e-9
 
@@ -171,7 +171,7 @@ def test_probe_coherence_is_one():
         for _ in range(20):
             v = rng.standard_normal(d * d - 1)
             n = v / np.linalg.norm(v)
-            p = probe_state(n, d)
+            p = probe_state(n)
             assert abs(l1_from_density(p) - 1.0) < 1e-12
 
 
@@ -179,7 +179,7 @@ def test_probe_incoherent_direction_rejected():
     n = np.zeros(8)
     n[6] = 1.0  # purely diagonal direction
     with pytest.raises(IncoherentDirectionError):
-        probe_state(n, 3)
+        probe_state(n)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -187,20 +187,20 @@ def test_probe_refuses_a_non_finite_direction(bad):
     """A NaN fails every comparison, so it must fail the probe check rather
     than pass g <= 1e-12 and give a NaN factor and an all-NaN probe."""
     n = np.array([bad, 0.0, 1.0])
-    for call in (lambda: probe_factor(n, 2), lambda: probe_state(n, 2)):
+    for call in (lambda: probe_factor(n), lambda: probe_state(n)):
         with pytest.raises(CohfactError, match=f"non-finite coherence weight g = {bad}"):
             call()
     rows = np.array([[0.0, 1.0, 0.0], n])
     with pytest.raises(CohfactError, match=f"non-finite coherence weight g = {bad}"):
-        probe_factor(rows, 2)
+        probe_factor(rows)
 
 
 def test_coherence_weight_uses_offdiagonal_pairs_only():
     n = np.array([0.6, 0.8, 0.0])
-    assert abs(coherence_weight(n, 2) - 1.0) < 1e-15
+    assert abs(coherence_weight(n) - 1.0) < 1e-15
     n = np.zeros(8)
     n[6] = n[7] = 0.5
-    assert coherence_weight(n, 3) == 0.0
+    assert coherence_weight(n) == 0.0
 
 
 def test_random_state_deterministic():
@@ -237,19 +237,20 @@ def test_random_family_chi_lies_in_its_interval():
     its chi_interval and within the purity radius."""
     for d in (2, 3, 4, 8):
         n, chi, _ = random_families(d, np.random.default_rng(d), 200)
-        lo, hi = chi_interval(n, d)
+        lo, hi = chi_interval(n)
         assert np.all((lo <= chi) & (chi <= hi) & (np.abs(chi) <= purity_radius(d)))
         for seed in range(20):
             n, chi = random_family(d, seed)
-            lo, hi = chi_interval(n, d)
+            lo, hi = chi_interval(n)
             assert lo <= chi <= hi
 
 
 def test_chi_interval_rejects_a_direction_of_the_wrong_length():
-    with pytest.raises(DimensionMismatchError, match="expected 8 components"):
-        chi_interval(np.ones((1, 3)), 3)
+    """d is read from the d^2 - 1 components, so a length that no d fits is refused."""
+    with pytest.raises(DimensionMismatchError, match=r"expected d\^2 - 1 components for a d >= 2, got shape \(1, 7\)"):
+        chi_interval(np.ones((1, 7)))
     with pytest.raises(DimensionMismatchError):
-        chi_interval(np.ones(15), 3)
+        chi_interval(np.ones(14))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -259,9 +260,9 @@ def test_chi_interval_refuses_a_non_finite_direction(bad):
     n = np.tile(np.eye(8)[0], (4, 1))
     n[2, 5] = n[3, 0] = bad
     with pytest.raises(CohfactError, match="row 2"):
-        chi_interval(n, 3)
+        chi_interval(n)
     with pytest.raises(CohfactError, match="row 0"):
-        chi_interval(n[2], 3)
+        chi_interval(n[2])
 
 
 def test_chi_interval_refuses_a_zero_direction():
@@ -269,13 +270,13 @@ def test_chi_interval_refuses_a_zero_direction():
     2c/lam exists; the first zero row is named in a CohfactError, where
     the division would give -inf with a divide-by-zero warning."""
     with pytest.raises(CohfactError, match="row 0 has n.X = 0"):
-        chi_interval(np.zeros((2, 3)), 2)
+        chi_interval(np.zeros((2, 3)))
     n = np.tile(np.eye(8)[0], (3, 1))
     n[1] = 0.0
     with pytest.raises(CohfactError, match="row 1 has n.X = 0"):
-        chi_interval(n, 3)
+        chi_interval(n)
     with pytest.raises(CohfactError, match="row 0 has n.X = 0"):
-        chi_interval(n[1], 3)
+        chi_interval(n[1])
 
 
 def test_random_state_stack_rows_are_states():
@@ -291,7 +292,7 @@ def test_random_state_stack_rows_are_states():
      UnphysicalStateError, "not Hermitian"),
     (lambda: validate_density(DensityMatrix(np.diag([0.6, 0.6]).astype(complex))),
      UnphysicalStateError, "trace"),
-    (lambda: probe_state(np.ones(4) / 2, 2), DimensionMismatchError, "components"),
+    (lambda: probe_state(np.ones(4) / 2), DimensionMismatchError, "components"),
 ], ids=["non-square", "non-hermitian", "trace", "probe-direction-length"])
 def test_state_input_checks(call, error, match):
     """Each check raises its own error; the message names the check, so
