@@ -1,5 +1,5 @@
-"""Generator bases: generalized Gell-Mann matrices, N-qubit Pauli tensors,
-and the linear transform between the two.
+"""Generator bases, generalized Gell-Mann matrices and N-qubit Pauli tensors,
+and their coordinate maps, read from and written to matrix entries by index.
 
 Ordering contract (shared by every module): the d^2-1 Gell-Mann generators
 are arranged as u_12, v_12, u_13, v_13, ..., u_{d-1,d}, v_{d-1,d},
@@ -18,7 +18,6 @@ from .errors import DimensionMismatchError, InvalidDimensionError
 
 # Entries kept per basis cache: every d <= 32 and N <= 5 fit, in bounded memory.
 CACHE_SIZE = 16
-ROW_BLOCK = 32  # rows per product of _by_row_blocks
 _EXPECTED = {"transfer": "a d^2 x d^2 transfer matrix", "weights": "4^N weights", "components": "d^2 - 1 components"}
 
 
@@ -28,39 +27,8 @@ def _read_only(a):
     return a
 
 
-_SIGMA = _read_only(np.array([
-    [[1, 0], [0, 1]],
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex))
-
-
-def _w_matrix(d, l):
-    # Standard diagonal generator, normalized so Tr(w_l^2) = 2.
-    diag = np.zeros(d)
-    diag[:l] = 1.0
-    diag[l] = -l
-    return np.diag(diag).astype(complex) * np.sqrt(2.0 / (l * (l + 1)))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def gellmann_basis(d):
-    """The generalized Gell-Mann basis for dimension d >= 2: a read-only
-    (d^2-1, d, d) array whose entry i is X_{i+1} in the 1-based ordering.
-
-    Elements are Hermitian, traceless, and satisfy Tr(X_i X_j) = 2 delta_ij;
-    X_0 = sqrt(2/d) I is not stored.
-    """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
-    elements = np.zeros((d * d - 1, d, d), dtype=complex)
-    j, k = np.triu_indices(d, 1)  # the 0-based (j, k) pairs, lexicographic
-    u, v = np.arange(0, d * d - d, 2), np.arange(1, d * d - d, 2)
-    elements[u, j, k] = elements[u, k, j] = 1
-    elements[v, j, k], elements[v, k, j] = -1j, 1j
-    elements[d * d - d:] = [_w_matrix(d, l) for l in range(1, d)]
-    return _read_only(elements)
+_SIGMA = _read_only(np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex))
 
 
 def _qubits(N):
@@ -90,37 +58,96 @@ def qubit_count(d):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _layout(d):
+    """Read-only tables of the Gell-Mann maps at d >= 2 on the (re, im) slots of a flattened d x d m: ``read``, those
+    of m_kj, then m_jk, pair by pair, then of Re m_aa, and ``signs``, (1, -1) per pair; ``write``, the entry of
+    z = (x_1..x_{d^2-d}, diagonal, 0) each slot takes, times ``halves``; l = 1..d-1; the w scales sqrt(2/(l(l+1)))."""
+    j, k = np.triu_indices(d, 1)  # the 0-based (j, k) pairs, lexicographic
+    coh, diagonal, l = d * d - d, 2 * (d + 1) * np.arange(d), np.arange(1.0, d)
+    lower, upper = (((2 * (r * d + c))[:, None] + [0, 1]).ravel() for r, c in ((k, j), (j, k)))
+    read, write, halves = np.concatenate((lower, upper, diagonal)), np.full(2 * d * d, coh + d), np.full(2 * d * d, 0.5)
+    write[read] = np.r_[0:coh, 0:coh, coh : coh + d]
+    halves[upper[1::2]] = -0.5
+    return tuple(map(_read_only, (read, np.tile([1.0, -1.0], coh // 2), write, halves, l, np.sqrt(2 / (l * (l + 1))))))
+
+
+def _read_gellmann(m):
+    """The real (..., d^2 - 1) Gell-Mann coordinates x_i = Re Tr(m X_i) of a d x d m or a stack, read entry by entry:
+    u_jk = Re(m_kj + m_jk), v_jk = Im(m_kj - m_jk) (so those of m's Hermitian part), w_l from a sum of the diagonal."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    d, coh = m.shape[-1], m.shape[-1] ** 2 - m.shape[-1]
+    read, signs, _, _, l, scale = _layout(d)
+    t = m.reshape(m.shape[:-2] + (d * d,)).view(float).take(read, axis=-1)  # then Re m_aa from column 2 coh on
+    w = scale * (np.add.accumulate(t[..., 2 * coh : -1], axis=-1) - l * t[..., 2 * coh + 1 :])
+    return np.concatenate((t[..., :coh] + signs * t[..., coh : 2 * coh], w), axis=-1)
+
+
+def _write_gellmann(x, d):
+    """The complex (..., d, d) (1/2) sum_i x_i X_i of each row of the float array x of d^2 - 1 Gell-Mann coordinates,
+    written entry by entry: (u_jk + i v_jk)/2 at (k, j), its conjugate at (j, k), and (sum_{l > a} s_l - a s_a)/2 at
+    (a, a), s_l = sqrt(2/(l(l+1))) w_l, summed from l = d - 1 down."""
+    coh = d * d - d
+    _, _, write, halves, l, scale = _layout(d)
+    s = scale * x[..., coh:]
+    z = np.zeros(x.shape[:-1] + (coh + d + 1,))
+    z[..., :coh] = x[..., :coh]
+    np.add.accumulate(s[..., ::-1], axis=-1, out=z[..., coh + d - 2 : coh - 1 : -1])
+    z[..., coh + 1 : coh + d] -= l * s
+    return (z.take(write, axis=-1) * halves).view(complex).reshape(x.shape[:-1] + (d, d))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def gellmann_basis(d):
+    """The generalized Gell-Mann basis for dimension d >= 2: a read-only (d^2-1, d, d) array whose entry i is
+    X_{i+1} in the 1-based ordering, 2 _write_gellmann of the unit coordinates. Elements are Hermitian, traceless,
+    and satisfy Tr(X_i X_j) = 2 delta_ij; X_0 = sqrt(2/d) I is not stored."""
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
+    return _read_only(2.0 * _write_gellmann(np.eye(d * d - 1), d))
+
+
+def _digitwise(v, table):
+    """v @ (table x ... x table), v of 4^N entries on its last axis: each of N passes maps the leading base-4 digit of
+    the index by the 4 x 4 ``table`` and moves it last, an entry a sum of 4 of its own row's (arXiv:2310.13421)."""
+    shape, N = v.shape, (v.shape[-1].bit_length() - 1) // 2
+    for _ in range(N):
+        v = v.reshape(-1, 4, 4 ** (N - 1)).swapaxes(1, 2).reshape(-1, 4) @ table
+    return v.reshape(shape)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _qubit_order(N):
+    """The flat indices of a 2^N x 2^N matrix in per-qubit order, entry p of base-4 digits 2 r_k + c_k for row bits
+    r_1..r_N and column bits c_1..c_N (qubit 1 the most significant), and the inverse permutation, both read-only."""
+    order = np.arange(4**N).reshape((2,) * (2 * N)).transpose([a for k in range(N) for a in (k, N + k)]).ravel()
+    return _read_only(order), _read_only(np.argsort(order))
+
+
+def _read_pauli(m):
+    """The real (..., 4^N - 1) Pauli tensor coordinates y_j = Re Tr(m Y_j) of a d x d matrix, d = 2^N, or of a stack:
+    the entries in per-qubit order (_qubit_order), then per qubit the trace table sigma_a[c, r] (_digitwise)."""
+    N = qubit_count(m.shape[-1])
+    v = np.reshape(m, m.shape[:-2] + (4**N,)).take(_qubit_order(N)[0], axis=-1)
+    return 2.0 ** ((1 - N) / 2) * _digitwise(v, _SIGMA.reshape(4, 4).T.conj()).real[..., 1:]
+
+
+def _write_pauli(y, N):
+    """The complex (..., d, d) matrix (1/2) sum_j y_j Y_j, d = 2^N, of each row of 4^N - 1 Pauli tensor coordinates y:
+    per qubit the table sigma_a[r, c] (_digitwise), then the entries in row-major order (_qubit_order)."""
+    v = np.concatenate((np.zeros(y.shape[:-1] + (1,)), 2.0 ** ((1 - N) / 2) * 0.5 * y), axis=-1)
+    return _digitwise(v, _SIGMA.reshape(4, 4)).take(_qubit_order(N)[1], axis=-1).reshape(y.shape[:-1] + (2**N, 2**N))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def pauli_tensor_basis(N):
-    """The N-qubit Pauli tensor basis, 1 <= N <= 5, as a read-only
-    (4^N-1, 2^N, 2^N) array of the generators Y_j = 2^((1-N)/2) sigma_{j_1}
-    x ... x sigma_{j_N}, where j_1 ... j_N are the base-4 digits of j, in
-    numeric order (00..1), (00..2), ..., (33..3); Y_0 is not stored."""
-    N = _qubits(N)
-    # products[j] = scale sigma_{j_1} x ... x sigma_{j_N}: each step appends one
-    # qubit, with its digit as the least significant one
-    products = np.full((1, 1, 1), 2.0 ** ((1 - N) / 2), dtype=complex)
-    for n in range(N):
-        products = (products[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]
-                    ).reshape(4 ** (n + 1), 2 ** (n + 1), 2 ** (n + 1))
-    return _read_only(products[1:])
-
-
-def _by_row_blocks(x, a):
-    """x @ a for real arrays, the rows of ``x`` (a vector or (..., s, k)) in zero-padded blocks of ROW_BLOCK,
-    each its own product of one shape, as BLAS picks a kernel by row count: a row's bits depend on neither s nor
-    the other rows, at most on its offset in its block (with one OpenBLAS thread, offsets 24-31 at d = 16, 32)."""
-    s = x.shape[-2] if x.ndim > 1 else 1
-    blocks = np.zeros(x.shape[:-2] + (-(-s // ROW_BLOCK) * ROW_BLOCK, x.shape[-1]))
-    blocks[..., :s, :] = x
-    out = (blocks.reshape(-1, ROW_BLOCK, x.shape[-1]) @ a).reshape(blocks.shape[:-1] + a.shape[-1:])
-    return out[..., :s, :].reshape(x.shape[:-1] + a.shape[-1:])
+    """The N-qubit Pauli tensor basis, 1 <= N <= 5, as a read-only (4^N-1, 2^N, 2^N) array of the generators
+    Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N}, j_1 ... j_N the base-4 digits of j, in numeric order
+    (00..1), (00..2), ..., (33..3), 2 _write_pauli of the unit coordinates; Y_0 is not stored."""
+    return _read_only(2.0 * _write_pauli(np.eye(4 ** _qubits(N) - 1), _qubits(N)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def y_to_x_transform(N):
-    """Read-only orthogonal a of N <= 5 qubits: X_i = sum_j a_ij Y_j, so x = a y.
-    a_ij = Tr(X_i Y_j)/2 is one real product of the (re, im) pairs of the
-    flattened X_i and Y_j, as Y_j is Hermitian."""
-    N = _qubits(N)
-    x, y = (b.reshape(len(b), -1).view(float) for b in (gellmann_basis(2**N), pauli_tensor_basis(N)))
-    return _read_only(x @ y.T / 2.0)
+    """Read-only orthogonal a of N <= 5 qubits, X_i = sum_j a_ij Y_j, so x = a y, a reference no coordinate map uses:
+    a_ij = Tr(X_i Y_j)/2, row i the Pauli tensor coordinates of X_i over 2."""
+    return _read_only(_read_pauli(gellmann_basis(2 ** _qubits(N))) / 2.0)

@@ -9,13 +9,13 @@ import numpy as np
 
 from .basis import (
     _SIGMA,
-    _by_row_blocks,
+    _digitwise,
     _dimension_of,
     _read_only,
+    _read_pauli,
     gellmann_basis,
     pauli_tensor_basis,
     qubit_count,
-    y_to_x_transform,
 )
 from .errors import (
     CohfactError,
@@ -26,7 +26,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .measures import l1_from_density
-from .state import DensityMatrix, bloch_compose, bloch_decompose, coherence_weight
+from .state import DensityMatrix, _require_hermitian, bloch_compose, coherence_weight
 
 COMPLETENESS_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -472,17 +472,16 @@ _AUX_SIGNS = _read_only(np.array(
 
 def _aux_signs(v):
     """c v for rows v of 4^N entries, c_{nu mu} = 2^(1-N) (-1)^(sum_k xi_k), xi_k = 1 iff the base-4 digits nu_k,
-    mu_k are nonzero and differ: c = 2^(1-N) S x ... x S for the symmetric S = _AUX_SIGNS, and c c = 4 I. Each of N
-    passes moves the leading digit last and multiplies it by S (arXiv:2310.13421), every entry a sum of 4 terms."""
+    mu_k are nonzero and differ: c = 2^(1-N) S x ... x S for the symmetric S = _AUX_SIGNS, and c c = 4 I, applied
+    one digit at a time (basis._digitwise)."""
     N = qubit_count(_dimension_of(v, "weights"))
-    for _ in range(N):
-        v = (np.swapaxes(v.reshape(-1, 4, 4 ** (N - 1)), 1, 2).reshape(-1, 4) @ _AUX_SIGNS).reshape(v.shape)
-    return 2.0 ** (1 - N) * v
+    return 2.0 ** (1 - N) * _digitwise(v, _AUX_SIGNS)
 
 
 def _pauli_coordinates(rho: DensityMatrix) -> np.ndarray:
-    """Pauli tensor coordinates y = x a of d = 2^N states: x = bloch_decompose(rho), a = y_to_x_transform(N)."""
-    return _by_row_blocks(bloch_decompose(rho), y_to_x_transform(qubit_count(rho.d)))
+    """Pauli tensor coordinates y_j = Re Tr(rho Y_j) of d = 2^N states Hermitian to HERM_TOL (basis._read_pauli)."""
+    _require_hermitian(rho.m)
+    return _read_pauli(rho.m)
 
 
 def aux_weights(y, m, chi):

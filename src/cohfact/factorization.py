@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import _by_row_blocks, _dimension_of, qubit_count, y_to_x_transform
+from .basis import _dimension_of, _read_gellmann, _write_pauli, qubit_count
 from .channel import (
     KrausChannel,
     _lemma1_condition,
@@ -40,6 +40,7 @@ from .state import (
 # fresh pages in on every call; each point is computed on its own, so the
 # output does not depend on the bound.
 SWEEP_CHUNK_ENTRIES = 1 << 13
+ROW_BLOCK = 32  # rows per product of _through
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,15 @@ def _measure(measure, x, d):
 
 
 def _through(t, *parts):
-    """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d) put
-    first, and their images x' = T x (_by_row_blocks), as two (len(parts), s, d^2) arrays."""
-    x = np.empty((len(parts), len(parts[0]), len(t)))
+    """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d) put first, and their images
+    x' = T x, as two (len(parts), s, d^2) arrays, each row in a zero-padded block of ROW_BLOCK rows: alone, a row
+    takes OpenBLAS's matrix-vector kernel, whose bits differ from its bits among other rows (d = 8-32, 1-2 threads)."""
+    n, s = len(t), len(parts[0])
+    x = np.zeros((len(parts), -(-s // ROW_BLOCK) * ROW_BLOCK, n))
     x[..., 0] = np.sqrt(2.0 / _dimension_of(t, "transfer"))
-    x[..., 1:] = parts
-    # each block packs T^T, faster from a C-contiguous array: a view of transfer_matrix's T, not a copy
-    return x, _by_row_blocks(x, np.ascontiguousarray(t.T))
+    x[:, :s, 1:] = parts
+    # T^T is a C-contiguous view of transfer_matrix's Fortran-ordered T, not a copy
+    return x[:, :s], (x.reshape(-1, ROW_BLOCK, n) @ np.ascontiguousarray(t.T)).reshape(x.shape)[:, :s]
 
 
 def _law(measure, t, members, probes, probe_physical, condition) -> FactorizationReport:
@@ -169,16 +172,15 @@ def verify_cascade(t, y, m, eps) -> FactorizationReport:
     channel E_F with transfer matrix ``t``, as a report of arrays over s states rho, d =
     2^N, given by their Pauli coordinates y (channel._pauli_coordinates), target directions
     m and their auxiliary Kraus weights eps (aux_solve). In coordinates only: E_aux scales y
-    by aux_pauli_action, and one _by_row_blocks product by a^T, a = y_to_x_transform(N), maps
-    targets and images to Gell-Mann ones. The probe of a target's Gell-Mann direction n = a m
-    has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
+    by aux_pauli_action, and targets and images are taken to Gell-Mann coordinates through
+    the matrices they stand for, (1/2) m.Y and (1/2) y'.Y. The probe of a target's Gell-Mann
+    direction n has chi_p = 1/g(n), physical iff chi_p <= hi of chi_interval."""
     y, m, eps = (np.asarray(a, dtype=float) for a in (y, m, eps))
     d, s = _dimension_of(t, "transfer"), len(y)
     if y.shape != (s, d * d - 1) or m.shape != (s, d * d - 1) or eps.shape != (s, d * d):
         raise DimensionMismatchError(f"expected an (s, {d * d - 1}) stack of states' coordinates, (s, {d * d - 1}) "
                                      f"directions and (s, {d * d}) weights, got {y.shape}, {m.shape}, {eps.shape}")
-    a = y_to_x_transform(qubit_count(d))
-    target, image = _by_row_blocks(np.stack((m, aux_pauli_action(eps)[:, 1:] * y)), a.T)  # I/d + m.Y/2, E_aux(rho)
+    target, image = _read_gellmann(_write_pauli(np.stack((m, aux_pauli_action(eps)[:, 1:] * y)), qubit_count(d)))
     g = _finite_weights(coherence_weight(target))
     if np.any(g <= 1e-12):
         raise NotApplicableError("target direction has no coherent part")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _by_row_blocks, _dimension_of, gellmann_basis
+from .basis import _dimension_of, _read_gellmann, _write_gellmann
 from .errors import (
     CohfactError,
     DimensionMismatchError,
@@ -77,21 +77,11 @@ def is_psd(m):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _pairs(d):
-    """The (d^2-1, 2 d^2) real view of the Gell-Mann generators: row i holds X_{i+1}'s (re, im) pairs."""
-    return gellmann_basis(d).reshape(d * d - 1, -1).view(float)
-
-
 def bloch_decompose(rho: DensityMatrix) -> np.ndarray:
-    """The real (d^2-1,) array of Gell-Mann Bloch coordinates x_i = Re Tr(rho X_i)
-    (x @ y_to_x_transform(N) are the Pauli tensor ones of d = 2^N); an (s, d, d)
-    stack gives (s, d^2-1) coordinates, a row's bits not depending on the rows
-    beside it (_by_row_blocks). The state must be Hermitian to HERM_TOL, as
-    validate_density requires."""
+    """The real (d^2-1,) array of Gell-Mann Bloch coordinates x_i = Re Tr(rho X_i), read entry by entry; an (s, d, d)
+    stack gives (s, d^2-1) coordinates. The state must be Hermitian to HERM_TOL, as validate_density requires."""
     _require_hermitian(rho.m)
-    m = np.ascontiguousarray(rho.m, dtype=complex)
-    # X is Hermitian, so Re Tr(rho X) is the real product of the (re, im) pairs of rho and X
-    return _by_row_blocks(m.reshape(m.shape[:-2] + (-1,)).view(float), _pairs(rho.d).T)
+    return _read_gellmann(rho.m)
 
 
 def bloch_compose(x) -> DensityMatrix:
@@ -102,7 +92,7 @@ def bloch_compose(x) -> DensityMatrix:
     if x.ndim > 2:
         raise DimensionMismatchError(f"expected one row or an (s, d^2 - 1) array of coordinates, got {x.shape}")
     d = _dimension_of(x, "components")
-    return DensityMatrix(np.eye(d) / d + 0.5 * _by_row_blocks(x, _pairs(d)).view(complex).reshape(*x.shape[:-1], d, d))
+    return DensityMatrix(np.eye(d) / d + _write_gellmann(x, d))
 
 
 def family_member(n, chi) -> DensityMatrix:
@@ -181,8 +171,7 @@ def chi_interval(n):
     n.X (lam_min < 0 < lam_max for a traceless n.X != 0), so it passes the
     PSD check iff -2c/lam_max <= chi <= 2c/|lam_min|, c = 1/d - PSD_TOL
     (Kimura, Phys. Lett. A 314, 339 (2003); Bertlmann and Krammer,
-    J. Phys. A 41, 235303 (2008)); a row's interval does not depend on the
-    rows beside it (_by_row_blocks). Returns the arrays (lo, hi); a
+    J. Phys. A 41, 235303 (2008)). Returns the arrays (lo, hi); a
     direction with a NaN or infinite component, or with n.X = 0, raises
     CohfactError, which names the first such row.
     """
@@ -191,7 +180,7 @@ def chi_interval(n):
     if not np.isfinite(n).all():
         row = np.argmin(np.ravel(np.isfinite(n).all(axis=-1)))
         raise CohfactError(f"direction in row {row} has a non-finite component")
-    lam = np.linalg.eigvalsh(_by_row_blocks(n, _pairs(d)).view(complex).reshape(*n.shape[:-1], d, d))
+    lam = np.linalg.eigvalsh(_write_gellmann(2.0 * n, d))  # n.X
     if not np.all(lam[..., -1] > 0):  # traceless: n.X has a positive eigenvalue unless it is 0
         raise CohfactError(f"direction in row {np.argmin(np.ravel(lam[..., -1] > 0))} has n.X = 0")
     c = 2.0 * (1.0 / d - PSD_TOL)

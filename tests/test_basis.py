@@ -80,6 +80,26 @@ def test_ordering_contract():
         np.testing.assert_array_equal(b[2 * r + 1], v)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_gellmann_basis_is_the_textbook_set(d):
+    """Exactly u_jk = |j><k| + |k><j| and v_jk = -i|j><k| + i|k><j| for the
+    pairs in lexicographic order, then w_l = sqrt(2/(l(l+1))) (sum_{a<=l}
+    |a><a| - l |l+1><l+1|), built here entry by entry, not by the writer."""
+    want = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            u, v = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+            u[j, k] = u[k, j] = 1
+            v[j, k], v[k, j] = -1j, 1j
+            want += [u, v]
+    for l in range(1, d):
+        w = np.zeros((d, d), dtype=complex)
+        w[range(l), range(l)] = np.sqrt(2.0 / (l * (l + 1)))
+        w[l, l] = -l * np.sqrt(2.0 / (l * (l + 1)))
+        want.append(w)
+    assert np.array_equal(gellmann_basis(d), np.array(want))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_completeness_sum(d):
     b = gellmann_basis(d)

@@ -8,6 +8,7 @@ sampler the closed form replaced.
 """
 
 import json
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, factorization, io
-from cohfact.basis import ROW_BLOCK, _by_row_blocks, gellmann_basis, pauli_tensor_basis, qubit_count
+from cohfact.basis import pauli_tensor_basis, qubit_count
 from cohfact.channel import (
     _pauli_coordinates,
     apply,
@@ -36,6 +37,7 @@ from cohfact.errors import (
     UnreachableTargetError,
 )
 from cohfact.factorization import (
+    _through,
     verify_cascade,
     verify_corollary2,
     verify_families,
@@ -63,23 +65,37 @@ from cohfact.state import (
 B = cli.BLOCK_TRIALS
 
 
+def n_dot_x(n):
+    """n.X of the d^2 - 1 components of n, written entry by entry from the
+    ordering contract: n_{2r-1} - i n_{2r} at the r-th pair (j, k) in
+    lexicographic order and its conjugate at (k, j); sum_{l > a} s_l - a s_a
+    at (a, a), s_l = sqrt(2/(l(l+1))) times the w_l component, summed from
+    l = d - 1 down."""
+    d = isqrt(len(n) + 1)
+    m = np.zeros((d, d), dtype=complex)
+    for r, (j, k) in enumerate((j, k) for j in range(d) for k in range(j + 1, d)):
+        m[j, k], m[k, j] = complex(n[2 * r], -n[2 * r + 1]), complex(n[2 * r], n[2 * r + 1])
+    s = [0.0] + [np.sqrt(2.0 / (l * (l + 1))) * n[d * d - d + l - 1] for l in range(1, d)]
+    for a in range(d):
+        total = 0.0
+        for l in range(d - 1, a, -1):
+            total += s[l]
+        m[a, a] = total - a * s[a]
+    return m
+
+
 def reference_block_family(d, seed, trial):
     """The family (n, chi) of one trial of a verify run: row r = trial % B of the
     block drawn by generator (seed, B * (trial // B)), which draws the
     uniforms of all B rows, then the directions of rows 0..r. chi is
     uniform on the physical part of [-R, R], found from the eigenvalues of
-    n.X. n.X is taken as every row of coordinates is: as row 0 of a
-    zero-padded block of ROW_BLOCK rows, times the (re, im) pairs of the
-    flattened generators."""
+    n.X (n_dot_x)."""
     rng = np.random.default_rng([seed, B * (trial // B)])
     r = trial % B
     u = rng.uniform(size=B)[r]
     v = rng.standard_normal((r + 1, d * d - 1))[r:]
     n = (v / np.linalg.norm(v, axis=-1, keepdims=True))[0]
-    block = np.zeros((ROW_BLOCK, d * d - 1))
-    block[0] = n
-    gens = gellmann_basis(d).reshape(d * d - 1, -1).view(float)
-    lam = np.linalg.eigvalsh((block @ gens)[0].view(complex).reshape(d, d))
+    lam = np.linalg.eigvalsh(n_dot_x(n))
     c = 2.0 * (1.0 / d - PSD_TOL)
     bound = purity_radius(d)
     a, b = max(-c / lam[-1], -bound), min(c / -lam[0], bound)
@@ -473,15 +489,16 @@ def test_one_and_33_trial_runs_are_prefixes_of_a_50_trial_run(tmp_path, capsys, 
 @settings(max_examples=40, deadline=None)
 def test_first_rows_of_a_call_are_those_of_a_shorter_call(d, s, data, seed):
     """Bitwise, the first t rows of an s-row call are a t-row call, and row 0
-    is the call on that row alone, for the blocked product and the maps
-    built on it: a row's bits do not depend on the rows mapped with it."""
+    is the call on that row alone, for the blocked product by T (_through)
+    and the coordinate maps: a row's bits do not depend on the rows mapped
+    with it."""
     t = data.draw(st.integers(1, s), label="t")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((s, d * d - 1))
     n = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    a, states = rng.standard_normal((d * d - 1, d * d)), random_state(d, rng, s).m
+    a, states = rng.standard_normal((d * d, d * d)), random_state(d, rng, s).m
     maps = [
-        (lambda x: _by_row_blocks(x, a), n),
+        (lambda x: _through(a, np.reshape(x, (-1, d * d - 1)))[1][0].reshape(x.shape[:-1] + (d * d,)), n),
         (lambda x: bloch_compose(x).m, n),
         (lambda x: bloch_decompose(DensityMatrix(x)), states),
         (lambda x: np.stack(chi_interval(x), axis=-1), n),

@@ -5,16 +5,20 @@ positivity of every named channel, the Kraus stack's validation, and the
 Bloch and JSON round trips, the auxiliary channel of reachable targets,
 and stacked apply and purity against their item-by-item values."""
 
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, io
-from cohfact.basis import gellmann_basis, pauli_tensor_basis, y_to_x_transform
+from cohfact.basis import _write_pauli, gellmann_basis, pauli_tensor_basis, y_to_x_transform
 from cohfact.channel import (
     CONDITION_TOL,
+    _SIGMA,
     _lemma1_condition,
+    _pauli_coordinates,
     apply,
     aux_channel,
     corollary1_check,
@@ -79,27 +83,38 @@ def test_bloch_round_trip_gellmann(d, seed):
     np.testing.assert_allclose(bloch_decompose(bloch_compose(x)), x, rtol=0, atol=1e-12)
 
 
-@given(N=st.integers(1, 3), seed=seeds)
+@lru_cache(maxsize=None)
+def kron_pauli_basis(N):
+    """Y_j = 2^((1-N)/2) sigma_{j_1} x ... x sigma_{j_N} as Kronecker
+    products, j_1 ... j_N the base-4 digits of j, most significant first."""
+    digits = (np.base_repr(j, base=4).zfill(N) for j in range(1, 4**N))
+    return np.array([reduce(np.kron, [_SIGMA[int(c)] for c in ds], 2.0 ** ((1 - N) / 2)) for ds in digits])
+
+
+@given(N=st.integers(1, 5), seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_bloch_round_trip_pauli_tensor(N, seed):
-    """Pauli tensor coordinates y go to Gell-Mann ones as a y and back as
-    x a, a = y_to_x_transform(N), through the Bloch maps."""
+    """The Pauli writer gives (1/2) y.Y of the Kronecker-product basis;
+    channel._pauli_coordinates reads y back from I/d + (1/2) y.Y, and
+    bloch_decompose reads its Gell-Mann coordinates x = a y, a =
+    y_to_x_transform(N)."""
     y = np.random.default_rng(seed).standard_normal(4**N - 1)
-    a = y_to_x_transform(N)
-    np.testing.assert_allclose(bloch_decompose(bloch_compose(y @ a.T)) @ a, y, rtol=0, atol=1e-12)
+    half = _write_pauli(y, N)
+    np.testing.assert_allclose(half, 0.5 * np.einsum("j,jab->ab", y, kron_pauli_basis(N)), rtol=0, atol=1e-13)
+    rho = DensityMatrix(np.eye(2**N) / 2**N + half)
+    np.testing.assert_allclose(_pauli_coordinates(rho), y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bloch_decompose(rho), y_to_x_transform(N) @ y, rtol=0, atol=1e-12)
 
 
-@given(N=st.integers(1, 4), seed=seeds)
+@given(N=st.integers(1, 5), seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_pauli_coordinates_match_trace_reference(N, seed):
-    """Pauli tensor coordinates read as bloch_decompose(rho) @ a, a =
-    y_to_x_transform(N), are y_j = Tr(rho Y_j) as an einsum over the Pauli
-    tensor basis, for one state and a stack."""
+    """channel._pauli_coordinates gives y_j = Tr(rho Y_j) as an einsum over
+    the Kronecker-product Pauli tensor basis, for one state and a stack."""
     rho = random_state(2**N, seed, 3)
-    want = np.einsum("...ab,jba->...j", rho.m, pauli_tensor_basis(N)).real
-    np.testing.assert_allclose(bloch_decompose(rho) @ y_to_x_transform(N), want, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(bloch_decompose(DensityMatrix(rho.m[1])) @ y_to_x_transform(N), want[1],
-                               rtol=0, atol=1e-15)
+    want = np.einsum("...ab,jba->...j", rho.m, kron_pauli_basis(N)).real
+    np.testing.assert_allclose(_pauli_coordinates(rho), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_pauli_coordinates(DensityMatrix(rho.m[1])), want[1], rtol=0, atol=1e-15)
 
 
 @given(d=dims, k=kraus_counts, seed=seeds)
