@@ -8,7 +8,12 @@ The channel with Kraus set f(E_mu) then has the transfer matrix
 R~ T R~^T, R~ = diag(1, R), and every family n becomes R n; so both sides
 of each factorization law and both flags must not change. A wrong pair
 or digit index in a coordinate map breaks this, even where an oracle
-built on the same index convention would agree with it."""
+built on the same index convention would agree with it.
+
+A permutation of the qubits of d = 2^N is a level permutation too. It
+permutes the base-4 digits of every Pauli tensor index, so the cascade's
+state coordinates y, target directions m and auxiliary weights eps permute
+with it, and its records must not change."""
 
 import numpy as np
 import pytest
@@ -16,9 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact.basis import gellmann_basis
-from cohfact.channel import kraus_channel, random_channel, random_unital_channel, transfer_matrix
-from cohfact.factorization import verify_families
-from cohfact.state import chi_interval, random_families
+from cohfact.channel import (
+    _pauli_coordinates,
+    aux_weights,
+    kraus_channel,
+    random_channel,
+    random_unital_channel,
+    transfer_matrix,
+)
+from cohfact.factorization import verify_cascade, verify_families
+from cohfact.state import DensityMatrix, chi_interval, random_families, random_state
 
 seeds = st.integers(0, 2**32 - 1)
 FAMILIES = 20
@@ -64,3 +76,51 @@ def test_verify_families_is_invariant_under_coherence_symmetries(kind, channel, 
     assert np.all(np.abs(got.rhs - want.rhs) <= bound), np.max(np.abs(got.rhs - want.rhs))
     assert np.array_equal(got.probe_physical, want.probe_physical)
     assert np.array_equal(got.condition_held, want.condition_held)
+
+
+
+def permuted_digits(v, perm):
+    """v with the N base-4 digits of its last axis's index permuted: digit k
+    of the new index is digit perm[k] of the old, the first the most significant."""
+    lead = tuple(range(v.ndim - 1))
+    return v.reshape(v.shape[:-1] + (4,) * len(perm)).transpose(lead + tuple(v.ndim - 1 + p for p in perm)).reshape(v.shape)
+
+
+def permuted_qubits(m, perm):
+    """The (..., 2^N, 2^N) matrices m with their qubits permuted: qubit k of
+    the new matrix is qubit perm[k] of the old, in rows and columns alike."""
+    N, lead = len(perm), tuple(range(m.ndim - 2))
+    axes = lead + tuple(m.ndim - 2 + p for p in perm) + tuple(m.ndim - 2 + N + p for p in perm)
+    return m.reshape(m.shape[:-2] + (2,) * (2 * N)).transpose(axes).reshape(m.shape)
+
+
+@given(N=st.integers(1, 4), data=st.data(), seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_cascade_is_invariant_under_qubit_permutations(N, data, seed):
+    """verify_cascade on permuted qubits: the Pauli coordinates read from the
+    permuted states are y with permuted digits, and with m and eps permuted
+    likewise and the Kraus set of E_F permuted, lhs, rhs and flags agree.
+    The targets q_nu = chi m_nu / y_nu lie within 1/4^(N+1) of 1/2, so every
+    weight is positive."""
+    perm = data.draw(st.permutations(range(N)), label="perm")
+    rng = np.random.default_rng(seed)
+    rho, ch = random_state(2**N, rng, 3), random_unital_channel(2**N, k=3, seed=rng)
+    y = _pauli_coordinates(rho)
+    target = y * (0.5 + rng.uniform(-0.25, 0.25, y.shape) / 4**N)
+    chi = np.linalg.norm(target, axis=-1)
+    m = target / chi[:, None]
+    eps, unreachable = aux_weights(y, m, chi)
+    assert not unreachable.any()
+
+    def digits(a):
+        return permuted_digits(np.concatenate((np.zeros((len(a), 1)), a), axis=-1), perm)[:, 1:]
+
+    y2 = _pauli_coordinates(DensityMatrix(permuted_qubits(rho.m, perm)))
+    np.testing.assert_allclose(y2, digits(y), rtol=0, atol=1e-15)
+    t2 = transfer_matrix(kraus_channel(permuted_qubits(ch.kraus, perm)))
+    want = verify_cascade(transfer_matrix(ch), y, m, eps)
+    got = verify_cascade(t2, y2, digits(m), permuted_digits(eps, perm))
+    for side in ("lhs", "rhs"):
+        assert np.all(np.abs(getattr(got, side) - getattr(want, side)) <= 1e-13 * np.maximum(1.0, np.abs(want.lhs)))
+    np.testing.assert_array_equal(got.probe_physical, want.probe_physical)
+    np.testing.assert_array_equal(got.condition_held, want.condition_held)
