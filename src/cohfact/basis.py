@@ -77,7 +77,7 @@ def _read_gellmann(m):
     m = np.ascontiguousarray(m, dtype=complex)
     d, coh = m.shape[-1], m.shape[-1] ** 2 - m.shape[-1]
     read, signs, _, _, l, scale = _layout(d)
-    t = m.reshape(m.shape[:-2] + (d * d,)).view(float).take(read, axis=-1)  # then Re m_aa from column 2 coh on
+    t = m.reshape(m.shape[:-2] + (d * d,)).view(float).take(read, axis=-1)  # pair slots, then Re m_aa
     w = scale * (np.add.accumulate(t[..., 2 * coh : -1], axis=-1) - l * t[..., 2 * coh + 1 :])
     return np.concatenate((t[..., :coh] + signs * t[..., coh : 2 * coh], w), axis=-1)
 

@@ -83,7 +83,8 @@ def permuted_digits(v, perm):
     """v with the N base-4 digits of its last axis's index permuted: digit k
     of the new index is digit perm[k] of the old, the first the most significant."""
     lead = tuple(range(v.ndim - 1))
-    return v.reshape(v.shape[:-1] + (4,) * len(perm)).transpose(lead + tuple(v.ndim - 1 + p for p in perm)).reshape(v.shape)
+    axes = lead + tuple(v.ndim - 1 + p for p in perm)
+    return v.reshape(v.shape[:-1] + (4,) * len(perm)).transpose(axes).reshape(v.shape)
 
 
 def permuted_qubits(m, perm):
