@@ -56,4 +56,4 @@ from .state import (
     validate_density,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

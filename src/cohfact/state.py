@@ -35,7 +35,7 @@ def purity_radius(d):
 def density_matrix(m):
     """Wrap a matrix as a validated DensityMatrix."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return validate_density(DensityMatrix(m))
 

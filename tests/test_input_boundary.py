@@ -2,8 +2,10 @@
 holds, its parser and its file loader return a value or raise CohfactError
 (which the CLI turns into exit 2), never another exception."""
 
+import base64
 import gc
 import json
+import math
 import os
 import tempfile
 
@@ -44,9 +46,34 @@ def _planes(d, k=None):
             | st.dictionaries(st.sampled_from(["re", "im", "x"]), plane | scalars, max_size=3))
 
 
+def _b64(raw):
+    return base64.b64encode(raw).decode()
+
+
+def _packed(d, k=None):
+    """A d x d matrix (or a stack of k) packed, {"shape": ..., "base64": ...},
+    of any doubles: sometimes of a wrong byte count, its text with one
+    character changed, added or dropped (a space, newline, padding, a
+    letter or a non-ASCII one), its shape wrong (not a list, holding a
+    boolean, float, negative number, list or huge number, some of them of
+    the right entry count), or with a key missing, added or miscased."""
+    shape = [d, d] if k is None else [k, d, d]
+    size = 16 * math.prod(shape)
+    text = (st.binary(min_size=size, max_size=size) | st.binary(max_size=size + 16)).map(_b64)
+    edited = st.tuples(text, st.integers(0, 80), st.sampled_from(["", " ", "\n", "=", "A", "\u00e9", "*"]),
+                       st.integers(0, 1)).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + t[3]:])
+    same_size = [[float(shape[0]), *shape[1:]], [True, *shape], [-shape[0], -shape[1], *shape[2:]], [*shape, [1]]]
+    shapes = (st.just(shape) | st.sampled_from(same_size)
+              | st.lists(st.integers(-1, 4) | st.sampled_from([True, 2.0, [2], 2**62]), max_size=4))
+    return (st.fixed_dictionaries({"shape": shapes | scalars, "base64": text | edited | scalars},
+                                  optional={"x": json_values})
+            | st.dictionaries(st.sampled_from(["shape", "base64", "Shape", "re"]), shapes | text | scalars,
+                              max_size=3))
+
+
 @st.composite
 def kraus_sets(draw):
-    """A regular (k, d, d) Kraus set, of [re, im] pairs or planes, that reaches
+    """A regular (k, d, d) Kraus set, of [re, im] pairs, planes or packed doubles, that reaches
     kraus_channel: a complete set, sqrt(w_mu) times a permutation matrix
     with phases +-1, +-i, or an incomplete one of any entries; either with
     one entry made huge (1e200) or non-finite (NaN, Infinity in the file)."""
@@ -63,8 +90,13 @@ def kraus_sets(draw):
     bad = draw(st.sampled_from([None, None, 1e200, -1e200, float("nan"), float("inf"), -float("inf")]))
     if bad is not None:
         pairs[tuple(draw(st.integers(0, n - 1)) for n in pairs.shape)] = bad
-    if draw(st.booleans()):  # the same set as real and imaginary planes
+    layout = draw(st.sampled_from(["pairs", "planes", "packed"]))
+    if layout == "planes":  # the same set as real and imaginary planes
         return {"re": pairs[..., 0].tolist(), "im": pairs[..., 1].tolist()}
+    if layout == "packed":  # or as packed little-endian doubles
+        ops = np.empty(pairs.shape[:-1], dtype="<c16")
+        ops.real, ops.imag = pairs[..., 0], pairs[..., 1]
+        return {"shape": list(ops.shape), "base64": _b64(ops.tobytes())}
     return pairs.tolist()
 
 
@@ -76,12 +108,12 @@ json_values = st.recursive(
 )
 structured = {
     "d": dims,
-    "matrix": st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d)),
+    "matrix": st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d) | _packed(d)),
     "bloch": st.lists(numbers, max_size=9) | st.lists(st.lists(numbers, max_size=3), max_size=3),
     "name": st.sampled_from(named_channels()) | scalars,
     "params": st.none() | st.dictionaries(st.sampled_from(PARAM_KEYS), numbers | scalars, max_size=5),
-    "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a) | _planes(*a))
-    | st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d)) | kraus_sets(),
+    "kraus": st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _pairs(*a) | _planes(*a) | _packed(*a))
+    | st.integers(1, 3).flatmap(lambda d: _pairs(d) | _planes(d) | _packed(d)) | kraus_sets(),
     "label": scalars,
     "n": st.lists(numbers, max_size=9) | scalars,
     "chi": numbers | scalars,
@@ -148,6 +180,14 @@ def test_state_parser_raises_only_cohfact_errors(spec):
 @settings(max_examples=200, deadline=None)
 def test_channel_parser_raises_only_cohfact_errors(spec):
     _only_cohfact_errors(io.channel_from_dict, spec)
+
+
+@given(packed=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda a: _packed(*a)))
+@settings(max_examples=200, deadline=None)
+def test_packed_objects_raise_only_cohfact_errors(packed):
+    """A packed object, as a channel's Kraus set and as a state's matrix."""
+    _only_cohfact_errors(io.channel_from_dict, {"kraus": packed})
+    _only_cohfact_errors(io.state_from_dict, {"matrix": packed})
 
 
 @given(spec=specs, collecting=st.booleans())

@@ -1,9 +1,11 @@
 """Reading state, channel and family files: the decoded JSON is converted
 with the cyclic collector paused, the collector's state is restored however
 the load ends, and bad bytes or over-deep nesting are usage errors. Kraus
-files are checked in both layouts, real and imaginary planes ("planes", as
-save_channel writes them) and [re, im] pairs."""
+files are checked in three layouts: packed doubles ("packed", as
+save_channel writes them), real and imaginary planes ("planes") and
+[re, im] pairs."""
 
+import base64
 import contextlib
 import gc
 import io as _io
@@ -20,12 +22,28 @@ LOADERS = {
     "state": (io.load_state, io.state_from_dict),
     "channel": (io.load_channel, io.channel_from_dict),
     "planes": (io.load_channel, io.channel_from_dict),
+    "packed": (io.load_channel, io.channel_from_dict),
     "family": (lambda path: io.load_family(path, 2), lambda spec: io.family_from_dict(spec, 2)),
 }
+
+
+def _kraus(spec):
+    """The Kraus set a channel spec loads to."""
+    return io.channel_from_dict(spec).kraus
+
+
+def _planes(spec):
+    """A Kraus spec with its Kraus set written as real and imaginary planes."""
+    kraus = _kraus(spec)
+    return {**spec, "kraus": {"re": kraus.real.tolist(), "im": kraus.imag.tolist()}}
+
+
+PACKED = io.channel_to_dict(cohfact.random_channel(2, k=2, seed=6))
 VALID = {
     "state": {"d": 2, "bloch": [0.3, 0.4, 0.5]},
     "channel": {"name": "depolarizing", "d": 2, "params": {"p": 0.3}},
-    "planes": io.channel_to_dict(cohfact.random_channel(2, k=2, seed=6)),
+    "planes": _planes(PACKED),
+    "packed": PACKED,
     "family": {"d": 2, "n": [0.6, 0.0, 0.8], "chi": 0.5},
 }
 
@@ -38,9 +56,9 @@ def _nested(depth):
 
 
 def _pairs(spec):
-    """A Kraus spec with its planes written as [re, im] pairs."""
-    planes = spec["kraus"]
-    return {**spec, "kraus": np.stack((planes["re"], planes["im"]), axis=-1).tolist()}
+    """A Kraus spec with its Kraus set written as [re, im] pairs."""
+    kraus = _kraus(spec)
+    return {**spec, "kraus": np.stack((kraus.real, kraus.imag), axis=-1).tolist()}
 
 
 # A numeric field 70 levels deep, past NumPy's 64 dimensions, and JSON
@@ -49,6 +67,7 @@ DEEP_FIELD = {
     "state": {"d": 2, "bloch": _nested(70)},
     "channel": {"kraus": _nested(70)},
     "planes": {"kraus": {"re": _nested(69), "im": _nested(69)}},  # one level more for [re, im]
+    "packed": {"kraus": {"shape": [1] * 70, "base64": base64.b64encode(bytes(16)).decode()}},
     "family": {"d": 2, "n": _nested(70)},
 }
 JSON_DEPTH = 50_000
@@ -98,7 +117,8 @@ def test_loading_a_kraus_file_starts_no_collection(tmp_path):
 
 
 def test_loading_a_pair_kraus_file_starts_no_collection(tmp_path):
-    """The same for the d = 8, k = 64 file as [re, im] pairs, 4,096 lists more."""
+    """The same for the d = 8, k = 64 file as [re, im] pairs, 4,673 lists
+    where the packed file has one."""
     path = tmp_path / "unital_d8.json"
     path.write_text(json.dumps(_pairs(io.channel_to_dict(cohfact.random_unital_channel(8, k=64, seed=3)))))
     with Collections() as seen:
@@ -165,6 +185,7 @@ def _arrays(value):
     ("family", {"d": 2, "n": [0.3, -0.1, 0.7], "chi": 0.25}),
     ("channel", _pairs(io.channel_to_dict(cohfact.random_channel(3, seed=5)))),
     ("state", {"matrix": {"re": [[0.6, 0.1], [0.1, 0.4]], "im": [[0, -0.2], [0.2, 0]]}}),
+    ("channel", _planes(io.channel_to_dict(cohfact.random_channel(3, seed=5)))),
 ])
 def test_loaded_arrays_are_bit_identical_to_the_dict_parser(tmp_path, kind, spec):
     path = tmp_path / f"{kind}.json"
@@ -199,6 +220,9 @@ def test_bad_bytes_and_deep_nesting_are_cohfact_errors(tmp_path, kind, data, mes
     ("planes", ["transfer", "--channel", "{path}"]),
     ("planes", ["--trials", "2", "verify", "theorem1", "--expect-violation", "--channel", "{path}"]),
     ("planes", ["freeze-check", "--channel", "{path}"]),
+    ("packed", ["transfer", "--channel", "{path}"]),
+    ("packed", ["--trials", "2", "verify", "theorem1", "--expect-violation", "--channel", "{path}"]),
+    ("packed", ["freeze-check", "--channel", "{path}"]),
 ])
 @pytest.mark.parametrize("data", [
     lambda kind: json.dumps(VALID[kind]).encode() + b"\xff",
