@@ -132,10 +132,6 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     With G the rows vec(X_i) (X_0 first) and the superoperator
     S[(b,c),(a,d)] = sum_mu conj(E_mu[b,a]) E_mu[c,d], T = G S G^dag / 2
     (the X_j are Hermitian, so X_j[d,a] = conj(G[j,(a,d)])).
-
-    T is returned in column-major (Fortran) order, so that T^T, which the
-    row-block products of factorization take, is C-contiguous: one copy per
-    transfer matrix rather than one per product.
     """
     d = ch.d
     n = d * d
@@ -147,7 +143,7 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
         raise InvalidChannelError(
             f"transfer matrix has imaginary residue {np.max(np.abs(t.imag)):.3e}"
         )
-    return np.asfortranarray(t.real)
+    return np.ascontiguousarray(t.real)
 
 
 def _maximally_mixed_image(T):
@@ -256,16 +252,6 @@ def _in_unit_interval(q):
     return (0.0 <= x) & (x <= 1.0)
 
 
-def _nonzero(ops, w):
-    """The operators of a (..., k, d, d) stack whose weight ``w`` is nonzero
-    at some parameter value: one channel keeps its nonzero operators, and a
-    stack keeps an operator unless it is zero in every channel, so that every
-    channel has the same k. A zero operator adds nothing to a channel's action.
-    The stack is copied only when an operator goes."""
-    keep = np.reshape(w > 0, (-1, w.shape[-1])).any(axis=0)
-    return ops if keep.all() else ops[..., keep, :, :]
-
-
 def _pauli_flip(name, k):
     """Factory of the qubit channel that preserves sigma_k and shrinks the
     other two Paulis by q."""
@@ -296,7 +282,7 @@ def pauli(p0, p1, p2, p3) -> KrausChannel:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the check
         ok = np.all(p >= 0, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
     _require(ok, "pauli probabilities must be a distribution")
-    return kraus_channel(_nonzero(np.sqrt(p)[..., None, None] * _SIGMA, p))
+    return kraus_channel(np.sqrt(p)[..., None, None] * _SIGMA)
 
 
 def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
@@ -309,8 +295,7 @@ def generalized_amplitude_damping(gamma, pbar) -> KrausChannel:
     ops[..., 0, 1, 1] = ops[..., 2, 0, 0] = np.sqrt(1 - gamma)
     ops[..., 1, 0, 1] = ops[..., 3, 1, 0] = np.sqrt(gamma)
     ops *= np.sqrt(np.stack(np.broadcast_arrays(pbar, pbar, 1 - pbar, 1 - pbar), axis=-1))[..., None, None]
-    # E_mu holds its scalar factor, sqrt(pbar) or sqrt(1 - pbar) times 1 or sqrt(gamma), as one entry
-    return kraus_channel(_nonzero(ops, ops[..., range(4), [0, 0, 1, 1], [0, 1, 1, 0]].real))
+    return kraus_channel(ops)
 
 
 def gell_mann_G(d, q, q0) -> KrausChannel:
@@ -331,7 +316,7 @@ def gell_mann_G(d, q, q0) -> KrausChannel:
     w[..., 1 : n_off + 1] = np.sqrt(np.maximum(c1, 0.0) / (2 * d))[..., None]
     w[..., n_off + 1 :] = np.sqrt(np.maximum(c2, 0.0) / (2 * d))[..., None]
     gens = np.concatenate((np.eye(d, dtype=complex)[None], gellmann_basis(d)))
-    return kraus_channel(_nonzero(w[..., None, None] * gens, w), tol=1e-12)
+    return kraus_channel(w[..., None, None] * gens, tol=1e-12)
 
 
 def depolarizing(d, p) -> KrausChannel:
@@ -550,14 +535,13 @@ def aux_pauli_action(eps) -> np.ndarray:
 def aux_kraus_channel(eps, chi) -> KrausChannel:
     """Auxiliary channel with Kraus set E_mu = sqrt(eps_mu) Y_mu, the Y_mu
     of the Pauli tensor basis, from the weights eps of aux_solve at factor
-    chi; raises NotAChannelError unless every weight is >= EPS_TOL. The rows
-    of (s, 4^N) weights give the (s, k, d, d) stack of their channels, each
-    keeping the operators whose weight is nonzero in some row."""
+    chi; raises NotAChannelError unless every weight is >= EPS_TOL. Every
+    channel holds all 4^N operators, a clipped weight's as zeros, and the
+    rows of (s, 4^N) weights give the (s, 4^N, d, d) stack of their channels."""
     eps = _realizable(eps)
     N = qubit_count(_dimension_of(eps, "weights"))
     gens = np.concatenate(([np.sqrt(2.0 ** (1 - N)) * np.eye(2**N)], pauli_tensor_basis(N)))
-    ops = np.sqrt(eps)[..., None, None] * gens
-    return kraus_channel(_nonzero(ops, eps), label="aux",
+    return kraus_channel(np.sqrt(eps)[..., None, None] * gens, label="aux",
                          params={"chi": np.asarray(chi, dtype=float).tolist(), "N": N})
 
 

@@ -37,8 +37,9 @@ from .state import (
 # Bound on the complex entries of the (P, k, d, d) Kraus stack of one chunk
 # of sweep points (128 KiB). A chunk's stack and its temporaries then stay
 # in cache and in the heap the allocator keeps, so a sweep does not fault
-# fresh pages in on every call; each point is computed on its own, so the
-# output does not depend on the bound.
+# fresh pages in on every call. A point's channel holds the operators its
+# factory writes, whatever else shares its stack, so the output does not
+# depend on the bound.
 SWEEP_CHUNK_ENTRIES = 1 << 13
 ROW_BLOCK = 32  # rows per product of _through
 
@@ -68,13 +69,14 @@ def _measure(measure, x, d):
 
 def _through(t, *parts):
     """The rows x of the (s, d^2 - 1) coordinates in ``parts`` with x_0 = sqrt(2/d) put first, and their images
-    x' = T x, as two (len(parts), s, d^2) arrays, each row in a zero-padded block of ROW_BLOCK rows: alone, a row
-    takes OpenBLAS's matrix-vector kernel, whose bits differ from its bits among other rows (d = 8-32, 1-2 threads)."""
+    x' = T x, as two (len(parts), s, d^2) arrays, each row in a zero-padded block of ROW_BLOCK rows, so a row's bits
+    do not depend on the rows mapped with it. In a plain x @ T^T they do (OpenBLAS, 1 and 2 threads, d = 2-32): a lone
+    row's at every d > 2, and at d = 5, 7, 9-11, 13-15, 17-27 and 29-31 those of most products of 2-300 rows (at d = 6
+    from 1,024 rows)."""
     n, s = len(t), len(parts[0])
     x = np.zeros((len(parts), -(-s // ROW_BLOCK) * ROW_BLOCK, n))
     x[..., 0] = np.sqrt(2.0 / _dimension_of(t, "transfer"))
     x[:, :s, 1:] = parts
-    # T^T is a C-contiguous view of transfer_matrix's Fortran-ordered T, not a copy
     return x[:, :s], (x.reshape(-1, ROW_BLOCK, n) @ np.ascontiguousarray(t.T)).reshape(x.shape)[:, :s]
 
 

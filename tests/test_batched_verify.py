@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfact import cli, factorization, io
-from cohfact.basis import pauli_tensor_basis, qubit_count
+from cohfact.basis import _read_pauli, _write_pauli, pauli_tensor_basis, qubit_count
 from cohfact.channel import (
+    _aux_signs,
     _pauli_coordinates,
     apply,
     aux_channel,
@@ -484,14 +485,14 @@ def test_one_and_33_trial_runs_are_prefixes_of_a_50_trial_run(tmp_path, capsys, 
         assert run(t) == "".join(whole[:t])
 
 
-@given(d=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]), s=st.integers(1, 80), data=st.data(),
+@given(d=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16, 32]), s=st.integers(1, 80), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_first_rows_of_a_call_are_those_of_a_shorter_call(d, s, data, seed):
     """Bitwise, the first t rows of an s-row call are a t-row call, and row 0
     is the call on that row alone, for the blocked product by T (_through)
-    and the coordinate maps: a row's bits do not depend on the rows mapped
-    with it."""
+    and the coordinate maps, the Pauli ones and the auxiliary sign table at
+    d = 2^N: a row's bits do not depend on the rows mapped with it."""
     t = data.draw(st.integers(1, s), label="t")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((s, d * d - 1))
@@ -503,6 +504,9 @@ def test_first_rows_of_a_call_are_those_of_a_shorter_call(d, s, data, seed):
         (lambda x: bloch_decompose(DensityMatrix(x)), states),
         (lambda x: np.stack(chi_interval(x), axis=-1), n),
     ]
+    if d & (d - 1) == 0:
+        maps += [(_read_pauli, states), (lambda y: _write_pauli(y, qubit_count(d)), n),
+                 (_aux_signs, rng.standard_normal((s, d * d)))]
     for f, rows in maps:
         whole = f(rows)
         assert np.array_equal(whole[:t], f(rows[:t]))
